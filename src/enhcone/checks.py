@@ -29,7 +29,7 @@ from .normalform import (
     decomposition_failures,
     explicit_decomposition,
     graded_kernel_blocks,
-    graded_projection,
+    graded_quotient,
     normal_pair,
     restrict_pair,
     weight_blocks,
@@ -520,12 +520,7 @@ def check_kernel_recursion(
     try:
         for subset in itertools.combinations(lines, r1):
             spent.spend()
-            qm = graded_projection(tuple(subset), pair.n, pair.p)
-            sub = GradedPair(
-                qm.push_matrix(pair.x),
-                qm.apply(pair.v),
-                tuple(pair.weights[c] for c in qm.nonpivots),
-            )
+            _, sub = graded_quotient(pair, subset)
             terms.append(
                 count_lambda_fixed(
                     FiberQuery(sub.v, sub.x, FlagShape(rest, jbar), sub.weights)

@@ -7,22 +7,43 @@ first step: x(W_1) <= W_0 = 0 forces W_1 <= ker x, and the rest of the
 flag is a fiber flag for the induced pair on V / W_1 with the shifted
 shape and marker j - 1 (a marker of 0 requires v = 0 up front).
 
-Counts depend only on the orbit of (v, x), so the memoized counter keys
-its cache on the classified bipartition of the pair rather than on raw
-matrices.
+One counting walker (`_count`) and one flag walker (`_flags`) run this
+recursion.  A step function supplies the candidates for W_1, each as
+the quotient map by W_1 and the induced pair on V / W_1:
+
+- the kernel step yields every r_1-subspace of ker x
+  (count_fiber, enumerate_fiber_flags);
+- the graded step yields the weight-graded ones, block by block
+  (count_lambda_fixed, enumerate_lambda_fixed_flags).
+
+Counts depend only on the orbit of (v, x), and orbits are indexed by
+bipartitions, so count_fiber_memo recurses over bipartitions instead:
+
+    count(b, dims, j, p) = sum over b' of T[(b, r_1, p)][b'] * count(b', rest, j - 1, p)
+
+where the transition table T[(b, r_1, p)] tallies the r_1-subspaces
+W <= ker x at b's normal pair by the orbit b' of the induced pair on
+V / W.  The query's pair is classified once; each entry of T costs one
+run of the kernel step and one classification per subspace, and both
+tables live in a FiberCache.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .combinatorics import Bipartition, FlagShape, bipartitions, flag_shape
 from .gflinalg import (
     MatrixGF,
+    QuotientMap,
+    check_prime,
     SubspaceGF,
     enumerate_subspaces,
     kernel,
@@ -37,7 +58,7 @@ from .normalform import (
     classify_pair,
     enumerate_graded_subspaces,
     graded_kernel_blocks,
-    graded_projection,
+    graded_quotient,
     normal_pair,
 )
 
@@ -88,42 +109,98 @@ class FiberQuery:
         return GradedPair(self.x, self.v, self.weights)
 
 
-def count_fiber(q: FiberQuery) -> int:
-    """Exact number of fiber flags over GF(p), by direct recursion."""
-    return _count(q.v, q.x, q.shape.dims, q.shape.marker)
+class _Pair(NamedTuple):
+    """The ungraded pair (v, x) that the kernel step walks."""
+
+    v: tuple[int, ...]
+    x: MatrixGF
 
 
-def _count(v: tuple[int, ...], x: MatrixGF, dims: tuple[int, ...], j: int) -> int:
-    if j == 0 and any(v):
-        return 0
-    m = len(dims) - 1
-    if m == 0:
-        return 1
-    r1 = dims[1]
-    ker = kernel(x)
+def _kernel_step(pair: _Pair, r1: int) -> Iterator[tuple[QuotientMap, _Pair]]:
+    """Every r1-subspace W of ker x, as the quotient map by W together with
+    the induced pair on V/W."""
+    ker = kernel(pair.x)
     if r1 > ker.dim:
-        return 0
-    rest = tuple(r - r1 for r in dims[1:])
-    jj = j - 1 if j >= 1 else 0
-    total = 0
+        return
     for w in enumerate_subspaces(ker, r1):
         qm = quotient_map(w)
-        total += _count(qm.apply(v), qm.push_matrix(x), rest, jj)
-    return total
+        yield qm, _Pair(qm.apply(pair.v), qm.push_matrix(pair.x))
+
+
+def _graded_step(pair: GradedPair, r1: int) -> Iterator[tuple[QuotientMap, GradedPair]]:
+    """Every weight-graded r1-subspace of ker x, as the quotient map by it
+    together with the induced graded pair on the quotient."""
+    for selection in enumerate_graded_subspaces(graded_kernel_blocks(pair), r1):
+        yield graded_quotient(pair, selection)
+
+
+def _count(step, pair, dims: tuple[int, ...], j: int) -> int:
+    """Number of fiber flags of shape (dims, j) over pair, recursing on the
+    first subspaces that step yields."""
+    if j == 0 and any(pair.v):
+        return 0
+    if len(dims) == 1:
+        return 1
+    rest = tuple(r - dims[1] for r in dims[1:])
+    jj = max(j - 1, 0)
+    return sum(_count(step, sub, rest, jj) for _, sub in step(pair, dims[1]))
+
+
+def _flags(step, pair, dims: tuple[int, ...], j: int) -> Iterator[tuple[SubspaceGF, ...]]:
+    """The flags that _count counts, lifted to the ambient space of pair."""
+    if j == 0 and any(pair.v):
+        return
+    if len(dims) == 1:
+        yield ()
+        return
+    rest = tuple(r - dims[1] for r in dims[1:])
+    jj = max(j - 1, 0)
+    for qm, sub in step(pair, dims[1]):
+        # both steps hand over kernels whose basis rows are already RREF
+        w1 = SubspaceGF(qm.p, qm.ambient, qm.basis_rows, qm.pivots)
+        for tail in _flags(step, sub, rest, jj):
+            yield (w1,) + tuple(qm.preimage(s) for s in tail)
+
+
+def count_fiber(q: FiberQuery) -> int:
+    """Exact number of fiber flags over GF(p), by direct recursion."""
+    return _count(_kernel_step, _Pair(q.v, q.x), q.shape.dims, q.shape.marker)
+
+
+def enumerate_fiber_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ...]]:
+    """All fiber flags, as tuples of canonical subspaces of the ambient space."""
+    yield from _flags(_kernel_step, _Pair(q.v, q.x), q.shape.dims, q.shape.marker)
+
+
+def count_lambda_fixed(q: FiberQuery) -> int:
+    """Number of fiber flags all of whose subspaces are weight-graded."""
+    return _count(_graded_step, q.graded_pair(), q.shape.dims, q.shape.marker)
+
+
+def enumerate_lambda_fixed_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ...]]:
+    """All weight-graded fiber flags, lifted to the ambient space."""
+    yield from _flags(_graded_step, q.graded_pair(), q.shape.dims, q.shape.marker)
 
 
 class FiberCache:
-    """Shared memo table for orbit-keyed fiber counts.
+    """Shared memo tables for orbit-keyed fiber counts.
 
-    Keys are (mu, nu, dims, j, p); values exact counts.  Lookups and
-    idempotent inserts are safe under concurrent use; no lock is held
-    while a missing value is being computed.
+    The count table maps (mu, nu, dims, j, p) to an exact count; it is
+    what `stats` reports and what `save`/`load` persist.  Beside it sits
+    the transition table T: for an orbit b, a first-step dimension r1
+    and a prime p, T[(b, r1, p)] tallies the r1-subspaces W of ker x at
+    b's normal pair by the orbit of the induced pair on V/W.  T is built
+    on demand, is emptied by `clear()` and is never written to the
+    cache file.  Lookups and idempotent inserts are safe under
+    concurrent use; no lock is held while a missing value is being
+    computed.
     """
 
     FORMAT = 1
 
     def __init__(self):
         self._table: dict = {}
+        self._transitions: dict = {}
         self.hits = 0
         self.misses = 0
 
@@ -143,6 +220,7 @@ class FiberCache:
 
     def clear(self) -> None:
         self._table.clear()
+        self._transitions.clear()
         self.hits = 0
         self.misses = 0
 
@@ -151,12 +229,27 @@ class FiberCache:
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._table)}
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"cache_format": self.FORMAT}) + "\n")
-            for key, count in sorted(self._table.items()):
-                mu, nu, dims, j, p = key
-                record = {"key": [list(mu), list(nu), list(dims), j, p], "count": count}
-                fh.write(json.dumps(record) + "\n")
+        """Write the count table to path atomically: the records go to a
+        temporary file in the same directory, which then replaces path, so
+        a failed save leaves any previous file intact."""
+        path = os.fspath(path)
+        fd, tmp = tempfile.mkstemp(
+            prefix=os.path.basename(path) + ".", suffix=".tmp",
+            dir=os.path.dirname(path) or ".",
+        )
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps({"cache_format": self.FORMAT}) + "\n")
+                for key, count in sorted(self._table.items()):
+                    mu, nu, dims, j, p = key
+                    record = {"key": [list(mu), list(nu), list(dims), j, p], "count": count}
+                    fh.write(json.dumps(record) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def load(self, path) -> None:
         with open(path) as fh:
@@ -178,128 +271,49 @@ def fiber_cache() -> FiberCache:
 
 
 def count_fiber_memo(q: FiberQuery, cache: FiberCache | None = None) -> int:
-    """Same contract as count_fiber, memoized on the orbit type of the pair."""
+    """Same contract as count_fiber, by a recursion over orbits: the pair
+    is classified once, and every later step reads the transition table."""
     if cache is None:
         cache = _default_cache
-    return _count_memo(q.v, q.x, q.shape.dims, q.shape.marker, cache)
+    b = classify_pair(q.v, q.x)
+    return _count_orbit(b, q.shape.dims, q.shape.marker, q.p, cache)
 
 
-def _orbit_key(v: tuple[int, ...], x: MatrixGF) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    b = classify_pair(v, x)
-    return (b.first.parts, b.second.parts)
-
-
-def _count_memo(
-    v: tuple[int, ...], x: MatrixGF, dims: tuple[int, ...], j: int, cache: FiberCache
+def _count_orbit(
+    b: Bipartition, dims: tuple[int, ...], j: int, p: int, cache: FiberCache
 ) -> int:
-    if j == 0 and any(v):
+    # v = 0 exactly when the orbit's first partition is empty
+    if j == 0 and b.first.parts:
         return 0
-    m = len(dims) - 1
-    if m == 0:
+    if len(dims) == 1:
         return 1
-    mu, nu = _orbit_key(v, x)
-    key = (mu, nu, dims, j, x.p)
+    key = (b.first.parts, b.second.parts, dims, j, p)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    r1 = dims[1]
-    ker = kernel(x)
-    total = 0
-    if r1 <= ker.dim:
-        rest = tuple(r - r1 for r in dims[1:])
-        jj = j - 1 if j >= 1 else 0
-        for w in enumerate_subspaces(ker, r1):
-            qm = quotient_map(w)
-            total += _count_memo(qm.apply(v), qm.push_matrix(x), rest, jj, cache)
+    rest = tuple(r - dims[1] for r in dims[1:])
+    jj = max(j - 1, 0)
+    total = sum(
+        mult * _count_orbit(b2, rest, jj, p, cache)
+        for b2, mult in _transitions(b, dims[1], p, cache).items()
+    )
     cache.put(key, total)
     return total
 
 
-def count_lambda_fixed(q: FiberQuery) -> int:
-    """Number of fiber flags all of whose subspaces are weight-graded."""
-    return _count_lambda(q.graded_pair(), q.shape.dims, q.shape.marker)
-
-
-def _count_lambda(pair: GradedPair, dims: tuple[int, ...], j: int) -> int:
-    if j == 0 and any(pair.v):
-        return 0
-    m = len(dims) - 1
-    if m == 0:
-        return 1
-    r1 = dims[1]
-    blocks = graded_kernel_blocks(pair)
-    if r1 > sum(b[2].dim for b in blocks):
-        return 0
-    rest = tuple(r - r1 for r in dims[1:])
-    jj = j - 1 if j >= 1 else 0
-    total = 0
-    for sel in enumerate_graded_subspaces(blocks, r1):
-        qm = graded_projection(sel, pair.n, pair.p)
-        sub = GradedPair(
-            qm.push_matrix(pair.x),
-            qm.apply(pair.v),
-            tuple(pair.weights[c] for c in qm.nonpivots),
-        )
-        total += _count_lambda(sub, rest, jj)
-    return total
-
-
-def enumerate_fiber_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ...]]:
-    """All fiber flags, as tuples of canonical subspaces of the ambient space."""
-    yield from _enum_flags(q.v, q.x, q.shape.dims, q.shape.marker)
-
-
-def _enum_flags(
-    v: tuple[int, ...], x: MatrixGF, dims: tuple[int, ...], j: int
-) -> Iterator[tuple[SubspaceGF, ...]]:
-    if j == 0 and any(v):
-        return
-    m = len(dims) - 1
-    if m == 0:
-        yield ()
-        return
-    r1 = dims[1]
-    ker = kernel(x)
-    if r1 > ker.dim:
-        return
-    rest = tuple(r - r1 for r in dims[1:])
-    jj = j - 1 if j >= 1 else 0
-    for w in enumerate_subspaces(ker, r1):
-        qm = quotient_map(w)
-        for tail in _enum_flags(qm.apply(v), qm.push_matrix(x), rest, jj):
-            yield (w,) + tuple(qm.preimage(sub) for sub in tail)
-
-
-def enumerate_lambda_fixed_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ...]]:
-    """All weight-graded fiber flags, lifted to the ambient space."""
-    yield from _enum_lambda_flags(q.graded_pair(), q.shape.dims, q.shape.marker)
-
-
-def _enum_lambda_flags(
-    pair: GradedPair, dims: tuple[int, ...], j: int
-) -> Iterator[tuple[SubspaceGF, ...]]:
-    if j == 0 and any(pair.v):
-        return
-    m = len(dims) - 1
-    if m == 0:
-        yield ()
-        return
-    r1 = dims[1]
-    blocks = graded_kernel_blocks(pair)
-    if r1 > sum(b[2].dim for b in blocks):
-        return
-    rest = tuple(r - r1 for r in dims[1:])
-    jj = j - 1 if j >= 1 else 0
-    for sel in enumerate_graded_subspaces(blocks, r1):
-        qm = graded_projection(sel, pair.n, pair.p)
-        sub = GradedPair(
-            qm.push_matrix(pair.x),
-            qm.apply(pair.v),
-            tuple(pair.weights[c] for c in qm.nonpivots),
-        )
-        w1 = qm.kernel_subspace()
-        for tail in _enum_lambda_flags(sub, rest, jj):
-            yield (w1,) + tuple(qm.preimage(s) for s in tail)
+def _transitions(b: Bipartition, r1: int, p: int, cache: FiberCache) -> Counter:
+    """T[(b, r1, p)], built on first use by running the kernel step at
+    b's normal pair and classifying every distinct quotient pair."""
+    key = (b, r1, p)
+    table = cache._transitions.get(key)
+    if table is None:
+        np_ = normal_pair(b, p)
+        quotients = Counter(sub for _, sub in _kernel_step(_Pair(np_.v, np_.x), r1))
+        table = Counter()
+        for sub, mult in quotients.items():
+            table[classify_pair(sub.v, sub.x)] += mult
+        table = cache._transitions.setdefault(key, table)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +476,10 @@ def closure_contains(big: Bipartition, small: Bipartition, p: int = 2) -> bool:
     the fiber over small's normal point is nonempty over GF(p)."""
     if big.n != small.n:
         raise ValueError("bipartitions must have equal total size")
-    return count_fiber_memo(FiberQuery.over_orbit(small, big, p)) > 0
+    check_prime(p)
+    # small's orbit is known, so the orbit recursion starts there directly
+    shape = flag_shape(big)
+    return _count_orbit(small, shape.dims, shape.marker, p, _default_cache) > 0
 
 
 def closure_pairs(n: int, p: int = 2) -> tuple[tuple[Bipartition, Bipartition], ...]:

@@ -27,6 +27,7 @@ from .gflinalg import (
     enumerate_subspaces,
     kernel,
     projection_from_rows,
+    quotient_map,
     rank,
 )
 
@@ -48,9 +49,6 @@ class GradedPair:
     @property
     def n(self) -> int:
         return self.x.ncols
-
-    def forget_weights(self) -> "GradedPair":
-        return GradedPair(self.x, self.v, (0,) * self.n)
 
 
 @dataclass(frozen=True)
@@ -178,9 +176,6 @@ def _restriction_matrix(x: MatrixGF, w: SubspaceGF) -> MatrixGF:
     return MatrixGF(x.p, rows, w.dim)
 
 
-_classify_cache: dict = {}
-
-
 def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
     """The bipartition (mu; nu) of the orbit of the pair (v, x), x nilpotent.
 
@@ -192,26 +187,16 @@ def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
     v = tuple(a % x.p for a in v)
     if len(v) != n:
         raise ValueError("vector length does not match matrix size")
-    key = (x.p, x.rows, v)
-    cached = _classify_cache.get(key)
-    if cached is not None:
-        return cached
     if not any(v):
-        result = Bipartition(Partition(()), jordan_type(x))
-    elif x.is_zero():
-        result = Bipartition(Partition((1,) * n), Partition(()))
-    else:
-        w = centralizer_module_span(v, x)
-        mu = jordan_type(_restriction_matrix(x, w))
-        from .gflinalg import quotient_map
-
-        qm = quotient_map(w)
-        nu = jordan_type(qm.push_matrix(x))
-        if mu.size + nu.size != n:
-            raise AssertionError("orbit classification does not fill the space")
-        result = Bipartition(mu, nu)
-    _classify_cache[key] = result
-    return result
+        return Bipartition(Partition(()), jordan_type(x))
+    if x.is_zero():
+        return Bipartition(Partition((1,) * n), Partition(()))
+    w = centralizer_module_span(v, x)
+    mu = jordan_type(_restriction_matrix(x, w))
+    nu = jordan_type(quotient_map(w).push_matrix(x))
+    if mu.size + nu.size != n:
+        raise AssertionError("orbit classification does not fill the space")
+    return Bipartition(mu, nu)
 
 
 def nonneg_part(np: NormalPair) -> SubspaceGF:
@@ -231,12 +216,6 @@ def weight_blocks(weights: Sequence[int]) -> tuple[tuple[int, tuple[int, ...]], 
     for c, w in enumerate(weights):
         blocks.setdefault(w, []).append(c)
     return tuple((w, tuple(blocks[w])) for w in sorted(blocks, reverse=True))
-
-
-def weight_filtration(pair: GradedPair, w: int) -> SubspaceGF:
-    """The coordinate subspace of all weights >= w."""
-    coords = [c for c, wt in enumerate(pair.weights) if wt >= w]
-    return SubspaceGF.coordinate(coords, pair.n, pair.p)
 
 
 def graded_kernel_blocks(
@@ -281,18 +260,6 @@ def enumerate_graded_subspaces(
     return walk(0, d)
 
 
-def embed_selection(selection: GradedSelection, n: int, p: int) -> SubspaceGF:
-    """Ambient canonical subspace spanned by a per-block selection."""
-    rows = []
-    for coords, sub in selection:
-        for brow in sub.basis:
-            row = [0] * n
-            for c, val in zip(coords, brow):
-                row[c] = val
-            rows.append(row)
-    return SubspaceGF.span(rows, n, p)
-
-
 def graded_projection(selection: GradedSelection, n: int, p: int) -> QuotientMap:
     """Quotient map by the span of a graded selection; the quotient
     coordinates inherit well-defined weights."""
@@ -311,11 +278,14 @@ def graded_projection(selection: GradedSelection, n: int, p: int) -> QuotientMap
     )
 
 
-def graded_quotient(pair: GradedPair, selection: GradedSelection) -> GradedPair:
-    """Quotient graded pair by a graded subspace of ker x."""
+def graded_quotient(
+    pair: GradedPair, selection: GradedSelection
+) -> tuple[QuotientMap, GradedPair]:
+    """Quotient map by a graded subspace of ker x, with the induced graded
+    pair on the quotient."""
     qm = graded_projection(selection, pair.n, pair.p)
     new_weights = tuple(pair.weights[c] for c in qm.nonpivots)
-    return GradedPair(qm.push_matrix(pair.x), qm.apply(pair.v), new_weights)
+    return qm, GradedPair(qm.push_matrix(pair.x), qm.apply(pair.v), new_weights)
 
 
 def restrict_pair(pair: GradedPair, sub: SubspaceGF) -> GradedPair:

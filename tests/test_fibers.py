@@ -6,7 +6,8 @@ import pytest
 
 from enhcone.combinatorics import FlagShape, bipartition, bipartitions, flag_shape
 from enhcone.gflinalg import MatrixGF, SubspaceGF, enumerate_subspaces, rank, rref
-from enhcone.normalform import jordan_type, normal_pair
+from enhcone.normalform import classify_pair, jordan_type, normal_pair
+from enhcone import fibers
 from enhcone.fibers import (
     FiberCache,
     FiberQuery,
@@ -18,6 +19,7 @@ from enhcone.fibers import (
     count_fiber_memo,
     count_lambda_fixed,
     enumerate_fiber_flags,
+    enumerate_lambda_fixed_flags,
     fiber_dimension_bound,
     held_out_prime,
     interpolate_qpoly,
@@ -150,10 +152,13 @@ class TestSpringerBenchmarks:
 class TestMemo:
     def test_agrees_with_plain_count(self):
         cache = FiberCache()
-        for n in range(4):
-            for big, small in itertools.product(bipartitions(n), repeat=2):
-                q = FiberQuery.over_orbit(small, big, 2)
-                assert count_fiber_memo(q, cache) == count_fiber(q)
+        for p in (2, 3):
+            for n in range(4):
+                for big, small in itertools.product(bipartitions(n), repeat=2):
+                    q = FiberQuery.over_orbit(small, big, p)
+                    count = count_fiber(q)
+                    assert count_fiber_memo(q, cache) == count
+                    assert closure_contains(big, small, p) == (count > 0)
 
     def test_cache_statistics(self):
         cache = FiberCache()
@@ -179,6 +184,46 @@ class TestMemo:
         assert len(fresh) == len(cache)
         assert count_fiber_memo(q, fresh) == value
         # nothing was recomputed
+        assert fresh.misses == 0
+
+    def test_clear_empties_transition_table(self, monkeypatch):
+        cache = FiberCache()
+        q = FiberQuery.over_orbit(
+            bipartition((), (1, 1, 1)), bipartition((), (3,)), 2
+        )
+        value = count_fiber_memo(q, cache)
+        misses = cache.misses
+        cache.clear()
+        assert cache.stats == {"hits": 0, "misses": 0, "entries": 0}
+        classified = []
+
+        def counting(v, x):
+            classified.append(v)
+            return classify_pair(v, x)
+
+        monkeypatch.setattr(fibers, "classify_pair", counting)
+        assert count_fiber_memo(q, cache) == value
+        assert cache.misses == misses
+        # the query itself, then every quotient while T is rebuilt
+        assert len(classified) > 1
+
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        cache = FiberCache()
+        q = FiberQuery.over_orbit(bipartition((), (2, 1)), bipartition((), (3,)), 3)
+        value = count_fiber_memo(q, cache)
+        path = tmp_path / "counts.jsonl"
+        cache.save(path)
+        before = path.read_text()
+        # a count json cannot serialize, sorted before the good records
+        cache.put(((), (), (0,), 0, 3), object())
+        with pytest.raises(TypeError):
+            cache.save(path)
+        assert path.read_text() == before
+        assert list(tmp_path.iterdir()) == [path]
+        fresh = FiberCache()
+        fresh.load(path)
+        assert len(fresh) == len(cache) - 1
+        assert count_fiber_memo(q, fresh) == value
         assert fresh.misses == 0
 
     def test_bad_cache_version_rejected(self, tmp_path):
@@ -213,6 +258,7 @@ class TestEquivariance:
 
     def test_random_conjugation(self):
         rng = random.Random(17)
+        cache = FiberCache()
         for n in (3, 4):
             for b in bipartitions(n):
                 np_ = normal_pair(b, 2)
@@ -228,7 +274,9 @@ class TestEquivariance:
                     trials += 1
                     v2 = g.matvec(np_.v)
                     x2 = g @ np_.x @ invert(g)
-                    assert count_fiber(FiberQuery.raw(v2, x2, shape)) == base
+                    conjugated = FiberQuery.raw(v2, x2, shape)
+                    assert count_fiber(conjugated) == base
+                    assert count_fiber_memo(conjugated, cache) == base
 
 
 class TestLambdaFixed:
@@ -365,6 +413,14 @@ class TestFlagEnumeration:
                 flags = list(enumerate_fiber_flags(q))
                 assert len(flags) == count_fiber(q)
                 assert len(set(flags)) == len(flags)
+                graded = list(enumerate_lambda_fixed_flags(q))
+                assert len(graded) == count_lambda_fixed(q)
+                assert len(set(graded)) == len(graded)
+                assert all(
+                    SubspaceGF.span(w.basis, w.ambient, w.p) == w
+                    for flag in graded
+                    for w in flag
+                )
 
     def test_flags_satisfy_conditions(self):
         q = FiberQuery.over_orbit(bipartition((), (2, 1)), bipartition((), (3,)), 2)
