@@ -3,13 +3,13 @@ verification suites and the closure order.
 
 Commands emit CSV or JSON on stdout with a versioned schema field.
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed
-(a falsification witness is in the output), 2 usage or config error.
+(a falsification witness is in the output), 2 usage or config error,
+3 internal error (a library invariant failed; never caused by the input).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -42,6 +42,7 @@ SCHEMA = "enhcone/1"
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class ConfigError(Exception):
@@ -59,6 +60,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _validated_primes(primes: tuple[int, ...], holdout: int | None) -> None:
+    if not primes:
+        raise ConfigError("empty prime schedule")
     if len(set(primes)) != len(primes):
         raise ConfigError(f"prime schedule has duplicates: {primes}")
     bad = [p for p in primes if not is_prime(p)]
@@ -121,8 +124,8 @@ def cmd_orbits(args, out) -> int:
                 f"--mu/--nu has total size {selected[0].n}, but --n is {args.n}"
             )
     else:
-        if args.n is None:
-            raise ConfigError("orbits needs --n or --mu/--nu")
+        if args.n is None or args.n < 0:
+            raise ConfigError("orbits needs --n >= 0 or --mu/--nu")
         selected = list(bipartitions(args.n))
     rows = []
     json_rows = []
@@ -163,9 +166,16 @@ def cmd_orbits(args, out) -> int:
     return EXIT_OK
 
 
+def _parsed_bipartition(text: str):
+    try:
+        return parse_bipartition(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_fiber_poly(args, out) -> int:
-    big = parse_bipartition(args.big)
-    small = parse_bipartition(args.small)
+    big = _parsed_bipartition(args.big)
+    small = _parsed_bipartition(args.small)
     if big.n != small.n:
         raise ConfigError(
             f"|big| = {big.n} and |small| = {small.n} must be equal"
@@ -185,10 +195,8 @@ def cmd_fiber_poly(args, out) -> int:
             bound = len(primes) - 1
     else:
         primes = prime_schedule(bound)
+    _validated_primes(primes, args.holdout)
     holdout = args.holdout if args.holdout is not None else held_out_prime(primes)
-    _validated_primes(primes, holdout)
-    if not primes:
-        raise ConfigError("empty prime schedule")
     counts = {p: count_fiber_memo(FiberQuery.over_orbit(small, big, p)) for p in primes}
     verdict = "pass"
     poly_coeffs: list[int] = []
@@ -261,7 +269,7 @@ def cmd_check(args, out) -> int:
     instances = suite_instances(
         args.n, checks, budget=args.budget, recursion_primes=recursion_primes
     )
-    reports = _run_parallel(instances, args.jobs)
+    reports = [thunk() for _, thunk in instances]
     rows = []
     n_fail = n_budget = 0
     for (desc, _), report in zip(instances, reports):
@@ -341,18 +349,6 @@ def cmd_closure_order(args, out) -> int:
     return EXIT_OK
 
 
-def _run_parallel(instances, jobs: int):
-    thunks = [thunk for _, thunk in instances]
-    if jobs <= 1:
-        return [thunk() for thunk in thunks]
-    results = [None] * len(thunks)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(thunk): i for i, thunk in enumerate(thunks)}
-        for fut in concurrent.futures.as_completed(futures):
-            results[futures[fut]] = fut.result()
-    return results
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -369,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--n", type=int, default=None, help="total size n")
         sp.add_argument("--primes", type=str, default=None, help="comma-separated prime schedule")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
         sp.add_argument("--cache", type=str, default=None, help="fiber-count cache file")
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search budget (nodes)")
 
@@ -420,9 +415,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ValueError, AssertionError, ArithmeticError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if cache_path:
         try:
             os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)

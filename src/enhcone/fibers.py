@@ -36,7 +36,6 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .combinatorics import Bipartition, FlagShape, bipartitions, flag_shape
@@ -50,7 +49,6 @@ from .gflinalg import (
     next_prime_after,
     primes_first,
     quotient_map,
-    rank,
 )
 from .normalform import (
     GradedPair,
@@ -191,9 +189,7 @@ class FiberCache:
     and a prime p, T[(b, r1, p)] tallies the r1-subspaces W of ker x at
     b's normal pair by the orbit of the induced pair on V/W.  T is built
     on demand, is emptied by `clear()` and is never written to the
-    cache file.  Lookups and idempotent inserts are safe under
-    concurrent use; no lock is held while a missing value is being
-    computed.
+    cache file.
     """
 
     FORMAT = 1
@@ -312,7 +308,7 @@ def _transitions(b: Bipartition, r1: int, p: int, cache: FiberCache) -> Counter:
         table = Counter()
         for sub, mult in quotients.items():
             table[classify_pair(sub.v, sub.x)] += mult
-        table = cache._transitions.setdefault(key, table)
+        cache._transitions[key] = table
     return table
 
 
@@ -435,40 +431,14 @@ def held_out_prime(schedule: Sequence[int]) -> int:
 # orbit dimension and the closure order
 
 
-@lru_cache(maxsize=None)
 def orbit_dimension(b: Bipartition) -> int:
-    """Dimension of the orbit of b: n^2 minus the dimension of the joint
-    solution space of y.v = 0 and yx = xy at the normal pair, with ranks
-    taken over two large primes (they must agree)."""
-    ranks = []
-    for p in (101, 10007):
-        np_ = normal_pair(b, p)
-        n = np_.n
-        if n == 0:
-            ranks.append(0)
-            continue
-        nn = n * n
-        rows = []
-        for r in range(n):
-            row = [0] * nn
-            for c in range(n):
-                if np_.v[c]:
-                    row[r * n + c] = np_.v[c]
-            rows.append(tuple(row))
-        xr = np_.x.rows
-        for r in range(n):
-            for c in range(n):
-                row = [0] * nn
-                for k in range(n):
-                    row[r * n + k] = (row[r * n + k] + xr[k][c]) % p
-                    row[k * n + c] = (row[k * n + c] - xr[r][k]) % p
-                rows.append(tuple(row))
-        ranks.append(rank(MatrixGF(p, tuple(rows), nn)))
-    if ranks[0] != ranks[1]:
-        raise ArithmeticError(
-            f"stabilizer rank disagrees between primes for {b}: {ranks}"
-        )
-    return ranks[0]
+    """Dimension of the orbit of b = (mu; nu): n^2 - 2 n(mu + nu) - |nu|,
+    where n(lambda) = sum (i - 1) lambda_i and mu + nu has parts
+    mu_i + nu_i (Achar-Henderson, Orbit closures in the enhanced nilpotent
+    cone, Adv. Math. 219 (2008)).  The test suite checks it against the
+    rank of the stabilizer system y.v = 0, yx = xy at the normal pair."""
+    rows = (b.row_length(i) for i in range(1, b.row_count + 1))
+    return b.n * b.n - 2 * sum(i * r for i, r in enumerate(rows)) - b.second.size
 
 
 def closure_contains(big: Bipartition, small: Bipartition, p: int = 2) -> bool:

@@ -48,9 +48,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
         return pow(a, self.p - 2, self.p)
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
 
 def primes_first(k: int) -> tuple[int, ...]:
     """The first k primes, ascending."""
@@ -280,9 +277,6 @@ class SubspaceGF:
             vecs.append(v)
         return SubspaceGF.span(vecs, self.ambient, self.p)
 
-    def basis_matrix(self) -> MatrixGF:
-        return MatrixGF(self.p, self.basis, self.ambient)
-
 
 def kernel(m: MatrixGF) -> SubspaceGF:
     """Null space {u : m u = 0}, canonical."""
@@ -357,9 +351,6 @@ class QuotientMap:
     def preimage(self, sub: SubspaceGF) -> SubspaceGF:
         vecs = [self.lift(row) for row in sub.basis] + list(self.basis_rows)
         return SubspaceGF.span(vecs, self.ambient, self.p)
-
-    def kernel_subspace(self) -> SubspaceGF:
-        return SubspaceGF.span(self.basis_rows, self.ambient, self.p)
 
 
 def projection_from_rows(

@@ -8,9 +8,11 @@ carries the weight alpha_i - j.  Under this grading v is homogeneous of
 weight 0 and x raises weights by exactly 1.
 
 Classification of an arbitrary pair (v, x) into its orbit bipartition
-goes through the centralizer module: W = span of b.v over a basis b of
-{y : yx = xy}; the first partition is the Jordan type of x restricted
-to W, the second the Jordan type of the map induced on V/W.
+reads two Jordan types: lambda, of x, and kappa, of the map x induces on
+V / F[x]v, where F[x]v is the span of v, xv, x^2 v, ...  Both are
+GL(V)-invariant, and on the normal pair of (mu; nu) they are
+lambda_i = mu_i + nu_i and kappa_i = nu_i + mu_{i+1}, which determine
+(mu; nu) from the last row upward.
 """
 
 from __future__ import annotations
@@ -69,9 +71,6 @@ class NormalPair:
     @property
     def pair(self) -> GradedPair:
         return GradedPair(self.x, self.v, self.weights)
-
-    def box_index(self, i: int, j: int) -> int:
-        return self.basis_labels.index((i, j))
 
     def to_json_dict(self) -> dict:
         return {
@@ -157,31 +156,14 @@ def centralizer_basis(x: MatrixGF) -> tuple[MatrixGF, ...]:
     return tuple(basis)
 
 
-def centralizer_module_span(v: Sequence[int], x: MatrixGF) -> SubspaceGF:
-    """The subspace spanned by b.v over a centralizer basis b of x."""
-    n = x.nrows
-    vecs = [m.matvec(v) for m in centralizer_basis(x)]
-    return SubspaceGF.span(vecs, n, x.p)
-
-
-def _restriction_matrix(x: MatrixGF, w: SubspaceGF) -> MatrixGF:
-    """Matrix of x restricted to the x-stable subspace w, in its RREF basis."""
-    cols = []
-    for row in w.basis:
-        img = x.matvec(row)
-        if not w.contains(img):
-            raise ValueError("subspace is not stable under x")
-        cols.append(tuple(img[c] for c in w.pivots))
-    rows = tuple(tuple(col[i] for col in cols) for i in range(w.dim))
-    return MatrixGF(x.p, rows, w.dim)
-
-
 def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
     """The bipartition (mu; nu) of the orbit of the pair (v, x), x nilpotent.
 
-    mu is the Jordan type of x on the centralizer module W = E^x.v and nu
-    the Jordan type of the induced map on V/W.  The roundtrip property
-    classify_pair(normal_pair(b, p)) == b pins this contract.
+    With lambda the Jordan type of x and kappa that of x on V / F[x]v,
+    padded to the length of lambda, nu_i = kappa_i - mu_{i+1} and
+    mu_i = lambda_i - nu_i for i from the last row up, with mu beyond the
+    last row 0.  The roundtrip property classify_pair(normal_pair(b, p))
+    == b pins this contract.
     """
     n = x.nrows
     v = tuple(a % x.p for a in v)
@@ -191,17 +173,33 @@ def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
         return Bipartition(Partition(()), jordan_type(x))
     if x.is_zero():
         return Bipartition(Partition((1,) * n), Partition(()))
-    w = centralizer_module_span(v, x)
-    mu = jordan_type(_restriction_matrix(x, w))
-    nu = jordan_type(quotient_map(w).push_matrix(x))
-    if mu.size + nu.size != n:
-        raise AssertionError("orbit classification does not fill the space")
-    return Bipartition(mu, nu)
+    lam = jordan_type(x)
+    krylov = []
+    while any(v):
+        krylov.append(v)
+        v = x.matvec(v)
+    kappa = jordan_type(quotient_map(SubspaceGF.span(krylov, n, x.p)).push_matrix(x))
+    ell = lam.length
+    mu = [0] * (ell + 1)
+    nu = [0] * ell
+    for i in range(ell, 0, -1):
+        nu[i - 1] = kappa.part(i) - mu[i]
+        mu[i - 1] = lam.part(i) - nu[i - 1]
+    if kappa.length > ell or min(mu + nu) < 0:
+        raise AssertionError(f"no orbit has Jordan types {lam} and {kappa}")
+    return Bipartition(_trimmed(mu), _trimmed(nu))
+
+
+def _trimmed(parts: list[int]) -> Partition:
+    while parts and parts[-1] == 0:
+        parts.pop()
+    return Partition(tuple(parts))
 
 
 def nonneg_part(np: NormalPair) -> SubspaceGF:
-    """Span of the basis vectors of nonnegative weight; coincides with the
-    centralizer module E^x.v (the test suite pins the equality)."""
+    """Span of the basis vectors of nonnegative weight.  It equals the
+    centralizer module E^x.v = span of y.v over all y commuting with x;
+    the test suite pins the equality against a centralizer_basis oracle."""
     coords = [c for c, w in enumerate(np.weights) if w >= 0]
     return SubspaceGF.coordinate(coords, np.n, np.p)
 

@@ -1,0 +1,74 @@
+"""Slow, independent implementations kept only to cross-check the library.
+
+classify_by_centralizer reads the orbit of (v, x) off the centralizer
+module W = span of y.v over all y commuting with x: the first partition
+is the Jordan type of x on W, the second that of the map induced on
+V / W.  stabilizer_orbit_dimension is n^2 minus the dimension of the
+solution space of y.v = 0, yx = xy at the normal pair, with ranks taken
+over two large primes that must agree.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from enhcone.combinatorics import Bipartition
+from enhcone.gflinalg import MatrixGF, SubspaceGF, quotient_map, rank
+from enhcone.normalform import centralizer_basis, jordan_type, normal_pair
+
+
+def centralizer_module_span(v: Sequence[int], x: MatrixGF) -> SubspaceGF:
+    """The subspace spanned by y.v over a centralizer basis y of x."""
+    vecs = [m.matvec(v) for m in centralizer_basis(x)]
+    return SubspaceGF.span(vecs, x.nrows, x.p)
+
+
+def restriction_matrix(x: MatrixGF, w: SubspaceGF) -> MatrixGF:
+    """Matrix of x restricted to the x-stable subspace w, in its RREF basis."""
+    cols = []
+    for row in w.basis:
+        img = x.matvec(row)
+        if not w.contains(img):
+            raise ValueError("subspace is not stable under x")
+        cols.append(tuple(img[c] for c in w.pivots))
+    rows = tuple(tuple(col[i] for col in cols) for i in range(w.dim))
+    return MatrixGF(x.p, rows, w.dim)
+
+
+def classify_by_centralizer(v: Sequence[int], x: MatrixGF) -> Bipartition:
+    """Orbit bipartition of (v, x) through the centralizer module."""
+    v = tuple(a % x.p for a in v)
+    w = centralizer_module_span(v, x)
+    mu = jordan_type(restriction_matrix(x, w))
+    nu = jordan_type(quotient_map(w).push_matrix(x))
+    assert mu.size + nu.size == x.nrows
+    return Bipartition(mu, nu)
+
+
+def stabilizer_orbit_dimension(b: Bipartition) -> int:
+    """Rank of the stabilizer system of b's normal pair, over 101 and 10007."""
+    ranks = []
+    for p in (101, 10007):
+        np_ = normal_pair(b, p)
+        n = np_.n
+        if n == 0:
+            ranks.append(0)
+            continue
+        nn = n * n
+        rows = []
+        for r in range(n):
+            row = [0] * nn
+            for c in range(n):
+                row[r * n + c] = np_.v[c]
+            rows.append(tuple(row))
+        xr = np_.x.rows
+        for r in range(n):
+            for c in range(n):
+                row = [0] * nn
+                for k in range(n):
+                    row[r * n + k] = (row[r * n + k] + xr[k][c]) % p
+                    row[k * n + c] = (row[k * n + c] - xr[r][k]) % p
+                rows.append(tuple(row))
+        ranks.append(rank(MatrixGF(p, tuple(rows), nn)))
+    assert ranks[0] == ranks[1], f"stabilizer rank disagrees between primes for {b}: {ranks}"
+    return ranks[0]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from enhcone import cli
 from enhcone.cli import main
 
 
@@ -216,17 +217,46 @@ class TestClosureOrder:
 
 
 class TestDeterminism:
-    def test_jobs_do_not_change_output(self, capsys):
-        _, out1 = run_cli(capsys, "check", "--n", "2", "--jobs", "1")
-        _, out4 = run_cli(capsys, "check", "--n", "2", "--jobs", "4")
+    def test_check_repeat_runs_identical(self, capsys):
+        _, out1 = run_cli(capsys, "check", "--n", "2")
+        _, out2 = run_cli(capsys, "check", "--n", "2")
         # timings differ run to run; everything else must be identical
         strip = lambda text: [row[:4] for row in csv.reader(io.StringIO(text))]
-        assert strip(out1) == strip(out4)
+        assert strip(out1) == strip(out2)
 
     def test_repeat_runs_identical(self, capsys):
-        _, out1 = run_cli(capsys, "orbits", "--n", "3")
-        _, out2 = run_cli(capsys, "orbits", "--n", "3")
+        _, out1 = run_cli(capsys, "orbits", "--n", "4")
+        _, out2 = run_cli(capsys, "orbits", "--n", "4")
         assert out1 == out2
+
+
+class TestExitCodes:
+    def test_negative_n_is_usage_error(self, capsys):
+        code, _ = run_cli(capsys, "orbits", "--n", "-1")
+        assert code == 2
+
+    def test_invalid_bipartition_is_usage_error(self, capsys):
+        code, _ = run_cli(capsys, "orbits", "--mu", "2,3")
+        assert code == 2
+
+    def test_empty_prime_schedule_is_usage_error(self, capsys):
+        for command in ("check", "closure-order"):
+            code, _ = run_cli(capsys, command, "--n", "1", "--primes", " ")
+            assert code == 2
+
+    def test_jobs_option_is_gone(self, capsys):
+        code, _ = run_cli(capsys, "check", "--n", "1", "--jobs", "2")
+        assert code == 2
+
+    def test_library_error_is_internal(self, capsys, monkeypatch):
+        def broken(q, cache=None):
+            raise ValueError("invariant broken")
+
+        monkeypatch.setattr(cli, "count_fiber_memo", broken)
+        code = main(["fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("internal error:")
 
 
 class TestCacheOption:

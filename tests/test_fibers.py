@@ -26,6 +26,7 @@ from enhcone.fibers import (
     orbit_dimension,
     prime_schedule,
 )
+from oracles import classify_by_centralizer, stabilizer_orbit_dimension
 
 
 @lru_cache(maxsize=None)
@@ -365,6 +366,30 @@ class TestOrbitDimension:
             for big, small in closure_pairs(n):
                 if big != small:
                     assert orbit_dimension(big) > orbit_dimension(small)
+
+    def test_closed_form_matches_stabilizer_rank(self):
+        for n in range(7):
+            for b in bipartitions(n):
+                assert orbit_dimension(b) == stabilizer_orbit_dimension(b), b
+
+
+class TestTransitionClassification:
+    def test_kernel_step_quotients_match_centralizer_oracle(self):
+        # exactly the pairs the transition table classifies
+        checked = 0
+        for n in range(5):
+            for b in bipartitions(n):
+                for p in (2, 3):
+                    np_ = normal_pair(b, p)
+                    pair = fibers._Pair(np_.v, np_.x)
+                    for r1 in range(1, n + 1):
+                        subs = {sub for _, sub in fibers._kernel_step(pair, r1)}
+                        for sub in subs:
+                            assert classify_pair(sub.v, sub.x) == classify_by_centralizer(
+                                sub.v, sub.x
+                            ), (b, r1, p, sub)
+                        checked += len(subs)
+        assert checked > 300  # 363 distinct quotient pairs
 
 
 class TestClosure:

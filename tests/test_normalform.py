@@ -1,13 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enhcone.combinatorics import bipartition, bipartitions, is_distinguished
 from enhcone.gflinalg import MatrixGF, SubspaceGF, rank
 from enhcone.normalform import (
     GradedPair,
     centralizer_basis,
-    centralizer_module_span,
     classify_pair,
     decomposition_failures,
     explicit_decomposition,
@@ -18,6 +18,7 @@ from enhcone.normalform import (
     orbit_map_tangent_surjective,
     restrict_pair,
 )
+from oracles import centralizer_module_span, classify_by_centralizer
 
 
 def regular_nilpotent(n: int, p: int) -> MatrixGF:
@@ -155,11 +156,12 @@ def invert_gf(g: MatrixGF) -> MatrixGF:
 
 class TestClassify:
     def test_roundtrip_small(self):
-        for n in range(5):
+        for n in range(7):
             for b in bipartitions(n):
                 for p in (2, 3):
                     np_ = normal_pair(b, p)
                     assert classify_pair(np_.v, np_.x) == b
+                    assert classify_by_centralizer(np_.v, np_.x) == b
 
     def test_zero_vector(self):
         x = regular_nilpotent(3, 2)
@@ -177,6 +179,35 @@ class TestClassify:
             vv = g.matvec(v)
             xx = g @ x @ ginv
             assert classify_pair(vv, xx) == expected
+
+
+@st.composite
+def conjugated_normal_pairs(draw):
+    """A bipartition b with 1 <= n <= 6 and a random GL(n, p) conjugate
+    (g v, g x g^-1) of its normal pair; g = P L U with P a permutation,
+    L unit lower and U invertible upper triangular."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.sampled_from((2, 3, 5)))
+    b = draw(st.sampled_from(bipartitions(n)))
+    entry = st.integers(0, p - 1)
+    perm = draw(st.permutations(range(n)))
+    lower = [[1 if r == c else (draw(entry) if r > c else 0) for c in range(n)] for r in range(n)]
+    upper = [
+        [draw(st.integers(1, p - 1)) if r == c else (draw(entry) if r < c else 0) for c in range(n)]
+        for r in range(n)
+    ]
+    g = MatrixGF.from_rows([[1 if c == perm[r] else 0 for c in range(n)] for r in range(n)], p, n)
+    g = g @ MatrixGF.from_rows(lower, p, n) @ MatrixGF.from_rows(upper, p, n)
+    np_ = normal_pair(b, p)
+    return b, g.matvec(np_.v), g @ np_.x @ invert_gf(g)
+
+
+class TestClassifyConjugates:
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(conjugated_normal_pairs())
+    def test_gl_conjugates_classify_to_b(self, case):
+        b, v, x = case
+        assert classify_pair(v, x) == b
 
 
 class TestNonnegPart:
