@@ -19,13 +19,10 @@ from .combinatorics import (
     transpose,
 )
 from .gflinalg import (
-    FlagGF,
     MatrixGF,
-    PrimeField,
     SubspaceGF,
     enumerate_subspaces,
     gaussian_binomial,
-    image,
     is_prime,
     kernel,
     quotient_map,

@@ -44,6 +44,7 @@ from .fibers import (
     count_lambda_fixed,
     enumerate_fiber_flags,
     enumerate_lambda_fixed_flags,
+    fiber_cache,
     fiber_dimension_bound,
     held_out_prime,
     interpolate_qpoly,
@@ -117,18 +118,44 @@ def _report(name, inputs, verdict, witness, started, notes=()) -> CheckReport:
 # polynomial point counts
 
 
+def sampling_schedule(
+    big: Bipartition, primes: Sequence[int] | None = None
+) -> tuple[tuple[int, ...], int, list[str]]:
+    """The primes at which big's fiber polynomials are sampled, the degree
+    bound they are interpolated with, and a note when the bound is capped.
+
+    Without primes the schedule is prime_schedule of the sound bound
+    fiber_dimension_bound.  A supplied schedule shorter than bound + 1
+    caps the bound at len(primes) - 1; the held-out prime still
+    validates the result."""
+    bound = fiber_dimension_bound(flag_shape(big))
+    if primes is None:
+        return prime_schedule(bound), bound, []
+    schedule = tuple(primes)
+    if len(schedule) >= bound + 1:
+        return schedule, bound, []
+    note = (
+        f"degree bound capped at {len(schedule) - 1} by the supplied "
+        f"schedule (sound bound {bound})"
+    )
+    return schedule, len(schedule) - 1, [note]
+
+
+def _schedule_counts(
+    big: Bipartition, small: Bipartition, schedule: Sequence[int]
+) -> dict[int, int]:
+    return {
+        p: count_fiber_memo(FiberQuery.over_orbit(small, big, p)) for p in schedule
+    }
+
+
 def fiber_polynomial(
-    big: Bipartition, small: Bipartition, primes: Sequence[int] | None = None
+    big: Bipartition, small: Bipartition
 ) -> tuple[QPolynomial, dict[int, int]]:
     """Interpolated point-count polynomial of big's fiber over small's
-    normal point, with the sampled counts."""
-    shape = flag_shape(big)
-    bound = fiber_dimension_bound(shape)
-    if primes is None:
-        primes = prime_schedule(bound)
-    counts = {
-        p: count_fiber_memo(FiberQuery.over_orbit(small, big, p)) for p in primes
-    }
+    normal point on the default schedule, with the sampled counts."""
+    schedule, bound, _ = sampling_schedule(big)
+    counts = _schedule_counts(big, small, schedule)
     return interpolate_qpoly(counts, bound), counts
 
 
@@ -139,38 +166,54 @@ def check_polynomial_count(
     holdout: int | None = None,
 ) -> CheckReport:
     """Paving certificate: the fiber polynomial must have nonnegative
-    integer coefficients and predict a held-out prime exactly."""
+    integer coefficients and predict a held-out prime exactly.
+
+    The polynomial is interpolated from counts at sampling_schedule(big,
+    primes); a short supplied schedule caps the degree bound, and the
+    report notes it.  The held-out prime defaults to the next prime after
+    the schedule.  Its count is made on an empty count table that shares
+    only the in-process transition table, so it never reads a count that
+    fed the interpolation or that a cache file supplied.  A fail carries
+    a note per violated condition."""
     started = time.perf_counter()
-    inputs = {"big": _bp_json(big), "small": _bp_json(small)}
-    shape = flag_shape(big)
-    bound = fiber_dimension_bound(shape)
-    schedule = tuple(primes) if primes is not None else prime_schedule(bound)
-    holdout = holdout if holdout is not None else held_out_prime(schedule)
-    inputs["primes"] = list(schedule)
-    inputs["holdout"] = holdout
+    schedule, bound, notes = sampling_schedule(big, primes)
+    if holdout is None:
+        holdout = held_out_prime(schedule)
+    inputs = {
+        "big": _bp_json(big),
+        "small": _bp_json(small),
+        "primes": list(schedule),
+        "holdout": holdout,
+    }
+    counts = _schedule_counts(big, small, schedule)
     try:
-        poly, counts = fiber_polynomial(big, small, schedule)
+        poly = interpolate_qpoly(counts, bound)
     except InterpolationError as exc:
-        counts = {
-            p: count_fiber_memo(FiberQuery.over_orbit(small, big, p)) for p in schedule
-        }
+        notes.append(str(exc))
         witness = {"counts": counts, "reason": str(exc)}
-        return _report("polynomial-count", inputs, FAIL, witness, started)
-    fresh = count_fiber_memo(FiberQuery.over_orbit(small, big, holdout))
+        return _report("polynomial-count", inputs, FAIL, witness, started, notes)
+    predicted = poly.evaluate(holdout)
+    fresh = count_fiber_memo(
+        FiberQuery.over_orbit(small, big, holdout), fiber_cache().fresh_counts()
+    )
     witness = {
         "counts": counts,
         "polynomial": list(poly.coeffs),
         "display": str(poly),
-        "holdout_prediction": poly.evaluate(holdout),
+        "holdout_prediction": predicted,
         "holdout_count": fresh,
     }
-    notes = []
     if poly.is_zero():
         notes.append("empty fiber: small's orbit is not in the resolved closure")
-    ok = all(c >= 0 for c in poly.coeffs) and poly.evaluate(holdout) == fresh
-    return _report(
-        "polynomial-count", inputs, PASS if ok else FAIL, witness, started, notes
-    )
+    negative = any(c < 0 for c in poly.coeffs)
+    if negative:
+        notes.append("negative coefficient: paving falsified")
+    if predicted != fresh:
+        notes.append(
+            f"held-out prime {holdout}: predicted {predicted}, counted {fresh}"
+        )
+    verdict = FAIL if negative or predicted != fresh else PASS
+    return _report("polynomial-count", inputs, verdict, witness, started, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -24,18 +24,14 @@ from .combinatorics import (
     parse_bipartition,
 )
 from .gflinalg import is_prime
-from .fibers import (
-    FiberQuery,
-    InterpolationError,
-    count_fiber_memo,
-    fiber_cache,
-    fiber_dimension_bound,
-    held_out_prime,
-    interpolate_qpoly,
-    orbit_dimension,
-    prime_schedule,
+from .fibers import closure_contains, fiber_cache, orbit_dimension
+from .checks import (
+    CHECK_NAMES,
+    DEFAULT_BUDGET,
+    check_polynomial_count,
+    sampling_schedule,
+    suite_instances,
 )
-from .checks import CHECK_NAMES, DEFAULT_BUDGET, suite_instances
 
 SCHEMA = "enhcone/1"
 
@@ -180,60 +176,24 @@ def cmd_fiber_poly(args, out) -> int:
         raise ConfigError(
             f"|big| = {big.n} and |small| = {small.n} must be equal"
         )
-    shape = flag_shape(big)
-    bound = fiber_dimension_bound(shape)
-    notes = []
-    if args.primes:
-        primes = _parse_int_list(args.primes)
-        if len(primes) < bound + 1:
-            # user-chosen schedule caps the interpolation degree; the
-            # held-out prime still validates the result
-            notes.append(
-                f"degree bound capped at {len(primes) - 1} by the supplied "
-                f"schedule (sound bound {bound})"
-            )
-            bound = len(primes) - 1
-    else:
-        primes = prime_schedule(bound)
-    _validated_primes(primes, args.holdout)
-    holdout = args.holdout if args.holdout is not None else held_out_prime(primes)
-    counts = {p: count_fiber_memo(FiberQuery.over_orbit(small, big, p)) for p in primes}
-    verdict = "pass"
-    poly_coeffs: list[int] = []
-    display = ""
-    try:
-        poly = interpolate_qpoly(counts, bound)
-        poly_coeffs = list(poly.coeffs)
-        display = str(poly)
-        fresh = count_fiber_memo(FiberQuery.over_orbit(small, big, holdout))
-        if poly.is_zero():
-            notes.append("empty fiber: small's orbit is not in the resolved closure")
-        if any(c < 0 for c in poly.coeffs):
-            verdict = "fail"
-            notes.append("negative coefficient: paving falsified")
-        if poly.evaluate(holdout) != fresh:
-            verdict = "fail"
-            notes.append(
-                f"held-out prime {holdout}: predicted {poly.evaluate(holdout)}, counted {fresh}"
-            )
-        counts[holdout] = fresh
-    except InterpolationError as exc:
-        verdict = "fail"
-        notes.append(str(exc))
+    primes = _parse_int_list(args.primes) if args.primes else None
+    schedule, _, _ = sampling_schedule(big, primes)
+    _validated_primes(schedule, args.holdout)
+    report = check_polynomial_count(big, small, schedule, args.holdout)
+    witness = report.witness
+    counts = dict(witness["counts"])
+    if "holdout_count" in witness:
+        counts[report.inputs["holdout"]] = witness["holdout_count"]
+    display = witness.get("display", "")
     payload = {
         "schema": SCHEMA,
         "command": "fiber-poly",
-        "inputs": {
-            "big": {"mu": list(big.first.parts), "nu": list(big.second.parts)},
-            "small": {"mu": list(small.first.parts), "nu": list(small.second.parts)},
-            "primes": list(primes),
-            "holdout": holdout,
-        },
+        "inputs": report.inputs,
         "counts": {str(p): c for p, c in sorted(counts.items())},
-        "polynomial": poly_coeffs,
+        "polynomial": witness.get("polynomial", []),
         "display": display,
-        "verdict": verdict,
-        "witnesses": notes,
+        "verdict": report.verdict,
+        "witnesses": list(report.notes),
     }
     rows = [
         {
@@ -242,13 +202,13 @@ def cmd_fiber_poly(args, out) -> int:
             "small": format_bipartition(small),
             "counts": ";".join(f"{p}:{c}" for p, c in sorted(counts.items())),
             "polynomial": display,
-            "verdict": verdict,
-            "notes": "; ".join(notes),
+            "verdict": report.verdict,
+            "notes": "; ".join(report.notes),
         }
     ]
     columns = ["schema", "big", "small", "counts", "polynomial", "verdict", "notes"]
     _emit(args.format, payload, columns, rows, out)
-    return EXIT_OK if verdict == "pass" else EXIT_CHECK_FAILED
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def cmd_check(args, out) -> int:
@@ -318,8 +278,6 @@ def cmd_closure_order(args, out) -> int:
         _validated_primes(primes, None)
         p = primes[0]
     bs = bipartitions(args.n)
-    from .fibers import closure_contains
-
     below: dict = {
         big: {small for small in bs if small != big and closure_contains(big, small, p)}
         for big in bs
@@ -360,29 +318,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_n=True):
-        if with_n:
-            sp.add_argument("--n", type=int, default=None, help="total size n")
-        sp.add_argument("--primes", type=str, default=None, help="comma-separated prime schedule")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--cache", type=str, default=None, help="fiber-count cache file")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search budget (nodes)")
+    flags = {
+        "--n": dict(type=int, default=None, help="total size n"),
+        "--primes": dict(type=str, default=None, help="comma-separated prime schedule"),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+        "--cache": dict(type=str, default=None, help="fiber-count cache file"),
+        "--budget": dict(type=int, default=DEFAULT_BUDGET, help="search budget (nodes)"),
+    }
+
+    def common(sp, *names):
+        for name in names:
+            sp.add_argument(name, **flags[name])
 
     sp = sub.add_parser("orbits", help="one row per bipartition of n")
-    common(sp)
+    common(sp, "--n", "--format")
     sp.add_argument("--mu", type=str, default=None, help="single bipartition: mu parts")
     sp.add_argument("--nu", type=str, default=None, help="single bipartition: nu parts")
     sp.set_defaults(func=cmd_orbits)
 
     sp = sub.add_parser("fiber-poly", help="interpolated fiber point-count polynomial")
-    common(sp, with_n=False)
+    common(sp, "--primes", "--format", "--cache")
     sp.add_argument("--big", type=str, required=True, help='resolution, e.g. "mu=3,1,1;nu=3,2"')
     sp.add_argument("--small", type=str, required=True, help='orbit point, e.g. "mu=;nu=1,1"')
     sp.add_argument("--holdout", type=int, default=None, help="held-out validation prime")
     sp.set_defaults(func=cmd_fiber_poly)
 
     sp = sub.add_parser("check", help="run verification suites over sizes 0..n")
-    common(sp)
+    common(sp, "--n", "--primes", "--format", "--cache", "--budget")
     sp.add_argument(
         "--checks",
         type=str,
@@ -392,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("closure-order", help="covering edges of the closure order")
-    common(sp)
+    common(sp, "--n", "--primes", "--format", "--cache")
     sp.set_defaults(func=cmd_closure_order)
 
     return parser
@@ -404,7 +366,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    cache_path = _resolve_cache_path(getattr(args, "cache", None))
+    # orbits counts no fibers, so it takes no --cache and reads no default
+    cache_path = _resolve_cache_path(args.cache) if "cache" in args else None
     if cache_path and os.path.exists(cache_path):
         try:
             fiber_cache().load(cache_path)

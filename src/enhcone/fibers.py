@@ -220,6 +220,15 @@ class FiberCache:
         self.hits = 0
         self.misses = 0
 
+    def fresh_counts(self) -> "FiberCache":
+        """A cache with an empty count table over this cache's transition
+        table.  T is only ever built in-process, so a count made through
+        the result reads no loaded or earlier count, yet enumerates no
+        subspace that T already tallies."""
+        fresh = FiberCache()
+        fresh._transitions = self._transitions
+        return fresh
+
     @property
     def stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._table)}

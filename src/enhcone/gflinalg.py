@@ -33,22 +33,6 @@ def check_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """A checked prime modulus with scalar helpers."""
-
-    p: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(p)")
-        return pow(a, self.p - 2, self.p)
-
-
 def primes_first(k: int) -> tuple[int, ...]:
     """The first k primes, ascending."""
     out: list[int] = []
@@ -296,12 +280,6 @@ def kernel(m: MatrixGF) -> SubspaceGF:
     return SubspaceGF.span(vecs, ncols, p)
 
 
-def image(m: MatrixGF) -> SubspaceGF:
-    """Column space of m, as a canonical subspace of GF(p)^nrows."""
-    cols = [m.column(c) for c in range(m.ncols)]
-    return SubspaceGF.span(cols, m.nrows, m.p)
-
-
 @dataclass(frozen=True)
 class QuotientMap:
     """Projection GF(p)^n -> GF(p)^(n-d) whose kernel is span(basis_rows).
@@ -442,20 +420,3 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
         den *= q ** (i + 1) - 1
     assert num % den == 0
     return num // den
-
-
-@dataclass(frozen=True)
-class FlagGF:
-    """Nested sequence of subspaces W_1 <= ... <= W_m with fixed dimensions."""
-
-    subspaces: tuple[SubspaceGF, ...]
-
-    def __post_init__(self):
-        subs = self.subspaces
-        for i in range(len(subs) - 1):
-            if not subs[i + 1].contains_subspace(subs[i]):
-                raise ValueError("flag subspaces are not nested")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.subspaces)

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from enhcone import cli
+from enhcone import checks
 from enhcone.cli import main
+from enhcone.combinatorics import bipartition
+from enhcone.fibers import fiber_cache
 
 
 def run_cli(capsys, *args):
@@ -248,11 +250,23 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "check", "--n", "1", "--jobs", "2")
         assert code == 2
 
+    def test_removed_flags_are_usage_errors(self, capsys):
+        removed = [
+            ("orbits", "--n", "1", "--primes", "2"),
+            ("orbits", "--n", "1", "--budget", "3"),
+            ("orbits", "--n", "1", "--cache", "counts.jsonl"),
+            ("fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1", "--budget", "3"),
+            ("closure-order", "--n", "1", "--budget", "3"),
+        ]
+        for argv in removed:
+            code, _ = run_cli(capsys, *argv)
+            assert code == 2, argv
+
     def test_library_error_is_internal(self, capsys, monkeypatch):
         def broken(q, cache=None):
             raise ValueError("invariant broken")
 
-        monkeypatch.setattr(cli, "count_fiber_memo", broken)
+        monkeypatch.setattr(checks, "count_fiber_memo", broken)
         code = main(["fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1"])
         err = capsys.readouterr().err
         assert code == 3
@@ -284,3 +298,61 @@ class TestCacheOption:
         )
         assert code == 0
         assert (tmp_path / "fiber-counts.jsonl").exists()
+
+    def test_orbits_ignores_cache_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ENHCONE_CACHE_DIR", str(tmp_path))
+        code, _ = run_cli(capsys, "orbits", "--n", "1")
+        assert code == 0
+        assert not (tmp_path / "fiber-counts.jsonl").exists()
+
+
+@pytest.fixture
+def clean_cache():
+    fiber_cache().clear()
+    yield
+    fiber_cache().clear()
+
+
+class TestHeldOutCount:
+    """A cache file whose counts fit a wrong polynomial must not let the
+    held-out count agree with it."""
+
+    @staticmethod
+    def poisoned_cache(tmp_path):
+        # the fiber of (();(2)) over (();(1,1)) is a projective line, q + 1
+        # points; the file claims 2p + 1 at the schedule and the held-out prime
+        path = tmp_path / "poisoned.jsonl"
+        lines = [json.dumps({"cache_format": 1})]
+        for p in (2, 3, 5):
+            record = {"key": [[], [1, 1], [0, 1, 2], 0, p], "count": 2 * p + 1}
+            lines.append(json.dumps(record))
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_fiber_poly_fails(self, tmp_path, capsys, clean_cache):
+        path = self.poisoned_cache(tmp_path)
+        code, out = run_cli(
+            capsys, "fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1",
+            "--cache", str(path), "--format", "json",
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["verdict"] == "fail"
+        assert payload["display"] == "2q+1"
+        assert "held-out prime 5: predicted 11, counted 6" in payload["witnesses"]
+
+    def test_check_command_fails(self, tmp_path, capsys, clean_cache):
+        path = self.poisoned_cache(tmp_path)
+        code, _ = run_cli(
+            capsys, "check", "--n", "2", "--checks", "polynomial", "--cache", str(path)
+        )
+        assert code == 1
+
+    def test_library_certificate_fails(self, tmp_path, clean_cache):
+        fiber_cache().load(self.poisoned_cache(tmp_path))
+        rep = checks.check_polynomial_count(
+            bipartition((), (2,)), bipartition((), (1, 1))
+        )
+        assert rep.verdict == "fail"
+        assert rep.witness["holdout_prediction"] == 11
+        assert rep.witness["holdout_count"] == 6
