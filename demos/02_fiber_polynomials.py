@@ -42,7 +42,8 @@ for small, label in [
     print(f"  polynomial {poly}   held-out p={extra}: predicted {poly.evaluate(extra)}, counted {fresh} [{status}]")
 
 print()
-print("The closure order on orbits falls out of nonempty fibers (n = 2):")
+print("The closure order on orbits, from the Achar-Henderson inequalities (n = 2);")
+print("the tests check it against nonempty fibers:")
 for b, s in closure_pairs(2):
     if b != s:
         print(f"  closure of {b}  contains  {s}")

@@ -141,24 +141,6 @@ def sampling_schedule(
     return schedule, len(schedule) - 1, [note]
 
 
-def _schedule_counts(
-    big: Bipartition, small: Bipartition, schedule: Sequence[int]
-) -> dict[int, int]:
-    return {
-        p: count_fiber_memo(FiberQuery.over_orbit(small, big, p)) for p in schedule
-    }
-
-
-def fiber_polynomial(
-    big: Bipartition, small: Bipartition
-) -> tuple[QPolynomial, dict[int, int]]:
-    """Interpolated point-count polynomial of big's fiber over small's
-    normal point on the default schedule, with the sampled counts."""
-    schedule, bound, _ = sampling_schedule(big)
-    counts = _schedule_counts(big, small, schedule)
-    return interpolate_qpoly(counts, bound), counts
-
-
 def check_polynomial_count(
     big: Bipartition,
     small: Bipartition,
@@ -185,7 +167,7 @@ def check_polynomial_count(
         "primes": list(schedule),
         "holdout": holdout,
     }
-    counts = _schedule_counts(big, small, schedule)
+    counts = {p: count_fiber_memo(FiberQuery.over_orbit(small, big, p)) for p in schedule}
     try:
         poly = interpolate_qpoly(counts, bound)
     except InterpolationError as exc:
@@ -590,7 +572,8 @@ def check_kernel_recursion(
 
 def check_semismall(big: Bipartition) -> CheckReport:
     """Twice the fiber polynomial degree over each contained orbit must be
-    at most the difference of orbit dimensions."""
+    at most the difference of orbit dimensions.  Each polynomial must pass
+    check_polynomial_count; a stratum that fails it carries its notes."""
     started = time.perf_counter()
     inputs = {"big": _bp_json(big)}
     dim_big = orbit_dimension(big)
@@ -599,18 +582,18 @@ def check_semismall(big: Bipartition) -> CheckReport:
     for small in bipartitions(big.n):
         if not closure_contains(big, small):
             continue
-        try:
-            poly, _ = fiber_polynomial(big, small)
-        except InterpolationError as exc:
+        cert = check_polynomial_count(big, small)
+        if not cert.passed:
             ok = False
-            strata[format_bipartition(small)] = {"reason": str(exc)}
+            strata[format_bipartition(small)] = {"reason": "; ".join(cert.notes)}
             continue
+        degree = QPolynomial(tuple(cert.witness["polynomial"])).degree
         dim_small = orbit_dimension(small)
-        good = 2 * poly.degree <= dim_big - dim_small
+        good = 2 * degree <= dim_big - dim_small
         ok = ok and good
         strata[format_bipartition(small)] = {
-            "fiber_poly": str(poly),
-            "2*deg": 2 * poly.degree,
+            "fiber_poly": cert.witness["display"],
+            "2*deg": 2 * degree,
             "codim": dim_big - dim_small,
             "ok": good,
         }
@@ -648,9 +631,8 @@ def suite_instances(
     def add(desc: dict, thunk: Callable[[], CheckReport]) -> None:
         out.append((desc, thunk))
 
-    pair_checks = {"polynomial", "alpha", "split", "kernel"}
     for size in range(n + 1):
-        pairs = closure_pairs(size) if pair_checks & set(checks) else ()
+        pairs = closure_pairs(size)
         if "polynomial" in checks:
             for big, small in pairs:
                 add(

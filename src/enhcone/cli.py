@@ -28,6 +28,7 @@ from .fibers import closure_contains, fiber_cache, orbit_dimension
 from .checks import (
     CHECK_NAMES,
     DEFAULT_BUDGET,
+    _bp_json,
     check_polynomial_count,
     sampling_schedule,
     suite_instances,
@@ -220,12 +221,10 @@ def cmd_check(args, out) -> int:
         )
     if args.n is None or args.n < 0:
         raise ConfigError("check needs --n >= 0")
-    if args.primes:
-        primes = _parse_int_list(args.primes)
-        _validated_primes(primes, None)
-        recursion_primes = primes
-    else:
-        recursion_primes = (2,)
+    if args.budget < 1:
+        raise ConfigError(f"--budget must be at least 1, got {args.budget}")
+    recursion_primes = _parse_int_list(args.primes) if args.primes else (2,)
+    _validated_primes(recursion_primes, None)
     instances = suite_instances(
         args.n, checks, budget=args.budget, recursion_primes=recursion_primes
     )
@@ -272,14 +271,9 @@ def cmd_check(args, out) -> int:
 def cmd_closure_order(args, out) -> int:
     if args.n is None or args.n < 0:
         raise ConfigError("closure-order needs --n >= 0")
-    p = 2
-    if args.primes:
-        primes = _parse_int_list(args.primes)
-        _validated_primes(primes, None)
-        p = primes[0]
     bs = bipartitions(args.n)
     below: dict = {
-        big: {small for small in bs if small != big and closure_contains(big, small, p)}
+        big: {small for small in bs if small != big and closure_contains(big, small)}
         for big in bs
     }
     rows = []
@@ -296,12 +290,7 @@ def cmd_closure_order(args, out) -> int:
                     "small": format_bipartition(small),
                 }
             )
-            json_edges.append(
-                {
-                    "big": {"mu": list(big.first.parts), "nu": list(big.second.parts)},
-                    "small": {"mu": list(small.first.parts), "nu": list(small.second.parts)},
-                }
-            )
+            json_edges.append({"big": _bp_json(big), "small": _bp_json(small)})
     payload = {"schema": SCHEMA, "command": "closure-order", "edges": json_edges}
     _emit(args.format, payload, ["schema", "big", "small"], rows, out)
     return EXIT_OK
@@ -354,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("closure-order", help="covering edges of the closure order")
-    common(sp, "--n", "--primes", "--format", "--cache")
+    common(sp, "--n", "--format")
     sp.set_defaults(func=cmd_closure_order)
 
     return parser
@@ -366,7 +355,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    # orbits counts no fibers, so it takes no --cache and reads no default
+    # only fiber-poly and check count fibers, so only they take --cache
     cache_path = _resolve_cache_path(args.cache) if "cache" in args else None
     if cache_path and os.path.exists(cache_path):
         try:

@@ -26,6 +26,10 @@ W <= ker x at b's normal pair by the orbit b' of the induced pair on
 V / W.  The query's pair is classified once; each entry of T costs one
 run of the kernel step and one classification per subspace, and both
 tables live in a FiberCache.
+
+Fiber counts decide only fiber polynomials: closure_contains reads the
+closure order off two bipartitions in closed form, and the test suite
+checks it against nonempty fibers.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .combinatorics import Bipartition, FlagShape, bipartitions, flag_shape
 from .gflinalg import (
     MatrixGF,
     QuotientMap,
-    check_prime,
     SubspaceGF,
     enumerate_subspaces,
     kernel,
@@ -257,15 +260,33 @@ class FiberCache:
             raise
 
     def load(self, path) -> None:
+        """Merge the count table stored at path, all or nothing: a malformed
+        header or record raises ValueError before any record is merged."""
+        loaded = {}
         with open(path) as fh:
             header = json.loads(fh.readline())
-            if header.get("cache_format") != self.FORMAT:
+            if not isinstance(header, dict) or header.get("cache_format") != self.FORMAT:
                 raise ValueError(f"unsupported cache format: {header}")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 record = json.loads(line)
+                if not _valid_record(record):
+                    raise ValueError(f"malformed cache record on line {lineno}: {line.strip()}")
                 mu, nu, dims, j, p = record["key"]
-                key = (tuple(mu), tuple(nu), tuple(dims), j, p)
-                self._table.setdefault(key, record["count"])
+                loaded.setdefault((tuple(mu), tuple(nu), tuple(dims), j, p), record["count"])
+        self._table = loaded | self._table
+
+
+def _valid_record(record) -> bool:
+    """Whether record is {"key": [mu, nu, dims, j, p], "count": c} with int
+    lists mu, nu, dims and ints j, p, c >= 0; `type(a) is int` rejects bool."""
+    key, count = (record.get("key"), record.get("count")) if isinstance(record, dict) else (None, None)
+    return (
+        isinstance(key, list)
+        and len(key) == 5
+        and all(isinstance(ints, list) and all(type(a) is int for a in ints) for ints in key[:3])
+        and all(type(a) is int for a in key[3:] + [count])
+        and count >= 0
+    )
 
 
 _default_cache = FiberCache()
@@ -450,21 +471,28 @@ def orbit_dimension(b: Bipartition) -> int:
     return b.n * b.n - 2 * sum(i * r for i, r in enumerate(rows)) - b.second.size
 
 
-def closure_contains(big: Bipartition, small: Bipartition, p: int = 2) -> bool:
-    """Whether small's orbit lies in the image of big's resolution, i.e.
-    the fiber over small's normal point is nonempty over GF(p)."""
+def closure_contains(big: Bipartition, small: Bipartition) -> bool:
+    """Whether small's orbit lies in the closure of big's orbit (the image
+    of big's resolution), by the Achar-Henderson inequalities, Adv. Math.
+    219 (2008): with small = (rho; sigma), big = (mu; nu), A_k the sum of
+    rho_i + sigma_i and B_k that of mu_i + nu_i over i <= k, exactly when
+    A_k <= B_k and A_k + rho_{k+1} <= B_k + mu_{k+1} for every k >= 0."""
     if big.n != small.n:
         raise ValueError("bipartitions must have equal total size")
-    check_prime(p)
-    # small's orbit is known, so the orbit recursion starts there directly
-    shape = flag_shape(big)
-    return _count_orbit(small, shape.dims, shape.marker, p, _default_cache) > 0
+    # past the last row both sums are n and both parts are 0
+    a_k = b_k = 0
+    for k in range(max(big.row_count, small.row_count)):
+        if a_k > b_k or a_k + small.first.part(k + 1) > b_k + big.first.part(k + 1):
+            return False
+        a_k += small.row_length(k + 1)
+        b_k += big.row_length(k + 1)
+    return True
 
 
-def closure_pairs(n: int, p: int = 2) -> tuple[tuple[Bipartition, Bipartition], ...]:
+def closure_pairs(n: int) -> tuple[tuple[Bipartition, Bipartition], ...]:
     """All ordered pairs (big, small) of bipartitions of n with small's
-    orbit contained in the closure resolved by big."""
+    orbit in the closure of big's."""
     bs = bipartitions(n)
     return tuple(
-        (big, small) for big in bs for small in bs if closure_contains(big, small, p)
+        (big, small) for big in bs for small in bs if closure_contains(big, small)
     )

@@ -5,7 +5,8 @@ module W = span of y.v over all y commuting with x: the first partition
 is the Jordan type of x on W, the second that of the map induced on
 V / W.  stabilizer_orbit_dimension is n^2 minus the dimension of the
 solution space of y.v = 0, yx = xy at the normal pair, with ranks taken
-over two large primes that must agree.
+over two large primes that must agree.  closure_by_count decides the
+closure order by whether a fiber is nonempty over GF(p).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from enhcone.combinatorics import Bipartition
+from enhcone.fibers import FiberCache, FiberQuery, count_fiber_memo
 from enhcone.gflinalg import MatrixGF, SubspaceGF, quotient_map, rank
 from enhcone.normalform import centralizer_basis, jordan_type, normal_pair
 
@@ -72,3 +74,11 @@ def stabilizer_orbit_dimension(b: Bipartition) -> int:
         ranks.append(rank(MatrixGF(p, tuple(rows), nn)))
     assert ranks[0] == ranks[1], f"stabilizer rank disagrees between primes for {b}: {ranks}"
     return ranks[0]
+
+
+def closure_by_count(
+    big: Bipartition, small: Bipartition, p: int, cache: FiberCache | None = None
+) -> bool:
+    """Whether small's orbit lies in the image of big's resolution: the
+    fiber over small's normal point has a point over GF(p)."""
+    return count_fiber_memo(FiberQuery.over_orbit(small, big, p), cache) > 0

@@ -242,9 +242,15 @@ class TestExitCodes:
         assert code == 2
 
     def test_empty_prime_schedule_is_usage_error(self, capsys):
-        for command in ("check", "closure-order"):
-            code, _ = run_cli(capsys, command, "--n", "1", "--primes", " ")
-            assert code == 2
+        code, _ = run_cli(capsys, "check", "--n", "1", "--primes", " ")
+        assert code == 2
+
+    def test_budget_below_one_is_usage_error(self, capsys):
+        for budget in ("0", "-1"):
+            code, _ = run_cli(
+                capsys, "check", "--n", "1", "--checks", "distinguished", "--budget", budget
+            )
+            assert code == 2, budget
 
     def test_jobs_option_is_gone(self, capsys):
         code, _ = run_cli(capsys, "check", "--n", "1", "--jobs", "2")
@@ -257,6 +263,8 @@ class TestExitCodes:
             ("orbits", "--n", "1", "--cache", "counts.jsonl"),
             ("fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1", "--budget", "3"),
             ("closure-order", "--n", "1", "--budget", "3"),
+            ("closure-order", "--n", "1", "--primes", "2"),
+            ("closure-order", "--n", "1", "--cache", "counts.jsonl"),
         ]
         for argv in removed:
             code, _ = run_cli(capsys, *argv)
@@ -305,6 +313,12 @@ class TestCacheOption:
         assert code == 0
         assert not (tmp_path / "fiber-counts.jsonl").exists()
 
+    def test_closure_order_ignores_cache_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ENHCONE_CACHE_DIR", str(tmp_path))
+        code, _ = run_cli(capsys, "closure-order", "--n", "2")
+        assert code == 0
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.fixture
 def clean_cache():
@@ -313,21 +327,44 @@ def clean_cache():
     fiber_cache().clear()
 
 
+def count_record(p, count):
+    """A cache record for the fiber of (();(2)) over (();(1,1)): a
+    projective line, q + 1 points."""
+    return json.dumps({"key": [[], [1, 1], [0, 1, 2], 0, p], "count": count})
+
+
 class TestHeldOutCount:
     """A cache file whose counts fit a wrong polynomial must not let the
-    held-out count agree with it."""
+    held-out count agree with it, and no cache count may change which
+    certificates a suite runs."""
 
     @staticmethod
     def poisoned_cache(tmp_path):
-        # the fiber of (();(2)) over (();(1,1)) is a projective line, q + 1
-        # points; the file claims 2p + 1 at the schedule and the held-out prime
+        # 2p + 1 at the schedule and at the held-out prime
         path = tmp_path / "poisoned.jsonl"
         lines = [json.dumps({"cache_format": 1})]
-        for p in (2, 3, 5):
-            record = {"key": [[], [1, 1], [0, 1, 2], 0, p], "count": 2 * p + 1}
-            lines.append(json.dumps(record))
+        lines += [count_record(p, 2 * p + 1) for p in (2, 3, 5)]
         path.write_text("\n".join(lines) + "\n")
         return path
+
+    @staticmethod
+    def zero_count_cache(tmp_path):
+        # an empty fiber at p = 2, though the pair is in the closure order
+        path = tmp_path / "zero.jsonl"
+        path.write_text(json.dumps({"cache_format": 1}) + "\n" + count_record(2, 0) + "\n")
+        return path
+
+    @pytest.mark.parametrize("make_cache", ["poisoned_cache", "zero_count_cache"])
+    def test_polynomial_and_semismall_fail(self, tmp_path, capsys, clean_cache, make_cache):
+        path = getattr(self, make_cache)(tmp_path)
+        code, out = run_cli(
+            capsys, "check", "--n", "2", "--checks", "polynomial,semismall",
+            "--cache", str(path), "--format", "json",
+        )
+        assert code == 1
+        summary = json.loads(out)["summary"]
+        assert summary["total"] == 26
+        assert summary["failed"] == 2
 
     def test_fiber_poly_fails(self, tmp_path, capsys, clean_cache):
         path = self.poisoned_cache(tmp_path)
@@ -356,3 +393,30 @@ class TestHeldOutCount:
         assert rep.verdict == "fail"
         assert rep.witness["holdout_prediction"] == 11
         assert rep.witness["holdout_count"] == 6
+
+
+class TestCacheValidation:
+    """A malformed cache file is ignored whole: its one valid record
+    (5 points at p = 2, where q + 1 has 3) is never read."""
+
+    HEADER = json.dumps({"cache_format": 1})
+    FILES = {
+        "bad-key": [HEADER, count_record(2, 5), json.dumps({"key": [1, 2]})],
+        "list-header": ["[1]", count_record(2, 5)],
+        "list-record": [HEADER, count_record(2, 5), "[1, 2]"],
+        "string-count": [HEADER, count_record(2, 5), count_record(3, "x")],
+        "bool-count": [HEADER, count_record(2, 5), count_record(3, True)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_malformed_file_ignored(self, tmp_path, capsys, clean_cache, name):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("\n".join(self.FILES[name]) + "\n")
+        code = main([
+            "fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1", "--cache", str(path),
+        ])
+        captured = capsys.readouterr()
+        assert "warning: ignoring cache" in captured.err
+        (row,) = csv_rows(captured.out)
+        assert (row["polynomial"], row["verdict"]) == ("q+1", "pass")
+        assert code == 0

@@ -1,0 +1,25 @@
+"""The narrative demos run to completion.  Demo 04 is left out: it takes
+about three seconds, and the acceptance criteria already run its suite."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "demo",
+    ["01_orbits_and_diagrams.py", "02_fiber_polynomials.py", "03_distinguished_pairs.py"],
+)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()

@@ -26,7 +26,7 @@ from enhcone.fibers import (
     orbit_dimension,
     prime_schedule,
 )
-from oracles import classify_by_centralizer, stabilizer_orbit_dimension
+from oracles import classify_by_centralizer, closure_by_count, stabilizer_orbit_dimension
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +159,6 @@ class TestMemo:
                     q = FiberQuery.over_orbit(small, big, p)
                     count = count_fiber(q)
                     assert count_fiber_memo(q, cache) == count
-                    assert closure_contains(big, small, p) == (count > 0)
 
     def test_cache_statistics(self):
         cache = FiberCache()
@@ -411,6 +410,19 @@ class TestClosure:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             closure_contains(bipartition((), (2,)), bipartition((), (1,)))
+
+    def test_closed_form_matches_nonempty_fibers(self):
+        cache = FiberCache()
+        for p in (2, 3):
+            for n in range(6):
+                for big, small in itertools.product(bipartitions(n), repeat=2):
+                    assert closure_contains(big, small) == closure_by_count(
+                        big, small, p, cache
+                    ), (str(big), str(small), p)
+
+    def test_pair_counts(self):
+        assert sum(len(closure_pairs(n)) for n in range(5)) == 242
+        assert len(closure_pairs(5)) == 533
 
 
 class TestHeldOutConsistency:

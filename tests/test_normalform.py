@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enhcone.combinatorics import bipartition, bipartitions, is_distinguished
+from enhcone.combinatorics import bipartition, bipartitions, flag_shape, is_distinguished
+from enhcone.fibers import FiberQuery, count_fiber, count_fiber_memo
 from enhcone.gflinalg import MatrixGF, SubspaceGF, rank
 from enhcone.normalform import (
     GradedPair,
@@ -182,11 +183,11 @@ class TestClassify:
 
 
 @st.composite
-def conjugated_normal_pairs(draw):
-    """A bipartition b with 1 <= n <= 6 and a random GL(n, p) conjugate
+def conjugated_normal_pairs(draw, max_n=6):
+    """A bipartition b with 1 <= n <= max_n and a random GL(n, p) conjugate
     (g v, g x g^-1) of its normal pair; g = P L U with P a permutation,
     L unit lower and U invertible upper triangular."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_n))
     p = draw(st.sampled_from((2, 3, 5)))
     b = draw(st.sampled_from(bipartitions(n)))
     entry = st.integers(0, p - 1)
@@ -208,6 +209,16 @@ class TestClassifyConjugates:
     def test_gl_conjugates_classify_to_b(self, case):
         b, v, x = case
         assert classify_pair(v, x) == b
+
+
+class TestFiberCountConjugates:
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(conjugated_normal_pairs(max_n=3))
+    def test_gl_conjugates_count_as_normal_pair(self, case):
+        b, v, x = case
+        for big in bipartitions(b.n):
+            plain = count_fiber(FiberQuery.raw(v, x, flag_shape(big)))
+            assert plain == count_fiber_memo(FiberQuery.over_orbit(b, big, x.p)), (b, big)
 
 
 class TestNonnegPart:
