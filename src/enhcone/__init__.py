@@ -38,7 +38,6 @@ from .normalform import (
     decomposition_failures,
     explicit_decomposition,
     jordan_type,
-    nonneg_part,
     normal_pair,
 )
 from .fibers import (

@@ -9,6 +9,7 @@ implementation bug, never an acceptable tolerance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -118,49 +119,22 @@ def _report(name, inputs, verdict, witness, started, notes=()) -> CheckReport:
 # polynomial point counts
 
 
-def sampling_schedule(
-    big: Bipartition, primes: Sequence[int] | None = None
-) -> tuple[tuple[int, ...], int, list[str]]:
-    """The primes at which big's fiber polynomials are sampled, the degree
-    bound they are interpolated with, and a note when the bound is capped.
-
-    Without primes the schedule is prime_schedule of the sound bound
-    fiber_dimension_bound.  A supplied schedule shorter than bound + 1
-    caps the bound at len(primes) - 1; the held-out prime still
-    validates the result."""
-    bound = fiber_dimension_bound(flag_shape(big))
-    if primes is None:
-        return prime_schedule(bound), bound, []
-    schedule = tuple(primes)
-    if len(schedule) >= bound + 1:
-        return schedule, bound, []
-    note = (
-        f"degree bound capped at {len(schedule) - 1} by the supplied "
-        f"schedule (sound bound {bound})"
-    )
-    return schedule, len(schedule) - 1, [note]
-
-
-def check_polynomial_count(
-    big: Bipartition,
-    small: Bipartition,
-    primes: Sequence[int] | None = None,
-    holdout: int | None = None,
-) -> CheckReport:
+def check_polynomial_count(big: Bipartition, small: Bipartition) -> CheckReport:
     """Paving certificate: the fiber polynomial must have nonnegative
     integer coefficients and predict a held-out prime exactly.
 
-    The polynomial is interpolated from counts at sampling_schedule(big,
-    primes); a short supplied schedule caps the degree bound, and the
-    report notes it.  The held-out prime defaults to the next prime after
-    the schedule.  Its count is made on an empty count table that shares
-    only the in-process transition table, so it never reads a count that
-    fed the interpolation or that a cache file supplied.  A fail carries
-    a note per violated condition."""
+    The polynomial is interpolated with the sound degree bound
+    fiber_dimension_bound from counts at the bound + 1 primes of
+    prime_schedule, and validated at the next prime.  The held-out count
+    is made on an empty count table that shares only the in-process
+    transition table, so it never reads a count that fed the
+    interpolation or that a cache file supplied.  A fail carries a note
+    per violated condition."""
     started = time.perf_counter()
-    schedule, bound, notes = sampling_schedule(big, primes)
-    if holdout is None:
-        holdout = held_out_prime(schedule)
+    bound = fiber_dimension_bound(flag_shape(big))
+    schedule = prime_schedule(bound)
+    holdout = held_out_prime(schedule)
+    notes = []
     inputs = {
         "big": _bp_json(big),
         "small": _bp_json(small),
@@ -211,10 +185,7 @@ def _flag_profile(
 
 
 def check_alpha_partition(
-    big: Bipartition,
-    small: Bipartition,
-    primes: Sequence[int] | None = None,
-    budget: int = DEFAULT_BUDGET,
+    big: Bipartition, small: Bipartition, budget: int = DEFAULT_BUDGET
 ) -> CheckReport:
     """Partition the fiber by the orbit profile dim(W_i intersect V>=w) of
     the parabolic preserving the weight filtration; piece counts must sum
@@ -224,12 +195,7 @@ def check_alpha_partition(
     inputs = {"big": _bp_json(big), "small": _bp_json(small)}
     shape = flag_shape(big)
     bound = fiber_dimension_bound(shape)
-    if primes is None:
-        primes = primes_first(max(3, bound + 1))
-    if len(primes) < bound + 1:
-        raise ValueError(
-            f"schedule of {len(primes)} primes cannot determine a degree-{bound} piece"
-        )
+    primes = primes_first(max(3, bound + 1))
     inputs["primes"] = list(primes)
     wts = normal_pair(small, 2).weights
     levels = sorted(set(wts), reverse=True)
@@ -574,6 +540,14 @@ def check_semismall(big: Bipartition) -> CheckReport:
     """Twice the fiber polynomial degree over each contained orbit must be
     at most the difference of orbit dimensions.  Each polynomial must pass
     check_polynomial_count; a stratum that fails it carries its notes."""
+    return _semismall(big, check_polynomial_count)
+
+
+def _semismall(
+    big: Bipartition, certificate: Callable[[Bipartition, Bipartition], CheckReport]
+) -> CheckReport:
+    """check_semismall with certificate in place of check_polynomial_count,
+    so that a suite can share its certificates."""
     started = time.perf_counter()
     inputs = {"big": _bp_json(big)}
     dim_big = orbit_dimension(big)
@@ -582,7 +556,7 @@ def check_semismall(big: Bipartition) -> CheckReport:
     for small in bipartitions(big.n):
         if not closure_contains(big, small):
             continue
-        cert = check_polynomial_count(big, small)
+        cert = certificate(big, small)
         if not cert.passed:
             ok = False
             strata[format_bipartition(small)] = {"reason": "; ".join(cert.notes)}
@@ -622,11 +596,14 @@ def suite_instances(
     recursion_primes: Sequence[int] = (2,),
 ) -> list[tuple[dict, Callable[[], CheckReport]]]:
     """All (description, thunk) pairs of the selected checks over every
-    bipartition / closure pair of sizes 0..n, in deterministic order."""
+    bipartition / closure pair of sizes 0..n, in deterministic order.
+    The polynomial and semismall checks share one paving certificate per
+    closure pair."""
     unknown = set(checks) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     out: list[tuple[dict, Callable[[], CheckReport]]] = []
+    certificate = functools.cache(check_polynomial_count)
 
     def add(desc: dict, thunk: Callable[[], CheckReport]) -> None:
         out.append((desc, thunk))
@@ -637,7 +614,7 @@ def suite_instances(
             for big, small in pairs:
                 add(
                     {"check": "polynomial", "big": format_bipartition(big), "small": format_bipartition(small)},
-                    lambda big=big, small=small: check_polynomial_count(big, small),
+                    lambda big=big, small=small: certificate(big, small),
                 )
         if "alpha" in checks:
             for big, small in pairs:
@@ -677,6 +654,6 @@ def suite_instances(
             for big in bipartitions(size):
                 add(
                     {"check": "semismall", "big": format_bipartition(big)},
-                    lambda big=big: check_semismall(big),
+                    lambda big=big: _semismall(big, certificate),
                 )
     return out

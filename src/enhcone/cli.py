@@ -2,6 +2,9 @@
 verification suites and the closure order.
 
 Commands emit CSV or JSON on stdout with a versioned schema field.
+Only `check` takes a count file (`--cache`): it is loaded before the
+suite runs and saved after it, emptied of every count when a check
+failed, since a loaded count may be the cause.
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed
 (a falsification witness is in the output), 2 usage or config error,
 3 internal error (a library invariant failed; never caused by the input).
@@ -30,7 +33,6 @@ from .checks import (
     DEFAULT_BUDGET,
     _bp_json,
     check_polynomial_count,
-    sampling_schedule,
     suite_instances,
 )
 
@@ -56,7 +58,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _validated_primes(primes: tuple[int, ...], holdout: int | None) -> None:
+def _validated_primes(primes: tuple[int, ...]) -> None:
     if not primes:
         raise ConfigError("empty prime schedule")
     if len(set(primes)) != len(primes):
@@ -64,20 +66,6 @@ def _validated_primes(primes: tuple[int, ...], holdout: int | None) -> None:
     bad = [p for p in primes if not is_prime(p)]
     if bad:
         raise ConfigError(f"schedule entries are not prime: {bad}")
-    if holdout is not None:
-        if not is_prime(holdout):
-            raise ConfigError(f"held-out value {holdout} is not prime")
-        if holdout in primes:
-            raise ConfigError(f"held-out prime {holdout} appears in the schedule")
-
-
-def _resolve_cache_path(arg: str | None) -> str | None:
-    if arg:
-        return arg
-    env_dir = os.environ.get("ENHCONE_CACHE_DIR")
-    if env_dir:
-        return os.path.join(env_dir, "fiber-counts.jsonl")
-    return None
 
 
 def _emit_csv(columns: list[str], rows: list[dict], out) -> None:
@@ -177,10 +165,7 @@ def cmd_fiber_poly(args, out) -> int:
         raise ConfigError(
             f"|big| = {big.n} and |small| = {small.n} must be equal"
         )
-    primes = _parse_int_list(args.primes) if args.primes else None
-    schedule, _, _ = sampling_schedule(big, primes)
-    _validated_primes(schedule, args.holdout)
-    report = check_polynomial_count(big, small, schedule, args.holdout)
+    report = check_polynomial_count(big, small)
     witness = report.witness
     counts = dict(witness["counts"])
     if "holdout_count" in witness:
@@ -224,10 +209,15 @@ def cmd_check(args, out) -> int:
     if args.budget < 1:
         raise ConfigError(f"--budget must be at least 1, got {args.budget}")
     recursion_primes = _parse_int_list(args.primes) if args.primes else (2,)
-    _validated_primes(recursion_primes, None)
+    _validated_primes(recursion_primes)
     instances = suite_instances(
         args.n, checks, budget=args.budget, recursion_primes=recursion_primes
     )
+    if args.cache and os.path.exists(args.cache):
+        try:
+            fiber_cache().load(args.cache)
+        except (ValueError, OSError) as exc:
+            print(f"warning: ignoring cache {args.cache}: {exc}", file=sys.stderr)
     reports = [thunk() for _, thunk in instances]
     rows = []
     n_fail = n_budget = 0
@@ -259,6 +249,19 @@ def cmd_check(args, out) -> int:
     }
     columns = ["schema", "check", "inputs", "verdict", "witness_digest", "millis"]
     _emit(args.format, payload, columns, rows, out)
+    if args.cache:
+        if n_fail:
+            fiber_cache().clear()
+            print(
+                f"warning: cleared cache {args.cache}: a check failed, "
+                "and a loaded count may be the cause",
+                file=sys.stderr,
+            )
+        try:
+            os.makedirs(os.path.dirname(args.cache) or ".", exist_ok=True)
+            fiber_cache().save(args.cache)
+        except OSError as exc:
+            print(f"warning: could not save cache {args.cache}: {exc}", file=sys.stderr)
     if n_fail or n_budget:
         print(
             f"check: {n_fail} failed, {n_budget} exceeded budget (of {len(reports)})",
@@ -309,10 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     flags = {
         "--n": dict(type=int, default=None, help="total size n"),
-        "--primes": dict(type=str, default=None, help="comma-separated prime schedule"),
         "--format": dict(choices=("csv", "json"), default="csv"),
-        "--cache": dict(type=str, default=None, help="fiber-count cache file"),
-        "--budget": dict(type=int, default=DEFAULT_BUDGET, help="search budget (nodes)"),
     }
 
     def common(sp, *names):
@@ -326,14 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_orbits)
 
     sp = sub.add_parser("fiber-poly", help="interpolated fiber point-count polynomial")
-    common(sp, "--primes", "--format", "--cache")
+    common(sp, "--format")
     sp.add_argument("--big", type=str, required=True, help='resolution, e.g. "mu=3,1,1;nu=3,2"')
     sp.add_argument("--small", type=str, required=True, help='orbit point, e.g. "mu=;nu=1,1"')
-    sp.add_argument("--holdout", type=int, default=None, help="held-out validation prime")
     sp.set_defaults(func=cmd_fiber_poly)
 
     sp = sub.add_parser("check", help="run verification suites over sizes 0..n")
-    common(sp, "--n", "--primes", "--format", "--cache", "--budget")
+    common(sp, "--n", "--format")
+    sp.add_argument("--primes", type=str, default=None, help="primes for the recursion checks")
+    sp.add_argument("--cache", type=str, default=None, help="fiber-count cache file")
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search budget (nodes)")
     sp.add_argument(
         "--checks",
         type=str,
@@ -355,28 +357,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    # only fiber-poly and check count fibers, so only they take --cache
-    cache_path = _resolve_cache_path(args.cache) if "cache" in args else None
-    if cache_path and os.path.exists(cache_path):
-        try:
-            fiber_cache().load(cache_path)
-        except (ValueError, OSError) as exc:
-            print(f"warning: ignoring cache {cache_path}: {exc}", file=sys.stderr)
     try:
-        code = args.func(args, sys.stdout)
+        return args.func(args, sys.stdout)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, AssertionError, ArithmeticError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if cache_path:
-        try:
-            os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
-            fiber_cache().save(cache_path)
-        except OSError as exc:
-            print(f"warning: could not save cache {cache_path}: {exc}", file=sys.stderr)
-    return code
 
 
 if __name__ == "__main__":

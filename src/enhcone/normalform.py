@@ -196,14 +196,6 @@ def _trimmed(parts: list[int]) -> Partition:
     return Partition(tuple(parts))
 
 
-def nonneg_part(np: NormalPair) -> SubspaceGF:
-    """Span of the basis vectors of nonnegative weight.  It equals the
-    centralizer module E^x.v = span of y.v over all y commuting with x;
-    the test suite pins the equality against a centralizer_basis oracle."""
-    coords = [c for c, w in enumerate(np.weights) if w >= 0]
-    return SubspaceGF.coordinate(coords, np.n, np.p)
-
-
 # ---------------------------------------------------------------------------
 # weight blocks, graded subspaces and graded quotients
 
@@ -421,30 +413,3 @@ def explicit_decomposition(np: NormalPair) -> Decomposition:
             return Decomposition(SubspaceGF.span(vecs, n, p), v2)
 
     raise AssertionError(f"no construction applies to non-distinguished {b}")
-
-
-# ---------------------------------------------------------------------------
-# tangent-space shadow of the dense-orbit statement
-
-
-def orbit_map_tangent_surjective(b: Bipartition, p: int = 101) -> bool:
-    """Whether y -> (y.v, [y, x]) maps the filtration-preserving matrices
-    onto the nonnegative part of V times the weight-raising matrices."""
-    np_ = normal_pair(b, p)
-    n = np_.n
-    wts = np_.weights
-    if n == 0:
-        return True
-    par = [(r, c) for r in range(n) for c in range(n) if wts[r] >= wts[c]]
-    target_dim = sum(1 for w in wts if w >= 0) + sum(
-        1 for r in range(n) for c in range(n) if wts[r] > wts[c]
-    )
-    rows = []
-    for r, c in par:
-        e = MatrixGF(p, tuple(tuple(1 if (i, j) == (r, c) else 0 for j in range(n)) for i in range(n)), n)
-        tv = e.matvec(np_.v)
-        comm = e @ np_.x
-        comm = comm.sub(np_.x @ e)
-        rows.append(tuple(tv) + tuple(x for row in comm.rows for x in row))
-    m = MatrixGF(p, tuple(rows), n + n * n)
-    return rank(m) == target_dim

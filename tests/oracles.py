@@ -6,7 +6,10 @@ is the Jordan type of x on W, the second that of the map induced on
 V / W.  stabilizer_orbit_dimension is n^2 minus the dimension of the
 solution space of y.v = 0, yx = xy at the normal pair, with ranks taken
 over two large primes that must agree.  closure_by_count decides the
-closure order by whether a fiber is nonempty over GF(p).
+closure order by whether a fiber is nonempty over GF(p).  nonneg_part
+is the closed form the centralizer module takes at a normal pair, and
+orbit_map_tangent_surjective is the tangent-space shadow of the
+dense-orbit statement.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Sequence
 from enhcone.combinatorics import Bipartition
 from enhcone.fibers import FiberCache, FiberQuery, count_fiber_memo
 from enhcone.gflinalg import MatrixGF, SubspaceGF, quotient_map, rank
-from enhcone.normalform import centralizer_basis, jordan_type, normal_pair
+from enhcone.normalform import NormalPair, centralizer_basis, jordan_type, normal_pair
 
 
 def centralizer_module_span(v: Sequence[int], x: MatrixGF) -> SubspaceGF:
@@ -82,3 +85,33 @@ def closure_by_count(
     """Whether small's orbit lies in the image of big's resolution: the
     fiber over small's normal point has a point over GF(p)."""
     return count_fiber_memo(FiberQuery.over_orbit(small, big, p), cache) > 0
+
+
+def nonneg_part(np: NormalPair) -> SubspaceGF:
+    """Span of the basis vectors of nonnegative weight.  It equals the
+    centralizer module E^x.v = span of y.v over all y commuting with x."""
+    coords = [c for c, w in enumerate(np.weights) if w >= 0]
+    return SubspaceGF.coordinate(coords, np.n, np.p)
+
+
+def orbit_map_tangent_surjective(b: Bipartition, p: int = 101) -> bool:
+    """Whether y -> (y.v, [y, x]) maps the filtration-preserving matrices
+    onto the nonnegative part of V times the weight-raising matrices."""
+    np_ = normal_pair(b, p)
+    n = np_.n
+    wts = np_.weights
+    if n == 0:
+        return True
+    par = [(r, c) for r in range(n) for c in range(n) if wts[r] >= wts[c]]
+    target_dim = sum(1 for w in wts if w >= 0) + sum(
+        1 for r in range(n) for c in range(n) if wts[r] > wts[c]
+    )
+    rows = []
+    for r, c in par:
+        e = MatrixGF(p, tuple(tuple(1 if (i, j) == (r, c) else 0 for j in range(n)) for i in range(n)), n)
+        tv = e.matvec(np_.v)
+        comm = e @ np_.x
+        comm = comm.sub(np_.x @ e)
+        rows.append(tuple(tv) + tuple(x for row in comm.rows for x in row))
+    m = MatrixGF(p, tuple(rows), n + n * n)
+    return rank(m) == target_dim

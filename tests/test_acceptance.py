@@ -14,7 +14,6 @@ from enhcone.normalform import (
     classify_pair,
     decomposition_failures,
     explicit_decomposition,
-    nonneg_part,
     normal_pair,
 )
 from enhcone.fibers import (
@@ -33,7 +32,7 @@ from enhcone.checks import (
     check_split_product,
 )
 from enhcone.cli import main as cli_main
-from oracles import centralizer_module_span
+from oracles import centralizer_module_span, nonneg_part
 
 
 def _verdict(criterion: str, ok: bool, detail: str = "") -> None:

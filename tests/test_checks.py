@@ -92,12 +92,6 @@ class TestAlphaPartition:
                 for record in rep.witness["totals"].values():
                     assert record["enumerated"] == record["counted"]
 
-    def test_too_few_primes_rejected(self):
-        with pytest.raises(ValueError):
-            check_alpha_partition(
-                bipartition((), (3,)), bipartition((), (1, 1, 1)), primes=(2, 3)
-            )
-
 
 class TestDistinguishedLemma:
     def test_regular_is_distinguished(self):

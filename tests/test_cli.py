@@ -71,24 +71,6 @@ class TestFiberPoly:
         assert row["polynomial"] == "q+1"
         assert row["verdict"] == "pass"
 
-    def test_big_equals_small_large(self, capsys):
-        code, out = run_cli(
-            capsys,
-            "fiber-poly",
-            "--big",
-            "mu=3,1,1;nu=3,2",
-            "--small",
-            "mu=3,1,1;nu=3,2",
-            "--primes",
-            "2,3",
-            "--holdout",
-            "5",
-        )
-        assert code == 0
-        (row,) = csv_rows(out)
-        assert row["polynomial"] == "1"
-        assert "capped" in row["notes"]
-
     def test_empty_fiber(self, capsys):
         code, out = run_cli(
             capsys,
@@ -129,34 +111,6 @@ class TestFiberPoly:
         )
         assert code == 2
 
-    def test_duplicate_primes(self, capsys):
-        code, _ = run_cli(
-            capsys,
-            "fiber-poly",
-            "--big",
-            "mu=;nu=2",
-            "--small",
-            "mu=;nu=1,1",
-            "--primes",
-            "2,2,3",
-        )
-        assert code == 2
-
-    def test_holdout_in_schedule(self, capsys):
-        code, _ = run_cli(
-            capsys,
-            "fiber-poly",
-            "--big",
-            "mu=;nu=2",
-            "--small",
-            "mu=;nu=1,1",
-            "--primes",
-            "2,3",
-            "--holdout",
-            "3",
-        )
-        assert code == 2
-
     def test_bad_bipartition_syntax(self, capsys):
         code, _ = run_cli(capsys, "fiber-poly", "--big", "2", "--small", "mu=;nu=1,1")
         assert code == 2
@@ -192,6 +146,22 @@ class TestCheckCommand:
     def test_invalid_primes_usage_error(self, capsys):
         code, _ = run_cli(capsys, "check", "--n", "1", "--primes", "4,6")
         assert code == 2
+
+    def test_each_pair_certified_once(self, capsys, monkeypatch):
+        made = []
+        certify = checks.check_polynomial_count
+
+        def counted(big, small):
+            made.append((big, small))
+            return certify(big, small)
+
+        monkeypatch.setattr(checks, "check_polynomial_count", counted)
+        code, out = run_cli(
+            capsys, "check", "--n", "4", "--checks", "polynomial,semismall", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["summary"]["passed"] == 242 + 38
+        assert len(made) == len(set(made)) == 242
 
     def test_budget_exhaustion_exits_nonzero(self, capsys):
         code, out = run_cli(
@@ -262,6 +232,9 @@ class TestExitCodes:
             ("orbits", "--n", "1", "--budget", "3"),
             ("orbits", "--n", "1", "--cache", "counts.jsonl"),
             ("fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1", "--budget", "3"),
+            ("fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1", "--primes", "2,3"),
+            ("fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1", "--holdout", "5"),
+            ("fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1", "--cache", "counts.jsonl"),
             ("closure-order", "--n", "1", "--budget", "3"),
             ("closure-order", "--n", "1", "--primes", "2"),
             ("closure-order", "--n", "1", "--cache", "counts.jsonl"),
@@ -281,42 +254,35 @@ class TestExitCodes:
         assert err.startswith("internal error:")
 
 
+def strip_millis(text):
+    return [row[:5] for row in csv.reader(io.StringIO(text))]
+
+
 class TestCacheOption:
+    CHECK = ("check", "--n", "2", "--checks", "polynomial")
+
     def test_cache_file_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "counts.jsonl"
-        code, out1 = run_cli(
-            capsys, "fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1",
-            "--cache", str(path),
-        )
+        code, out1 = run_cli(capsys, *self.CHECK, "--cache", str(path))
         assert code == 0
-        assert path.exists()
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header == {"cache_format": 1}
-        code, out2 = run_cli(
-            capsys, "fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1",
-            "--cache", str(path),
-        )
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[0]) == {"cache_format": 1}
+        assert len(lines) > 1
+        code, out2 = run_cli(capsys, *self.CHECK, "--cache", str(path))
         assert code == 0
-        assert out1 == out2
+        assert strip_millis(out1) == strip_millis(out2)
 
     def test_cache_dir_env(self, tmp_path, capsys, monkeypatch):
+        # no command reads ENHCONE_CACHE_DIR: only --cache names a count file
         monkeypatch.setenv("ENHCONE_CACHE_DIR", str(tmp_path))
-        code, _ = run_cli(
-            capsys, "fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1"
-        )
-        assert code == 0
-        assert (tmp_path / "fiber-counts.jsonl").exists()
-
-    def test_orbits_ignores_cache_dir(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ENHCONE_CACHE_DIR", str(tmp_path))
-        code, _ = run_cli(capsys, "orbits", "--n", "1")
-        assert code == 0
-        assert not (tmp_path / "fiber-counts.jsonl").exists()
-
-    def test_closure_order_ignores_cache_dir(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ENHCONE_CACHE_DIR", str(tmp_path))
-        code, _ = run_cli(capsys, "closure-order", "--n", "2")
-        assert code == 0
+        for argv in [
+            ("fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1"),
+            self.CHECK,
+            ("orbits", "--n", "1"),
+            ("closure-order", "--n", "2"),
+        ]:
+            code, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
         assert list(tmp_path.iterdir()) == []
 
 
@@ -366,17 +332,18 @@ class TestHeldOutCount:
         assert summary["total"] == 26
         assert summary["failed"] == 2
 
-    def test_fiber_poly_fails(self, tmp_path, capsys, clean_cache):
+    def test_failed_run_clears_cache(self, tmp_path, capsys, clean_cache):
         path = self.poisoned_cache(tmp_path)
-        code, out = run_cli(
-            capsys, "fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1",
-            "--cache", str(path), "--format", "json",
-        )
+        argv = ("check", "--n", "2", "--checks", "polynomial,semismall", "--cache", str(path))
+        code = main(list(argv))
+        err = capsys.readouterr().err
         assert code == 1
-        payload = json.loads(out)
-        assert payload["verdict"] == "fail"
-        assert payload["display"] == "2q+1"
-        assert "held-out prime 5: predicted 11, counted 6" in payload["witnesses"]
+        assert f"warning: cleared cache {path}: a check failed" in err
+        assert path.read_text().splitlines() == [json.dumps({"cache_format": 1})]
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary["total"] == summary["passed"] == 26
 
     def test_check_command_fails(self, tmp_path, capsys, clean_cache):
         path = self.poisoned_cache(tmp_path)
@@ -412,11 +379,8 @@ class TestCacheValidation:
     def test_malformed_file_ignored(self, tmp_path, capsys, clean_cache, name):
         path = tmp_path / f"{name}.jsonl"
         path.write_text("\n".join(self.FILES[name]) + "\n")
-        code = main([
-            "fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1", "--cache", str(path),
-        ])
+        code = main(["check", "--n", "2", "--checks", "polynomial", "--cache", str(path)])
         captured = capsys.readouterr()
         assert "warning: ignoring cache" in captured.err
-        (row,) = csv_rows(captured.out)
-        assert (row["polynomial"], row["verdict"]) == ("q+1", "pass")
+        assert all(row["verdict"] == "pass" for row in csv_rows(captured.out))
         assert code == 0

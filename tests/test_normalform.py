@@ -14,12 +14,15 @@ from enhcone.normalform import (
     explicit_decomposition,
     graded_kernel_blocks,
     jordan_type,
-    nonneg_part,
     normal_pair,
-    orbit_map_tangent_surjective,
     restrict_pair,
 )
-from oracles import centralizer_module_span, classify_by_centralizer
+from oracles import (
+    centralizer_module_span,
+    classify_by_centralizer,
+    nonneg_part,
+    orbit_map_tangent_surjective,
+)
 
 
 def regular_nilpotent(n: int, p: int) -> MatrixGF:
