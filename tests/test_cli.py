@@ -285,6 +285,18 @@ class TestCacheOption:
             assert code == 0, argv
         assert list(tmp_path.iterdir()) == []
 
+    def test_orbits_ignores_cache_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ENHCONE_CACHE_DIR", str(tmp_path))
+        code, _ = run_cli(capsys, "orbits", "--n", "1")
+        assert code == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_closure_order_ignores_cache_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ENHCONE_CACHE_DIR", str(tmp_path))
+        code, _ = run_cli(capsys, "closure-order", "--n", "2")
+        assert code == 0
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.fixture
 def clean_cache():
