@@ -54,10 +54,9 @@ from .fibers import (
     enumerate_lambda_fixed_flags,
     fiber_cache,
     fiber_dimension_bound,
-    held_out_prime,
+    fiber_polynomial,
     interpolate_qpoly,
     orbit_dimension,
-    prime_schedule,
 )
 from .checks import (
     CheckReport,

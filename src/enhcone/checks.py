@@ -41,16 +41,15 @@ from .fibers import (
     QPolynomial,
     closure_contains,
     closure_pairs,
+    count_fiber,
     count_fiber_memo,
     count_lambda_fixed,
     enumerate_fiber_flags,
     enumerate_lambda_fixed_flags,
-    fiber_cache,
     fiber_dimension_bound,
-    held_out_prime,
+    fiber_polynomial,
     interpolate_qpoly,
     orbit_dimension,
-    prime_schedule,
 )
 
 DEFAULT_BUDGET = 10**7
@@ -120,56 +119,43 @@ def _report(name, inputs, verdict, witness, started, notes=()) -> CheckReport:
 
 
 def check_polynomial_count(big: Bipartition, small: Bipartition) -> CheckReport:
-    """Paving certificate: the fiber polynomial must have nonnegative
-    integer coefficients and predict a held-out prime exactly.
+    """Paving certificate: the fiber polynomial P in Z[q] must have
+    nonnegative integer coefficients and degree at most
+    fiber_dimension_bound, and P(2) must equal the brute-force count of
+    the fiber over GF(2).
 
-    The polynomial is interpolated with the sound degree bound
-    fiber_dimension_bound from counts at the bound + 1 primes of
-    prime_schedule, and validated at the next prime.  The held-out count
-    is made on an empty count table that shares only the in-process
-    transition table, so it never reads a count that fed the
-    interpolation or that a cache file supplied.  A fail carries a note
-    per violated condition."""
+    P comes from fiber_polynomial, whose transition rows are validated
+    as they are built: every interpolated entry at its held-out prime,
+    and every row against its q-binomial sum.  A row that fails either
+    fails the certificate with a note.  The count at p = 2 is
+    count_fiber, which classifies no pair and reads neither transition
+    table nor any count table, so it shares no data with P.  A fail
+    carries a note per violated condition."""
     started = time.perf_counter()
-    bound = fiber_dimension_bound(flag_shape(big))
-    schedule = prime_schedule(bound)
-    holdout = held_out_prime(schedule)
-    notes = []
-    inputs = {
-        "big": _bp_json(big),
-        "small": _bp_json(small),
-        "primes": list(schedule),
-        "holdout": holdout,
-    }
-    counts = {p: count_fiber_memo(FiberQuery.over_orbit(small, big, p)) for p in schedule}
+    p = 2  # the brute-force count enumerates the fewest flags over GF(2)
+    inputs = {"big": _bp_json(big), "small": _bp_json(small), "check_prime": p}
+    count = count_fiber(FiberQuery.over_orbit(small, big, p))
+    witness: dict = {"counts": {p: count}}
     try:
-        poly = interpolate_qpoly(counts, bound)
+        poly = fiber_polynomial(big, small)
     except InterpolationError as exc:
-        notes.append(str(exc))
-        witness = {"counts": counts, "reason": str(exc)}
-        return _report("polynomial-count", inputs, FAIL, witness, started, notes)
-    predicted = poly.evaluate(holdout)
-    fresh = count_fiber_memo(
-        FiberQuery.over_orbit(small, big, holdout), fiber_cache().fresh_counts()
-    )
-    witness = {
-        "counts": counts,
-        "polynomial": list(poly.coeffs),
-        "display": str(poly),
-        "holdout_prediction": predicted,
-        "holdout_count": fresh,
-    }
+        witness["reason"] = str(exc)
+        return _report("polynomial-count", inputs, FAIL, witness, started, [str(exc)])
+    witness["polynomial"] = list(poly.coeffs)
+    witness["display"] = str(poly)
+    notes = []
     if poly.is_zero():
         notes.append("empty fiber: small's orbit is not in the resolved closure")
-    negative = any(c < 0 for c in poly.coeffs)
-    if negative:
-        notes.append("negative coefficient: paving falsified")
-    if predicted != fresh:
-        notes.append(
-            f"held-out prime {holdout}: predicted {predicted}, counted {fresh}"
-        )
-    verdict = FAIL if negative or predicted != fresh else PASS
-    return _report("polynomial-count", inputs, verdict, witness, started, notes)
+    faults = []
+    if any(c < 0 for c in poly.coeffs):
+        faults.append("negative coefficient: paving falsified")
+    bound = fiber_dimension_bound(flag_shape(big))
+    if poly.degree > bound:
+        faults.append(f"degree {poly.degree} exceeds the fiber dimension bound {bound}")
+    if poly.evaluate(p) != count:
+        faults.append(f"p = {p}: the polynomial gives {poly.evaluate(p)}, brute force counts {count}")
+    verdict = FAIL if faults else PASS
+    return _report("polynomial-count", inputs, verdict, witness, started, notes + faults)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ verification suites and the closure order.
 Commands emit CSV or JSON on stdout with a versioned schema field.
 Only `check` takes a count file (`--cache`): it is loaded before the
 suite runs and saved after it, emptied of every count when a check
-failed, since a loaded count may be the cause.
+failed, since a loaded count may be the cause.  The alpha and split
+checks read it (split only to size its search budget); no paving
+certificate or semismall check does.
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed
 (a falsification witness is in the output), 2 usage or config error,
 3 internal error (a library invariant failed; never caused by the input).
@@ -167,9 +169,7 @@ def cmd_fiber_poly(args, out) -> int:
         )
     report = check_polynomial_count(big, small)
     witness = report.witness
-    counts = dict(witness["counts"])
-    if "holdout_count" in witness:
-        counts[report.inputs["holdout"]] = witness["holdout_count"]
+    counts = witness["counts"]
     display = witness.get("display", "")
     payload = {
         "schema": SCHEMA,
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu", type=str, default=None, help="single bipartition: nu parts")
     sp.set_defaults(func=cmd_orbits)
 
-    sp = sub.add_parser("fiber-poly", help="interpolated fiber point-count polynomial")
+    sp = sub.add_parser("fiber-poly", help="certified fiber point-count polynomial")
     common(sp, "--format")
     sp.add_argument("--big", type=str, required=True, help='resolution, e.g. "mu=3,1,1;nu=3,2"')
     sp.add_argument("--small", type=str, required=True, help='orbit point, e.g. "mu=;nu=1,1"')

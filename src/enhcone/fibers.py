@@ -1,4 +1,5 @@
-"""Exact point counts of resolution fibers over GF(p).
+"""Exact point counts of resolution fibers over GF(p), and fiber
+polynomials in Z[q].
 
 The fiber of the resolution attached to a flag shape (r_0 < ... < r_m, j)
 over a pair (v, x) consists of the flags W of that shape with
@@ -24,8 +25,22 @@ bipartitions, so count_fiber_memo recurses over bipartitions instead:
 where the transition table T[(b, r_1, p)] tallies the r_1-subspaces
 W <= ker x at b's normal pair by the orbit b' of the induced pair on
 V / W.  The query's pair is classified once; each entry of T costs one
-run of the kernel step and one classification per subspace, and both
-tables live in a FiberCache.
+run of the kernel step and one classification per subspace.
+
+fiber_polynomial runs the same recursion over Z[q], memoized on
+(b, dims, j), with a symbolic row T[(b, r_1)][b'](q) in place of each
+numeric one.  With k = dim ker x, a row's entries sum to the q-binomial
+[k choose r_1]_q, so each has degree at most r_1 (k - r_1).  A row comes
+from one of three sources:
+
+- v = 0: Macdonald's vertical-strip Hall polynomial (_hall_row);
+- x = 0, v != 0: two q-binomials, by whether W contains v (_x_zero_row);
+- otherwise: each entry interpolated from the numeric rows at the first
+  r_1 (k - r_1) + 1 primes and validated at the next (_interpolated_row).
+
+Every row is checked against its q-binomial sum when it is built; a row
+that fails that or its held-out prime raises InterpolationError.  All
+four tables live in a FiberCache.
 
 Fiber counts decide only fiber polynomials: closure_contains reads the
 closure order off two bipartitions in closed form, and the test suite
@@ -34,6 +49,8 @@ checks it against nonempty fibers.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import os
 import tempfile
@@ -42,7 +59,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .combinatorics import Bipartition, FlagShape, bipartitions, flag_shape
+from .combinatorics import (
+    EMPTY,
+    Bipartition,
+    FlagShape,
+    Partition,
+    bipartitions,
+    flag_shape,
+    transpose,
+)
 from .gflinalg import (
     MatrixGF,
     QuotientMap,
@@ -184,15 +209,18 @@ def enumerate_lambda_fixed_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ..
 
 
 class FiberCache:
-    """Shared memo tables for orbit-keyed fiber counts.
+    """Shared memo tables for orbit-keyed fiber counts and polynomials.
 
     The count table maps (mu, nu, dims, j, p) to an exact count; it is
-    what `stats` reports and what `save`/`load` persist.  Beside it sits
-    the transition table T: for an orbit b, a first-step dimension r1
-    and a prime p, T[(b, r1, p)] tallies the r1-subspaces W of ker x at
-    b's normal pair by the orbit of the induced pair on V/W.  T is built
-    on demand, is emptied by `clear()` and is never written to the
-    cache file.
+    what `save`/`load` persist.  Beside it sits the numeric transition
+    table: for an orbit b, a first-step dimension r1 and a prime p,
+    T[(b, r1, p)] tallies the r1-subspaces W of ker x at b's normal pair
+    by the orbit of the induced pair on V/W.  The symbolic transition
+    table maps (b, r1) to a validated row of polynomials, and the
+    polynomial table maps (b, dims, j) to a fiber polynomial.  All four
+    are emptied by `clear()`; only the count table is ever written to a
+    cache file.  `stats` counts lookups in the count and polynomial
+    tables, and their entries.
     """
 
     FORMAT = 1
@@ -200,41 +228,38 @@ class FiberCache:
     def __init__(self):
         self._table: dict = {}
         self._transitions: dict = {}
+        self._rows: dict = {}
+        self._polys: dict = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._table)
 
-    def get(self, key):
-        value = self._table.get(key)
+    def _lookup(self, table: dict, key):
+        value = table.get(key)
         if value is None:
             self.misses += 1
         else:
             self.hits += 1
         return value
 
+    def get(self, key):
+        return self._lookup(self._table, key)
+
     def put(self, key, value: int) -> None:
         self._table.setdefault(key, value)
 
     def clear(self) -> None:
-        self._table.clear()
-        self._transitions.clear()
+        for table in (self._table, self._transitions, self._rows, self._polys):
+            table.clear()
         self.hits = 0
         self.misses = 0
 
-    def fresh_counts(self) -> "FiberCache":
-        """A cache with an empty count table over this cache's transition
-        table.  T is only ever built in-process, so a count made through
-        the result reads no loaded or earlier count, yet enumerates no
-        subspace that T already tallies."""
-        fresh = FiberCache()
-        fresh._transitions = self._transitions
-        return fresh
-
     @property
     def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self._table)}
+        entries = len(self._table) + len(self._polys)
+        return {"hits": self.hits, "misses": self.misses, "entries": entries}
 
     def save(self, path) -> None:
         """Write the count table to path atomically: the records go to a
@@ -347,7 +372,8 @@ def _transitions(b: Bipartition, r1: int, p: int, cache: FiberCache) -> Counter:
 
 
 class InterpolationError(ArithmeticError):
-    """Samples do not fit an integer polynomial within the degree bound.
+    """Samples do not fit an integer polynomial within the degree bound,
+    or a symbolic transition row fails its held-out prime or its sum.
 
     This is a falsification signal, not a usage error; callers surface it
     in reports rather than swallowing it.
@@ -378,6 +404,17 @@ class QPolynomial:
         for c in reversed(self.coeffs):
             total = total * q + c
         return total
+
+    def __add__(self, other: "QPolynomial") -> "QPolynomial":
+        short, long = sorted((self.coeffs, other.coeffs), key=len)
+        return QPolynomial(tuple(a + b for a, b in zip(long, short + (0,) * len(long))))
+
+    def __mul__(self, other: "QPolynomial") -> "QPolynomial":
+        out = [0] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return QPolynomial(tuple(out))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -448,13 +485,154 @@ def fiber_dimension_bound(shape: FlagShape) -> int:
     return (total * total - sum(d * d for d in steps)) // 2
 
 
-def prime_schedule(degree_bound: int) -> tuple[int, ...]:
-    """Default sampling schedule: the first degree_bound + 1 primes."""
-    return primes_first(degree_bound + 1)
+ZERO = QPolynomial(())
+ONE = QPolynomial((1,))
 
 
-def held_out_prime(schedule: Sequence[int]) -> int:
-    return next_prime_after(max(schedule))
+def q_power(e: int) -> QPolynomial:
+    return QPolynomial((0,) * e + (1,))
+
+
+@functools.lru_cache(maxsize=None)
+def q_binomial(m: int, k: int) -> QPolynomial:
+    """[m choose k]_q, by [m, k] = [m-1, k-1] + q^k [m-1, k]; 0 outside
+    0 <= k <= m."""
+    if k < 0 or k > m:
+        return ZERO
+    if k in (0, m):
+        return ONE
+    return q_binomial(m - 1, k - 1) + q_power(k) * q_binomial(m - 1, k)
+
+
+# ---------------------------------------------------------------------------
+# fiber polynomials from the symbolic transition table
+
+
+def fiber_polynomial(
+    big: Bipartition, small: Bipartition, cache: FiberCache | None = None
+) -> QPolynomial:
+    """The point count of the fiber of big's resolution over small's orbit,
+    as a polynomial in q: the memoized count's recursion over orbits, run
+    in Z[q] over the symbolic transition table.  Raises InterpolationError
+    when a row it reads fails its held-out prime or its q-binomial sum."""
+    if cache is None:
+        cache = _default_cache
+    shape = flag_shape(big)
+    return _poly_orbit(small, shape.dims, shape.marker, cache)
+
+
+def _poly_orbit(
+    b: Bipartition, dims: tuple[int, ...], j: int, cache: FiberCache
+) -> QPolynomial:
+    if j == 0 and b.first.parts:
+        return ZERO
+    if len(dims) == 1:
+        return ONE
+    key = (b, dims, j)
+    poly = cache._lookup(cache._polys, key)
+    if poly is None:
+        rest = tuple(r - dims[1] for r in dims[1:])
+        jj = max(j - 1, 0)
+        poly = sum(
+            (mult * _poly_orbit(b2, rest, jj, cache)
+             for b2, mult in _symbolic_row(b, dims[1], cache).items()),
+            ZERO,
+        )
+        cache._polys[key] = poly
+    return poly
+
+
+def _symbolic_row(b: Bipartition, r1: int, cache: FiberCache) -> dict:
+    """T[(b, r1)]: the orbit b' of each quotient by an r1-subspace of
+    ker x, with the number of such subspaces as a polynomial in q.  A row
+    is kept only once its entries sum to [k choose r1]_q, k = dim ker x."""
+    key = (b, r1)
+    row = cache._rows.get(key)
+    if row is None:
+        if not b.first.parts:
+            row = _hall_row(b.second, r1)
+        elif b.row_length(1) == 1:
+            row = _x_zero_row(b.n, r1)
+        else:
+            row = _interpolated_row(b, r1, cache)
+        k = b.row_count
+        total = sum(row.values(), ZERO)
+        if total != q_binomial(k, r1):
+            raise InterpolationError(
+                f"T[{b}, {r1}] sums to {total}, not [{k} choose {r1}]_q = {q_binomial(k, r1)}"
+            )
+        cache._rows[key] = row
+    return row
+
+
+def _n(parts: Sequence[int]) -> int:
+    """n(lambda) = sum over i of (i - 1) lambda_i."""
+    return sum(i * a for i, a in enumerate(parts))
+
+
+def _hall_row(lam: Partition, r: int) -> dict:
+    """T[((); lam), r] for v = 0 and x of Jordan type lam.  An r-subspace W
+    of ker x is a submodule of type (1^r), so the W with quotient type
+    lam_bar number the Hall polynomial
+
+        G^lam_{lam_bar, (1^r)}(q) = q^(n(lam) - n(lam_bar) - n(1^r))
+            * prod_i [lam'_i - lam'_(i+1) choose lam'_i - lam_bar'_i]_(1/q)
+
+    over the lam_bar with lam / lam_bar a vertical r-strip (Macdonald,
+    Symmetric Functions and Hall Polynomials, 2nd ed., ch. II (4.6)).
+    [m choose k]_(1/q) is q^(-k (m - k)) [m choose k]_q."""
+    cols = transpose(lam).parts + (0,)
+    row = {}
+    for rows in itertools.combinations(range(lam.length), r):
+        parts = [a - (i in rows) for i, a in enumerate(lam.parts)]
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            continue
+        bar = Partition(tuple(a for a in parts if a))
+        bar_cols = transpose(bar).parts + (0,) * len(cols)
+        shift = _n(lam.parts) - _n(bar.parts) - r * (r - 1) // 2
+        poly = ONE
+        for i in range(len(cols) - 1):
+            m, k = cols[i] - cols[i + 1], cols[i] - bar_cols[i]
+            poly = poly * q_binomial(m, k)
+            shift -= k * (m - k)
+        row[Bipartition(EMPTY, bar)] = q_power(shift) * poly
+    return row
+
+
+def _x_zero_row(n: int, r: int) -> dict:
+    """T[((1^n); ()), r] for x = 0 and v != 0: W runs over every
+    r-subspace of V.  The [n-1 choose r-1]_q that contain v leave
+    ((); (1^(n-r))), and the q^r [n-1 choose r]_q others leave
+    ((1^(n-r)); ()); for r = n both are the empty bipartition."""
+    low = Bipartition(EMPTY, Partition((1,) * (n - r)))
+    high = Bipartition(Partition((1,) * (n - r)), EMPTY)
+    row = {low: q_binomial(n - 1, r - 1)}
+    row[high] = row.get(high, ZERO) + q_power(r) * q_binomial(n - 1, r)
+    return row
+
+
+def _interpolated_row(b: Bipartition, r1: int, cache: FiberCache) -> dict:
+    """T[(b, r1)] with each entry interpolated from the numeric rows
+    T[(b, r1, p)] at the first r1 (k - r1) + 1 primes, and validated at the
+    next prime: a mismatch raises InterpolationError."""
+    bound = r1 * max(b.row_count - r1, 0)
+    primes = primes_first(bound + 1)
+    holdout = next_prime_after(primes[-1])
+    tables = {p: _transitions(b, r1, p, cache) for p in primes + (holdout,)}
+    row = {}
+    for b2 in set().union(*tables.values()):
+        try:
+            entry = interpolate_qpoly({p: tables[p].get(b2, 0) for p in primes}, bound)
+        except InterpolationError as exc:
+            raise InterpolationError(f"T[{b}, {r1}][{b2}]: {exc}") from None
+        counted = tables[holdout].get(b2, 0)
+        if entry.evaluate(holdout) != counted:
+            raise InterpolationError(
+                f"T[{b}, {r1}][{b2}] = {entry} predicts {entry.evaluate(holdout)} "
+                f"at held-out prime {holdout}, counted {counted}"
+            )
+        row[b2] = entry
+    return row
 
 
 # ---------------------------------------------------------------------------

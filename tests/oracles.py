@@ -9,7 +9,10 @@ over two large primes that must agree.  closure_by_count decides the
 closure order by whether a fiber is nonempty over GF(p).  nonneg_part
 is the closed form the centralizer module takes at a normal pair, and
 orbit_map_tangent_surjective is the tangent-space shadow of the
-dense-orbit statement.
+dense-orbit statement.  prime_schedule and held_out_prime are the
+fiber-level sampling policy that fiber polynomials came from before
+the symbolic transition table: interpolate the counts at the first
+fiber_dimension_bound + 1 primes and validate at the next prime.
 """
 
 from __future__ import annotations
@@ -18,7 +21,14 @@ from typing import Sequence
 
 from enhcone.combinatorics import Bipartition
 from enhcone.fibers import FiberCache, FiberQuery, count_fiber_memo
-from enhcone.gflinalg import MatrixGF, SubspaceGF, quotient_map, rank
+from enhcone.gflinalg import (
+    MatrixGF,
+    SubspaceGF,
+    next_prime_after,
+    primes_first,
+    quotient_map,
+    rank,
+)
 from enhcone.normalform import NormalPair, centralizer_basis, jordan_type, normal_pair
 
 
@@ -115,3 +125,12 @@ def orbit_map_tangent_surjective(b: Bipartition, p: int = 101) -> bool:
         rows.append(tuple(tv) + tuple(x for row in comm.rows for x in row))
     m = MatrixGF(p, tuple(rows), n + n * n)
     return rank(m) == target_dim
+
+
+def prime_schedule(degree_bound: int) -> tuple[int, ...]:
+    """Sampling schedule: the first degree_bound + 1 primes."""
+    return primes_first(degree_bound + 1)
+
+
+def held_out_prime(schedule: Sequence[int]) -> int:
+    return next_prime_after(max(schedule))

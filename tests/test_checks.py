@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,17 +8,19 @@ from enhcone.combinatorics import (
     bipartition,
     bipartitions,
     flag_shape,
+    format_bipartition,
     is_distinguished,
 )
 from enhcone.normalform import normal_pair
+from enhcone import fibers
 from enhcone.fibers import (
     FiberQuery,
+    QPolynomial,
     closure_pairs,
-    count_fiber_memo,
     count_lambda_fixed,
     fiber_dimension_bound,
+    fiber_polynomial,
     interpolate_qpoly,
-    prime_schedule,
 )
 from enhcone.checks import (
     check_alpha_partition,
@@ -28,6 +31,9 @@ from enhcone.checks import (
     check_split_product,
     suite_instances,
 )
+from oracles import prime_schedule
+
+PAVING_N4 = Path(__file__).resolve().parent.parent / "bench" / "data" / "paving_n4.json"
 
 
 class TestPolynomialCount:
@@ -55,6 +61,32 @@ class TestPolynomialCount:
         assert rep.passed
         assert rep.witness["display"] == "0"
         assert any("empty fiber" in note for note in rep.notes)
+
+    def test_matches_recorded_table(self):
+        # bench/data/paving_n4.json was interpolated from sampled fiber counts
+        table = json.loads(PAVING_N4.read_text())
+        got = [
+            {"big": format_bipartition(big), "small": format_bipartition(small),
+             "polynomial": list(fiber_polynomial(big, small).coeffs)}
+            for n in range(5)
+            for big, small in closure_pairs(n)
+        ]
+        assert got == table
+
+    def test_row_sum_fault_fails(self, monkeypatch, clean_cache):
+        hall_row = fibers._hall_row
+
+        def one_too_many(lam, r):
+            row = hall_row(lam, r)
+            first = next(iter(row))
+            row[first] = row[first] + QPolynomial((0, 1))
+            return row
+
+        monkeypatch.setattr(fibers, "_hall_row", one_too_many)
+        rep = check_polynomial_count(bipartition((), (2,)), bipartition((), (1, 1)))
+        assert rep.verdict == "fail"
+        assert "sums to" in rep.witness["reason"]
+        assert rep.notes == (rep.witness["reason"],)
 
 
 class TestAlphaPartition:
@@ -196,17 +228,12 @@ class TestEulerBridge:
             for big, small in closure_pairs(n):
                 shape = flag_shape(big)
                 bound = fiber_dimension_bound(shape)
-                primes = prime_schedule(bound)
-                total = {
-                    p: count_fiber_memo(FiberQuery.over_orbit(small, big, p))
-                    for p in primes
-                }
                 fixed = {
                     p: count_lambda_fixed(FiberQuery.of(normal_pair(small, p), shape))
-                    for p in primes
+                    for p in prime_schedule(bound)
                 }
-                pt = interpolate_qpoly(total, bound)
                 pf = interpolate_qpoly(fixed, bound)
+                pt = fiber_polynomial(big, small)
                 assert pt.evaluate(1) == pf.evaluate(1), (str(big), str(small))
 
 

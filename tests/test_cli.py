@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+from collections import Counter
 
 import pytest
 
-from enhcone import checks
+from enhcone import checks, fibers
 from enhcone.cli import main
 from enhcone.combinatorics import bipartition
 from enhcone.fibers import fiber_cache
@@ -104,6 +105,15 @@ class TestFiberPoly:
         assert payload["display"] == "q^3+2q^2+2q+1"
         assert payload["counts"]["2"] == 21
         assert payload["verdict"] == "pass"
+
+    def test_big_equals_small_large(self, capsys):
+        # n = 10: its fiber dimension bound is 40, but every transition row
+        # has k <= 3
+        b = "mu=3,1,1;nu=3,2"
+        code, out = run_cli(capsys, "fiber-poly", "--big", b, "--small", b)
+        assert code == 0
+        (row,) = csv_rows(out)
+        assert (row["counts"], row["polynomial"], row["verdict"]) == ("2:1", "1", "pass")
 
     def test_size_mismatch(self, capsys):
         code, _ = run_cli(
@@ -244,14 +254,41 @@ class TestExitCodes:
             assert code == 2, argv
 
     def test_library_error_is_internal(self, capsys, monkeypatch):
-        def broken(q, cache=None):
+        def broken(q):
             raise ValueError("invariant broken")
 
-        monkeypatch.setattr(checks, "count_fiber_memo", broken)
+        monkeypatch.setattr(checks, "count_fiber", broken)
         code = main(["fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1"])
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("internal error:")
+
+    def test_failed_transition_row_is_check_failure(self, capsys, monkeypatch, clean_cache):
+        # T[((1);(1)), 1] is the constant 1, interpolated at p = 2 and held
+        # out at p = 3; a miscount at 3 fails the row
+        transitions = fibers._transitions
+        b = bipartition((1,), (1,))
+
+        def miscounted(orbit, r1, p, cache):
+            table = transitions(orbit, r1, p, cache)
+            if (orbit, r1, p) == (b, 1, 3):
+                table = Counter({b2: 2 * m for b2, m in table.items()})
+            return table
+
+        monkeypatch.setattr(fibers, "_transitions", miscounted)
+        code, out = run_cli(
+            capsys, "fiber-poly", "--big", "mu=1;nu=1", "--small", "mu=1;nu=1", "--format", "json"
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["verdict"] == "fail"
+        (note,) = payload["witnesses"]
+        assert "held-out prime 3" in note
+        code, out = run_cli(
+            capsys, "check", "--n", "2", "--checks", "polynomial,semismall", "--format", "json"
+        )
+        assert code == 1
+        assert json.loads(out)["summary"]["failed"] > 0
 
 
 def strip_millis(text):
@@ -259,7 +296,8 @@ def strip_millis(text):
 
 
 class TestCacheOption:
-    CHECK = ("check", "--n", "2", "--checks", "polynomial")
+    # the alpha check reads and writes the count table
+    CHECK = ("check", "--n", "2", "--checks", "alpha")
 
     def test_cache_file_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "counts.jsonl"
@@ -298,13 +336,6 @@ class TestCacheOption:
         assert list(tmp_path.iterdir()) == []
 
 
-@pytest.fixture
-def clean_cache():
-    fiber_cache().clear()
-    yield
-    fiber_cache().clear()
-
-
 def count_record(p, count):
     """A cache record for the fiber of (();(2)) over (();(1,1)): a
     projective line, q + 1 points."""
@@ -312,13 +343,13 @@ def count_record(p, count):
 
 
 class TestHeldOutCount:
-    """A cache file whose counts fit a wrong polynomial must not let the
-    held-out count agree with it, and no cache count may change which
-    certificates a suite runs."""
+    """A cache file with wrong counts fails the alpha check, whose totals
+    come from the count table, and changes no paving certificate or
+    semismall check: they read no count table."""
 
     @staticmethod
     def poisoned_cache(tmp_path):
-        # 2p + 1 at the schedule and at the held-out prime
+        # 2p + 1 at p = 2, 3, 5, the primes of alpha's schedule for the pair
         path = tmp_path / "poisoned.jsonl"
         lines = [json.dumps({"cache_format": 1})]
         lines += [count_record(p, 2 * p + 1) for p in (2, 3, 5)]
@@ -333,20 +364,33 @@ class TestHeldOutCount:
         return path
 
     @pytest.mark.parametrize("make_cache", ["poisoned_cache", "zero_count_cache"])
-    def test_polynomial_and_semismall_fail(self, tmp_path, capsys, clean_cache, make_cache):
+    def test_polynomial_and_semismall_read_no_count(
+        self, tmp_path, capsys, clean_cache, make_cache
+    ):
         path = getattr(self, make_cache)(tmp_path)
         code, out = run_cli(
             capsys, "check", "--n", "2", "--checks", "polynomial,semismall",
             "--cache", str(path), "--format", "json",
         )
-        assert code == 1
-        summary = json.loads(out)["summary"]
-        assert summary["total"] == 26
-        assert summary["failed"] == 2
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["summary"]["total"] == payload["summary"]["passed"] == 26
+        line = {"mu": [], "nu": [2]}
+        (cert,) = [
+            r for r in payload["reports"]
+            if r["check"] == "polynomial-count" and r["inputs"]["big"] == line
+            and r["inputs"]["small"] == {"mu": [], "nu": [1, 1]}
+        ]
+        assert cert["witness"]["display"] == "q+1"
+        (semismall,) = [
+            r for r in payload["reports"]
+            if r["check"] == "semismall" and r["inputs"]["big"] == line
+        ]
+        assert semismall["witness"]["strata"]["mu=;nu=1,1"]["fiber_poly"] == "q+1"
 
     def test_failed_run_clears_cache(self, tmp_path, capsys, clean_cache):
         path = self.poisoned_cache(tmp_path)
-        argv = ("check", "--n", "2", "--checks", "polynomial,semismall", "--cache", str(path))
+        argv = ("check", "--n", "2", "--checks", "alpha", "--cache", str(path))
         code = main(list(argv))
         err = capsys.readouterr().err
         assert code == 1
@@ -355,28 +399,28 @@ class TestHeldOutCount:
         code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         summary = json.loads(out)["summary"]
-        assert summary["total"] == summary["passed"] == 26
+        assert summary["total"] == summary["passed"] == 18
 
     def test_check_command_fails(self, tmp_path, capsys, clean_cache):
         path = self.poisoned_cache(tmp_path)
         code, _ = run_cli(
-            capsys, "check", "--n", "2", "--checks", "polynomial", "--cache", str(path)
+            capsys, "check", "--n", "2", "--checks", "alpha", "--cache", str(path)
         )
         assert code == 1
 
     def test_library_certificate_fails(self, tmp_path, clean_cache):
         fiber_cache().load(self.poisoned_cache(tmp_path))
-        rep = checks.check_polynomial_count(
+        rep = checks.check_alpha_partition(
             bipartition((), (2,)), bipartition((), (1, 1))
         )
         assert rep.verdict == "fail"
-        assert rep.witness["holdout_prediction"] == 11
-        assert rep.witness["holdout_count"] == 6
+        assert rep.witness["totals"][2] == {"enumerated": 3, "counted": 5}
 
 
 class TestCacheValidation:
     """A malformed cache file is ignored whole: its one valid record
-    (5 points at p = 2, where q + 1 has 3) is never read."""
+    (5 points at p = 2, where q + 1 has 3) is never read, so the alpha
+    check, which would fail on it, passes."""
 
     HEADER = json.dumps({"cache_format": 1})
     FILES = {
@@ -391,7 +435,7 @@ class TestCacheValidation:
     def test_malformed_file_ignored(self, tmp_path, capsys, clean_cache, name):
         path = tmp_path / f"{name}.jsonl"
         path.write_text("\n".join(self.FILES[name]) + "\n")
-        code = main(["check", "--n", "2", "--checks", "polynomial", "--cache", str(path)])
+        code = main(["check", "--n", "2", "--checks", "alpha", "--cache", str(path)])
         captured = capsys.readouterr()
         assert "warning: ignoring cache" in captured.err
         assert all(row["verdict"] == "pass" for row in csv_rows(captured.out))

@@ -5,7 +5,14 @@ from functools import lru_cache
 import pytest
 
 from enhcone.combinatorics import FlagShape, bipartition, bipartitions, flag_shape
-from enhcone.gflinalg import MatrixGF, SubspaceGF, enumerate_subspaces, rank, rref
+from enhcone.gflinalg import (
+    MatrixGF,
+    SubspaceGF,
+    enumerate_subspaces,
+    gaussian_binomial,
+    rank,
+    rref,
+)
 from enhcone.normalform import classify_pair, jordan_type, normal_pair
 from enhcone import fibers
 from enhcone.fibers import (
@@ -21,12 +28,18 @@ from enhcone.fibers import (
     enumerate_fiber_flags,
     enumerate_lambda_fixed_flags,
     fiber_dimension_bound,
-    held_out_prime,
+    fiber_polynomial,
     interpolate_qpoly,
     orbit_dimension,
-    prime_schedule,
+    q_binomial,
 )
-from oracles import classify_by_centralizer, closure_by_count, stabilizer_orbit_dimension
+from oracles import (
+    classify_by_centralizer,
+    closure_by_count,
+    held_out_prime,
+    prime_schedule,
+    stabilizer_orbit_dimension,
+)
 
 
 @lru_cache(maxsize=None)
@@ -185,6 +198,26 @@ class TestMemo:
         assert count_fiber_memo(q, fresh) == value
         # nothing was recomputed
         assert fresh.misses == 0
+
+    def test_clear_empties_symbolic_tables(self, monkeypatch):
+        cache = FiberCache()
+        big, small = bipartition((1,), (2,)), bipartition((), (1, 1, 1))
+        poly = fiber_polynomial(big, small, cache)
+        misses = cache.misses
+        cache.clear()
+        assert cache.stats == {"hits": 0, "misses": 0, "entries": 0}
+        # v = 0 at small, so every row it reads is a Hall row
+        hall_row = fibers._hall_row
+        rows = []
+
+        def counting(lam, r):
+            rows.append((lam, r))
+            return hall_row(lam, r)
+
+        monkeypatch.setattr(fibers, "_hall_row", counting)
+        assert fiber_polynomial(big, small, cache) == poly
+        assert cache.misses == misses
+        assert rows
 
     def test_clear_empties_transition_table(self, monkeypatch):
         cache = FiberCache()
@@ -427,6 +460,9 @@ class TestClosure:
 
 class TestHeldOutConsistency:
     def test_interpolation_predicts_fresh_prime(self):
+        # the fiber-level sampling oracle: counts at the schedule fit a
+        # polynomial that predicts the held-out prime, and that polynomial
+        # is the one assembled from the symbolic transition table
         for n in range(4):
             for big, small in closure_pairs(n):
                 shape = flag_shape(big)
@@ -440,6 +476,39 @@ class TestHeldOutConsistency:
                 extra = held_out_prime(sched)
                 fresh = count_fiber_memo(FiberQuery.over_orbit(small, big, extra))
                 assert poly.evaluate(extra) == fresh
+                assert fiber_polynomial(big, small, FiberCache()) == poly, (str(big), str(small))
+
+
+class TestSymbolicTable:
+    def test_polynomial_arithmetic(self):
+        a, b = QPolynomial((1, 1)), QPolynomial((0, 2, 1))
+        assert (a + b).coeffs == (1, 3, 1)
+        assert (a * b).coeffs == (0, 2, 3, 1)
+        assert (a * QPolynomial(())).is_zero()
+        assert (b + QPolynomial((0, -2, -1))).is_zero()
+
+    def test_q_binomial_matches_gaussian_binomial(self):
+        assert q_binomial(4, 2).coeffs == (1, 1, 2, 1, 1)
+        for m in range(7):
+            for k in range(-1, m + 2):
+                for p in (2, 3):
+                    assert q_binomial(m, k).evaluate(p) == gaussian_binomial(m, k, p)
+
+    def test_closed_form_rows_match_enumeration(self):
+        # every v = 0 row (the Hall polynomial) and x = 0 row with n <= 4
+        checked = 0
+        for n in range(1, 5):
+            for b in bipartitions(n):
+                if b.first.parts and b.row_length(1) > 1:
+                    continue
+                for r1 in range(1, n + 1):
+                    row = fibers._symbolic_row(b, r1, FiberCache())
+                    for p in (2, 3):
+                        numeric = fibers._transitions(b, r1, p, FiberCache())
+                        evaluated = {b2: e.evaluate(p) for b2, e in row.items()}
+                        assert evaluated == dict(numeric), (str(b), r1, p)
+                    checked += 1
+        assert checked == 44  # 34 Hall rows, 10 with x = 0
 
 
 class TestFlagEnumeration:
