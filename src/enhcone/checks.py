@@ -176,7 +176,11 @@ def check_alpha_partition(
     """Partition the fiber by the orbit profile dim(W_i intersect V>=w) of
     the parabolic preserving the weight filtration; piece counts must sum
     to the total at every prime and each piece must interpolate to a
-    polynomial with nonnegative integer coefficients."""
+    polynomial with nonnegative integer coefficients.
+
+    The total is count_fiber_memo, so a transition row that fails its
+    validation fails the check with a note.  The budget caps the flags
+    enumerated over all primes."""
     started = time.perf_counter()
     inputs = {"big": _bp_json(big), "small": _bp_json(small)}
     shape = flag_shape(big)
@@ -192,7 +196,6 @@ def check_alpha_partition(
         for p in primes:
             q = FiberQuery.over_orbit(small, big, p)
             expected = count_fiber_memo(q)
-            spent.spend(max(expected, 1))
             filtrations = [
                 SubspaceGF.coordinate(
                     [c for c, w in enumerate(wts) if w >= lvl], shape.n, p
@@ -201,6 +204,7 @@ def check_alpha_partition(
             ]
             seen = 0
             for flag in enumerate_fiber_flags(q):
+                spent.spend()
                 seen += 1
                 profile = _flag_profile(flag, filtrations)
                 bucket = piece_counts.setdefault(profile, {})
@@ -209,6 +213,9 @@ def check_alpha_partition(
     except BudgetExceeded as exc:
         witness = {"nodes": exc.nodes, "limit": exc.limit}
         return _report("alpha-partition", inputs, BUDGET_EXCEEDED, witness, started)
+    except InterpolationError as exc:
+        witness = {"reason": str(exc)}
+        return _report("alpha-partition", inputs, FAIL, witness, started, [str(exc)])
     sum_ok = all(seen == expected for seen, expected in totals.values())
     pieces_witness = {}
     pieces_ok = True
@@ -383,7 +390,8 @@ def check_split_product(
     """For a non-distinguished pair split as V1 (+) V2, the graded fiber
     flags that respect the splitting, bucketed by the profile
     dim(W_i intersect V1), must match products of the two factors'
-    graded fiber counts with shapes read off the profile."""
+    graded fiber counts with shapes read off the profile.  The budget
+    caps the lambda-fixed flags enumerated."""
     started = time.perf_counter()
     if is_distinguished(b):
         raise ValueError(f"{b} is distinguished; the splitting step does not apply")
@@ -396,9 +404,11 @@ def check_split_product(
     j = shape.marker
     q = FiberQuery.of(np_, shape)
     spent = SearchBudget(budget)
+    lflags = []
     try:
-        spent.spend(max(count_fiber_memo(q), 1))
-        lflags = list(enumerate_lambda_fixed_flags(q))
+        for flag in enumerate_lambda_fixed_flags(q):
+            spent.spend()
+            lflags.append(flag)
     except BudgetExceeded as exc:
         witness = {"nodes": exc.nodes, "limit": exc.limit}
         return _report("split-product", inputs, BUDGET_EXCEEDED, witness, started)

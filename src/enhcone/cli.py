@@ -4,9 +4,8 @@ verification suites and the closure order.
 Commands emit CSV or JSON on stdout with a versioned schema field.
 Only `check` takes a count file (`--cache`): it is loaded before the
 suite runs and saved after it, emptied of every count when a check
-failed, since a loaded count may be the cause.  The alpha and split
-checks read it (split only to size its search budget); no paving
-certificate or semismall check does.
+failed, since a loaded count may be the cause.  Only the alpha check
+reads it, for its fiber totals; no other check does.
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed
 (a falsification witness is in the output), 2 usage or config error,
 3 internal error (a library invariant failed; never caused by the input).

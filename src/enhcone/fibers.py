@@ -18,29 +18,29 @@ the quotient map by W_1 and the induced pair on V / W_1:
   (count_lambda_fixed, enumerate_lambda_fixed_flags).
 
 Counts depend only on the orbit of (v, x), and orbits are indexed by
-bipartitions, so count_fiber_memo recurses over bipartitions instead:
+bipartitions, so fiber_polynomial recurses over bipartitions in Z[q],
+memoized on (b, dims, j):
 
-    count(b, dims, j, p) = sum over b' of T[(b, r_1, p)][b'] * count(b', rest, j - 1, p)
+    P(b, dims, j) = sum over b' of T[(b, r_1)][b'](q) * P(b', rest, j - 1)
 
-where the transition table T[(b, r_1, p)] tallies the r_1-subspaces
-W <= ker x at b's normal pair by the orbit b' of the induced pair on
-V / W.  The query's pair is classified once; each entry of T costs one
-run of the kernel step and one classification per subspace.
-
-fiber_polynomial runs the same recursion over Z[q], memoized on
-(b, dims, j), with a symbolic row T[(b, r_1)][b'](q) in place of each
-numeric one.  With k = dim ker x, a row's entries sum to the q-binomial
-[k choose r_1]_q, so each has degree at most r_1 (k - r_1).  A row comes
-from one of three sources:
+where the transition row T[(b, r_1)] maps the orbit b' of each quotient
+of b's normal pair by an r_1-subspace W <= ker x to the number of such
+W, as a polynomial in q.  With k = dim ker x, a row's entries sum to
+the q-binomial [k choose r_1]_q, so each has degree at most
+r_1 (k - r_1).  A row comes from one of three sources:
 
 - v = 0: Macdonald's vertical-strip Hall polynomial (_hall_row);
 - x = 0, v != 0: two q-binomials, by whether W contains v (_x_zero_row);
-- otherwise: each entry interpolated from the numeric rows at the first
-  r_1 (k - r_1) + 1 primes and validated at the next (_interpolated_row).
+- otherwise: each entry interpolated from the numeric rows
+  T[(b, r_1, p)] (_transitions: one run of the kernel step and one
+  classification per subspace) at the first r_1 (k - r_1) + 1 primes,
+  and validated at the next (_interpolated_row).
 
 Every row is checked against its q-binomial sum when it is built; a row
-that fails that or its held-out prime raises InterpolationError.  All
-four tables live in a FiberCache.
+that fails that or its held-out prime raises InterpolationError.  A
+count over GF(p) is its polynomial at q = p: count_fiber_memo classifies
+the query's pair once and evaluates P there.  The count, row and
+polynomial tables live in a FiberCache.
 
 Fiber counts decide only fiber polynomials: closure_contains reads the
 closure order off two bipartitions in closed form, and the test suite
@@ -211,23 +211,19 @@ def enumerate_lambda_fixed_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ..
 class FiberCache:
     """Shared memo tables for orbit-keyed fiber counts and polynomials.
 
-    The count table maps (mu, nu, dims, j, p) to an exact count; it is
-    what `save`/`load` persist.  Beside it sits the numeric transition
-    table: for an orbit b, a first-step dimension r1 and a prime p,
-    T[(b, r1, p)] tallies the r1-subspaces W of ker x at b's normal pair
-    by the orbit of the induced pair on V/W.  The symbolic transition
-    table maps (b, r1) to a validated row of polynomials, and the
-    polynomial table maps (b, dims, j) to a fiber polynomial.  All four
-    are emptied by `clear()`; only the count table is ever written to a
-    cache file.  `stats` counts lookups in the count and polynomial
-    tables, and their entries.
+    The count table maps (mu, nu, dims, j, p) to the exact counts that
+    count_fiber_memo returned; it is what `save`/`load` persist.  The
+    symbolic transition table maps (b, r1) to a validated row of
+    polynomials, and the polynomial table maps (b, dims, j) to a fiber
+    polynomial.  All three are emptied by `clear()`; only the count table
+    is ever written to a cache file.  `stats` counts lookups in the count
+    and polynomial tables, and their entries.
     """
 
     FORMAT = 1
 
     def __init__(self):
         self._table: dict = {}
-        self._transitions: dict = {}
         self._rows: dict = {}
         self._polys: dict = {}
         self.hits = 0
@@ -251,7 +247,7 @@ class FiberCache:
         self._table.setdefault(key, value)
 
     def clear(self) -> None:
-        for table in (self._table, self._transitions, self._rows, self._polys):
+        for table in (self._table, self._rows, self._polys):
             table.clear()
         self.hits = 0
         self.misses = 0
@@ -322,49 +318,20 @@ def fiber_cache() -> FiberCache:
 
 
 def count_fiber_memo(q: FiberQuery, cache: FiberCache | None = None) -> int:
-    """Same contract as count_fiber, by a recursion over orbits: the pair
-    is classified once, and every later step reads the transition table."""
+    """Same contract as count_fiber: the pair is classified once, and the
+    count is the fiber polynomial of its orbit evaluated at q = p, kept
+    in the count table.  Raises InterpolationError when a transition row
+    that the polynomial reads fails its held-out prime or its sum."""
     if cache is None:
         cache = _default_cache
     b = classify_pair(q.v, q.x)
-    return _count_orbit(b, q.shape.dims, q.shape.marker, q.p, cache)
-
-
-def _count_orbit(
-    b: Bipartition, dims: tuple[int, ...], j: int, p: int, cache: FiberCache
-) -> int:
-    # v = 0 exactly when the orbit's first partition is empty
-    if j == 0 and b.first.parts:
-        return 0
-    if len(dims) == 1:
-        return 1
-    key = (b.first.parts, b.second.parts, dims, j, p)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    rest = tuple(r - dims[1] for r in dims[1:])
-    jj = max(j - 1, 0)
-    total = sum(
-        mult * _count_orbit(b2, rest, jj, p, cache)
-        for b2, mult in _transitions(b, dims[1], p, cache).items()
-    )
-    cache.put(key, total)
-    return total
-
-
-def _transitions(b: Bipartition, r1: int, p: int, cache: FiberCache) -> Counter:
-    """T[(b, r1, p)], built on first use by running the kernel step at
-    b's normal pair and classifying every distinct quotient pair."""
-    key = (b, r1, p)
-    table = cache._transitions.get(key)
-    if table is None:
-        np_ = normal_pair(b, p)
-        quotients = Counter(sub for _, sub in _kernel_step(_Pair(np_.v, np_.x), r1))
-        table = Counter()
-        for sub, mult in quotients.items():
-            table[classify_pair(sub.v, sub.x)] += mult
-        cache._transitions[key] = table
-    return table
+    dims, j = q.shape.dims, q.shape.marker
+    key = (b.first.parts, b.second.parts, dims, j, q.p)
+    count = cache.get(key)
+    if count is None:
+        count = _poly_orbit(b, dims, j, cache).evaluate(q.p)
+        cache.put(key, count)
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +479,8 @@ def fiber_polynomial(
     big: Bipartition, small: Bipartition, cache: FiberCache | None = None
 ) -> QPolynomial:
     """The point count of the fiber of big's resolution over small's orbit,
-    as a polynomial in q: the memoized count's recursion over orbits, run
-    in Z[q] over the symbolic transition table.  Raises InterpolationError
+    as a polynomial in q: a recursion over orbits through the symbolic
+    transition table, memoized on (b, dims, j).  Raises InterpolationError
     when a row it reads fails its held-out prime or its q-binomial sum."""
     if cache is None:
         cache = _default_cache
@@ -554,7 +521,7 @@ def _symbolic_row(b: Bipartition, r1: int, cache: FiberCache) -> dict:
         elif b.row_length(1) == 1:
             row = _x_zero_row(b.n, r1)
         else:
-            row = _interpolated_row(b, r1, cache)
+            row = _interpolated_row(b, r1)
         k = b.row_count
         total = sum(row.values(), ZERO)
         if total != q_binomial(k, r1):
@@ -611,14 +578,14 @@ def _x_zero_row(n: int, r: int) -> dict:
     return row
 
 
-def _interpolated_row(b: Bipartition, r1: int, cache: FiberCache) -> dict:
+def _interpolated_row(b: Bipartition, r1: int) -> dict:
     """T[(b, r1)] with each entry interpolated from the numeric rows
     T[(b, r1, p)] at the first r1 (k - r1) + 1 primes, and validated at the
     next prime: a mismatch raises InterpolationError."""
     bound = r1 * max(b.row_count - r1, 0)
     primes = primes_first(bound + 1)
     holdout = next_prime_after(primes[-1])
-    tables = {p: _transitions(b, r1, p, cache) for p in primes + (holdout,)}
+    tables = {p: _transitions(b, r1, p) for p in primes + (holdout,)}
     row = {}
     for b2 in set().union(*tables.values()):
         try:
@@ -633,6 +600,18 @@ def _interpolated_row(b: Bipartition, r1: int, cache: FiberCache) -> dict:
             )
         row[b2] = entry
     return row
+
+
+def _transitions(b: Bipartition, r1: int, p: int) -> Counter:
+    """The numeric row T[(b, r1, p)]: the r1-subspaces W of ker x at b's
+    normal pair over GF(p), tallied by the orbit of the induced pair on
+    V/W, with one classification per distinct quotient pair."""
+    np_ = normal_pair(b, p)
+    quotients = Counter(sub for _, sub in _kernel_step(_Pair(np_.v, np_.x), r1))
+    table = Counter()
+    for sub, mult in quotients.items():
+        table[classify_pair(sub.v, sub.x)] += mult
+    return table
 
 
 # ---------------------------------------------------------------------------

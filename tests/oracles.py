@@ -5,8 +5,11 @@ module W = span of y.v over all y commuting with x: the first partition
 is the Jordan type of x on W, the second that of the map induced on
 V / W.  stabilizer_orbit_dimension is n^2 minus the dimension of the
 solution space of y.v = 0, yx = xy at the normal pair, with ranks taken
-over two large primes that must agree.  closure_by_count decides the
-closure order by whether a fiber is nonempty over GF(p).  nonneg_part
+over two large primes that must agree.  count_by_transitions counts a
+fiber by the numeric recursion over orbits, through the enumerated
+transition rows, and shares no table with fiber_polynomial.
+closure_by_count decides the closure order by whether a fiber is
+nonempty over GF(p), by that count.  nonneg_part
 is the closed form the centralizer module takes at a normal pair, and
 orbit_map_tangent_surjective is the tangent-space shadow of the
 dense-orbit statement.  prime_schedule and held_out_prime are the
@@ -20,7 +23,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from enhcone.combinatorics import Bipartition
-from enhcone.fibers import FiberCache, FiberQuery, count_fiber_memo
+from enhcone.fibers import FiberQuery, _transitions
 from enhcone.gflinalg import (
     MatrixGF,
     SubspaceGF,
@@ -29,7 +32,13 @@ from enhcone.gflinalg import (
     quotient_map,
     rank,
 )
-from enhcone.normalform import NormalPair, centralizer_basis, jordan_type, normal_pair
+from enhcone.normalform import (
+    NormalPair,
+    centralizer_basis,
+    classify_pair,
+    jordan_type,
+    normal_pair,
+)
 
 
 def centralizer_module_span(v: Sequence[int], x: MatrixGF) -> SubspaceGF:
@@ -89,12 +98,41 @@ def stabilizer_orbit_dimension(b: Bipartition) -> int:
     return ranks[0]
 
 
-def closure_by_count(
-    big: Bipartition, small: Bipartition, p: int, cache: FiberCache | None = None
-) -> bool:
+def count_by_transitions(q: FiberQuery, memo: dict) -> int:
+    """count_fiber by a recursion over orbits: the pair is classified once,
+    and then
+
+        count(b, dims, j, p) = sum over b' of T[(b, r_1, p)][b'] * count(b', rest, j - 1, p)
+
+    with the numeric transition rows T of fibers._transitions.  memo keeps
+    the counts and the rows; share it only between calls of this oracle."""
+    b = classify_pair(q.v, q.x)
+    return _count_orbit(b, q.shape.dims, q.shape.marker, q.p, memo)
+
+
+def _count_orbit(b: Bipartition, dims: tuple[int, ...], j: int, p: int, memo: dict) -> int:
+    # v = 0 exactly when the orbit's first partition is empty
+    if j == 0 and b.first.parts:
+        return 0
+    if len(dims) == 1:
+        return 1
+    key = ("count", b, dims, j, p)
+    if key not in memo:
+        row_key = ("row", b, dims[1], p)
+        if row_key not in memo:
+            memo[row_key] = _transitions(b, dims[1], p)
+        rest = tuple(r - dims[1] for r in dims[1:])
+        jj = max(j - 1, 0)
+        memo[key] = sum(
+            mult * _count_orbit(b2, rest, jj, p, memo) for b2, mult in memo[row_key].items()
+        )
+    return memo[key]
+
+
+def closure_by_count(big: Bipartition, small: Bipartition, p: int, memo: dict) -> bool:
     """Whether small's orbit lies in the image of big's resolution: the
     fiber over small's normal point has a point over GF(p)."""
-    return count_fiber_memo(FiberQuery.over_orbit(small, big, p), cache) > 0
+    return count_by_transitions(FiberQuery.over_orbit(small, big, p), memo) > 0
 
 
 def nonneg_part(np: NormalPair) -> SubspaceGF:

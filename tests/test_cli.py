@@ -269,8 +269,8 @@ class TestExitCodes:
         transitions = fibers._transitions
         b = bipartition((1,), (1,))
 
-        def miscounted(orbit, r1, p, cache):
-            table = transitions(orbit, r1, p, cache)
+        def miscounted(orbit, r1, p):
+            table = transitions(orbit, r1, p)
             if (orbit, r1, p) == (b, 1, 3):
                 table = Counter({b2: 2 * m for b2, m in table.items()})
             return table
@@ -284,11 +284,16 @@ class TestExitCodes:
         assert payload["verdict"] == "fail"
         (note,) = payload["witnesses"]
         assert "held-out prime 3" in note
-        code, out = run_cli(
-            capsys, "check", "--n", "2", "--checks", "polynomial,semismall", "--format", "json"
-        )
-        assert code == 1
-        assert json.loads(out)["summary"]["failed"] > 0
+        for selected in ("polynomial,semismall", "alpha"):
+            code, out = run_cli(
+                capsys, "check", "--n", "2", "--checks", selected, "--format", "json"
+            )
+            assert code == 1, selected
+            failed = [r for r in json.loads(out)["reports"] if r["verdict"] == "fail"]
+            assert failed, selected
+        # alpha's fiber totals are polynomials at q = p, read through that row
+        assert all(r["notes"] == [r["witness"]["reason"]] for r in failed)
+        assert all(r["witness"]["reason"].startswith("T[((1);(1)), 1]") for r in failed)
 
 
 def strip_millis(text):
@@ -400,6 +405,25 @@ class TestHeldOutCount:
         assert code == 0
         summary = json.loads(out)["summary"]
         assert summary["total"] == summary["passed"] == 18
+
+    def test_poisoned_count_fails_alpha_not_split(self, tmp_path, capsys, clean_cache):
+        # a huge count used to exhaust both checks' budgets on every run,
+        # so the file was never cleared; the budgets now count enumerated
+        # flags, and only alpha reads the count
+        path = tmp_path / "huge.jsonl"
+        path.write_text(
+            json.dumps({"cache_format": 1}) + "\n" + count_record(2, 100000000) + "\n"
+        )
+        argv = ("check", "--n", "2", "--checks", "alpha,split", "--cache", str(path), "--format", "json")
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        summary = json.loads(out)["summary"]
+        assert (summary["failed"], summary["budget_exceeded"]) == (1, 0)
+        assert path.read_text().splitlines() == [json.dumps({"cache_format": 1})]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary["total"] == summary["passed"] == 26
 
     def test_check_command_fails(self, tmp_path, capsys, clean_cache):
         path = self.poisoned_cache(tmp_path)
