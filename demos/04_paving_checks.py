@@ -2,9 +2,9 @@
 """The full battery of paving verifications at desk scale.
 
 Six named checks tie the computations together: polynomial point counts
-with a held-out prime, the orbit-profile partition of each fiber, the
-distinguished-pair classification, the product splitting, the
-kernel-line recursion, and semismallness.  Everything here is a theorem
+checked against the brute-force count over GF(2), the orbit-profile
+partition of each fiber, the distinguished-pair classification, the
+product splitting, the kernel-line recursion, and semismallness.  Everything here is a theorem
 over every field, so a single FAIL would falsify the implementation.
 """
 

@@ -124,12 +124,11 @@ def check_polynomial_count(big: Bipartition, small: Bipartition) -> CheckReport:
     fiber_dimension_bound, and P(2) must equal the brute-force count of
     the fiber over GF(2).
 
-    P comes from fiber_polynomial, whose transition rows are validated
-    as they are built: every interpolated entry at its held-out prime,
-    and every row against its q-binomial sum.  A row that fails either
-    fails the certificate with a note.  The count at p = 2 is
-    count_fiber, which classifies no pair and reads neither transition
-    table nor any count table, so it shares no data with P.  A fail
+    P comes from fiber_polynomial, whose closed-form transition rows are
+    each checked against their q-binomial sum as they are built; a row
+    that fails it fails the certificate with a note.  The count at p = 2 is
+    count_fiber, which classifies no pair and reads no transition row
+    and no count table, so it shares no data with P.  A fail
     carries a note per violated condition."""
     started = time.perf_counter()
     p = 2  # the brute-force count enumerates the fewest flags over GF(2)

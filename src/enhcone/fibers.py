@@ -25,22 +25,16 @@ memoized on (b, dims, j):
 
 where the transition row T[(b, r_1)] maps the orbit b' of each quotient
 of b's normal pair by an r_1-subspace W <= ker x to the number of such
-W, as a polynomial in q.  With k = dim ker x, a row's entries sum to
-the q-binomial [k choose r_1]_q, so each has degree at most
-r_1 (k - r_1).  A row comes from one of three sources:
-
-- v = 0: Macdonald's vertical-strip Hall polynomial (_hall_row);
-- x = 0, v != 0: two q-binomials, by whether W contains v (_x_zero_row);
-- otherwise: each entry interpolated from the numeric rows
-  T[(b, r_1, p)] (_transitions: one run of the kernel step and one
-  classification per subspace) at the first r_1 (k - r_1) + 1 primes,
-  and validated at the next (_interpolated_row).
-
-Every row is checked against its q-binomial sum when it is built; a row
-that fails that or its held-out prime raises InterpolationError.  A
-count over GF(p) is its polynomial at q = p: count_fiber_memo classifies
-the query's pair once and evaluates P there.  The count, row and
-polynomial tables live in a FiberCache.
+W, as a polynomial in q.  _transition_row counts it in closed form: the
+orbit of V/W depends only on the position of W relative to the
+subspaces ker x & im x^k and ker x & (im x^k + F[x]v), which a basis of
+ker x splits into coordinate subspaces, and the W in each position
+number a product of q-binomials and powers of q.  No row reads a prime
+field.  A row's entries sum to the q-binomial [dim ker x choose r_1]_q;
+a row that does not raises InterpolationError.  A count over GF(p) is
+its polynomial at q = p: count_fiber_memo classifies the query's pair
+once and evaluates P there.  The count, row and polynomial tables live
+in a FiberCache.
 
 Fiber counts decide only fiber polynomials: closure_contains reads the
 closure order off two bipartitions in closed form, and the test suite
@@ -50,32 +44,20 @@ checks it against nonempty fibers.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import os
 import tempfile
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .combinatorics import (
-    EMPTY,
-    Bipartition,
-    FlagShape,
-    Partition,
-    bipartitions,
-    flag_shape,
-    transpose,
-)
+from .combinatorics import Bipartition, FlagShape, bipartitions, flag_shape
 from .gflinalg import (
     MatrixGF,
     QuotientMap,
     SubspaceGF,
     enumerate_subspaces,
     kernel,
-    next_prime_after,
-    primes_first,
     quotient_map,
 )
 from .normalform import (
@@ -86,6 +68,8 @@ from .normalform import (
     graded_kernel_blocks,
     graded_quotient,
     normal_pair,
+    orbit_of_types,
+    partition_from_ranks,
 )
 
 
@@ -321,7 +305,7 @@ def count_fiber_memo(q: FiberQuery, cache: FiberCache | None = None) -> int:
     """Same contract as count_fiber: the pair is classified once, and the
     count is the fiber polynomial of its orbit evaluated at q = p, kept
     in the count table.  Raises InterpolationError when a transition row
-    that the polynomial reads fails its held-out prime or its sum."""
+    that the polynomial reads fails its q-binomial sum."""
     if cache is None:
         cache = _default_cache
     b = classify_pair(q.v, q.x)
@@ -340,7 +324,7 @@ def count_fiber_memo(q: FiberQuery, cache: FiberCache | None = None) -> int:
 
 class InterpolationError(ArithmeticError):
     """Samples do not fit an integer polynomial within the degree bound,
-    or a symbolic transition row fails its held-out prime or its sum.
+    or a symbolic transition row does not sum to its q-binomial.
 
     This is a falsification signal, not a usage error; callers surface it
     in reports rather than swallowing it.
@@ -375,6 +359,9 @@ class QPolynomial:
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         short, long = sorted((self.coeffs, other.coeffs), key=len)
         return QPolynomial(tuple(a + b for a, b in zip(long, short + (0,) * len(long))))
+
+    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
+        return self + QPolynomial(tuple(-c for c in other.coeffs))
 
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
         out = [0] * (len(self.coeffs) + len(other.coeffs))
@@ -481,7 +468,7 @@ def fiber_polynomial(
     """The point count of the fiber of big's resolution over small's orbit,
     as a polynomial in q: a recursion over orbits through the symbolic
     transition table, memoized on (b, dims, j).  Raises InterpolationError
-    when a row it reads fails its held-out prime or its q-binomial sum."""
+    when a row it reads fails its q-binomial sum."""
     if cache is None:
         cache = _default_cache
     shape = flag_shape(big)
@@ -510,18 +497,12 @@ def _poly_orbit(
 
 
 def _symbolic_row(b: Bipartition, r1: int, cache: FiberCache) -> dict:
-    """T[(b, r1)]: the orbit b' of each quotient by an r1-subspace of
-    ker x, with the number of such subspaces as a polynomial in q.  A row
-    is kept only once its entries sum to [k choose r1]_q, k = dim ker x."""
+    """T[(b, r1)], kept only once its entries sum to [k choose r1]_q,
+    k = dim ker x."""
     key = (b, r1)
     row = cache._rows.get(key)
     if row is None:
-        if not b.first.parts:
-            row = _hall_row(b.second, r1)
-        elif b.row_length(1) == 1:
-            row = _x_zero_row(b.n, r1)
-        else:
-            row = _interpolated_row(b, r1)
+        row = _transition_row(b, r1)
         k = b.row_count
         total = sum(row.values(), ZERO)
         if total != q_binomial(k, r1):
@@ -532,86 +513,98 @@ def _symbolic_row(b: Bipartition, r1: int, cache: FiberCache) -> dict:
     return row
 
 
-def _n(parts: Sequence[int]) -> int:
-    """n(lambda) = sum over i of (i - 1) lambda_i."""
-    return sum(i * a for i, a in enumerate(parts))
+def _transition_row(b: Bipartition, r: int) -> dict:
+    """T[(b, r)] in closed form, by the position of W in K = ker x.
 
+    With A_k = K & im x^k and B_k = K & (im x^k + F[x]v), rank x^k drops
+    by dim(W & A_k) on V/W, and on V/(W + F[x]v) it is its rank on
+    U = V/F[x]v (Jordan type kappa_i = nu_i + mu_(i+1)) minus dim(W & B_k)
+    plus dim(W & F[x]v); orbit_of_types reads b' off the two types.
 
-def _hall_row(lam: Partition, r: int) -> dict:
-    """T[((); lam), r] for v = 0 and x of Jordan type lam.  An r-subspace W
-    of ker x is a submodule of type (1^r), so the W with quotient type
-    lam_bar number the Hall polynomial
-
-        G^lam_{lam_bar, (1^r)}(q) = q^(n(lam) - n(lam_bar) - n(1^r))
-            * prod_i [lam'_i - lam'_(i+1) choose lam'_i - lam_bar'_i]_(1/q)
-
-    over the lam_bar with lam / lam_bar a vertical r-strip (Macdonald,
-    Symmetric Functions and Hall Polynomials, 2nd ed., ch. II (4.6)).
-    [m choose k]_(1/q) is q^(-k (m - k)) [m choose k]_q."""
-    cols = transpose(lam).parts + (0,)
-    row = {}
-    for rows in itertools.combinations(range(lam.length), r):
-        parts = [a - (i in rows) for i, a in enumerate(lam.parts)]
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            continue
-        bar = Partition(tuple(a for a in parts if a))
-        bar_cols = transpose(bar).parts + (0,) * len(cols)
-        shift = _n(lam.parts) - _n(bar.parts) - r * (r - 1) // 2
-        poly = ONE
-        for i in range(len(cols) - 1):
-            m, k = cols[i] - cols[i + 1], cols[i] - bar_cols[i]
-            poly = poly * q_binomial(m, k)
-            shift -= k * (m - k)
-        row[Bipartition(EMPTY, bar)] = q_power(shift) * poly
-    return row
-
-
-def _x_zero_row(n: int, r: int) -> dict:
-    """T[((1^n); ()), r] for x = 0 and v != 0: W runs over every
-    r-subspace of V.  The [n-1 choose r-1]_q that contain v leave
-    ((); (1^(n-r))), and the q^r [n-1 choose r]_q others leave
-    ((1^(n-r)); ()); for r = n both are the empty bipartition."""
-    low = Bipartition(EMPTY, Partition((1,) * (n - r)))
-    high = Bipartition(Partition((1,) * (n - r)), EMPTY)
-    row = {low: q_binomial(n - 1, r - 1)}
-    row[high] = row.get(high, ZERO) + q_power(r) * q_binomial(n - 1, r)
-    return row
-
-
-def _interpolated_row(b: Bipartition, r1: int) -> dict:
-    """T[(b, r1)] with each entry interpolated from the numeric rows
-    T[(b, r1, p)] at the first r1 (k - r1) + 1 primes, and validated at the
-    next prime: a mismatch raises InterpolationError."""
-    bound = r1 * max(b.row_count - r1, 0)
-    primes = primes_first(bound + 1)
-    holdout = next_prime_after(primes[-1])
-    tables = {p: _transitions(b, r1, p) for p in primes + (holdout,)}
-    row = {}
-    for b2 in set().union(*tables.values()):
-        try:
-            entry = interpolate_qpoly({p: tables[p].get(b2, 0) for p in primes}, bound)
-        except InterpolationError as exc:
-            raise InterpolationError(f"T[{b}, {r1}][{b2}]: {exc}") from None
-        counted = tables[holdout].get(b2, 0)
-        if entry.evaluate(holdout) != counted:
-            raise InterpolationError(
-                f"T[{b}, {r1}][{b2}] = {entry} predicts {entry.evaluate(holdout)} "
-                f"at held-out prime {holdout}, counted {counted}"
+    A_k and B_k are spanned by basis vectors of K: e_(i,1) for each row i,
+    but u_m, the sum of the e_(j,1) over a run of equal mu_j = m > 0, for
+    its last row.  A vector lies in A_k for k <= alpha = lambda_i - 1 at
+    its row and in B_k for k <= beta = alpha, but for u_m beta is
+    m - 1 + nu_j at the row j above the run, or lambda_1 (infinity) for
+    m = mu_1.  H is spanned by the vectors with alpha = beta, L by the
+    others, whose intervals (alpha, beta] are disjoint, so each L & A_k
+    and L & B_k is the span F_t of the first t lines.  W is its projection
+    W' to H (_schubert_cells), W_L = W & L and phi: W' -> L/W_L
+    (_line_ranks), and dim(W & A_k) = dim(W_L & A_k) + dim(W' & A_k) -
+    rank(phi: W' & A_k -> L/(L & A_k + W_L)), and the same for B_k."""
+    mu, nu, top = b.first, b.second, b.row_length(1)  # A_top = 0, B_top = K & F[x]v
+    rows = range(1, b.row_count + 1)
+    h, lines = [0] * top, []
+    for i in rows:
+        alpha = beta = b.row_length(i) - 1
+        if mu.part(i) and mu.part(i + 1) != mu.part(i):
+            above = mu.parts.index(mu.part(i))  # 0 when no row is above the run
+            beta = mu.part(i) - 1 + nu.part(above) if above else top
+        if alpha == beta:
+            h[alpha] += 1
+        else:
+            lines.append((alpha, beta))
+    in_a = [sum(alpha >= k for alpha, _ in lines) for k in range(top + 1)]
+    in_b = [sum(beta >= k for _, beta in lines) for k in range(top + 1)]
+    kappa = [nu.part(i) + mu.part(i + 1) for i in rows]
+    rank_v = [sum(max(b.row_length(i) - k, 0) for i in rows) for k in range(top + 1)]
+    rank_u = [sum(max(a - k, 0) for a in kappa) for k in range(top + 1)]
+    row: dict = {}
+    for c, cells in _schubert_cells(h, r):
+        for ranks, maps in _line_ranks(c, len(lines), r - c[0]):
+            # ranks[t] = (dim W_L - dim(W_L & F_t), ranks of phi modulo F_t)
+            in_w_a, in_w_b = (
+                [r - c[0] - ranks[t[k]][0] + c[k] - ranks[t[k]][1][k] for k in range(top + 1)]
+                for t in (in_a, in_b)
             )
-        row[b2] = entry
+            lam = partition_from_ranks([a - d for a, d in zip(rank_v, in_w_a)])
+            kap = partition_from_ranks([a - d + in_w_b[-1] for a, d in zip(rank_u, in_w_b)])
+            b2 = orbit_of_types(lam, kap)
+            row[b2] = row.get(b2, ZERO) + cells * maps
     return row
 
 
-def _transitions(b: Bipartition, r1: int, p: int) -> Counter:
-    """The numeric row T[(b, r1, p)]: the r1-subspaces W of ker x at b's
-    normal pair over GF(p), tallied by the orbit of the induced pair on
-    V/W, with one classification per distinct quotient pair."""
-    np_ = normal_pair(b, p)
-    quotients = Counter(sub for _, sub in _kernel_step(_Pair(np_.v, np_.x), r1))
-    table = Counter()
-    for sub, mult in quotients.items():
-        table[classify_pair(sub.v, sub.x)] += mult
-    return table
+def _schubert_cells(h: Sequence[int], most: int) -> list[tuple[tuple[int, ...], QPolynomial]]:
+    """The subspaces W' of dimension at most `most` of a space with h[k]
+    basis vectors at level k, by Schubert cell: (c, count), c[k] =
+    dim(W' & levels >= k), count = prod over k of [h_k choose s_k]_q
+    q^(s_k (e_(k+1) - c_(k+1))), s_k = c_k - c_(k+1), e_k = h_k + h_(k+1) + ..."""
+    cells = [((0,), ONE)]
+    above = 0  # e_(k+1)
+    for k in range(len(h) - 1, -1, -1):
+        cells = [
+            ((c[0] + s,) + c, count * q_binomial(h[k], s) * q_power(s * (above - c[0])))
+            for c, count in cells
+            for s in range(min(h[k], most - c[0]) + 1)
+        ]
+        above += h[k]
+    return cells
+
+
+def _line_ranks(c: Sequence[int], n_lines: int, n_jumps: int) -> list[tuple[list, QPolynomial]]:
+    """The pairs (W_L, phi), dim W_L = n_jumps and dim(W' & A_k) = c[k], by
+    position: (ranks, count), ranks[t] = (the pivots of W_L after line t,
+    the ranks on each W' & A_k of the rows of phi after line t).  Each
+    line, from the last, is a pivot of W_L or a row of phi, free at the
+    pivots after it.  A row raises the rank rho_k of the rows after it on
+    W' & A_k exactly for the k up to some j, and q^(rho_(j+1) + N -
+    c_(j+1)) - q^(rho_j + N - c_j) rows do so, N = dim W'."""
+    paths = [([(0, (0,) * len(c))], ONE)]
+    for _ in range(n_lines):
+        grown = []
+        for ranks, count in paths:
+            after, rho = ranks[0]
+            if after < n_jumps:
+                grown.append(([(after + 1, rho)] + ranks, count))
+            lower = ZERO
+            for j in range(-1, len(c) - 1):
+                upper = q_power(rho[j + 1] + c[0] - c[j + 1])
+                if upper != lower:
+                    raised = tuple(a + (k <= j) for k, a in enumerate(rho))
+                    grown.append(([(after, raised)] + ranks, count * q_power(after) * (upper - lower)))
+                lower = upper
+        paths = grown
+    return [(ranks, count) for ranks, count in paths if ranks[0][0] == n_jumps]
 
 
 # ---------------------------------------------------------------------------

@@ -111,12 +111,10 @@ def normal_pair(b: Bipartition, p: int) -> NormalPair:
 
 
 def jordan_type(x: MatrixGF) -> Partition:
-    """Jordan type of a nilpotent matrix via coranks of its powers."""
+    """Jordan type of a nilpotent matrix via the ranks of its powers."""
     if not x.is_square():
         raise ValueError("jordan_type needs a square matrix")
     n = x.nrows
-    if n == 0:
-        return Partition(())
     ranks = [n]
     power = x
     for _ in range(n):
@@ -127,8 +125,14 @@ def jordan_type(x: MatrixGF) -> Partition:
         power = power @ x
     if ranks[-1] != 0:
         raise ValueError("matrix is not nilpotent")
-    col_counts = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    return transpose(Partition(tuple(c for c in col_counts if c > 0)))
+    return partition_from_ranks(ranks)
+
+
+def partition_from_ranks(ranks: Sequence[int]) -> Partition:
+    """Jordan type of a nilpotent map whose k-th power has rank ranks[k],
+    down to a final 0: the transpose of the rank drops."""
+    drops = (a - b for a, b in zip(ranks, ranks[1:]))
+    return transpose(Partition(tuple(d for d in drops if d)))
 
 
 def centralizer_basis(x: MatrixGF) -> tuple[MatrixGF, ...]:
@@ -157,14 +161,9 @@ def centralizer_basis(x: MatrixGF) -> tuple[MatrixGF, ...]:
 
 
 def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
-    """The bipartition (mu; nu) of the orbit of the pair (v, x), x nilpotent.
-
-    With lambda the Jordan type of x and kappa that of x on V / F[x]v,
-    padded to the length of lambda, nu_i = kappa_i - mu_{i+1} and
-    mu_i = lambda_i - nu_i for i from the last row up, with mu beyond the
-    last row 0.  The roundtrip property classify_pair(normal_pair(b, p))
-    == b pins this contract.
-    """
+    """The bipartition (mu; nu) of the orbit of the pair (v, x), x nilpotent:
+    orbit_of_types of the Jordan types of x and of x on V / F[x]v.  The
+    roundtrip classify_pair(normal_pair(b, p)) == b pins this contract."""
     n = x.nrows
     v = tuple(a % x.p for a in v)
     if len(v) != n:
@@ -173,12 +172,19 @@ def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
         return Bipartition(Partition(()), jordan_type(x))
     if x.is_zero():
         return Bipartition(Partition((1,) * n), Partition(()))
-    lam = jordan_type(x)
     krylov = []
     while any(v):
         krylov.append(v)
         v = x.matvec(v)
     kappa = jordan_type(quotient_map(SubspaceGF.span(krylov, n, x.p)).push_matrix(x))
+    return orbit_of_types(jordan_type(x), kappa)
+
+
+def orbit_of_types(lam: Partition, kappa: Partition) -> Bipartition:
+    """The orbit (mu; nu) whose pairs have Jordan type lam on V and kappa on
+    V / F[x]v.  With kappa padded to the length of lam, nu_i = kappa_i -
+    mu_(i+1) and mu_i = lam_i - nu_i for i from the last row up, with mu
+    beyond the last row 0."""
     ell = lam.length
     mu = [0] * (ell + 1)
     nu = [0] * ell

@@ -8,6 +8,11 @@ solution space of y.v = 0, yx = xy at the normal pair, with ranks taken
 over two large primes that must agree.  count_by_transitions counts a
 fiber by the numeric recursion over orbits, through the enumerated
 transition rows, and shares no table with fiber_polynomial.
+transitions enumerates those numeric rows T[(b, r1, p)], and hall_row,
+x_zero_row and interpolated_row are the symbolic rows fiber polynomials
+were assembled from before the closed form of fibers._transition_row:
+Macdonald's Hall polynomial for v = 0, two q-binomials for x = 0, and
+per-entry interpolation of transitions at primes otherwise.
 closure_by_count decides the closure order by whether a fiber is
 nonempty over GF(p), by that count.  nonneg_part
 is the closed form the centralizer module takes at a normal pair, and
@@ -20,13 +25,25 @@ fiber_dimension_bound + 1 primes and validate at the next prime.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from typing import Sequence
 
-from enhcone.combinatorics import Bipartition
-from enhcone.fibers import FiberQuery, _transitions
+from enhcone.combinatorics import EMPTY, Bipartition, Partition, transpose
+from enhcone.fibers import (
+    ONE,
+    ZERO,
+    FiberQuery,
+    InterpolationError,
+    interpolate_qpoly,
+    q_binomial,
+    q_power,
+)
 from enhcone.gflinalg import (
     MatrixGF,
     SubspaceGF,
+    enumerate_subspaces,
+    kernel,
     next_prime_after,
     primes_first,
     quotient_map,
@@ -104,7 +121,7 @@ def count_by_transitions(q: FiberQuery, memo: dict) -> int:
 
         count(b, dims, j, p) = sum over b' of T[(b, r_1, p)][b'] * count(b', rest, j - 1, p)
 
-    with the numeric transition rows T of fibers._transitions.  memo keeps
+    with the numeric transition rows T of transitions.  memo keeps
     the counts and the rows; share it only between calls of this oracle."""
     b = classify_pair(q.v, q.x)
     return _count_orbit(b, q.shape.dims, q.shape.marker, q.p, memo)
@@ -120,13 +137,96 @@ def _count_orbit(b: Bipartition, dims: tuple[int, ...], j: int, p: int, memo: di
     if key not in memo:
         row_key = ("row", b, dims[1], p)
         if row_key not in memo:
-            memo[row_key] = _transitions(b, dims[1], p)
+            memo[row_key] = transitions(b, dims[1], p)
         rest = tuple(r - dims[1] for r in dims[1:])
         jj = max(j - 1, 0)
         memo[key] = sum(
             mult * _count_orbit(b2, rest, jj, p, memo) for b2, mult in memo[row_key].items()
         )
     return memo[key]
+
+
+def transitions(b: Bipartition, r1: int, p: int) -> Counter:
+    """The numeric row T[(b, r1, p)]: the r1-subspaces W of ker x at b's
+    normal pair over GF(p), tallied by the orbit of the induced pair on
+    V/W, with one classification per distinct quotient pair."""
+    np_ = normal_pair(b, p)
+    ker = kernel(np_.x)
+    quotients = Counter()
+    for w in enumerate_subspaces(ker, r1) if r1 <= ker.dim else ():
+        qm = quotient_map(w)
+        quotients[qm.apply(np_.v), qm.push_matrix(np_.x)] += 1
+    table = Counter()
+    for (v, x), mult in quotients.items():
+        table[classify_pair(v, x)] += mult
+    return table
+
+
+def hall_row(lam: Partition, r: int) -> dict:
+    """T[((); lam), r] for v = 0 and x of Jordan type lam.  An r-subspace W
+    of ker x is a submodule of type (1^r), so the W with quotient type
+    lam_bar number the Hall polynomial
+
+        G^lam_{lam_bar, (1^r)}(q) = q^(n(lam) - n(lam_bar) - n(1^r))
+            * prod_i [lam'_i - lam'_(i+1) choose lam'_i - lam_bar'_i]_(1/q)
+
+    over the lam_bar with lam / lam_bar a vertical r-strip, where
+    n(lam) = sum (i - 1) lam_i (Macdonald, Symmetric Functions and Hall
+    Polynomials, 2nd ed., ch. II (4.6)).  [m choose k]_(1/q) is
+    q^(-k (m - k)) [m choose k]_q."""
+
+    def n_of(parts):
+        return sum(i * a for i, a in enumerate(parts))
+
+    cols = transpose(lam).parts + (0,)
+    row = {}
+    for rows in itertools.combinations(range(lam.length), r):
+        parts = [a - (i in rows) for i, a in enumerate(lam.parts)]
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            continue
+        bar = Partition(tuple(a for a in parts if a))
+        bar_cols = transpose(bar).parts + (0,) * len(cols)
+        shift = n_of(lam.parts) - n_of(bar.parts) - r * (r - 1) // 2
+        poly = ONE
+        for i in range(len(cols) - 1):
+            m, k = cols[i] - cols[i + 1], cols[i] - bar_cols[i]
+            poly = poly * q_binomial(m, k)
+            shift -= k * (m - k)
+        row[Bipartition(EMPTY, bar)] = q_power(shift) * poly
+    return row
+
+
+def x_zero_row(n: int, r: int) -> dict:
+    """T[((1^n); ()), r] for x = 0 and v != 0: W runs over every
+    r-subspace of V.  The [n-1 choose r-1]_q that contain v leave
+    ((); (1^(n-r))), and the q^r [n-1 choose r]_q others leave
+    ((1^(n-r)); ()); for r = n both are the empty bipartition."""
+    low = Bipartition(EMPTY, Partition((1,) * (n - r)))
+    high = Bipartition(Partition((1,) * (n - r)), EMPTY)
+    row = {low: q_binomial(n - 1, r - 1)}
+    row[high] = row.get(high, ZERO) + q_power(r) * q_binomial(n - 1, r)
+    return row
+
+
+def interpolated_row(b: Bipartition, r1: int) -> dict:
+    """T[(b, r1)] with each entry interpolated from transitions at the
+    first r1 (k - r1) + 1 primes, k = dim ker x, and validated at the next
+    prime: a mismatch raises InterpolationError."""
+    bound = r1 * max(b.row_count - r1, 0)
+    primes = primes_first(bound + 1)
+    holdout = next_prime_after(primes[-1])
+    tables = {p: transitions(b, r1, p) for p in primes + (holdout,)}
+    row = {}
+    for b2 in set().union(*tables.values()):
+        entry = interpolate_qpoly({p: tables[p].get(b2, 0) for p in primes}, bound)
+        counted = tables[holdout].get(b2, 0)
+        if entry.evaluate(holdout) != counted:
+            raise InterpolationError(
+                f"T[{b}, {r1}][{b2}] = {entry} predicts {entry.evaluate(holdout)} "
+                f"at held-out prime {holdout}, counted {counted}"
+            )
+        row[b2] = entry
+    return row
 
 
 def closure_by_count(big: Bipartition, small: Bipartition, p: int, memo: dict) -> bool:

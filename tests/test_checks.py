@@ -74,15 +74,15 @@ class TestPolynomialCount:
         assert got == table
 
     def test_row_sum_fault_fails(self, monkeypatch, clean_cache):
-        hall_row = fibers._hall_row
+        transition_row = fibers._transition_row
 
-        def one_too_many(lam, r):
-            row = hall_row(lam, r)
+        def one_too_many(b, r):
+            row = transition_row(b, r)
             first = next(iter(row))
             row[first] = row[first] + QPolynomial((0, 1))
             return row
 
-        monkeypatch.setattr(fibers, "_hall_row", one_too_many)
+        monkeypatch.setattr(fibers, "_transition_row", one_too_many)
         rep = check_polynomial_count(bipartition((), (2,)), bipartition((), (1, 1)))
         assert rep.verdict == "fail"
         assert "sums to" in rep.witness["reason"]

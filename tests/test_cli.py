@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-from collections import Counter
 
 import pytest
 
@@ -264,18 +263,17 @@ class TestExitCodes:
         assert err.startswith("internal error:")
 
     def test_failed_transition_row_is_check_failure(self, capsys, monkeypatch, clean_cache):
-        # T[((1);(1)), 1] is the constant 1, interpolated at p = 2 and held
-        # out at p = 3; a miscount at 3 fails the row
-        transitions = fibers._transitions
+        # T[((1);(1)), 1] is the constant 1; doubled, it no longer sums to [1 choose 1]_q
+        transition_row = fibers._transition_row
         b = bipartition((1,), (1,))
 
-        def miscounted(orbit, r1, p):
-            table = transitions(orbit, r1, p)
-            if (orbit, r1, p) == (b, 1, 3):
-                table = Counter({b2: 2 * m for b2, m in table.items()})
-            return table
+        def miscounted(orbit, r1):
+            row = transition_row(orbit, r1)
+            if (orbit, r1) == (b, 1):
+                row = {b2: e + e for b2, e in row.items()}
+            return row
 
-        monkeypatch.setattr(fibers, "_transitions", miscounted)
+        monkeypatch.setattr(fibers, "_transition_row", miscounted)
         code, out = run_cli(
             capsys, "fiber-poly", "--big", "mu=1;nu=1", "--small", "mu=1;nu=1", "--format", "json"
         )
@@ -283,7 +281,7 @@ class TestExitCodes:
         payload = json.loads(out)
         assert payload["verdict"] == "fail"
         (note,) = payload["witnesses"]
-        assert "held-out prime 3" in note
+        assert "sums to" in note
         for selected in ("polynomial,semismall", "alpha"):
             code, out = run_cli(
                 capsys, "check", "--n", "2", "--checks", selected, "--format", "json"

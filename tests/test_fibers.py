@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -14,7 +15,7 @@ from enhcone.gflinalg import (
     rref,
 )
 from enhcone.normalform import classify_pair, jordan_type, normal_pair
-from enhcone import fibers
+from enhcone import fibers, gflinalg, normalform
 from enhcone.fibers import (
     FiberCache,
     FiberQuery,
@@ -37,9 +38,13 @@ from oracles import (
     classify_by_centralizer,
     closure_by_count,
     count_by_transitions,
+    hall_row,
     held_out_prime,
+    interpolated_row,
     prime_schedule,
     stabilizer_orbit_dimension,
+    transitions,
+    x_zero_row,
 )
 
 
@@ -211,15 +216,14 @@ class TestMemo:
         misses = cache.misses
         cache.clear()
         assert cache.stats == {"hits": 0, "misses": 0, "entries": 0}
-        # v = 0 at small, so every row it reads is a Hall row
-        hall_row = fibers._hall_row
+        transition_row = fibers._transition_row
         rows = []
 
-        def counting(lam, r):
-            rows.append((lam, r))
-            return hall_row(lam, r)
+        def counting(b, r):
+            rows.append((b, r))
+            return transition_row(b, r)
 
-        monkeypatch.setattr(fibers, "_hall_row", counting)
+        monkeypatch.setattr(fibers, "_transition_row", counting)
         # the count misses again and is rebuilt from the polynomial
         assert count_fiber_memo(q, cache) == value
         assert fiber_polynomial(big, small, cache) == poly
@@ -483,20 +487,70 @@ class TestSymbolicTable:
                     assert q_binomial(m, k).evaluate(p) == gaussian_binomial(m, k, p)
 
     def test_closed_form_rows_match_enumeration(self):
-        # every v = 0 row (the Hall polynomial) and x = 0 row with n <= 4
+        # every row with n <= 5 at p = 2 and 3, and with n = 6 at p = 2
+        checked = 0
+        for n in range(1, 7):
+            for b in bipartitions(n):
+                for r1 in range(1, b.row_count + 1):
+                    row = fibers._symbolic_row(b, r1, FiberCache())
+                    for p in (2, 3) if n <= 5 else (2,):
+                        evaluated = {b2: e.evaluate(p) for b2, e in row.items()}
+                        assert evaluated == dict(transitions(b, r1, p)), (str(b), r1, p)
+                    checked += 1
+        assert checked == 342
+
+    def test_hall_and_x_zero_rows(self):
+        # v = 0 rows are Macdonald's Hall polynomials, x = 0 rows two q-binomials
+        checked = 0
+        for n in range(1, 8):
+            for b in bipartitions(n):
+                for r1 in range(1, b.row_count + 1):
+                    if not b.first.parts:
+                        expected = hall_row(b.second, r1)
+                    elif b.row_length(1) == 1:
+                        expected = x_zero_row(n, r1)
+                    else:
+                        continue
+                    assert fibers._transition_row(b, r1) == expected, (str(b), r1)
+                    checked += 1
+        assert checked == 159
+
+    def test_other_rows_match_interpolation(self):
+        # rows with v != 0 and x != 0, interpolated at primes and held out
         checked = 0
         for n in range(1, 5):
             for b in bipartitions(n):
-                if b.first.parts and b.row_length(1) > 1:
+                if not b.first.parts or b.row_length(1) == 1:
                     continue
-                for r1 in range(1, n + 1):
-                    row = fibers._symbolic_row(b, r1, FiberCache())
-                    for p in (2, 3):
-                        numeric = fibers._transitions(b, r1, p)
-                        evaluated = {b2: e.evaluate(p) for b2, e in row.items()}
-                        assert evaluated == dict(numeric), (str(b), r1, p)
+                for r1 in range(1, b.row_count + 1):
+                    assert fibers._transition_row(b, r1) == interpolated_row(b, r1), (str(b), r1)
                     checked += 1
-        assert checked == 44  # 34 Hall rows, 10 with x = 0
+        assert checked == 38
+
+    def test_polynomials_read_no_prime_field(self, monkeypatch):
+        # the polynomial path enumerates no subspace, classifies no pair and
+        # interpolates nothing
+        calls = Counter()
+        modules = (gflinalg, normalform, fibers)
+        for module, name in (
+            (gflinalg, "enumerate_subspaces"),
+            (normalform, "classify_pair"),
+            (fibers, "interpolate_qpoly"),
+        ):
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for holder in modules:
+                if getattr(holder, name, None) is original:
+                    monkeypatch.setattr(holder, name, counting)
+        cache = FiberCache()
+        for n in range(6):
+            for big, small in closure_pairs(n):
+                fiber_polynomial(big, small, cache)
+        assert calls == Counter()
 
 
 class TestFlagEnumeration:
