@@ -128,7 +128,9 @@ def check_polynomial_count(big: Bipartition, small: Bipartition) -> CheckReport:
     each checked against their q-binomial sum as they are built; a row
     that fails it fails the certificate with a note.  The count at p = 2 is
     count_fiber, which classifies no pair and reads no transition row
-    and no count table, so it shares no data with P.  A fail
+    and no count table, so it shares no data with P.  Its walker
+    memoizes on the exact GF(2) quotient pair, in a fresh memo for this
+    one count, so it replays only counts it made itself.  A fail
     carries a note per violated condition."""
     started = time.perf_counter()
     p = 2  # the brute-force count enumerates the fewest flags over GF(2)

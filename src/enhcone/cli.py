@@ -361,7 +361,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, AssertionError, ArithmeticError) as exc:
+    except Exception as exc:  # KeyboardInterrupt and SystemExit pass through
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

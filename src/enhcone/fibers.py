@@ -17,6 +17,15 @@ the quotient map by W_1 and the induced pair on V / W_1:
 - the graded step yields the weight-graded ones, block by block
   (count_lambda_fixed, enumerate_lambda_fixed_flags).
 
+Different first subspaces often leave the same quotient pair, so _count
+memoizes on (pair, dims, j), with pair the exact pair over GF(p): v and
+the matrix of x, and for the graded step the weights too.  Equal keys
+are equal subproblems, so a hit cannot change a count.  The memo is a
+fresh dict for each count_fiber or count_lambda_fixed call and dies
+with it.  It classifies nothing and reads no transition row and no
+FiberCache, so the brute-force count stays independent of the fiber
+polynomials that it certifies.
+
 Counts depend only on the orbit of (v, x), and orbits are indexed by
 bipartitions, so fiber_polynomial recurses over bipartitions in Z[q],
 memoized on (b, dims, j):
@@ -144,16 +153,22 @@ def _graded_step(pair: GradedPair, r1: int) -> Iterator[tuple[QuotientMap, Grade
         yield graded_quotient(pair, selection)
 
 
-def _count(step, pair, dims: tuple[int, ...], j: int) -> int:
+def _count(step, pair, dims: tuple[int, ...], j: int, memo: dict) -> int:
     """Number of fiber flags of shape (dims, j) over pair, recursing on the
-    first subspaces that step yields."""
+    first subspaces that step yields.  memo maps (pair, dims, j) to its
+    count: equal keys are the same exact pair over GF(p), so a hit replays
+    a count this walk already made."""
     if j == 0 and any(pair.v):
         return 0
     if len(dims) == 1:
         return 1
-    rest = tuple(r - dims[1] for r in dims[1:])
-    jj = max(j - 1, 0)
-    return sum(_count(step, sub, rest, jj) for _, sub in step(pair, dims[1]))
+    key = (pair, dims, j)
+    count = memo.get(key)
+    if count is None:
+        rest = tuple(r - dims[1] for r in dims[1:])
+        jj = max(j - 1, 0)
+        count = memo[key] = sum(_count(step, sub, rest, jj, memo) for _, sub in step(pair, dims[1]))
+    return count
 
 
 def _flags(step, pair, dims: tuple[int, ...], j: int) -> Iterator[tuple[SubspaceGF, ...]]:
@@ -173,8 +188,9 @@ def _flags(step, pair, dims: tuple[int, ...], j: int) -> Iterator[tuple[Subspace
 
 
 def count_fiber(q: FiberQuery) -> int:
-    """Exact number of fiber flags over GF(p), by direct recursion."""
-    return _count(_kernel_step, _Pair(q.v, q.x), q.shape.dims, q.shape.marker)
+    """Exact number of fiber flags over GF(p), by direct recursion with a
+    memo of its own."""
+    return _count(_kernel_step, _Pair(q.v, q.x), q.shape.dims, q.shape.marker, {})
 
 
 def enumerate_fiber_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ...]]:
@@ -183,8 +199,9 @@ def enumerate_fiber_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ...]]:
 
 
 def count_lambda_fixed(q: FiberQuery) -> int:
-    """Number of fiber flags all of whose subspaces are weight-graded."""
-    return _count(_graded_step, q.graded_pair(), q.shape.dims, q.shape.marker)
+    """Number of fiber flags all of whose subspaces are weight-graded, by
+    direct recursion with a memo of its own."""
+    return _count(_graded_step, q.graded_pair(), q.shape.dims, q.shape.marker, {})
 
 
 def enumerate_lambda_fixed_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ...]]:

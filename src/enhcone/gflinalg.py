@@ -44,13 +44,6 @@ def primes_first(k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def next_prime_after(n: int) -> int:
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
-
-
 @dataclass(frozen=True)
 class MatrixGF:
     """Dense matrix over GF(p); rows is a tuple of row tuples."""

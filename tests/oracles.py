@@ -13,14 +13,17 @@ x_zero_row and interpolated_row are the symbolic rows fiber polynomials
 were assembled from before the closed form of fibers._transition_row:
 Macdonald's Hall polynomial for v = 0, two q-binomials for x = 0, and
 per-entry interpolation of transitions at primes otherwise.
-closure_by_count decides the closure order by whether a fiber is
-nonempty over GF(p), by that count.  nonneg_part
+walk_count is the fiber walker fibers._count without its memo, and
+unmemoized_fiber_count and unmemoized_lambda_fixed_count run it on the
+kernel and graded steps.  closure_by_count decides the closure order by
+whether a fiber is nonempty over GF(p), by that count.  nonneg_part
 is the closed form the centralizer module takes at a normal pair, and
 orbit_map_tangent_surjective is the tangent-space shadow of the
 dense-orbit statement.  prime_schedule and held_out_prime are the
 fiber-level sampling policy that fiber polynomials came from before
 the symbolic transition table: interpolate the counts at the first
-fiber_dimension_bound + 1 primes and validate at the next prime.
+fiber_dimension_bound + 1 primes and validate at the next prime, which
+next_prime_after finds.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from collections import Counter
 from typing import Sequence
 
 from enhcone.combinatorics import EMPTY, Bipartition, Partition, transpose
+from enhcone import fibers
 from enhcone.fibers import (
     ONE,
     ZERO,
@@ -43,8 +47,8 @@ from enhcone.gflinalg import (
     MatrixGF,
     SubspaceGF,
     enumerate_subspaces,
+    is_prime,
     kernel,
-    next_prime_after,
     primes_first,
     quotient_map,
     rank,
@@ -229,6 +233,28 @@ def interpolated_row(b: Bipartition, r1: int) -> dict:
     return row
 
 
+def walk_count(step, pair, dims: tuple[int, ...], j: int) -> int:
+    """fibers._count without its memo: every first subspace that step
+    yields is walked again, however often its quotient pair repeats."""
+    if j == 0 and any(pair.v):
+        return 0
+    if len(dims) == 1:
+        return 1
+    rest = tuple(r - dims[1] for r in dims[1:])
+    jj = max(j - 1, 0)
+    return sum(walk_count(step, sub, rest, jj) for _, sub in step(pair, dims[1]))
+
+
+def unmemoized_fiber_count(q: FiberQuery) -> int:
+    """count_fiber by walk_count on the kernel step."""
+    return walk_count(fibers._kernel_step, fibers._Pair(q.v, q.x), q.shape.dims, q.shape.marker)
+
+
+def unmemoized_lambda_fixed_count(q: FiberQuery) -> int:
+    """count_lambda_fixed by walk_count on the graded step."""
+    return walk_count(fibers._graded_step, q.graded_pair(), q.shape.dims, q.shape.marker)
+
+
 def closure_by_count(big: Bipartition, small: Bipartition, p: int, memo: dict) -> bool:
     """Whether small's orbit lies in the image of big's resolution: the
     fiber over small's normal point has a point over GF(p)."""
@@ -268,6 +294,13 @@ def orbit_map_tangent_surjective(b: Bipartition, p: int = 101) -> bool:
 def prime_schedule(degree_bound: int) -> tuple[int, ...]:
     """Sampling schedule: the first degree_bound + 1 primes."""
     return primes_first(degree_bound + 1)
+
+
+def next_prime_after(n: int) -> int:
+    n += 1
+    while not is_prime(n):
+        n += 1
+    return n
 
 
 def held_out_prime(schedule: Sequence[int]) -> int:

@@ -73,6 +73,16 @@ class TestPolynomialCount:
         ]
         assert got == table
 
+    def test_every_n5_certificate_passes(self):
+        pairs = closure_pairs(5)
+        assert len(pairs) == 533
+        failed = [
+            (str(big), str(small))
+            for big, small in pairs
+            if not check_polynomial_count(big, small).passed
+        ]
+        assert failed == []
+
     def test_row_sum_fault_fails(self, monkeypatch, clean_cache):
         transition_row = fibers._transition_row
 

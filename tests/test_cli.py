@@ -253,14 +253,24 @@ class TestExitCodes:
             assert code == 2, argv
 
     def test_library_error_is_internal(self, capsys, monkeypatch):
-        def broken(q):
-            raise ValueError("invariant broken")
+        for error in (ValueError, KeyError, TypeError):
 
-        monkeypatch.setattr(checks, "count_fiber", broken)
-        code = main(["fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1"])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert err.startswith("internal error:")
+            def broken(q):
+                raise error("invariant broken")
+
+            monkeypatch.setattr(checks, "count_fiber", broken)
+            code = main(["fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1"])
+            err = capsys.readouterr().err
+            assert code == 3, error
+            assert err.startswith(f"internal error: {error.__name__}:")
+
+    def test_interrupt_is_not_an_internal_error(self, monkeypatch):
+        def interrupted(q):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(checks, "count_fiber", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1"])
 
     def test_failed_transition_row_is_check_failure(self, capsys, monkeypatch, clean_cache):
         # T[((1);(1)), 1] is the constant 1; doubled, it no longer sums to [1 choose 1]_q

@@ -28,6 +28,7 @@ from enhcone.fibers import (
     count_lambda_fixed,
     enumerate_fiber_flags,
     enumerate_lambda_fixed_flags,
+    fiber_cache,
     fiber_dimension_bound,
     fiber_polynomial,
     interpolate_qpoly,
@@ -41,9 +42,12 @@ from oracles import (
     hall_row,
     held_out_prime,
     interpolated_row,
+    next_prime_after,
     prime_schedule,
     stabilizer_orbit_dimension,
     transitions,
+    unmemoized_fiber_count,
+    unmemoized_lambda_fixed_count,
     x_zero_row,
 )
 
@@ -138,6 +142,57 @@ class TestCountFiber:
             FiberQuery.raw((0, 0, 0), MatrixGF.zeros(2, 2, 2), FlagShape((0, 2), 0))
         with pytest.raises(ValueError):
             FiberQuery.raw((0, 0), MatrixGF.zeros(2, 2, 2), FlagShape((0, 3), 0))
+
+
+class TestWalkerMemo:
+    def test_count_fiber_matches_unmemoized_walker(self):
+        for n in range(5):
+            for big, small in closure_pairs(n):
+                for p in (2, 3):
+                    q = FiberQuery.over_orbit(small, big, p)
+                    assert count_fiber(q) == unmemoized_fiber_count(q), (str(big), str(small), p)
+
+    def test_count_lambda_fixed_matches_unmemoized_walker(self):
+        pairs = [pair for n in range(4) for pair in itertools.product(bipartitions(n), repeat=2)]
+        # two graded quotients of (();(2,1,1))'s pair share v and x but not
+        # their weights: a memo keyed without the weights miscounts here
+        pairs.append((bipartition((), (4,)), bipartition((), (2, 1, 1))))
+        for big, small in pairs:
+            for p in (2, 3):
+                q = FiberQuery.over_orbit(small, big, p)
+                assert count_lambda_fixed(q) == unmemoized_lambda_fixed_count(q), (
+                    str(big), str(small), p,
+                )
+
+    def test_count_is_independent_of_the_polynomials(self, monkeypatch, clean_cache):
+        def forbidden(*args):
+            raise AssertionError("the brute-force count read the polynomial path")
+
+        for module, name in (
+            (normalform, "classify_pair"),
+            (fibers, "classify_pair"),
+            (fibers, "_transition_row"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        yielded = Counter()
+        enumerate_all = gflinalg.enumerate_subspaces
+
+        def counting(*args):
+            for w in enumerate_all(*args):
+                yielded["subspaces"] += 1
+                yield w
+
+        monkeypatch.setattr(fibers, "enumerate_subspaces", counting)
+        q = FiberQuery.over_orbit(bipartition((), (1, 1, 1, 1)), bipartition((), (2, 2)), 2)
+        first = count_fiber(q)
+        walked = yielded["subspaces"]
+        # one call's memo is gone by the next call, which walks as far
+        assert count_fiber(q) == first
+        assert yielded["subspaces"] == 2 * walked
+        # within a call the memo does replay counts: the plain walker goes further
+        assert unmemoized_fiber_count(q) == first
+        assert yielded["subspaces"] - 2 * walked > walked
+        assert fiber_cache().stats == {"hits": 0, "misses": 0, "entries": 0}
 
 
 class TestSpringerBenchmarks:
@@ -375,6 +430,7 @@ class TestDimensionBound:
         sched = prime_schedule(3)
         assert sched == (2, 3, 5, 7)
         assert held_out_prime(sched) == 11
+        assert next_prime_after(13) == 17
 
 
 class TestOrbitDimension:

@@ -7,7 +7,6 @@ from enhcone.gflinalg import (
     gaussian_binomial,
     is_prime,
     kernel,
-    next_prime_after,
     primes_first,
     quotient_map,
     rank,
@@ -26,7 +25,6 @@ class TestPrimes:
 
     def test_schedule_helpers(self):
         assert primes_first(5) == (2, 3, 5, 7, 11)
-        assert next_prime_after(13) == 17
 
 
 class TestMatrix:
