@@ -44,11 +44,11 @@ from .fibers import (
     count_fiber,
     count_fiber_memo,
     count_lambda_fixed,
-    enumerate_fiber_flags,
-    enumerate_lambda_fixed_flags,
     fiber_dimension_bound,
     fiber_polynomial,
+    fiber_profiles,
     interpolate_qpoly,
+    lambda_fixed_profiles,
     orbit_dimension,
 )
 
@@ -163,14 +163,6 @@ def check_polynomial_count(big: Bipartition, small: Bipartition) -> CheckReport:
 # alpha-partition by parabolic-orbit profiles
 
 
-def _flag_profile(
-    flag: Sequence[SubspaceGF], filtrations: Sequence[SubspaceGF]
-) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(w.intersect(f).dim for f in filtrations) for w in flag
-    )
-
-
 def check_alpha_partition(
     big: Bipartition, small: Bipartition, budget: int = DEFAULT_BUDGET
 ) -> CheckReport:
@@ -179,9 +171,10 @@ def check_alpha_partition(
     to the total at every prime and each piece must interpolate to a
     polynomial with nonnegative integer coefficients.
 
-    The total is count_fiber_memo, so a transition row that fails its
-    validation fails the check with a note.  The budget caps the flags
-    enumerated over all primes."""
+    The pieces are counted by the profile walker fiber_profiles, with
+    no flag enumerated.  The total is count_fiber_memo, so a transition
+    row that fails its validation fails the check with a note.  The
+    budget caps the walker nodes expanded over all primes."""
     started = time.perf_counter()
     inputs = {"big": _bp_json(big), "small": _bp_json(small)}
     shape = flag_shape(big)
@@ -203,14 +196,10 @@ def check_alpha_partition(
                 )
                 for lvl in levels
             ]
-            seen = 0
-            for flag in enumerate_fiber_flags(q):
-                spent.spend()
-                seen += 1
-                profile = _flag_profile(flag, filtrations)
-                bucket = piece_counts.setdefault(profile, {})
-                bucket[p] = bucket.get(p, 0) + 1
-            totals[p] = (seen, expected)
+            hist = fiber_profiles(q, filtrations, spent.spend)
+            for profile, count in hist.items():
+                piece_counts.setdefault(profile, {})[p] = count
+            totals[p] = (sum(hist.values()), expected)
     except BudgetExceeded as exc:
         witness = {"nodes": exc.nodes, "limit": exc.limit}
         return _report("alpha-partition", inputs, BUDGET_EXCEEDED, witness, started)
@@ -391,8 +380,11 @@ def check_split_product(
     """For a non-distinguished pair split as V1 (+) V2, the graded fiber
     flags that respect the splitting, bucketed by the profile
     dim(W_i intersect V1), must match products of the two factors'
-    graded fiber counts with shapes read off the profile.  The budget
-    caps the lambda-fixed flags enumerated."""
+    graded fiber counts with shapes read off the profile.  The profiles
+    dim(W_i intersect V1), dim(W_i intersect V2) come from the profile
+    walker lambda_fixed_profiles, and a flag respects the splitting
+    when they sum to dim W_i.  The budget caps the walker nodes
+    expanded."""
     started = time.perf_counter()
     if is_distinguished(b):
         raise ValueError(f"{b} is distinguished; the splitting step does not apply")
@@ -404,24 +396,19 @@ def check_split_product(
     shape = flag_shape(big)
     j = shape.marker
     q = FiberQuery.of(np_, shape)
-    spent = SearchBudget(budget)
-    lflags = []
     try:
-        for flag in enumerate_lambda_fixed_flags(q):
-            spent.spend()
-            lflags.append(flag)
+        hist = lambda_fixed_profiles(q, (dec.v1, dec.v2), SearchBudget(budget).spend)
     except BudgetExceeded as exc:
         witness = {"nodes": exc.nodes, "limit": exc.limit}
         return _report("split-product", inputs, BUDGET_EXCEEDED, witness, started)
     buckets: dict[tuple[int, ...], int] = {}
     split_total = 0
-    for flag in lflags:
-        dims1 = tuple(w.intersect(dec.v1).dim for w in flag)
-        dims2 = tuple(w.intersect(dec.v2).dim for w in flag)
-        if any(a + bdim != w.dim for a, bdim, w in zip(dims1, dims2, flag)):
+    for profile, count in hist.items():
+        if any(a + bdim != d for (a, bdim), d in zip(profile, shape.dims[1:])):
             continue
-        split_total += 1
-        buckets[dims1] = buckets.get(dims1, 0) + 1
+        split_total += count
+        dims1 = tuple(a for a, _ in profile)
+        buckets[dims1] = buckets.get(dims1, 0) + count
     pair1 = restrict_pair(np_.pair, dec.v1)
     pair2 = restrict_pair(np_.pair, dec.v2)
     notes = []
@@ -462,7 +449,7 @@ def check_split_product(
         }
     euler_ok = product_total == split_total
     witness = {
-        "lambda_fixed_flags": len(lflags),
+        "lambda_fixed_flags": sum(hist.values()),
         "split_flags": split_total,
         "profiles": profile_witness,
         "product_total": product_total,

@@ -26,6 +26,15 @@ with it.  It classifies nothing and reads no transition row and no
 FiberCache, so the brute-force count stays independent of the fiber
 polynomials that it certifies.
 
+The profile walker (_profiles; fiber_profiles, lambda_fixed_profiles)
+runs the same recursion carrying a tuple of fixed subspaces S, and
+counts the flags by their profiles dim(W_i & S) instead of listing
+them: each S is pushed into V/W_1 along with the pair, and the memo key
+(pair, pushed subspaces, dims, j) is again exact over GF(p).  The alpha
+check buckets by the weight filtrations on the kernel step, the split
+check by a splitting V1 (+) V2 on the graded step.  _flags stays as
+the oracle that the walkers are tested against.
+
 Counts depend only on the orbit of (v, x), and orbits are indexed by
 bipartitions, so fiber_polynomial recurses over bipartitions in Z[q],
 memoized on (b, dims, j):
@@ -58,7 +67,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .combinatorics import Bipartition, FlagShape, bipartitions, flag_shape
 from .gflinalg import (
@@ -187,6 +196,38 @@ def _flags(step, pair, dims: tuple[int, ...], j: int) -> Iterator[tuple[Subspace
             yield (w1,) + tuple(qm.preimage(s) for s in tail)
 
 
+def _profiles(step, pair, subspaces: tuple, dims: tuple[int, ...], j: int, memo: dict, spend) -> dict:
+    """Histogram {profile: count} of the flags that _count counts, with
+    profile[i][s] = dim(W_(i+1) & subspaces[s]).  Each candidate W_1
+    pushes every S into V/W_1: dim(W_1 & S) = dim S - dim(pushed S), and
+    by the modular law dim(W_i & S) = dim(W_1 & S) + dim(W_i/W_1 &
+    pushed S), so each profile of the quotient shifts by that first row.
+    memo maps (pair, subspaces, dims, j) to its histogram, all exact
+    canonical objects over GF(p); spend() is called once for each
+    candidate W_1 expanded on a miss."""
+    if j == 0 and any(pair.v):
+        return {}
+    if len(dims) == 1:
+        return {(): 1}
+    key = (pair, subspaces, dims, j)
+    hist = memo.get(key)
+    if hist is None:
+        rest = tuple(r - dims[1] for r in dims[1:])
+        jj = max(j - 1, 0)
+        hist = {}
+        for qm, sub in step(pair, dims[1]):
+            spend()
+            pushed = tuple(
+                SubspaceGF.span([qm.apply(u) for u in s.basis], qm.codim, qm.p) for s in subspaces
+            )
+            first = tuple(s.dim - t.dim for s, t in zip(subspaces, pushed))
+            for tail, count in _profiles(step, sub, pushed, rest, jj, memo, spend).items():
+                profile = (first,) + tuple(tuple(a + b for a, b in zip(first, row)) for row in tail)
+                hist[profile] = hist.get(profile, 0) + count
+        memo[key] = hist
+    return hist
+
+
 def count_fiber(q: FiberQuery) -> int:
     """Exact number of fiber flags over GF(p), by direct recursion with a
     memo of its own."""
@@ -207,6 +248,27 @@ def count_lambda_fixed(q: FiberQuery) -> int:
 def enumerate_lambda_fixed_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ...]]:
     """All weight-graded fiber flags, lifted to the ambient space."""
     yield from _flags(_graded_step, q.graded_pair(), q.shape.dims, q.shape.marker)
+
+
+def fiber_profiles(
+    q: FiberQuery, subspaces: Sequence[SubspaceGF], spend: Callable[[], object] = lambda: None
+) -> dict:
+    """{profile: number of fiber flags W with dim(W_(i+1) & subspaces[s]) =
+    profile[i][s]}, by the profile walker with a memo of its own; spend()
+    is called once per walker node, a candidate W_1 expanded on a memo
+    miss at any depth."""
+    return _profiles(
+        _kernel_step, _Pair(q.v, q.x), tuple(subspaces), q.shape.dims, q.shape.marker, {}, spend
+    )
+
+
+def lambda_fixed_profiles(
+    q: FiberQuery, subspaces: Sequence[SubspaceGF], spend: Callable[[], object] = lambda: None
+) -> dict:
+    """fiber_profiles over the weight-graded fiber flags only."""
+    return _profiles(
+        _graded_step, q.graded_pair(), tuple(subspaces), q.shape.dims, q.shape.marker, {}, spend
+    )
 
 
 class FiberCache:

@@ -23,7 +23,10 @@ dense-orbit statement.  prime_schedule and held_out_prime are the
 fiber-level sampling policy that fiber polynomials came from before
 the symbolic transition table: interpolate the counts at the first
 fiber_dimension_bound + 1 primes and validate at the next prime, which
-next_prime_after finds.
+next_prime_after finds.  flag_histogram buckets enumerated flags by
+flag_profile, the dimensions of their intersections with fixed
+subspaces in the ambient space: the histogram that the profile walker
+fibers._profiles computes without listing a flag.
 """
 
 from __future__ import annotations
@@ -253,6 +256,18 @@ def unmemoized_fiber_count(q: FiberQuery) -> int:
 def unmemoized_lambda_fixed_count(q: FiberQuery) -> int:
     """count_lambda_fixed by walk_count on the graded step."""
     return walk_count(fibers._graded_step, q.graded_pair(), q.shape.dims, q.shape.marker)
+
+
+def flag_profile(
+    flag: Sequence[SubspaceGF], subspaces: Sequence[SubspaceGF]
+) -> tuple[tuple[int, ...], ...]:
+    """profile[i][s] = dim(flag[i] & subspaces[s])."""
+    return tuple(tuple(w.intersect(s).dim for s in subspaces) for w in flag)
+
+
+def flag_histogram(flags, subspaces: Sequence[SubspaceGF]) -> dict:
+    """{profile: number of flags} over the flags, by flag_profile."""
+    return dict(Counter(flag_profile(flag, subspaces) for flag in flags))
 
 
 def closure_by_count(big: Bipartition, small: Bipartition, p: int, memo: dict) -> bool:

@@ -11,7 +11,7 @@ from enhcone.combinatorics import (
     format_bipartition,
     is_distinguished,
 )
-from enhcone.normalform import normal_pair
+from enhcone.normalform import explicit_decomposition, normal_pair
 from enhcone import fibers
 from enhcone.fibers import (
     FiberQuery,
@@ -21,6 +21,7 @@ from enhcone.fibers import (
     fiber_dimension_bound,
     fiber_polynomial,
     interpolate_qpoly,
+    lambda_fixed_profiles,
 )
 from enhcone.checks import (
     check_alpha_partition,
@@ -134,6 +135,17 @@ class TestAlphaPartition:
                 for record in rep.witness["totals"].values():
                     assert record["enumerated"] == record["counted"]
 
+    def test_budget_counts_walker_nodes(self):
+        # x = 0 on GF(p)^2 at p = 2, 3, 5: the p + 1 lines W_1, then
+        # W_2 = V over the quotient line, expanded once since every
+        # quotient is the same pair with the same pushed filtration
+        big, small = bipartition((), (2,)), bipartition((), (1, 1))
+        nodes = sum(p + 1 + 1 for p in (2, 3, 5))
+        assert check_alpha_partition(big, small, budget=nodes).passed
+        rep = check_alpha_partition(big, small, budget=nodes - 1)
+        assert rep.verdict == "budget-exceeded"
+        assert rep.witness == {"nodes": nodes, "limit": nodes - 1}
+
 
 class TestDistinguishedLemma:
     def test_regular_is_distinguished(self):
@@ -174,6 +186,17 @@ class TestSplitProduct:
                 for p in (2, 3):
                     rep = check_split_product(small, big, p)
                     assert rep.passed, (str(big), str(small), p, rep.witness)
+
+    def test_budget_counts_walker_nodes(self):
+        small, big = bipartition((), (1, 1, 1)), bipartition((), (2, 1))
+        q = FiberQuery.of(normal_pair(small, 2), flag_shape(big))
+        dec = explicit_decomposition(normal_pair(small, 2))
+        nodes = []
+        lambda_fixed_profiles(q, (dec.v1, dec.v2), lambda: nodes.append(1))
+        assert check_split_product(small, big, 2, budget=len(nodes)).passed
+        rep = check_split_product(small, big, 2, budget=len(nodes) - 1)
+        assert rep.verdict == "budget-exceeded"
+        assert rep.witness == {"nodes": len(nodes), "limit": len(nodes) - 1}
 
     def test_rejects_distinguished(self):
         with pytest.raises(ValueError):

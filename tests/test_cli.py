@@ -180,6 +180,14 @@ class TestCheckCommand:
         rows = csv_rows(out)
         assert any(r["verdict"] == "budget-exceeded" for r in rows)
 
+    def test_walker_budget_exhaustion_exits_nonzero(self, capsys):
+        code, out = run_cli(
+            capsys, "check", "--n", "2", "--checks", "alpha,split", "--budget", "2"
+        )
+        assert code == 1
+        exceeded = {r["check"] for r in csv_rows(out) if r["verdict"] == "budget-exceeded"}
+        assert exceeded == {"alpha-partition", "split-product"}
+
 
 class TestClosureOrder:
     def test_n1_edge(self, capsys):
@@ -416,8 +424,8 @@ class TestHeldOutCount:
 
     def test_poisoned_count_fails_alpha_not_split(self, tmp_path, capsys, clean_cache):
         # a huge count used to exhaust both checks' budgets on every run,
-        # so the file was never cleared; the budgets now count enumerated
-        # flags, and only alpha reads the count
+        # so the file was never cleared; the budgets now count walker
+        # nodes, and only alpha reads the count
         path = tmp_path / "huge.jsonl"
         path.write_text(
             json.dumps({"cache_format": 1}) + "\n" + count_record(2, 100000000) + "\n"

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from enhcone.combinatorics import FlagShape, bipartition, bipartitions, flag_shape
+from enhcone.combinatorics import FlagShape, bipartition, bipartitions, flag_shape, is_distinguished
 from enhcone.gflinalg import (
     MatrixGF,
     SubspaceGF,
@@ -14,7 +14,7 @@ from enhcone.gflinalg import (
     rank,
     rref,
 )
-from enhcone.normalform import classify_pair, jordan_type, normal_pair
+from enhcone.normalform import classify_pair, explicit_decomposition, jordan_type, normal_pair
 from enhcone import fibers, gflinalg, normalform
 from enhcone.fibers import (
     FiberCache,
@@ -31,7 +31,9 @@ from enhcone.fibers import (
     fiber_cache,
     fiber_dimension_bound,
     fiber_polynomial,
+    fiber_profiles,
     interpolate_qpoly,
+    lambda_fixed_profiles,
     orbit_dimension,
     q_binomial,
 )
@@ -39,6 +41,7 @@ from oracles import (
     classify_by_centralizer,
     closure_by_count,
     count_by_transitions,
+    flag_histogram,
     hall_row,
     held_out_prime,
     interpolated_row,
@@ -48,6 +51,7 @@ from oracles import (
     transitions,
     unmemoized_fiber_count,
     unmemoized_lambda_fixed_count,
+    walk_count,
     x_zero_row,
 )
 
@@ -193,6 +197,84 @@ class TestWalkerMemo:
         assert unmemoized_fiber_count(q) == first
         assert yielded["subspaces"] - 2 * walked > walked
         assert fiber_cache().stats == {"hits": 0, "misses": 0, "entries": 0}
+
+
+def weight_filtrations(q: FiberQuery) -> tuple[SubspaceGF, ...]:
+    """The subspaces V>=w of the query's weight grading, heaviest first."""
+    levels = sorted(set(q.weights), reverse=True)
+    return tuple(
+        SubspaceGF.coordinate([c for c, w in enumerate(q.weights) if w >= lvl], q.shape.n, q.p)
+        for lvl in levels
+    )
+
+
+def splitting(small, p: int) -> tuple[SubspaceGF, SubspaceGF]:
+    dec = explicit_decomposition(normal_pair(small, p))
+    return dec.v1, dec.v2
+
+
+class TestProfileWalker:
+    """The walker's histograms equal the enumerated flags bucketed in the
+    ambient space, for the subspaces that the alpha and split checks use."""
+
+    def test_alpha_and_split_profiles_match_enumeration(self):
+        for n in range(4):
+            for big, small in closure_pairs(n):
+                for p in (2, 3):
+                    q = FiberQuery.over_orbit(small, big, p)
+                    filtrations = weight_filtrations(q)
+                    assert fiber_profiles(q, filtrations) == flag_histogram(
+                        enumerate_fiber_flags(q), filtrations
+                    ), (str(big), str(small), p)
+                    if is_distinguished(small):
+                        continue
+                    halves = splitting(small, p)
+                    assert lambda_fixed_profiles(q, halves) == flag_histogram(
+                        enumerate_lambda_fixed_flags(q), halves
+                    ), (str(big), str(small), p)
+
+    def test_split_profiles_match_enumeration_n4(self):
+        for big, small in closure_pairs(4):
+            if is_distinguished(small):
+                continue
+            q = FiberQuery.over_orbit(small, big, 2)
+            halves = splitting(small, 2)
+            assert lambda_fixed_profiles(q, halves) == flag_histogram(
+                enumerate_lambda_fixed_flags(q), halves
+            ), (str(big), str(small))
+
+    def test_no_subspaces_is_the_count(self):
+        for n in range(5):
+            for big, small in closure_pairs(n):
+                q = FiberQuery.over_orbit(small, big, 2)
+                count = count_fiber(q)
+                rows = ((),) * (len(q.shape.dims) - 1)
+                assert fiber_profiles(q, ()) == ({rows: count} if count else {})
+
+    def test_spends_one_node_per_expanded_candidate(self, monkeypatch):
+        candidates = Counter()
+        kernel_step = fibers._kernel_step
+
+        def counting(pair, r1):
+            for item in kernel_step(pair, r1):
+                candidates["yielded"] += 1
+                yield item
+
+        monkeypatch.setattr(fibers, "_kernel_step", counting)
+        q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((), (2, 2)), 2)
+        filtrations = weight_filtrations(q)
+        nodes = []
+        hist = fiber_profiles(q, filtrations, lambda: nodes.append(1))
+        assert len(nodes) == candidates["yielded"] > 0
+        assert sum(hist.values()) == count_fiber(q)
+        # a fresh memo on the next call spends as much again
+        again = []
+        assert fiber_profiles(q, filtrations, lambda: again.append(1)) == hist
+        assert len(again) == len(nodes)
+        # memo hits expand nothing: the unmemoized walker visits more
+        candidates.clear()
+        walk_count(fibers._kernel_step, fibers._Pair(q.v, q.x), q.shape.dims, q.shape.marker)
+        assert candidates["yielded"] > len(nodes)
 
 
 class TestSpringerBenchmarks:
