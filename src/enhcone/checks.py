@@ -383,8 +383,8 @@ def check_split_product(
     graded fiber counts with shapes read off the profile.  The profiles
     dim(W_i intersect V1), dim(W_i intersect V2) come from the profile
     walker lambda_fixed_profiles, and a flag respects the splitting
-    when they sum to dim W_i.  The budget caps the walker nodes
-    expanded."""
+    when they sum to dim W_i.  Each distinct factor query is counted
+    once per call.  The budget caps the walker nodes expanded."""
     started = time.perf_counter()
     if is_distinguished(b):
         raise ValueError(f"{b} is distinguished; the splitting step does not apply")
@@ -411,6 +411,14 @@ def check_split_product(
         buckets[dims1] = buckets.get(dims1, 0) + count
     pair1 = restrict_pair(np_.pair, dec.v1)
     pair2 = restrict_pair(np_.pair, dec.v2)
+    factor_counts: dict[FiberQuery, int] = {}
+
+    def factor_count(fq: FiberQuery) -> int:
+        # buckets repeat factor shapes; each distinct one is counted once
+        if fq not in factor_counts:
+            factor_counts[fq] = count_lambda_fixed(fq)
+        return factor_counts[fq]
+
     notes = []
     profile_witness = {}
     ok = True
@@ -431,12 +439,8 @@ def check_split_product(
                 )
             else:
                 j1 = rho1.index(val)
-        c1 = count_lambda_fixed(
-            FiberQuery(pair1.v, pair1.x, FlagShape(rho1, j1), pair1.weights)
-        )
-        c2 = count_lambda_fixed(
-            FiberQuery(pair2.v, pair2.x, FlagShape(rho2, 0), pair2.weights)
-        )
+        c1 = factor_count(FiberQuery(pair1.v, pair1.x, FlagShape(rho1, j1), pair1.weights))
+        c2 = factor_count(FiberQuery(pair2.v, pair2.x, FlagShape(rho2, 0), pair2.weights))
         expected = c1 * c2
         product_total += expected
         good = buckets[profile] == expected

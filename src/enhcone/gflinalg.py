@@ -84,9 +84,6 @@ class MatrixGF:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def column(self, c: int) -> tuple[int, ...]:
-        return tuple(row[c] for row in self.rows)
-
     def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
         p = self.p
         return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.rows)
@@ -282,6 +279,12 @@ class QuotientMap:
     column (true of RREF bases, and of unions of per-block RREF bases
     with disjoint coordinate supports).  The quotient coordinates are
     the non-pivot coordinates, in ascending order.
+
+    That contract is why only quotient coordinates move.  Reducing v by
+    the rows one after another never changes v at another row's pivot,
+    so each row is subtracted v[c_r] times, and coordinate t of the
+    image is v[N_t] - sum_r v[c_r] * row_r[N_t]: apply and push_matrix
+    build the n - d coordinates they return and no full-length vector.
     """
 
     p: int
@@ -294,24 +297,30 @@ class QuotientMap:
     def codim(self) -> int:
         return len(self.nonpivots)
 
-    def reduce(self, v: Sequence[int]) -> tuple[int, ...]:
-        p = self.p
-        out = [x % p for x in v]
+    def apply(self, v: Sequence[int]) -> tuple[int, ...]:
+        p, nonpivots = self.p, self.nonpivots
+        out = [v[t] % p for t in nonpivots]
         for row, c in zip(self.basis_rows, self.pivots):
-            f = out[c]
+            f = v[c] % p
             if f:
-                out = [(x - f * y) % p for x, y in zip(out, row)]
+                out = [(a - f * row[t]) % p for a, t in zip(out, nonpivots)]
         return tuple(out)
 
-    def apply(self, v: Sequence[int]) -> tuple[int, ...]:
-        reduced = self.reduce(v)
-        return tuple(reduced[c] for c in self.nonpivots)
-
     def push_matrix(self, x: MatrixGF) -> MatrixGF:
-        """Induced map on the quotient; requires x(kernel) <= kernel."""
-        cols = [self.apply(x.column(c)) for c in self.nonpivots]
-        rows = tuple(tuple(col[t] for col in cols) for t in range(self.codim))
-        return MatrixGF(self.p, rows, self.codim)
+        """Induced map on the quotient; requires x(kernel) <= kernel.  Row t
+        is x[N_t][N] - sum_r row_r[N_t] * x[c_r][N], N the nonpivots."""
+        p, nonpivots, xrows = self.p, self.nonpivots, x.rows
+        rows = []
+        for t in nonpivots:
+            head = xrows[t]
+            out = [head[s] for s in nonpivots]
+            for row, c in zip(self.basis_rows, self.pivots):
+                f = row[t]
+                if f:
+                    xr = xrows[c]
+                    out = [(a - f * xr[s]) % p for a, s in zip(out, nonpivots)]
+            rows.append(tuple(out))
+        return MatrixGF(p, tuple(rows), len(nonpivots))
 
     def lift(self, v: Sequence[int]) -> tuple[int, ...]:
         out = [0] * self.ambient
@@ -324,76 +333,58 @@ class QuotientMap:
         return SubspaceGF.span(vecs, self.ambient, self.p)
 
 
+def _nonpivots(ambient: int, pivots: Sequence[int]) -> tuple[int, ...]:
+    return tuple(c for c in range(ambient) if c not in pivots)
+
+
 def projection_from_rows(
     p: int, ambient: int, basis_rows: Sequence[Sequence[int]], pivots: Sequence[int]
 ) -> QuotientMap:
-    pivot_set = set(pivots)
-    if len(pivot_set) != len(tuple(pivots)):
+    if len(set(pivots)) != len(tuple(pivots)):
         raise ValueError("duplicate pivot columns")
-    nonpivots = tuple(c for c in range(ambient) if c not in pivot_set)
     return QuotientMap(
-        p, ambient, tuple(tuple(r) for r in basis_rows), tuple(pivots), nonpivots
+        p, ambient, tuple(tuple(r) for r in basis_rows), tuple(pivots), _nonpivots(ambient, pivots)
     )
 
 
 def quotient_map(w: SubspaceGF) -> QuotientMap:
-    """Quotient map by w onto the non-pivot coordinate space of GF(p)^n."""
-    return projection_from_rows(w.p, w.ambient, w.basis, w.pivots)
-
-
-def _rref_patterns(k: int, d: int, p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All d x k RREF matrices of full row rank, each rowspace once."""
-    for pivots in itertools.combinations(range(k), d):
-        pivot_set = set(pivots)
-        free_positions = [
-            (r, c)
-            for r in range(d)
-            for c in range(pivots[r] + 1, k)
-            if c not in pivot_set
-        ]
-        base = [[0] * k for _ in range(d)]
-        for r, c in enumerate(pivots):
-            base[r][c] = 1
-        if not free_positions:
-            yield tuple(tuple(row) for row in base)
-            continue
-        for values in itertools.product(range(p), repeat=len(free_positions)):
-            rows = [row[:] for row in base]
-            for (r, c), val in zip(free_positions, values):
-                rows[r][c] = val
-            yield tuple(tuple(row) for row in rows)
+    """Quotient map by w onto the non-pivot coordinate space of GF(p)^n,
+    straight from w's canonical basis, whose pivots are distinct."""
+    return QuotientMap(w.p, w.ambient, w.basis, w.pivots, _nonpivots(w.ambient, w.pivots))
 
 
 def enumerate_subspaces(ambient: SubspaceGF, d: int) -> Iterator[SubspaceGF]:
     """Every d-dimensional subspace of ambient, exactly once.
 
-    Works in the coordinates of the ambient RREF basis; the product of an
-    RREF coefficient pattern with an RREF basis is again RREF, so results
-    are canonical without re-reduction.
+    For each choice of d pattern pivots among the ambient RREF basis
+    rows, row r of a subspace is the ambient row at its pattern pivot
+    plus free coefficients times the later ambient rows that are not
+    pattern pivots.  That is an RREF coefficient pattern times an RREF
+    basis, which is again RREF, so results are canonical without
+    re-reduction.  Pivot choices come in lexicographic order, and within
+    one the free coefficients in itertools.product order, row by row,
+    each row's coefficients in the order of the ambient rows they scale.
     """
     k, p, n = ambient.dim, ambient.p, ambient.ambient
     if d < 0 or d > k:
         raise ValueError(f"cannot take {d}-dim subspaces of a {k}-dim space")
-    if d == 0:
-        yield SubspaceGF.zero(n, p)
-        return
     amb_rows = ambient.basis
-    amb_pivots = ambient.pivots
-    for pattern in _rref_patterns(k, d, p):
-        rows = []
-        pivots = []
-        for prow in pattern:
-            acc = [0] * n
-            lead = None
-            for s, f in enumerate(prow):
-                if f:
-                    if lead is None:
-                        lead = s
-                    src = amb_rows[s]
-                    acc = [(x + f * y) % p for x, y in zip(acc, src)]
-            rows.append(tuple(acc))
-            pivots.append(amb_pivots[lead])
-        yield SubspaceGF(p, n, tuple(rows), tuple(pivots))
+    for pattern in itertools.combinations(range(k), d):
+        choices = []
+        for s in pattern:
+            options = [amb_rows[s]]
+            for c in range(s + 1, k):
+                if c not in pattern:
+                    free = amb_rows[c]
+                    options = [
+                        tuple([(a + f * b) % p for a, b in zip(row, free)]) if f else row
+                        for row in options
+                        for f in range(p)
+                    ]
+            choices.append(options)
+        pivots = tuple(ambient.pivots[s] for s in pattern)
+        for rows in itertools.product(*choices):
+            yield SubspaceGF(p, n, rows, pivots)
 
 
 def gaussian_binomial(m: int, d: int, q: int) -> int:

@@ -29,8 +29,6 @@ from .gflinalg import (
     enumerate_subspaces,
     kernel,
     projection_from_rows,
-    quotient_map,
-    rank,
 )
 
 
@@ -111,21 +109,26 @@ def normal_pair(b: Bipartition, p: int) -> NormalPair:
 
 
 def jordan_type(x: MatrixGF) -> Partition:
-    """Jordan type of a nilpotent matrix via the ranks of its powers."""
+    """Jordan type of a nilpotent matrix via the dimensions of its image
+    chain x^k V, which are the ranks of its powers."""
     if not x.is_square():
         raise ValueError("jordan_type needs a square matrix")
-    n = x.nrows
-    ranks = [n]
-    power = x
-    for _ in range(n):
-        r = rank(power)
-        ranks.append(r)
-        if r == 0:
-            break
-        power = power @ x
-    if ranks[-1] != 0:
-        raise ValueError("matrix is not nilpotent")
-    return partition_from_ranks(ranks)
+    return partition_from_ranks([s.dim for s in _image_chain(x)])
+
+
+def _image_chain(x: MatrixGF) -> list[SubspaceGF]:
+    """The subspaces x^k V for k = 0, 1, ... down to the zero subspace,
+    each the span of x applied to the basis of the one before.  Their
+    dimensions strictly fall for nilpotent x; a step that keeps the
+    dimension raises ValueError."""
+    n, p = x.nrows, x.p
+    chain = [SubspaceGF.full(n, p)]
+    while chain[-1].dim:
+        image = SubspaceGF.span([x.matvec(b) for b in chain[-1].basis], n, p)
+        if image.dim == chain[-1].dim:
+            raise ValueError("matrix is not nilpotent")
+        chain.append(image)
+    return chain
 
 
 def partition_from_ranks(ranks: Sequence[int]) -> Partition:
@@ -162,8 +165,10 @@ def centralizer_basis(x: MatrixGF) -> tuple[MatrixGF, ...]:
 
 def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
     """The bipartition (mu; nu) of the orbit of the pair (v, x), x nilpotent:
-    orbit_of_types of the Jordan types of x and of x on V / F[x]v.  The
-    roundtrip classify_pair(normal_pair(b, p)) == b pins this contract."""
+    orbit_of_types of the Jordan types of x and of x on V / F[x]v.  Both
+    come from the image chain: x^k has rank dim x^k V, and its map on
+    V / F[x]v has rank dim(x^k V + F[x]v) - dim F[x]v.  The roundtrip
+    classify_pair(normal_pair(b, p)) == b pins this contract."""
     n = x.nrows
     v = tuple(a % x.p for a in v)
     if len(v) != n:
@@ -173,11 +178,20 @@ def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
     if x.is_zero():
         return Bipartition(Partition((1,) * n), Partition(()))
     krylov = []
-    while any(v):
+    for _ in range(n):
         krylov.append(v)
         v = x.matvec(v)
-    kappa = jordan_type(quotient_map(SubspaceGF.span(krylov, n, x.p)).push_matrix(x))
-    return orbit_of_types(jordan_type(x), kappa)
+        if not any(v):
+            break
+    else:
+        raise ValueError("matrix is not nilpotent")
+    chain = _image_chain(x)
+    lam = partition_from_ranks([s.dim for s in chain])
+    # x is nilpotent here, so its nonzero Krylov vectors are independent
+    kappa = partition_from_ranks(
+        [SubspaceGF.span(s.basis + tuple(krylov), n, x.p).dim - len(krylov) for s in chain]
+    )
+    return orbit_of_types(lam, kappa)
 
 
 def orbit_of_types(lam: Partition, kappa: Partition) -> Bipartition:
@@ -253,7 +267,7 @@ def enumerate_graded_subspaces(
                 for rest in walk(idx + 1, remaining - dw):
                     yield ((coords, choice),) + rest
 
-    return walk(0, d)
+    yield from walk(0, d)
 
 
 def graded_projection(selection: GradedSelection, n: int, p: int) -> QuotientMap:

@@ -26,7 +26,14 @@ fiber_dimension_bound + 1 primes and validate at the next prime, which
 next_prime_after finds.  flag_histogram buckets enumerated flags by
 flag_profile, the dimensions of their intersections with fixed
 subspaces in the ambient space: the histogram that the profile walker
-fibers._profiles computes without listing a flag.
+fibers._profiles computes without listing a flag.  The GF(p) kernels
+of the walkers before they moved only quotient coordinates are here as
+well: reduce_mod and reduce_apply reduce a full-length vector by the
+rows of a QuotientMap one after another, push_matrix_by_columns pushes
+x column by column through them, rref_patterns and
+enumerate_subspaces_by_patterns multiply every RREF coefficient pattern
+by the ambient basis, and jordan_type_by_powers reads the ranks of the
+matrix powers x^k.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from enhcone.fibers import (
 )
 from enhcone.gflinalg import (
     MatrixGF,
+    QuotientMap,
     SubspaceGF,
     enumerate_subspaces,
     is_prime,
@@ -60,8 +68,8 @@ from enhcone.normalform import (
     NormalPair,
     centralizer_basis,
     classify_pair,
-    jordan_type,
     normal_pair,
+    partition_from_ranks,
 )
 
 
@@ -87,8 +95,8 @@ def classify_by_centralizer(v: Sequence[int], x: MatrixGF) -> Bipartition:
     """Orbit bipartition of (v, x) through the centralizer module."""
     v = tuple(a % x.p for a in v)
     w = centralizer_module_span(v, x)
-    mu = jordan_type(restriction_matrix(x, w))
-    nu = jordan_type(quotient_map(w).push_matrix(x))
+    mu = jordan_type_by_powers(restriction_matrix(x, w))
+    nu = jordan_type_by_powers(push_matrix_by_columns(quotient_map(w), x))
     assert mu.size + nu.size == x.nrows
     return Bipartition(mu, nu)
 
@@ -320,3 +328,91 @@ def next_prime_after(n: int) -> int:
 
 def held_out_prime(schedule: Sequence[int]) -> int:
     return next_prime_after(max(schedule))
+
+
+def column(m: MatrixGF, c: int) -> tuple[int, ...]:
+    return tuple(row[c] for row in m.rows)
+
+
+def reduce_mod(qm: QuotientMap, v: Sequence[int]) -> tuple[int, ...]:
+    """v minus its multiples of the kernel rows of qm, row after row, as a
+    full-length vector."""
+    p = qm.p
+    out = [x % p for x in v]
+    for row, c in zip(qm.basis_rows, qm.pivots):
+        f = out[c]
+        if f:
+            out = [(x - f * y) % p for x, y in zip(out, row)]
+    return tuple(out)
+
+
+def reduce_apply(qm: QuotientMap, v: Sequence[int]) -> tuple[int, ...]:
+    """QuotientMap.apply through the full-length reduce_mod."""
+    reduced = reduce_mod(qm, v)
+    return tuple(reduced[c] for c in qm.nonpivots)
+
+
+def push_matrix_by_columns(qm: QuotientMap, x: MatrixGF) -> MatrixGF:
+    """QuotientMap.push_matrix as reduce_apply of each non-pivot column of x."""
+    cols = [reduce_apply(qm, column(x, c)) for c in qm.nonpivots]
+    rows = tuple(tuple(col[t] for col in cols) for t in range(qm.codim))
+    return MatrixGF(qm.p, rows, qm.codim)
+
+
+def rref_patterns(k: int, d: int, p: int):
+    """All d x k RREF matrices of full row rank, each rowspace once."""
+    for pivots in itertools.combinations(range(k), d):
+        pivot_set = set(pivots)
+        free_positions = [
+            (r, c)
+            for r in range(d)
+            for c in range(pivots[r] + 1, k)
+            if c not in pivot_set
+        ]
+        base = [[0] * k for _ in range(d)]
+        for r, c in enumerate(pivots):
+            base[r][c] = 1
+        for values in itertools.product(range(p), repeat=len(free_positions)):
+            rows = [row[:] for row in base]
+            for (r, c), val in zip(free_positions, values):
+                rows[r][c] = val
+            yield tuple(tuple(row) for row in rows)
+
+
+def enumerate_subspaces_by_patterns(ambient: SubspaceGF, d: int):
+    """enumerate_subspaces as each RREF pattern of rref_patterns times the
+    ambient RREF basis, one full-length accumulation per pattern row."""
+    k, p, n = ambient.dim, ambient.p, ambient.ambient
+    if d == 0:
+        yield SubspaceGF.zero(n, p)
+        return
+    for pattern in rref_patterns(k, d, p):
+        rows = []
+        pivots = []
+        for prow in pattern:
+            acc = [0] * n
+            lead = None
+            for s, f in enumerate(prow):
+                if f:
+                    if lead is None:
+                        lead = s
+                    acc = [(x + f * y) % p for x, y in zip(acc, ambient.basis[s])]
+            rows.append(tuple(acc))
+            pivots.append(ambient.pivots[lead])
+        yield SubspaceGF(p, n, tuple(rows), tuple(pivots))
+
+
+def jordan_type_by_powers(x: MatrixGF) -> Partition:
+    """Jordan type of a nilpotent matrix via the ranks of its powers."""
+    n = x.nrows
+    ranks = [n]
+    power = x
+    for _ in range(n):
+        r = rank(power)
+        ranks.append(r)
+        if r == 0:
+            break
+        power = power @ x
+    if ranks[-1] != 0:
+        raise ValueError("matrix is not nilpotent")
+    return partition_from_ranks(ranks)

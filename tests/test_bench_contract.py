@@ -8,6 +8,7 @@ or a removed flag in the library fails here instead of in a bench run.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,15 @@ def test_traced_function_exists(module, name):
 def test_traced_method_exists(module, cls, name):
     owner = getattr(importlib.import_module(f"enhcone.{module}"), cls)
     assert callable(getattr(owner, name))
+
+
+@pytest.mark.parametrize("label", sorted(_literal(BENCH / "spans.py", "GENERATORS")))
+def test_traced_generator_is_generator_function(label):
+    # spans.py times each next() of these; a list-returning rewrite
+    # would break only the traced bench run
+    module, name = label.split(".")
+    fn = getattr(importlib.import_module(f"enhcone.{module}"), name)
+    assert inspect.isgeneratorfunction(fn)
 
 
 @pytest.mark.parametrize(

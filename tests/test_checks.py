@@ -12,7 +12,7 @@ from enhcone.combinatorics import (
     is_distinguished,
 )
 from enhcone.normalform import explicit_decomposition, normal_pair
-from enhcone import fibers
+from enhcone import checks, fibers
 from enhcone.fibers import (
     FiberQuery,
     QPolynomial,
@@ -197,6 +197,25 @@ class TestSplitProduct:
         rep = check_split_product(small, big, 2, budget=len(nodes) - 1)
         assert rep.verdict == "budget-exceeded"
         assert rep.witness == {"nodes": len(nodes), "limit": len(nodes) - 1}
+
+    def test_counts_each_factor_query_once(self, monkeypatch):
+        # three buckets, six factor counts, but only two distinct queries
+        queries = []
+
+        def recording(q):
+            queries.append(q)
+            return count_lambda_fixed(q)
+
+        monkeypatch.setattr(checks, "count_lambda_fixed", recording)
+        rep = check_split_product(bipartition((), (1, 1, 1)), bipartition((), (3,)), 3)
+        assert len(queries) == len(set(queries)) == 2
+        factors = {"factor_v1": 4, "factor_v2": 1, "flags": 4, "product": 4}
+        assert rep.witness == {
+            "lambda_fixed_flags": 52,
+            "split_flags": 12,
+            "profiles": {"0,1,2": factors, "1,1,2": factors, "1,2,2": factors},
+            "product_total": 12,
+        }
 
     def test_rejects_distinguished(self):
         with pytest.raises(ValueError):

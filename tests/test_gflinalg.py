@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from enhcone.gflinalg import (
     MatrixGF,
     SubspaceGF,
@@ -12,6 +14,7 @@ from enhcone.gflinalg import (
     rank,
     rref,
 )
+from oracles import enumerate_subspaces_by_patterns, push_matrix_by_columns, reduce_apply
 
 
 def jordan_string(n: int, p: int) -> MatrixGF:
@@ -150,6 +153,25 @@ class TestQuotient:
             u = tuple(rng.randrange(p) for _ in range(4))
             assert qm.apply(x.matvec(u)) == xbar.matvec(qm.apply(u))
 
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_apply_and_push_match_full_length_oracle(self, p):
+        # quotient coordinates only: the same result as reducing the whole
+        # vector, for every x, stable or not
+        rng = random.Random(p)
+        for _ in range(150):
+            n = rng.randrange(1, 7)
+            w = SubspaceGF.span(
+                [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(n + 1))],
+                n,
+                p,
+            )
+            qm = quotient_map(w)
+            x = MatrixGF.from_rows([[rng.randrange(p) for _ in range(n)] for _ in range(n)], p)
+            assert qm.push_matrix(x) == push_matrix_by_columns(qm, x)
+            for _ in range(3):
+                v = tuple(rng.randrange(-p, 2 * p) for _ in range(n))
+                assert qm.apply(v) == reduce_apply(qm, v)
+
 
 def brute_force_subspace_count(n: int, d: int, p: int) -> int:
     """Independent oracle: collect distinct spans of all d x n matrices."""
@@ -190,6 +212,23 @@ class TestEnumeration:
             assert amb.contains_subspace(s)
             # results are canonical
             assert SubspaceGF.span(s.basis, 4, 2) == s
+
+    def test_yield_order_matches_pattern_oracle(self):
+        # the yield order fixes which witness search_decomposition reports
+        rng = random.Random(17)
+        for p in (2, 3):
+            for k in range(5):
+                spaces = [SubspaceGF.full(k, p)]
+                while len(spaces) < 3:
+                    rows = [[rng.randrange(p) for _ in range(6)] for _ in range(k)]
+                    sub = SubspaceGF.span(rows, 6, p)
+                    if sub.dim == k:
+                        spaces.append(sub)
+                for amb in spaces:
+                    for d in range(k + 1):
+                        assert list(enumerate_subspaces(amb, d)) == list(
+                            enumerate_subspaces_by_patterns(amb, d)
+                        ), (p, k, d, amb)
 
     def test_gaussian_binomial_brute_force(self):
         assert gaussian_binomial(4, 2, 2) == brute_force_subspace_count(4, 2, 2) == 35

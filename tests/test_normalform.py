@@ -5,14 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from enhcone.combinatorics import bipartition, bipartitions, flag_shape, is_distinguished
 from enhcone.fibers import FiberQuery, count_fiber, count_fiber_memo
-from enhcone.gflinalg import MatrixGF, SubspaceGF, rank
+from enhcone.gflinalg import MatrixGF, QuotientMap, SubspaceGF, rank
 from enhcone.normalform import (
     GradedPair,
     centralizer_basis,
     classify_pair,
     decomposition_failures,
+    enumerate_graded_subspaces,
     explicit_decomposition,
     graded_kernel_blocks,
+    graded_projection,
     jordan_type,
     normal_pair,
     restrict_pair,
@@ -20,8 +22,11 @@ from enhcone.normalform import (
 from oracles import (
     centralizer_module_span,
     classify_by_centralizer,
+    jordan_type_by_powers,
     nonneg_part,
     orbit_map_tangent_surjective,
+    push_matrix_by_columns,
+    reduce_apply,
 )
 
 
@@ -102,6 +107,14 @@ class TestJordanType:
         with pytest.raises(ValueError):
             jordan_type(MatrixGF.identity(3, 2))
 
+    def test_classify_rejects_non_nilpotent(self):
+        # the Krylov sequence of (1, 0) under the identity never reaches 0
+        with pytest.raises(ValueError, match="not nilpotent"):
+            classify_pair((1, 0), MatrixGF.identity(2, 3))
+        # here it does, and the image chain of x stalls instead
+        with pytest.raises(ValueError, match="not nilpotent"):
+            classify_pair((1, 0), MatrixGF.from_rows([[0, 0], [0, 1]], 3))
+
 
 class TestCentralizer:
     def test_zero_matrix(self):
@@ -167,6 +180,19 @@ class TestClassify:
                     assert classify_pair(np_.v, np_.x) == b
                     assert classify_by_centralizer(np_.v, np_.x) == b
 
+    def test_reads_ranks_off_the_image_chain(self, monkeypatch):
+        # no matrix power and no quotient push: both would raise here
+        def forbidden(*args):
+            raise AssertionError("classify_pair formed a product or a quotient")
+
+        monkeypatch.setattr(MatrixGF, "mul", forbidden)
+        monkeypatch.setattr(QuotientMap, "push_matrix", forbidden)
+        for n in range(6):
+            for b in bipartitions(n):
+                for p in (2, 3):
+                    np_ = normal_pair(b, p)
+                    assert classify_pair(np_.v, np_.x) == b
+
     def test_zero_vector(self):
         x = regular_nilpotent(3, 2)
         assert classify_pair((0, 0, 0), x) == bipartition((), (3,))
@@ -212,6 +238,7 @@ class TestClassifyConjugates:
     def test_gl_conjugates_classify_to_b(self, case):
         b, v, x = case
         assert classify_pair(v, x) == b
+        assert jordan_type(x) == jordan_type_by_powers(x)
 
 
 class TestFiberCountConjugates:
@@ -303,6 +330,20 @@ class TestGradedPieces:
         assert kernel_weights == sorted(
             b.first.part(i) - 1 for i in range(1, b.row_count + 1)
         )
+
+    def test_graded_projection_matches_full_length_oracle(self):
+        # per-block RREF unions: each row is 1 at its pivot and 0 at the
+        # other pivots, which is all that apply and push_matrix rely on
+        for n in range(5):
+            for b in bipartitions(n):
+                for p in (2, 3):
+                    pair = normal_pair(b, p).pair
+                    blocks = graded_kernel_blocks(pair)
+                    for d in range(sum(piece.dim for _, _, piece in blocks) + 1):
+                        for selection in enumerate_graded_subspaces(blocks, d):
+                            qm = graded_projection(selection, n, p)
+                            assert qm.apply(pair.v) == reduce_apply(qm, pair.v)
+                            assert qm.push_matrix(pair.x) == push_matrix_by_columns(qm, pair.x)
 
     def test_restrict_pair_on_decomposition(self):
         np_ = normal_pair(bipartition((2, 2), (1,)), 3)
