@@ -3,8 +3,9 @@
 
 Six named checks tie the computations together: polynomial point counts
 checked against the brute-force count over GF(2), the orbit-profile
-partition of each fiber, the distinguished-pair classification, the
-product splitting, the kernel-line recursion, and semismallness.  Everything here is a theorem
+partition of each fiber into Bialynicki-Birula cells, the
+distinguished-pair classification, the product splitting, the
+kernel-line recursion, and semismallness.  Everything here is a theorem
 over every field, so a single FAIL would falsify the implementation.
 """
 
@@ -29,7 +30,9 @@ for desc, witness in worst[:5]:
     print(f"  FAILURE {desc}: {witness}")
 
 print()
-print("A sample report in full:")
+print("A sample report in full.  The subregular fiber 2q+1 splits into a line")
+print("over a fixed point (affine_rank 1: 2 = 2^1 * 1 and 3 = 3^1 * 1 points)")
+print("and a fixed projective line (affine_rank 0):")
 from enhcone import bipartition
 from enhcone.checks import check_alpha_partition
 import json

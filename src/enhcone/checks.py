@@ -23,7 +23,7 @@ from .combinatorics import (
     format_bipartition,
     is_distinguished,
 )
-from .gflinalg import SubspaceGF, enumerate_subspaces, MatrixGF, primes_first
+from .gflinalg import SubspaceGF, enumerate_subspaces, MatrixGF
 from .normalform import (
     Decomposition,
     GradedPair,
@@ -47,7 +47,6 @@ from .fibers import (
     fiber_dimension_bound,
     fiber_polynomial,
     fiber_profiles,
-    interpolate_qpoly,
     lambda_fixed_profiles,
     orbit_dimension,
 )
@@ -167,65 +166,65 @@ def check_alpha_partition(
     big: Bipartition, small: Bipartition, budget: int = DEFAULT_BUDGET
 ) -> CheckReport:
     """Partition the fiber by the orbit profile dim(W_i intersect V>=w) of
-    the parabolic preserving the weight filtration; piece counts must sum
-    to the total at every prime and each piece must interpolate to a
-    polynomial with nonnegative integer coefficients.
-
-    The pieces are counted by the profile walker fiber_profiles, with
-    no flag enumerated.  The total is count_fiber_memo, so a transition
-    row that fails its validation fails the check with a note.  The
-    budget caps the walker nodes expanded over all primes."""
+    the parabolic preserving the weight filtration.  Each piece must be a
+    Bialynicki-Birula cell, an affine bundle of some rank d over its
+    lambda-fixed part, and the pieces must sum to the total.  At p = 2
+    and 3 the profile walker counts the pieces (fiber_profiles) and their
+    lambda-fixed parts (lambda_fixed_profiles).  A piece passes when it
+    and its part are nonempty at both primes, with piece = p^d * part for
+    one d in [0, fiber_dimension_bound].  Nothing is interpolated.  The
+    total is count_fiber_memo, so a transition row that fails its
+    validation fails the check with a note.  The budget caps the nodes
+    of both walkers over both primes."""
     started = time.perf_counter()
-    inputs = {"big": _bp_json(big), "small": _bp_json(small)}
-    shape = flag_shape(big)
-    bound = fiber_dimension_bound(shape)
-    primes = primes_first(max(3, bound + 1))
-    inputs["primes"] = list(primes)
-    wts = normal_pair(small, 2).weights
-    levels = sorted(set(wts), reverse=True)
-    piece_counts: dict = {}
-    totals: dict[int, tuple[int, int]] = {}
+    primes = (2, 3)  # the cheapest walks that still pin d
+    inputs = {"big": _bp_json(big), "small": _bp_json(small), "primes": list(primes)}
+    counts: dict = {}  # p -> {profile: points of the piece}
+    fixed: dict = {}  # p -> {profile: points of its lambda-fixed part}
+    totals: dict = {}
     spent = SearchBudget(budget)
     try:
         for p in primes:
             q = FiberQuery.over_orbit(small, big, p)
-            expected = count_fiber_memo(q)
+            wts = q.weights
             filtrations = [
-                SubspaceGF.coordinate(
-                    [c for c, w in enumerate(wts) if w >= lvl], shape.n, p
-                )
-                for lvl in levels
+                SubspaceGF.coordinate([c for c, w in enumerate(wts) if w >= lvl], len(wts), p)
+                for lvl in sorted(set(wts), reverse=True)
             ]
-            hist = fiber_profiles(q, filtrations, spent.spend)
-            for profile, count in hist.items():
-                piece_counts.setdefault(profile, {})[p] = count
-            totals[p] = (sum(hist.values()), expected)
+            counts[p] = fiber_profiles(q, filtrations, spent.spend)
+            fixed[p] = lambda_fixed_profiles(q, filtrations, spent.spend)
+            totals[p] = {"enumerated": sum(counts[p].values()), "counted": count_fiber_memo(q)}
     except BudgetExceeded as exc:
         witness = {"nodes": exc.nodes, "limit": exc.limit}
         return _report("alpha-partition", inputs, BUDGET_EXCEEDED, witness, started)
     except InterpolationError as exc:
         witness = {"reason": str(exc)}
         return _report("alpha-partition", inputs, FAIL, witness, started, [str(exc)])
-    sum_ok = all(seen == expected for seen, expected in totals.values())
-    pieces_witness = {}
-    pieces_ok = True
-    for profile in sorted(piece_counts):
-        samples = {p: piece_counts[profile].get(p, 0) for p in primes}
-        key = "|".join(",".join(map(str, row)) for row in profile)
-        try:
-            poly = interpolate_qpoly(samples, bound)
-            good = all(c >= 0 for c in poly.coeffs)
-            pieces_witness[key] = {"counts": samples, "polynomial": str(poly)}
-        except InterpolationError as exc:
-            good = False
-            pieces_witness[key] = {"counts": samples, "reason": str(exc)}
-        pieces_ok = pieces_ok and good
-    witness = {
-        "totals": {p: {"enumerated": s, "counted": e} for p, (s, e) in totals.items()},
-        "pieces": pieces_witness,
+    ok = all(total["enumerated"] == total["counted"] for total in totals.values())
+    bound = fiber_dimension_bound(flag_shape(big))
+    pieces = {}
+    for profile in sorted(set().union(*counts.values(), *fixed.values())):
+        piece = {
+            "counts": {p: counts[p].get(profile, 0) for p in primes},
+            "fixed": {p: fixed[p].get(profile, 0) for p in primes},
+        }
+        piece.update(_affine_rank(piece["counts"], piece["fixed"], bound))
+        ok = ok and "reason" not in piece
+        pieces["|".join(",".join(map(str, row)) for row in profile)] = piece
+    witness = {"totals": totals, "pieces": pieces}
+    return _report("alpha-partition", inputs, PASS if ok else FAIL, witness, started)
+
+
+def _affine_rank(counts: dict, fixed: dict, bound: int) -> dict:
+    """{"affine_rank": d} when counts[p] = p^d * fixed[p] > 0 at every prime
+    p, for one d with 0 <= d <= bound; {"reason": why not} otherwise."""
+    ranks = {
+        p: next((d for d in range(bound + 1) if p**d * fixed[p] == count > 0), None)
+        for p, count in counts.items()
     }
-    verdict = PASS if (sum_ok and pieces_ok) else FAIL
-    return _report("alpha-partition", inputs, verdict, witness, started)
+    if None in ranks.values() or len(set(ranks.values())) > 1:
+        return {"reason": f"no d in [0, {bound}] has piece = p^d * fixed part at every p: {ranks}"}
+    return {"affine_rank": ranks[min(ranks)]}
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,7 @@ def cmd_fiber_poly(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
-    checks = tuple(args.checks.split(",")) if args.checks else CHECK_NAMES
+    checks = tuple(args.checks.split(",")) if args.checks is not None else CHECK_NAMES
     unknown = set(checks) - set(CHECK_NAMES)
     if unknown:
         raise ConfigError(
@@ -207,7 +207,7 @@ def cmd_check(args, out) -> int:
         raise ConfigError("check needs --n >= 0")
     if args.budget < 1:
         raise ConfigError(f"--budget must be at least 1, got {args.budget}")
-    recursion_primes = _parse_int_list(args.primes) if args.primes else (2,)
+    recursion_primes = _parse_int_list(args.primes) if args.primes is not None else (2,)
     _validated_primes(recursion_primes)
     instances = suite_instances(
         args.n, checks, budget=args.budget, recursion_primes=recursion_primes

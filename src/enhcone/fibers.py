@@ -31,7 +31,7 @@ runs the same recursion carrying a tuple of fixed subspaces S, and
 counts the flags by their profiles dim(W_i & S) instead of listing
 them: each S is pushed into V/W_1 along with the pair, and the memo key
 (pair, pushed subspaces, dims, j) is again exact over GF(p).  The alpha
-check buckets by the weight filtrations on the kernel step, the split
+check buckets by the weight filtrations on both steps, the split
 check by a splitting V1 (+) V2 on the graded step.  _flags stays as
 the oracle that the walkers are tested against.
 

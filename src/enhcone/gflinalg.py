@@ -33,17 +33,6 @@ def check_prime(p: int) -> int:
     return p
 
 
-def primes_first(k: int) -> tuple[int, ...]:
-    """The first k primes, ascending."""
-    out: list[int] = []
-    n = 2
-    while len(out) < k:
-        if is_prime(n):
-            out.append(n)
-        n += 1
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class MatrixGF:
     """Dense matrix over GF(p); rows is a tuple of row tuples."""

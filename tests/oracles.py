@@ -22,8 +22,8 @@ orbit_map_tangent_surjective is the tangent-space shadow of the
 dense-orbit statement.  prime_schedule and held_out_prime are the
 fiber-level sampling policy that fiber polynomials came from before
 the symbolic transition table: interpolate the counts at the first
-fiber_dimension_bound + 1 primes and validate at the next prime, which
-next_prime_after finds.  flag_histogram buckets enumerated flags by
+fiber_dimension_bound + 1 primes, which primes_first lists, and
+validate at the next prime, which next_prime_after finds.  flag_histogram buckets enumerated flags by
 flag_profile, the dimensions of their intersections with fixed
 subspaces in the ambient space: the histogram that the profile walker
 fibers._profiles computes without listing a flag.  The GF(p) kernels
@@ -60,7 +60,6 @@ from enhcone.gflinalg import (
     enumerate_subspaces,
     is_prime,
     kernel,
-    primes_first,
     quotient_map,
     rank,
 )
@@ -312,6 +311,17 @@ def orbit_map_tangent_surjective(b: Bipartition, p: int = 101) -> bool:
         rows.append(tuple(tv) + tuple(x for row in comm.rows for x in row))
     m = MatrixGF(p, tuple(rows), n + n * n)
     return rank(m) == target_dim
+
+
+def primes_first(k: int) -> tuple[int, ...]:
+    """The first k primes, ascending."""
+    out: list[int] = []
+    n = 2
+    while len(out) < k:
+        if is_prime(n):
+            out.append(n)
+        n += 1
+    return tuple(out)
 
 
 def prime_schedule(degree_bound: int) -> tuple[int, ...]:

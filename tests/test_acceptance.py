@@ -154,15 +154,16 @@ def test_criterion_6_semismallness():
 
 
 def test_criterion_7_structure_recursions():
-    """Orbit-profile partition sums and per-piece polynomiality (n <= 3,
-    schedule covering 2, 3, 5), and the splitting/kernel recursions."""
+    """Orbit-profile partition sums and the cell shape of each piece, an
+    affine bundle of one rank over its lambda-fixed part at p = 2 and 3
+    (n <= 3), and the splitting/kernel recursions."""
     bad = []
     for n in range(4):
         for big, small in closure_pairs(n):
             rep = check_alpha_partition(big, small)
             if not rep.passed:
                 bad.append(("alpha", str(big), str(small)))
-            elif not {2, 3, 5} <= set(rep.inputs["primes"]):
+            elif rep.inputs["primes"] != [2, 3]:
                 bad.append(("alpha primes", str(big), str(small)))
             for p in (2, 3):
                 if not is_distinguished(small):

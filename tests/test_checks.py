@@ -11,6 +11,7 @@ from enhcone.combinatorics import (
     format_bipartition,
     is_distinguished,
 )
+from enhcone.gflinalg import SubspaceGF
 from enhcone.normalform import explicit_decomposition, normal_pair
 from enhcone import checks, fibers
 from enhcone.fibers import (
@@ -20,6 +21,7 @@ from enhcone.fibers import (
     count_lambda_fixed,
     fiber_dimension_bound,
     fiber_polynomial,
+    fiber_profiles,
     interpolate_qpoly,
     lambda_fixed_profiles,
 )
@@ -108,24 +110,23 @@ class TestAlphaPartition:
 
     def test_projective_line_single_piece(self):
         # the pair (0, 0) is graded in a single weight, so its parabolic is
-        # the whole group and the profile partition has exactly one piece
+        # the whole group and the profile partition has exactly one piece,
+        # which is all lambda-fixed
         rep = check_alpha_partition(bipartition((), (2,)), bipartition((), (1, 1)))
         assert rep.passed
+        assert rep.inputs["primes"] == [2, 3]
         (piece,) = rep.witness["pieces"].values()
-        assert piece["counts"][2] == 3
-        assert piece["polynomial"] == "q+1"
+        assert piece == {"counts": {2: 3, 3: 4}, "fixed": {2: 3, 3: 4}, "affine_rank": 0}
 
     def test_subregular_pieces(self):
         # the 2q+1 fiber over the subregular pair splits into pieces of
-        # sizes q and q+1 under the weight-filtration parabolic
+        # sizes q and q+1 under the weight-filtration parabolic: a line
+        # over a fixed point and a fixed projective line
         rep = check_alpha_partition(bipartition((), (3,)), bipartition((), (2, 1)))
         assert rep.passed
-        polys = sorted(piece["polynomial"] for piece in rep.witness["pieces"].values())
-        assert polys == ["q", "q+1"]
-        sizes_at_2 = sorted(
-            piece["counts"][2] for piece in rep.witness["pieces"].values()
-        )
-        assert sizes_at_2 == [2, 3]
+        pieces = rep.witness["pieces"].values()
+        assert sorted(piece["counts"][2] for piece in pieces) == [2, 3]
+        assert sorted(piece["affine_rank"] for piece in pieces) == [0, 1]
 
     def test_sum_consistency_small(self):
         for n in range(3):
@@ -135,16 +136,109 @@ class TestAlphaPartition:
                 for record in rep.witness["totals"].values():
                     assert record["enumerated"] == record["counted"]
 
+    def test_every_n4_item_passes(self):
+        items = suite_instances(4, ("alpha",))
+        assert len(items) == 242
+        failed = [desc for desc, thunk in items if not thunk().passed]
+        assert failed == []
+
     def test_budget_counts_walker_nodes(self):
-        # x = 0 on GF(p)^2 at p = 2, 3, 5: the p + 1 lines W_1, then
-        # W_2 = V over the quotient line, expanded once since every
-        # quotient is the same pair with the same pushed filtration
+        # x = 0 on GF(p)^2 at p = 2, 3: each walker expands the p + 1 lines
+        # W_1, then W_2 = V once, since every quotient is the same pair
+        # with the same pushed filtration
         big, small = bipartition((), (2,)), bipartition((), (1, 1))
-        nodes = sum(p + 1 + 1 for p in (2, 3, 5))
-        assert check_alpha_partition(big, small, budget=nodes).passed
-        rep = check_alpha_partition(big, small, budget=nodes - 1)
+        nodes = []
+        for p in (2, 3):
+            q = FiberQuery.over_orbit(small, big, p)
+            filtrations = [SubspaceGF.full(2, p)]
+            for walk in (fiber_profiles, lambda_fixed_profiles):
+                walk(q, filtrations, lambda: nodes.append(1))
+        assert len(nodes) == 2 * sum(p + 1 + 1 for p in (2, 3)) == 18
+        assert check_alpha_partition(big, small, budget=len(nodes)).passed
+        rep = check_alpha_partition(big, small, budget=len(nodes) - 1)
         assert rep.verdict == "budget-exceeded"
-        assert rep.witness == {"nodes": nodes, "limit": nodes - 1}
+        assert rep.witness == {"nodes": len(nodes), "limit": len(nodes) - 1}
+
+    def test_interpolates_nothing_and_walks_only_p_2_and_3(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("interpolate_qpoly called")
+
+        monkeypatch.setattr(fibers, "interpolate_qpoly", forbidden)
+        primes = set()
+        for name in ("count_fiber_memo", "fiber_profiles", "lambda_fixed_profiles"):
+            original = getattr(checks, name)
+
+            def recording(q, *args, original=original):
+                primes.add(q.p)
+                return original(q, *args)
+
+            monkeypatch.setattr(checks, name, recording)
+        for n in range(4):
+            for big, small in closure_pairs(n):
+                rep = check_alpha_partition(big, small)
+                assert rep.passed and rep.inputs["primes"] == [2, 3]
+        assert primes == {2, 3}
+
+
+def _faulty_walk(monkeypatch, name, fault):
+    """Replace checks.<name> by the walk whose histogram fault(p, hist)
+    returns."""
+    original = getattr(checks, name)
+    monkeypatch.setattr(checks, name, lambda q, *args: fault(q.p, original(q, *args)))
+
+
+class TestAlphaPartitionFaults:
+    """A check that cannot fail shows nothing: each fault fails alpha on the
+    subregular fiber, whose pieces are a line over a fixed point (rank 1)
+    and a fixed projective line (rank 0)."""
+
+    BIG, SMALL = bipartition((), (3,)), bipartition((), (2, 1))
+
+    def failed_pieces(self) -> dict:
+        rep = check_alpha_partition(self.BIG, self.SMALL)
+        assert rep.verdict == "fail"
+        return {key: piece for key, piece in rep.witness["pieces"].items() if "reason" in piece}
+
+    def test_fixed_part_plus_one_fails(self, monkeypatch):
+        def plus_one(p, hist):
+            first = min(hist)
+            return {**hist, first: hist[first] + 1}
+
+        _faulty_walk(monkeypatch, "lambda_fixed_profiles", plus_one)
+        # the sum of the pieces still matches the total: only the cell shape fails
+        rep = check_alpha_partition(self.BIG, self.SMALL)
+        assert all(t["enumerated"] == t["counted"] for t in rep.witness["totals"].values())
+        (key,) = self.failed_pieces()
+        assert key == "1,1|1,2|2,3"
+
+    def test_piece_times_p_at_3_only_fails_on_ranks(self, monkeypatch):
+        def times_p(p, hist):
+            first = min(hist)
+            return {**hist, first: hist[first] * p} if p == 3 else hist
+
+        _faulty_walk(monkeypatch, "fiber_profiles", times_p)
+        ((key, piece),) = self.failed_pieces().items()
+        assert key == "1,1|1,2|2,3"
+        assert piece["counts"] == {2: 2, 3: 9} and piece["fixed"] == {2: 1, 3: 1}
+        assert piece["reason"].endswith("{2: 1, 3: 2}")
+
+    def test_piece_without_fixed_part_fails(self, monkeypatch):
+        _faulty_walk(monkeypatch, "lambda_fixed_profiles", lambda p, hist: dict(sorted(hist.items())[1:]))
+        ((key, piece),) = self.failed_pieces().items()
+        assert key == "1,1|1,2|2,3"
+        assert piece["fixed"] == {2: 0, 3: 0}
+
+    def test_piece_and_part_missing_at_3_fails(self, monkeypatch):
+        # the rank-0 piece: 0 = 3^0 * 0 agrees with 3 = 2^0 * 3, so the
+        # empty piece must fail by itself
+        def drop_at_3(p, hist):
+            return dict(sorted(hist.items())[:1]) if p == 3 else hist
+
+        for name in ("fiber_profiles", "lambda_fixed_profiles"):
+            _faulty_walk(monkeypatch, name, drop_at_3)
+        ((key, piece),) = self.failed_pieces().items()
+        assert key == "1,1|2,2|2,3"
+        assert piece["counts"] == {2: 3, 3: 0} and piece["fixed"] == {2: 3, 3: 0}
 
 
 class TestDistinguishedLemma:

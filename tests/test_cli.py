@@ -232,6 +232,11 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "check", "--n", "1", "--primes", " ")
         assert code == 2
 
+    def test_empty_option_values_are_usage_errors(self, capsys):
+        for option in ("--primes", "--checks"):
+            code, _ = run_cli(capsys, "check", "--n", "1", option, "")
+            assert code == 2, option
+
     def test_budget_below_one_is_usage_error(self, capsys):
         for budget in ("0", "-1"):
             code, _ = run_cli(

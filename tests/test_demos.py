@@ -1,5 +1,4 @@
-"""The narrative demos run to completion.  Demo 04 is left out: it takes
-about three seconds, and the acceptance criteria already run its suite."""
+"""The narrative demos run to completion."""
 
 import os
 import subprocess
@@ -13,7 +12,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "demo",
-    ["01_orbits_and_diagrams.py", "02_fiber_polynomials.py", "03_distinguished_pairs.py"],
+    [
+        "01_orbits_and_diagrams.py",
+        "02_fiber_polynomials.py",
+        "03_distinguished_pairs.py",
+        "04_paving_checks.py",
+    ],
 )
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

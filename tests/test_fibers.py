@@ -226,12 +226,33 @@ class TestProfileWalker:
                     assert fiber_profiles(q, filtrations) == flag_histogram(
                         enumerate_fiber_flags(q), filtrations
                     ), (str(big), str(small), p)
+                    assert lambda_fixed_profiles(q, filtrations) == flag_histogram(
+                        enumerate_lambda_fixed_flags(q), filtrations
+                    ), (str(big), str(small), p)
                     if is_distinguished(small):
                         continue
                     halves = splitting(small, p)
                     assert lambda_fixed_profiles(q, halves) == flag_histogram(
                         enumerate_lambda_fixed_flags(q), halves
                     ), (str(big), str(small), p)
+
+    def test_alpha_pieces_are_cells_over_fixed_parts(self):
+        # Bialynicki-Birula: each alpha piece is an affine bundle of one
+        # rank d over its lambda-fixed part, at p = 5 as at 2 and 3
+        for n in range(4):
+            for big, small in closure_pairs(n):
+                ranks = {}
+                for p in (2, 3, 5):
+                    q = FiberQuery.over_orbit(small, big, p)
+                    filtrations = weight_filtrations(q)
+                    pieces = fiber_profiles(q, filtrations)
+                    fixed = lambda_fixed_profiles(q, filtrations)
+                    assert pieces.keys() == fixed.keys(), (str(big), str(small), p)
+                    for profile, count in pieces.items():
+                        d = next(d for d in range(count) if p**d * fixed[profile] >= count)
+                        assert p**d * fixed[profile] == count, (str(big), str(small), p)
+                        ranks.setdefault(profile, set()).add(d)
+                assert all(len(ds) == 1 for ds in ranks.values()), (str(big), str(small))
 
     def test_split_profiles_match_enumeration_n4(self):
         for big, small in closure_pairs(4):

@@ -9,12 +9,16 @@ from enhcone.gflinalg import (
     gaussian_binomial,
     is_prime,
     kernel,
-    primes_first,
     quotient_map,
     rank,
     rref,
 )
-from oracles import enumerate_subspaces_by_patterns, push_matrix_by_columns, reduce_apply
+from oracles import (
+    enumerate_subspaces_by_patterns,
+    primes_first,
+    push_matrix_by_columns,
+    reduce_apply,
+)
 
 
 def jordan_string(n: int, p: int) -> MatrixGF:
