@@ -207,12 +207,14 @@ def cmd_check(args, out) -> int:
         raise ConfigError("check needs --n >= 0")
     if args.budget < 1:
         raise ConfigError(f"--budget must be at least 1, got {args.budget}")
+    if args.cache == "":
+        raise ConfigError("--cache needs a file name")
     recursion_primes = _parse_int_list(args.primes) if args.primes is not None else (2,)
     _validated_primes(recursion_primes)
     instances = suite_instances(
         args.n, checks, budget=args.budget, recursion_primes=recursion_primes
     )
-    if args.cache and os.path.exists(args.cache):
+    if args.cache is not None and os.path.exists(args.cache):
         try:
             fiber_cache().load(args.cache)
         except (ValueError, OSError) as exc:
@@ -248,7 +250,7 @@ def cmd_check(args, out) -> int:
     }
     columns = ["schema", "check", "inputs", "verdict", "witness_digest", "millis"]
     _emit(args.format, payload, columns, rows, out)
-    if args.cache:
+    if args.cache is not None:
         if n_fail:
             fiber_cache().clear()
             print(

@@ -35,6 +35,18 @@ check buckets by the weight filtrations on both steps, the split
 check by a splitting V1 (+) V2 on the graded step.  _flags stays as
 the oracle that the walkers are tested against.
 
+The checks walk the same small orbits again and again under different
+flag shapes, so two tables live for the whole process: _graded_step
+keeps, for each (graded pair, r_1), the tuple of its quotient maps and
+quotient pairs, and _push keeps, for each (quotient map, subspace), the
+canonical pushed subspace.  Both hold exact GF(p) objects that depend
+on their key alone, and no count: every count and histogram still comes
+from a memo that lives for one call, so one call cannot lend another a
+count, and a walk spends as many nodes on a warm table as on a cold
+one.  The kernel step keeps no table: count_fiber walks as far on every
+call, and the n = 6, 7 polynomial sweeps, which count every pair they
+certify through it, would fill such a table without bound.
+
 Counts depend only on the orbit of (v, x), and orbits are indexed by
 bipartitions, so fiber_polynomial recurses over bipartitions in Z[q],
 memoized on (b, dims, j):
@@ -155,11 +167,22 @@ def _kernel_step(pair: _Pair, r1: int) -> Iterator[tuple[QuotientMap, _Pair]]:
         yield qm, _Pair(qm.apply(pair.v), qm.push_matrix(pair.x))
 
 
-def _graded_step(pair: GradedPair, r1: int) -> Iterator[tuple[QuotientMap, GradedPair]]:
+@functools.lru_cache(maxsize=None)
+def _graded_step(pair: GradedPair, r1: int) -> tuple[tuple[QuotientMap, GradedPair], ...]:
     """Every weight-graded r1-subspace of ker x, as the quotient map by it
-    together with the induced graded pair on the quotient."""
-    for selection in enumerate_graded_subspaces(graded_kernel_blocks(pair), r1):
-        yield graded_quotient(pair, selection)
+    together with the induced graded pair on the quotient.  A tuple, built
+    once per (pair, r1) in a process: a cached generator would be spent."""
+    return tuple(
+        graded_quotient(pair, selection)
+        for selection in enumerate_graded_subspaces(graded_kernel_blocks(pair), r1)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _push(qm: QuotientMap, s: SubspaceGF) -> SubspaceGF:
+    """The image of s in the quotient by qm's kernel, canonical; built once
+    per (qm, s) in a process."""
+    return SubspaceGF.span([qm.apply(u) for u in s.basis], qm.codim, qm.p)
 
 
 def _count(step, pair, dims: tuple[int, ...], j: int, memo: dict) -> int:
@@ -204,7 +227,10 @@ def _profiles(step, pair, subspaces: tuple, dims: tuple[int, ...], j: int, memo:
     pushed S), so each profile of the quotient shifts by that first row.
     memo maps (pair, subspaces, dims, j) to its histogram, all exact
     canonical objects over GF(p); spend() is called once for each
-    candidate W_1 expanded on a miss."""
+    candidate W_1 expanded on a miss.  The pushes come from the
+    process-wide _push table, and on the graded step the candidates
+    from the _graded_step table; both hold subspaces and pairs, never a
+    histogram, so the memo, a fresh dict per call, holds every count."""
     if j == 0 and any(pair.v):
         return {}
     if len(dims) == 1:
@@ -217,9 +243,7 @@ def _profiles(step, pair, subspaces: tuple, dims: tuple[int, ...], j: int, memo:
         hist = {}
         for qm, sub in step(pair, dims[1]):
             spend()
-            pushed = tuple(
-                SubspaceGF.span([qm.apply(u) for u in s.basis], qm.codim, qm.p) for s in subspaces
-            )
+            pushed = tuple(_push(qm, s) for s in subspaces)
             first = tuple(s.dim - t.dim for s, t in zip(subspaces, pushed))
             for tail, count in _profiles(step, sub, pushed, rest, jj, memo, spend).items():
                 profile = (first,) + tuple(tuple(a + b for a, b in zip(first, row)) for row in tail)

@@ -15,7 +15,9 @@ Macdonald's Hall polynomial for v = 0, two q-binomials for x = 0, and
 per-entry interpolation of transitions at primes otherwise.
 walk_count is the fiber walker fibers._count without its memo, and
 unmemoized_fiber_count and unmemoized_lambda_fixed_count run it on the
-kernel and graded steps.  closure_by_count decides the closure order by
+kernel step and on graded_step, the graded step as a generator that
+builds every candidate afresh, sharing no table with
+fibers._graded_step.  closure_by_count decides the closure order by
 whether a fiber is nonempty over GF(p), by that count.  nonneg_part
 is the closed form the centralizer module takes at a normal pair, and
 orbit_map_tangent_surjective is the tangent-space shadow of the
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from enhcone.combinatorics import EMPTY, Bipartition, Partition, transpose
 from enhcone import fibers
@@ -64,9 +66,13 @@ from enhcone.gflinalg import (
     rank,
 )
 from enhcone.normalform import (
+    GradedPair,
     NormalPair,
     centralizer_basis,
     classify_pair,
+    enumerate_graded_subspaces,
+    graded_kernel_blocks,
+    graded_quotient,
     normal_pair,
     partition_from_ranks,
 )
@@ -260,9 +266,17 @@ def unmemoized_fiber_count(q: FiberQuery) -> int:
     return walk_count(fibers._kernel_step, fibers._Pair(q.v, q.x), q.shape.dims, q.shape.marker)
 
 
+def graded_step(pair: GradedPair, r1: int) -> Iterator[tuple[QuotientMap, GradedPair]]:
+    """Every weight-graded r1-subspace of ker x, as the quotient map by it
+    together with the induced graded pair on the quotient, built afresh
+    on every call."""
+    for selection in enumerate_graded_subspaces(graded_kernel_blocks(pair), r1):
+        yield graded_quotient(pair, selection)
+
+
 def unmemoized_lambda_fixed_count(q: FiberQuery) -> int:
-    """count_lambda_fixed by walk_count on the graded step."""
-    return walk_count(fibers._graded_step, q.graded_pair(), q.shape.dims, q.shape.marker)
+    """count_lambda_fixed by walk_count on graded_step."""
+    return walk_count(graded_step, q.graded_pair(), q.shape.dims, q.shape.marker)
 
 
 def flag_profile(

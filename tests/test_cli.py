@@ -233,7 +233,7 @@ class TestExitCodes:
         assert code == 2
 
     def test_empty_option_values_are_usage_errors(self, capsys):
-        for option in ("--primes", "--checks"):
+        for option in ("--primes", "--checks", "--cache"):
             code, _ = run_cli(capsys, "check", "--n", "1", option, "")
             assert code == 2, option
 

@@ -11,10 +11,17 @@ from enhcone.gflinalg import (
     SubspaceGF,
     enumerate_subspaces,
     gaussian_binomial,
+    quotient_map,
     rank,
     rref,
 )
-from enhcone.normalform import classify_pair, explicit_decomposition, jordan_type, normal_pair
+from enhcone.normalform import (
+    GradedPair,
+    classify_pair,
+    explicit_decomposition,
+    jordan_type,
+    normal_pair,
+)
 from enhcone import fibers, gflinalg, normalform
 from enhcone.fibers import (
     FiberCache,
@@ -42,11 +49,13 @@ from oracles import (
     closure_by_count,
     count_by_transitions,
     flag_histogram,
+    graded_step,
     hall_row,
     held_out_prime,
     interpolated_row,
     next_prime_after,
     prime_schedule,
+    reduce_apply,
     stabilizer_orbit_dimension,
     transitions,
     unmemoized_fiber_count,
@@ -296,6 +305,87 @@ class TestProfileWalker:
         candidates.clear()
         walk_count(fibers._kernel_step, fibers._Pair(q.v, q.x), q.shape.dims, q.shape.marker)
         assert candidates["yielded"] > len(nodes)
+
+
+class TestProcessTables:
+    """_graded_step and _push keep exact GF(p) objects for the whole
+    process; the counts built from them stay per call."""
+
+    def test_graded_step_matches_generator_oracle(self):
+        reached = set()
+        for n in range(5):
+            for b in bipartitions(n):
+                for p in (2, 3):
+                    np_ = normal_pair(b, p)
+                    reached.add(GradedPair(np_.x, np_.v, np_.weights))
+        frontier = list(reached)
+        while frontier:
+            pair = frontier.pop()
+            for r1 in range(1, pair.n + 1):
+                step = fibers._graded_step(pair, r1)
+                assert isinstance(step, tuple)
+                assert list(step) == list(graded_step(pair, r1)), (pair, r1)
+                # a warm entry is the same sequence, not a spent generator
+                assert fibers._graded_step(pair, r1) == step
+                for _, sub in step:
+                    if sub not in reached:
+                        reached.add(sub)
+                        frontier.append(sub)
+        assert len(reached) > 200
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_push_is_the_span_of_the_images(self, p):
+        rng = random.Random(p)
+        for _ in range(150):
+            n = rng.randrange(1, 7)
+
+            def random_subspace():
+                rows = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(n + 1))]
+                return SubspaceGF.span(rows, n, p)
+
+            w, s = random_subspace(), random_subspace()
+            qm = quotient_map(w)
+            pushed = fibers._push(qm, s)
+            assert pushed == SubspaceGF.span([reduce_apply(qm, u) for u in s.basis], qm.codim, p)
+            assert pushed.dim == s.sum(w).dim - w.dim
+            assert fibers._push(qm, s) == pushed
+
+    def test_counts_stay_per_call_on_warm_tables(self, monkeypatch):
+        candidates = Counter()
+        cached_step = fibers._graded_step
+
+        def counting(pair, r1):
+            step = cached_step(pair, r1)
+            candidates["yielded"] += len(step)
+            return step
+
+        monkeypatch.setattr(fibers, "_graded_step", counting)
+        q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((4,), ()), 3)
+        filtrations = weight_filtrations(q)
+        cached_step.cache_clear()
+        fibers._push.cache_clear()
+        cold = []
+        hist = lambda_fixed_profiles(q, filtrations, lambda: cold.append(1))
+        assert len(cold) == candidates["yielded"] > 0
+        assert sum(hist.values()) == unmemoized_lambda_fixed_count(q) > 0
+        assert len(hist) > 1
+        steps, pushes = cached_step.cache_info(), fibers._push.cache_info()
+        # the second call finds every step and push in the tables, yet
+        # spends as many nodes: the histogram memo is its own
+        warm = []
+        assert lambda_fixed_profiles(q, filtrations, lambda: warm.append(1)) == hist
+        assert len(warm) == len(cold)
+        assert cached_step.cache_info().misses == steps.misses
+        assert cached_step.cache_info().hits > steps.hits
+        assert fibers._push.cache_info().misses == pushes.misses
+        assert fibers._push.cache_info().hits > pushes.hits
+        # count_lambda_fixed expands as many candidates on every call
+        candidates.clear()
+        first = count_lambda_fixed(q)
+        walked = candidates["yielded"]
+        assert count_lambda_fixed(q) == first == sum(hist.values())
+        assert candidates["yielded"] == 2 * walked > 0
+        assert cached_step.cache_info().misses == steps.misses
 
 
 class TestSpringerBenchmarks:
