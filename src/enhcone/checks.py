@@ -585,7 +585,11 @@ def suite_instances(
     """All (description, thunk) pairs of the selected checks over every
     bipartition / closure pair of sizes 0..n, in deterministic order.
     The polynomial and semismall checks share one paving certificate per
-    closure pair."""
+    closure pair.  budget caps the nodes of each item: for alpha the
+    candidates both profile walks expand at p = 2 and 3, for split those
+    of its one walk but not its factor counts, for distinguished the
+    candidates of the splitting search, for kernel only the r_1-subsets
+    of kernel lines; polynomial and semismall count none."""
     unknown = set(checks) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")

@@ -8,32 +8,28 @@ first step: x(W_1) <= W_0 = 0 forces W_1 <= ker x, and the rest of the
 flag is a fiber flag for the induced pair on V / W_1 with the shifted
 shape and marker j - 1 (a marker of 0 requires v = 0 up front).
 
-One counting walker (`_count`) and one flag walker (`_flags`) run this
+One counting walker (_profiles) and one flag walker (_flags) run this
 recursion.  A step function supplies the candidates for W_1, each as
 the quotient map by W_1 and the induced pair on V / W_1:
 
 - the kernel step yields every r_1-subspace of ker x
-  (count_fiber, enumerate_fiber_flags);
+  (count_fiber, fiber_profiles, enumerate_fiber_flags);
 - the graded step yields the weight-graded ones, block by block
-  (count_lambda_fixed, enumerate_lambda_fixed_flags).
+  (count_lambda_fixed, lambda_fixed_profiles,
+  enumerate_lambda_fixed_flags).
 
-Different first subspaces often leave the same quotient pair, so _count
-memoizes on (pair, dims, j), with pair the exact pair over GF(p): v and
-the matrix of x, and for the graded step the weights too.  Equal keys
-are equal subproblems, so a hit cannot change a count.  The memo is a
-fresh dict for each count_fiber or count_lambda_fixed call and dies
-with it.  It classifies nothing and reads no transition row and no
-FiberCache, so the brute-force count stays independent of the fiber
-polynomials that it certifies.
-
-The profile walker (_profiles; fiber_profiles, lambda_fixed_profiles)
-runs the same recursion carrying a tuple of fixed subspaces S, and
-counts the flags by their profiles dim(W_i & S) instead of listing
-them: each S is pushed into V/W_1 along with the pair, and the memo key
-(pair, pushed subspaces, dims, j) is again exact over GF(p).  The alpha
-check buckets by the weight filtrations on both steps, the split
-check by a splitting V1 (+) V2 on the graded step.  _flags stays as
-the oracle that the walkers are tested against.
+The counting walker buckets the flags by their profiles dim(W_i & S)
+against a tuple of fixed subspaces S, each pushed into V/W_1 along with
+the pair: the alpha check by the weight filtrations, the split check
+by a splitting V1 (+) V2, and a count is the histogram against no S,
+summed.  Different first subspaces often leave the same quotient, so
+the walker memoizes on (pair, pushed subspaces, dims, j), with pair
+exact over GF(p): v, the matrix of x and, on the graded step, the
+weights.  Equal keys are equal subproblems, so a hit cannot change a
+count.  The memo is a fresh dict for each call.  It classifies nothing
+and reads no transition row and no FiberCache, so the brute-force count
+stays independent of the fiber polynomials that it certifies.  _flags
+is the oracle that the walker is tested against.
 
 The checks walk the same small orbits again and again under different
 flag shapes, so two tables live for the whole process: _graded_step
@@ -74,6 +70,7 @@ checks it against nonempty fibers.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import tempfile
@@ -107,8 +104,9 @@ from .normalform import (
 class FiberQuery:
     """A pair (v, x) over GF(p) together with a flag shape and marker.
 
-    weights, when present, record the cocharacter grading of the pair's
-    normal basis and enable fixed-point counting.
+    v is reduced mod p on construction.  weights, when present, record
+    the cocharacter grading of the pair's normal basis and enable
+    fixed-point counting.
     """
 
     v: tuple[int, ...]
@@ -117,6 +115,7 @@ class FiberQuery:
     weights: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "v", tuple(a % self.x.p for a in self.v))
         if not self.x.is_square() or len(self.v) != self.x.ncols:
             raise ValueError("pair dimensions disagree")
         if self.shape.n != self.x.ncols:
@@ -133,10 +132,6 @@ class FiberQuery:
     @classmethod
     def of(cls, np_: NormalPair, shape: FlagShape) -> "FiberQuery":
         return cls(np_.v, np_.x, shape, np_.weights)
-
-    @classmethod
-    def raw(cls, v: Sequence[int], x: MatrixGF, shape: FlagShape) -> "FiberQuery":
-        return cls(tuple(a % x.p for a in v), x, shape)
 
     @classmethod
     def over_orbit(cls, small: Bipartition, big: Bipartition, p: int) -> "FiberQuery":
@@ -185,26 +180,8 @@ def _push(qm: QuotientMap, s: SubspaceGF) -> SubspaceGF:
     return SubspaceGF.span([qm.apply(u) for u in s.basis], qm.codim, qm.p)
 
 
-def _count(step, pair, dims: tuple[int, ...], j: int, memo: dict) -> int:
-    """Number of fiber flags of shape (dims, j) over pair, recursing on the
-    first subspaces that step yields.  memo maps (pair, dims, j) to its
-    count: equal keys are the same exact pair over GF(p), so a hit replays
-    a count this walk already made."""
-    if j == 0 and any(pair.v):
-        return 0
-    if len(dims) == 1:
-        return 1
-    key = (pair, dims, j)
-    count = memo.get(key)
-    if count is None:
-        rest = tuple(r - dims[1] for r in dims[1:])
-        jj = max(j - 1, 0)
-        count = memo[key] = sum(_count(step, sub, rest, jj, memo) for _, sub in step(pair, dims[1]))
-    return count
-
-
 def _flags(step, pair, dims: tuple[int, ...], j: int) -> Iterator[tuple[SubspaceGF, ...]]:
-    """The flags that _count counts, lifted to the ambient space of pair."""
+    """The flags that _profiles counts, lifted to the ambient space of pair."""
     if j == 0 and any(pair.v):
         return
     if len(dims) == 1:
@@ -219,22 +196,25 @@ def _flags(step, pair, dims: tuple[int, ...], j: int) -> Iterator[tuple[Subspace
             yield (w1,) + tuple(qm.preimage(s) for s in tail)
 
 
+_LEAF = {(): 1}  # the one empty tail of a flag; read, never written
+
+
 def _profiles(step, pair, subspaces: tuple, dims: tuple[int, ...], j: int, memo: dict, spend) -> dict:
-    """Histogram {profile: count} of the flags that _count counts, with
-    profile[i][s] = dim(W_(i+1) & subspaces[s]).  Each candidate W_1
-    pushes every S into V/W_1: dim(W_1 & S) = dim S - dim(pushed S), and
-    by the modular law dim(W_i & S) = dim(W_1 & S) + dim(W_i/W_1 &
-    pushed S), so each profile of the quotient shifts by that first row.
-    memo maps (pair, subspaces, dims, j) to its histogram, all exact
-    canonical objects over GF(p); spend() is called once for each
-    candidate W_1 expanded on a miss.  The pushes come from the
-    process-wide _push table, and on the graded step the candidates
-    from the _graded_step table; both hold subspaces and pairs, never a
-    histogram, so the memo, a fresh dict per call, holds every count."""
+    """Histogram {steps: count} of the fiber flags over pair, with
+    steps[i][s] = dim(W_(i+1) & S_s) - dim(W_i & S_s), S = subspaces.
+    Each candidate W_1 pushes every S into V/W_1, and its first step is
+    dim(W_1 & S) = dim S - dim(pushed S); by the modular law the later
+    steps are those of W/W_1 against pushed S.  memo maps (pair,
+    subspaces, dims, j) to its histogram, all exact canonical objects
+    over GF(p); spend() is called once for each candidate W_1 expanded
+    on a miss.  The pushes come from the process-wide _push table, and
+    on the graded step the candidates from the _graded_step table; both
+    hold subspaces and pairs, never a histogram, so the memo, a fresh
+    dict per call, holds every count."""
     if j == 0 and any(pair.v):
         return {}
     if len(dims) == 1:
-        return {(): 1}
+        return _LEAF
     key = (pair, subspaces, dims, j)
     hist = memo.get(key)
     if hist is None:
@@ -243,19 +223,33 @@ def _profiles(step, pair, subspaces: tuple, dims: tuple[int, ...], j: int, memo:
         hist = {}
         for qm, sub in step(pair, dims[1]):
             spend()
-            pushed = tuple(_push(qm, s) for s in subspaces)
-            first = tuple(s.dim - t.dim for s, t in zip(subspaces, pushed))
+            if subspaces:
+                pushed = tuple([_push(qm, s) for s in subspaces])
+                first = (tuple([s.dim - t.dim for s, t in zip(subspaces, pushed)]),)
+            else:
+                pushed, first = (), ((),)
             for tail, count in _profiles(step, sub, pushed, rest, jj, memo, spend).items():
-                profile = (first,) + tuple(tuple(a + b for a, b in zip(first, row)) for row in tail)
-                hist[profile] = hist.get(profile, 0) + count
+                steps = first + tail
+                hist[steps] = hist.get(steps, 0) + count
         memo[key] = hist
     return hist
 
 
+def _histogram(step, pair, q: FiberQuery, subspaces: Sequence[SubspaceGF], spend) -> dict:
+    """_profiles on q's shape with a fresh memo, each key turned into the
+    running sums of its steps, profile[i][s] = dim(W_(i+1) & S_s).
+    Distinct steps have distinct running sums, so no two keys merge."""
+    hist = _profiles(step, pair, tuple(subspaces), q.shape.dims, q.shape.marker, {}, spend)
+    return {
+        tuple(itertools.accumulate(steps, lambda total, row: tuple(a + b for a, b in zip(total, row)))): count
+        for steps, count in hist.items()
+    }
+
+
 def count_fiber(q: FiberQuery) -> int:
-    """Exact number of fiber flags over GF(p), by direct recursion with a
-    memo of its own."""
-    return _count(_kernel_step, _Pair(q.v, q.x), q.shape.dims, q.shape.marker, {})
+    """Exact number of fiber flags over GF(p): fiber_profiles against no
+    subspaces, summed."""
+    return sum(fiber_profiles(q, ()).values())
 
 
 def enumerate_fiber_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ...]]:
@@ -264,9 +258,9 @@ def enumerate_fiber_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ...]]:
 
 
 def count_lambda_fixed(q: FiberQuery) -> int:
-    """Number of fiber flags all of whose subspaces are weight-graded, by
-    direct recursion with a memo of its own."""
-    return _count(_graded_step, q.graded_pair(), q.shape.dims, q.shape.marker, {})
+    """Number of fiber flags all of whose subspaces are weight-graded:
+    lambda_fixed_profiles against no subspaces, summed."""
+    return sum(lambda_fixed_profiles(q, ()).values())
 
 
 def enumerate_lambda_fixed_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ...]]:
@@ -281,18 +275,14 @@ def fiber_profiles(
     profile[i][s]}, by the profile walker with a memo of its own; spend()
     is called once per walker node, a candidate W_1 expanded on a memo
     miss at any depth."""
-    return _profiles(
-        _kernel_step, _Pair(q.v, q.x), tuple(subspaces), q.shape.dims, q.shape.marker, {}, spend
-    )
+    return _histogram(_kernel_step, _Pair(q.v, q.x), q, subspaces, spend)
 
 
 def lambda_fixed_profiles(
     q: FiberQuery, subspaces: Sequence[SubspaceGF], spend: Callable[[], object] = lambda: None
 ) -> dict:
     """fiber_profiles over the weight-graded fiber flags only."""
-    return _profiles(
-        _graded_step, q.graded_pair(), tuple(subspaces), q.shape.dims, q.shape.marker, {}, spend
-    )
+    return _histogram(_graded_step, q.graded_pair(), q, subspaces, spend)
 
 
 class FiberCache:
@@ -570,8 +560,11 @@ def fiber_polynomial(
 ) -> QPolynomial:
     """The point count of the fiber of big's resolution over small's orbit,
     as a polynomial in q: a recursion over orbits through the symbolic
-    transition table, memoized on (b, dims, j).  Raises InterpolationError
-    when a row it reads fails its q-binomial sum."""
+    transition table, memoized on (b, dims, j).  Raises ValueError when
+    big and small differ in size, and InterpolationError when a row it
+    reads fails its q-binomial sum."""
+    if big.n != small.n:
+        raise ValueError("bipartitions must have equal total size")
     if cache is None:
         cache = _default_cache
     shape = flag_shape(big)

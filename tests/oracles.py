@@ -13,7 +13,8 @@ x_zero_row and interpolated_row are the symbolic rows fiber polynomials
 were assembled from before the closed form of fibers._transition_row:
 Macdonald's Hall polynomial for v = 0, two q-binomials for x = 0, and
 per-entry interpolation of transitions at primes otherwise.
-walk_count is the fiber walker fibers._count without its memo, and
+walk_count counts fiber flags by the first-step recursion of
+fibers._profiles, with no memo and no fixed subspaces, and
 unmemoized_fiber_count and unmemoized_lambda_fixed_count run it on the
 kernel step and on graded_step, the graded step as a generator that
 builds every candidate afresh, sharing no table with
@@ -250,8 +251,9 @@ def interpolated_row(b: Bipartition, r1: int) -> dict:
 
 
 def walk_count(step, pair, dims: tuple[int, ...], j: int) -> int:
-    """fibers._count without its memo: every first subspace that step
-    yields is walked again, however often its quotient pair repeats."""
+    """The count of fibers._profiles against no subspaces, without its
+    memo: every first subspace that step yields is walked again, however
+    often its quotient pair repeats."""
     if j == 0 and any(pair.v):
         return 0
     if len(dims) == 1:

@@ -4,18 +4,25 @@ bench/spans.py traces functions and methods by name, and bench/unit.py
 runs the graded_checks commands through the CLI with a --cache file.
 Both files are read as source, never imported or changed, so a rename
 or a removed flag in the library fails here instead of in a bench run.
+bench/unit.py also stops before its first item unless the fiber cache
+is still empty once the library is imported.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from enhcone.cli import build_parser
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def _literal(path: Path, *names: str):
@@ -59,3 +66,19 @@ def test_traced_generator_is_generator_function(label):
 def test_graded_checks_command_parses(argv):
     args = build_parser().parse_args(list(argv) + ["--format", "json", "--cache", "F"])
     assert (args.command, args.format, args.cache) == ("check", "json", "F")
+
+
+def test_import_leaves_the_fiber_cache_empty():
+    # a fresh interpreter, as each bench unit is: a table filled at
+    # import would make every unit stop before its first item
+    script = (
+        "import json\n"
+        "from enhcone import checks, cli, fibers, normalform\n"
+        "print(json.dumps(fibers.fiber_cache().stats))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=ROOT, capture_output=True, text=True, check=True
+    )
+    stats = json.loads(done.stdout)
+    assert stats and not any(stats.values()), stats

@@ -140,21 +140,31 @@ class TestCountFiber:
     def test_one_step_shape_needs_zero_nilpotent(self):
         # x(W_1) <= W_0 = 0 forces x = 0 when the flag is the single step V
         shape = FlagShape((0, 2), 1)
-        zero_pair = FiberQuery.raw((1, 0), MatrixGF.zeros(2, 2, 2), shape)
+        zero_pair = FiberQuery((1, 0), MatrixGF.zeros(2, 2, 2), shape)
         assert count_fiber(zero_pair) == 1
         reg = normal_pair(bipartition((), (2,)), 2)
-        assert count_fiber(FiberQuery.raw(reg.v, reg.x, shape)) == 0
+        assert count_fiber(FiberQuery(reg.v, reg.x, shape)) == 0
 
     def test_marker_zero_requires_zero_vector(self):
         shape = FlagShape((0, 1, 2), 0)
         np_ = normal_pair(bipartition((1,), (1,)), 2)
-        assert count_fiber(FiberQuery.raw(np_.v, np_.x, shape)) == 0
+        assert count_fiber(FiberQuery(np_.v, np_.x, shape)) == 0
+
+    def test_vector_is_reduced_mod_p(self, clean_cache):
+        # v = (2,) is 0 over GF(2), so the one flag 0 < V lies in the fiber
+        q = FiberQuery((2,), MatrixGF.zeros(1, 1, 2), FlagShape((0, 1), 0), (0,))
+        assert q.v == (0,)
+        assert count_fiber(q) == 1
+        assert len(list(enumerate_fiber_flags(q))) == 1
+        assert count_lambda_fixed(q) == 1
+        assert len(list(enumerate_lambda_fixed_flags(q))) == 1
+        assert count_fiber_memo(q) == 1
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
-            FiberQuery.raw((0, 0, 0), MatrixGF.zeros(2, 2, 2), FlagShape((0, 2), 0))
+            FiberQuery((0, 0, 0), MatrixGF.zeros(2, 2, 2), FlagShape((0, 2), 0))
         with pytest.raises(ValueError):
-            FiberQuery.raw((0, 0), MatrixGF.zeros(2, 2, 2), FlagShape((0, 3), 0))
+            FiberQuery((0, 0), MatrixGF.zeros(2, 2, 2), FlagShape((0, 3), 0))
 
 
 class TestWalkerMemo:
@@ -201,7 +211,7 @@ class TestWalkerMemo:
         walked = yielded["subspaces"]
         # one call's memo is gone by the next call, which walks as far
         assert count_fiber(q) == first
-        assert yielded["subspaces"] == 2 * walked
+        assert yielded["subspaces"] == 2 * walked > 0
         # within a call the memo does replay counts: the plain walker goes further
         assert unmemoized_fiber_count(q) == first
         assert yielded["subspaces"] - 2 * walked > walked
@@ -305,6 +315,60 @@ class TestProfileWalker:
         candidates.clear()
         walk_count(fibers._kernel_step, fibers._Pair(q.v, q.x), q.shape.dims, q.shape.marker)
         assert candidates["yielded"] > len(nodes)
+
+    def test_counts_walk_as_the_empty_histogram(self, monkeypatch):
+        # a count is the profile walk against no subspaces: the same
+        # walker calls and the same candidates, on either step
+        tally = Counter()
+        kernel_step, cached_step, walker = fibers._kernel_step, fibers._graded_step, fibers._profiles
+
+        def counting_kernel(pair, r1):
+            for item in kernel_step(pair, r1):
+                tally["candidates"] += 1
+                yield item
+
+        def counting_graded(pair, r1):
+            step = cached_step(pair, r1)
+            tally["candidates"] += len(step)
+            return step
+
+        def counting_walker(*args):
+            tally["calls"] += 1
+            return walker(*args)
+
+        monkeypatch.setattr(fibers, "_kernel_step", counting_kernel)
+        monkeypatch.setattr(fibers, "_graded_step", counting_graded)
+        monkeypatch.setattr(fibers, "_profiles", counting_walker)
+
+        def walked(fn, *args) -> Counter:
+            tally.clear()
+            fn(*args)
+            return +tally
+
+        for n in range(4):
+            for big, small in closure_pairs(n):
+                q = FiberQuery.over_orbit(small, big, 2)
+                for count, profiles in (
+                    (count_fiber, fiber_profiles),
+                    (count_lambda_fixed, lambda_fixed_profiles),
+                ):
+                    counted = walked(count, q)
+                    assert counted == walked(profiles, q, ()), (count.__name__, str(big), str(small))
+                    # the fiber is nonempty, so a fresh memo expands a candidate
+                    assert counted["calls"] > 0 and (counted["candidates"] > 0 or n == 0)
+
+    def test_every_count_runs_the_profile_walker(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("profile walker reached")
+
+        monkeypatch.setattr(fibers, "_profiles", broken)
+        q = FiberQuery.over_orbit(bipartition((), (1, 1)), bipartition((), (2,)), 2)
+        for walk in (count_fiber, count_lambda_fixed):
+            with pytest.raises(RuntimeError, match="profile walker reached"):
+                walk(q)
+        for walk in (fiber_profiles, lambda_fixed_profiles):
+            with pytest.raises(RuntimeError, match="profile walker reached"):
+                walk(q, ())
 
 
 class TestProcessTables:
@@ -517,7 +581,7 @@ class TestEquivariance:
         b = bipartition((2, 1), ())
         np_ = normal_pair(b, 2)
         shape = flag_shape(bipartition((), (1, 1, 1)))
-        base = count_fiber(FiberQuery.raw(np_.v, np_.x, shape))
+        base = count_fiber(FiberQuery(np_.v, np_.x, shape))
         # swap the two strings: coordinates (0,1),(2) -> (2),(0,1)
         perm = (2, 0, 1)
         pmat = MatrixGF.from_rows(
@@ -525,7 +589,7 @@ class TestEquivariance:
         )
         v2 = pmat.matvec(np_.v)
         x2 = pmat @ np_.x @ invert(pmat)
-        assert count_fiber(FiberQuery.raw(v2, x2, shape)) == base
+        assert count_fiber(FiberQuery(v2, x2, shape)) == base
 
     def test_random_conjugation(self):
         rng = random.Random(17)
@@ -545,7 +609,7 @@ class TestEquivariance:
                     trials += 1
                     v2 = g.matvec(np_.v)
                     x2 = g @ np_.x @ invert(g)
-                    conjugated = FiberQuery.raw(v2, x2, shape)
+                    conjugated = FiberQuery(v2, x2, shape)
                     assert count_fiber(conjugated) == base
                     assert count_fiber_memo(conjugated, cache) == base
 
@@ -575,7 +639,7 @@ class TestLambdaFixed:
             assert count_lambda_fixed(q) == count_fiber(q)
 
     def test_needs_weights(self):
-        q = FiberQuery.raw((0, 0), MatrixGF.zeros(2, 2, 2), FlagShape((0, 2), 0))
+        q = FiberQuery((0, 0), MatrixGF.zeros(2, 2, 2), FlagShape((0, 2), 0))
         with pytest.raises(ValueError):
             count_lambda_fixed(q)
 
@@ -680,8 +744,9 @@ class TestClosure:
         assert not closure_contains(bipartition((), (1,)), bipartition((1,), ()))
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            closure_contains(bipartition((), (2,)), bipartition((), (1,)))
+        for decide in (closure_contains, fiber_polynomial):
+            with pytest.raises(ValueError, match="equal total size"):
+                decide(bipartition((), (2,)), bipartition((), (1,)))
 
     def test_closed_form_matches_nonempty_fibers(self):
         memo = {}

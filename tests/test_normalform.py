@@ -247,7 +247,7 @@ class TestFiberCountConjugates:
     def test_gl_conjugates_count_as_normal_pair(self, case):
         b, v, x = case
         for big in bipartitions(b.n):
-            plain = count_fiber(FiberQuery.raw(v, x, flag_shape(big)))
+            plain = count_fiber(FiberQuery(v, x, flag_shape(big)))
             assert plain == count_fiber_memo(FiberQuery.over_orbit(b, big, x.p)), (b, big)
 
 
