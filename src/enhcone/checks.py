@@ -23,7 +23,7 @@ from .combinatorics import (
     format_bipartition,
     is_distinguished,
 )
-from .gflinalg import SubspaceGF, enumerate_subspaces, MatrixGF
+from .gflinalg import SubspaceGF, enumerate_subspaces, MatrixGF, quotient_map
 from .normalform import (
     Decomposition,
     GradedPair,
@@ -31,8 +31,9 @@ from .normalform import (
     explicit_decomposition,
     graded_kernel_blocks,
     graded_quotient,
+    graded_span,
     normal_pair,
-    restrict_pair,
+    quotient_pair,
     weight_blocks,
 )
 from .fibers import (
@@ -256,8 +257,9 @@ def search_decomposition(
         transports.append(
             (_block_transport(pair, coords, blocks[up][1]) if up is not None else None, up)
         )
-    v_blocks = [tuple(pair.v[c] for c in coords) for _, coords in blocks]
-    fulls = [SubspaceGF.full(len(coords), p) for _, coords in blocks]
+    block_coords = [coords for _, coords in blocks]
+    v_blocks = [tuple(pair.v[c] for c in coords) for coords in block_coords]
+    fulls = [SubspaceGF.full(len(coords), p) for coords in block_coords]
 
     def stable(choice: list[SubspaceGF], i: int, sub: SubspaceGF) -> bool:
         transport, up = transports[i]
@@ -265,16 +267,6 @@ def search_decomposition(
             return True
         target = choice[up]
         return all(target.contains(transport.matvec(row)) for row in sub.basis)
-
-    def embed(choice: list[SubspaceGF]) -> SubspaceGF:
-        vecs = []
-        for (w, coords), sub in zip(blocks, choice):
-            for brow in sub.basis:
-                row = [0] * n
-                for c, val in zip(coords, brow):
-                    row[c] = val
-                vecs.append(row)
-        return SubspaceGF.span(vecs, n, p)
 
     def candidates(i: int) -> Iterator[SubspaceGF]:
         k = fulls[i].dim
@@ -316,7 +308,10 @@ def search_decomposition(
         if d1 in (0, n):
             continue
         for v2_choice in search_v2(0, v1_choice, []):
-            return Decomposition(embed(v1_choice), embed(v2_choice))
+            return Decomposition(
+                graded_span(tuple(zip(block_coords, v1_choice)), n, p),
+                graded_span(tuple(zip(block_coords, v2_choice)), n, p),
+            )
     return None
 
 
@@ -382,8 +377,11 @@ def check_split_product(
     graded fiber counts with shapes read off the profile.  The profiles
     dim(W_i intersect V1), dim(W_i intersect V2) come from the profile
     walker lambda_fixed_profiles, and a flag respects the splitting
-    when they sum to dim W_i.  Each distinct factor query is counted
-    once per call.  The budget caps the walker nodes expanded."""
+    when they sum to dim W_i.  The factor on V1 is the pair induced on
+    V / V2, and that on V2 the pair on V / V1; a splitting that
+    decomposition_failures rejects fails the check with its violations.
+    Each distinct factor query is counted once per call.  The budget
+    caps the walker nodes expanded."""
     started = time.perf_counter()
     if is_distinguished(b):
         raise ValueError(f"{b} is distinguished; the splitting step does not apply")
@@ -392,6 +390,9 @@ def check_split_product(
     inputs = {"b": _bp_json(b), "big": _bp_json(big), "p": p}
     np_ = normal_pair(b, p)
     dec = explicit_decomposition(np_)
+    bad = decomposition_failures(np_.pair, dec)
+    if bad:
+        return _report("split-product", inputs, FAIL, {"splitting_violations": bad}, started)
     shape = flag_shape(big)
     j = shape.marker
     q = FiberQuery.of(np_, shape)
@@ -408,8 +409,8 @@ def check_split_product(
         split_total += count
         dims1 = tuple(a for a, _ in profile)
         buckets[dims1] = buckets.get(dims1, 0) + count
-    pair1 = restrict_pair(np_.pair, dec.v1)
-    pair2 = restrict_pair(np_.pair, dec.v2)
+    pair1 = quotient_pair(np_.pair, quotient_map(dec.v2))
+    pair2 = quotient_pair(np_.pair, quotient_map(dec.v1))
     factor_counts: dict[FiberQuery, int] = {}
 
     def factor_count(fq: FiberQuery) -> int:
@@ -523,18 +524,14 @@ def check_kernel_recursion(
 # semismallness
 
 
-def check_semismall(big: Bipartition) -> CheckReport:
+def check_semismall(
+    big: Bipartition,
+    certificate: Callable[[Bipartition, Bipartition], CheckReport] = check_polynomial_count,
+) -> CheckReport:
     """Twice the fiber polynomial degree over each contained orbit must be
     at most the difference of orbit dimensions.  Each polynomial must pass
-    check_polynomial_count; a stratum that fails it carries its notes."""
-    return _semismall(big, check_polynomial_count)
-
-
-def _semismall(
-    big: Bipartition, certificate: Callable[[Bipartition, Bipartition], CheckReport]
-) -> CheckReport:
-    """check_semismall with certificate in place of check_polynomial_count,
-    so that a suite can share its certificates."""
+    its certificate, check_polynomial_count unless a suite shares its
+    own; a stratum that fails it carries its notes."""
     started = time.perf_counter()
     inputs = {"big": _bp_json(big)}
     dim_big = orbit_dimension(big)
@@ -645,6 +642,6 @@ def suite_instances(
             for big in bipartitions(size):
                 add(
                     {"check": "semismall", "big": format_bipartition(big)},
-                    lambda big=big: _semismall(big, certificate),
+                    lambda big=big: check_semismall(big, certificate),
                 )
     return out

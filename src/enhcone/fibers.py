@@ -32,7 +32,8 @@ stays independent of the fiber polynomials that it certifies.  _flags
 is the oracle that the walker is tested against.
 
 The checks walk the same small orbits again and again under different
-flag shapes, so two tables live for the whole process: _graded_step
+flag shapes, so two tables live for the whole process, or until
+FiberCache.clear() empties them: _graded_step
 keeps, for each (graded pair, r_1), the tuple of its quotient maps and
 quotient pairs, and _push keeps, for each (quotient map, subspace), the
 canonical pushed subspace.  Both hold exact GF(p) objects that depend
@@ -190,7 +191,7 @@ def _flags(step, pair, dims: tuple[int, ...], j: int) -> Iterator[tuple[Subspace
     rest = tuple(r - dims[1] for r in dims[1:])
     jj = max(j - 1, 0)
     for qm, sub in step(pair, dims[1]):
-        # both steps hand over kernels whose basis rows are already RREF
+        # qm's kernel is canonical: its rows and pivots are W_1's own
         w1 = SubspaceGF(qm.p, qm.ambient, qm.basis_rows, qm.pivots)
         for tail in _flags(step, sub, rest, jj):
             yield (w1,) + tuple(qm.preimage(s) for s in tail)
@@ -292,9 +293,11 @@ class FiberCache:
     count_fiber_memo returned; it is what `save`/`load` persist.  The
     symbolic transition table maps (b, r1) to a validated row of
     polynomials, and the polynomial table maps (b, dims, j) to a fiber
-    polynomial.  All three are emptied by `clear()`; only the count table
-    is ever written to a cache file.  `stats` counts lookups in the count
-    and polynomial tables, and their entries.
+    polynomial.  All three are emptied by `clear()`, and so are the
+    process-wide _graded_step and _push tables, which hold no count but
+    grow with every graded pair walked; only the count table is ever
+    written to a cache file.  `stats` counts lookups in the count and
+    polynomial tables, and their entries.
     """
 
     FORMAT = 1
@@ -326,6 +329,8 @@ class FiberCache:
     def clear(self) -> None:
         for table in (self._table, self._rows, self._polys):
             table.clear()
+        _graded_step.cache_clear()
+        _push.cache_clear()
         self.hits = 0
         self.misses = 0
 

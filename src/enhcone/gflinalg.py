@@ -261,19 +261,17 @@ def kernel(m: MatrixGF) -> SubspaceGF:
 
 @dataclass(frozen=True)
 class QuotientMap:
-    """Projection GF(p)^n -> GF(p)^(n-d) whose kernel is span(basis_rows).
+    """Projection GF(p)^n -> GF(p)^(n-d) whose kernel is the canonical
+    subspace with RREF basis basis_rows and pivot columns pivots; only
+    quotient_map builds one.  The quotient coordinates are the non-pivot
+    coordinates, in ascending order.
 
-    basis_rows need not be globally RREF; it suffices that each row has
-    entry 1 at its own pivot column and 0 at every other row's pivot
-    column (true of RREF bases, and of unions of per-block RREF bases
-    with disjoint coordinate supports).  The quotient coordinates are
-    the non-pivot coordinates, in ascending order.
-
-    That contract is why only quotient coordinates move.  Reducing v by
-    the rows one after another never changes v at another row's pivot,
-    so each row is subtracted v[c_r] times, and coordinate t of the
-    image is v[N_t] - sum_r v[c_r] * row_r[N_t]: apply and push_matrix
-    build the n - d coordinates they return and no full-length vector.
+    That contract is why only quotient coordinates move.  Each row is 1
+    at its own pivot and 0 at every other row's pivot, so reducing v by
+    the rows one after another never changes v at another row's pivot:
+    each row is subtracted v[c_r] times, and coordinate t of the image
+    is v[N_t] - sum_r v[c_r] * row_r[N_t].  apply and push_matrix build
+    the n - d coordinates they return and no full-length vector.
     """
 
     p: int
@@ -322,24 +320,11 @@ class QuotientMap:
         return SubspaceGF.span(vecs, self.ambient, self.p)
 
 
-def _nonpivots(ambient: int, pivots: Sequence[int]) -> tuple[int, ...]:
-    return tuple(c for c in range(ambient) if c not in pivots)
-
-
-def projection_from_rows(
-    p: int, ambient: int, basis_rows: Sequence[Sequence[int]], pivots: Sequence[int]
-) -> QuotientMap:
-    if len(set(pivots)) != len(tuple(pivots)):
-        raise ValueError("duplicate pivot columns")
-    return QuotientMap(
-        p, ambient, tuple(tuple(r) for r in basis_rows), tuple(pivots), _nonpivots(ambient, pivots)
-    )
-
-
 def quotient_map(w: SubspaceGF) -> QuotientMap:
     """Quotient map by w onto the non-pivot coordinate space of GF(p)^n,
     straight from w's canonical basis, whose pivots are distinct."""
-    return QuotientMap(w.p, w.ambient, w.basis, w.pivots, _nonpivots(w.ambient, w.pivots))
+    nonpivots = tuple(c for c in range(w.ambient) if c not in w.pivots)
+    return QuotientMap(w.p, w.ambient, w.basis, w.pivots, nonpivots)
 
 
 def enumerate_subspaces(ambient: SubspaceGF, d: int) -> Iterator[SubspaceGF]:

@@ -28,7 +28,7 @@ from .gflinalg import (
     check_prime,
     enumerate_subspaces,
     kernel,
-    projection_from_rows,
+    quotient_map,
 )
 
 
@@ -169,6 +169,8 @@ def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
     come from the image chain: x^k has rank dim x^k V, and its map on
     V / F[x]v has rank dim(x^k V + F[x]v) - dim F[x]v.  The roundtrip
     classify_pair(normal_pair(b, p)) == b pins this contract."""
+    if not x.is_square():
+        raise ValueError("classify_pair needs a square matrix")
     n = x.nrows
     v = tuple(a % x.p for a in v)
     if len(v) != n:
@@ -270,22 +272,33 @@ def enumerate_graded_subspaces(
     yield from walk(0, d)
 
 
-def graded_projection(selection: GradedSelection, n: int, p: int) -> QuotientMap:
-    """Quotient map by the span of a graded selection; the quotient
-    coordinates inherit well-defined weights."""
+def graded_span(selection: GradedSelection, n: int, p: int) -> SubspaceGF:
+    """The span of a graded selection, canonical without re-reduction.
+    Blocks have disjoint, ascending coordinates, so each embedded block
+    RREF row is 0 before its pivot and at every other pivot; sorted by
+    pivot, the rows are the RREF basis of their span."""
     rows = []
-    pivots = []
     for coords, sub in selection:
         for brow, bpiv in zip(sub.basis, sub.pivots):
             row = [0] * n
             for c, val in zip(coords, brow):
                 row[c] = val
-            rows.append(tuple(row))
-            pivots.append(coords[bpiv])
-    order = sorted(range(len(rows)), key=lambda i: pivots[i])
-    return projection_from_rows(
-        p, n, [rows[i] for i in order], [pivots[i] for i in order]
-    )
+            rows.append((coords[bpiv], tuple(row)))
+    rows.sort()
+    return SubspaceGF(p, n, tuple(row for _, row in rows), tuple(c for c, _ in rows))
+
+
+def graded_projection(selection: GradedSelection, n: int, p: int) -> QuotientMap:
+    """Quotient map by the span of a graded selection; the quotient
+    coordinates inherit well-defined weights."""
+    return quotient_map(graded_span(selection, n, p))
+
+
+def quotient_pair(pair: GradedPair, qm: QuotientMap) -> GradedPair:
+    """The graded pair induced on the quotient by qm's kernel, which must
+    be x-stable and graded; each quotient coordinate keeps its weight."""
+    weights = tuple(pair.weights[c] for c in qm.nonpivots)
+    return GradedPair(qm.push_matrix(pair.x), qm.apply(pair.v), weights)
 
 
 def graded_quotient(
@@ -294,41 +307,7 @@ def graded_quotient(
     """Quotient map by a graded subspace of ker x, with the induced graded
     pair on the quotient."""
     qm = graded_projection(selection, pair.n, pair.p)
-    new_weights = tuple(pair.weights[c] for c in qm.nonpivots)
-    return qm, GradedPair(qm.push_matrix(pair.x), qm.apply(pair.v), new_weights)
-
-
-def restrict_pair(pair: GradedPair, sub: SubspaceGF) -> GradedPair:
-    """Graded pair induced on an x-stable graded subspace, in a
-    weight-homogeneous basis (heaviest weight first)."""
-    rows: list[tuple[int, ...]] = []
-    pivots: list[int] = []
-    wts: list[int] = []
-    for w, coords in weight_blocks(pair.weights):
-        piece = sub.intersect(SubspaceGF.coordinate(coords, pair.n, pair.p))
-        for brow, bpiv in zip(piece.basis, piece.pivots):
-            rows.append(brow)
-            pivots.append(bpiv)
-            wts.append(w)
-    if len(rows) != sub.dim:
-        raise ValueError("subspace is not graded")
-
-    def coeffs(u: Sequence[int]) -> tuple[int, ...]:
-        return tuple(u[c] for c in pivots)
-
-    d = len(rows)
-    cols = []
-    for brow in rows:
-        img = pair.x.matvec(brow)
-        if not sub.contains(img):
-            raise ValueError("subspace is not stable under x")
-        cols.append(coeffs(img))
-    xmat = MatrixGF(pair.p, tuple(tuple(col[i] for col in cols) for i in range(d)), d)
-    if not sub.contains(pair.v):
-        vres = (0,) * d
-    else:
-        vres = coeffs(pair.v)
-    return GradedPair(xmat, vres, tuple(wts))
+    return qm, quotient_pair(pair, qm)
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +323,21 @@ class Decomposition:
 
 
 def decomposition_failures(pair: GradedPair, dec: Decomposition) -> list[str]:
-    """Names of the splitting conditions the decomposition violates."""
+    """Names of the splitting conditions the decomposition violates.  A
+    subspace is graded exactly when each row of its RREF basis lies in
+    one weight space: in a graded subspace, the part of a row at the
+    weight of its pivot is again a vector of the subspace with the same
+    entries at every pivot, so it is the row itself."""
     failures = []
-    n, p = pair.n, pair.p
-    if dec.v1.dim + dec.v2.dim != n or dec.v1.intersect(dec.v2).dim != 0:
+    n = pair.n
+    if dec.v1.dim + dec.v2.dim != n or dec.v1.sum(dec.v2).dim != n:
         failures.append("not a direct sum")
     for name, sub in (("V1", dec.v1), ("V2", dec.v2)):
         if not all(sub.contains(pair.x.matvec(row)) for row in sub.basis):
             failures.append(f"{name} not x-stable")
-        graded_dim = sum(
-            sub.intersect(SubspaceGF.coordinate(coords, n, p)).dim
-            for _, coords in weight_blocks(pair.weights)
-        )
-        if graded_dim != sub.dim:
+        if any(
+            len({pair.weights[c] for c, a in enumerate(row) if a}) > 1 for row in sub.basis
+        ):
             failures.append(f"{name} not weight-graded")
     if not dec.v1.contains(pair.v):
         failures.append("v not in V1")

@@ -36,7 +36,12 @@ rows of a QuotientMap one after another, push_matrix_by_columns pushes
 x column by column through them, rref_patterns and
 enumerate_subspaces_by_patterns multiply every RREF coefficient pattern
 by the ambient basis, and jordan_type_by_powers reads the ranks of the
-matrix powers x^k.
+matrix powers x^k.  graded_by_intersections is the grading test that
+decomposition_failures made before it read the grading off the RREF
+basis: the per-weight intersections of a graded subspace add up to its
+dimension.  restrict_pair is how the split check built its factors
+before it took them as quotients: the pair that x and v induce on an
+x-stable graded subspace, in a basis of those intersections.
 """
 
 from __future__ import annotations
@@ -76,6 +81,7 @@ from enhcone.normalform import (
     graded_quotient,
     normal_pair,
     partition_from_ranks,
+    weight_blocks,
 )
 
 
@@ -442,3 +448,41 @@ def jordan_type_by_powers(x: MatrixGF) -> Partition:
     if ranks[-1] != 0:
         raise ValueError("matrix is not nilpotent")
     return partition_from_ranks(ranks)
+
+
+def graded_by_intersections(sub: SubspaceGF, weights: Sequence[int]) -> bool:
+    """Whether sub is the sum of its intersections with the weight spaces."""
+    return sub.dim == sum(
+        sub.intersect(SubspaceGF.coordinate(coords, sub.ambient, sub.p)).dim
+        for _, coords in weight_blocks(weights)
+    )
+
+
+def restrict_pair(pair: GradedPair, sub: SubspaceGF) -> GradedPair:
+    """Graded pair induced on an x-stable graded subspace, in a
+    weight-homogeneous basis (heaviest weight first)."""
+    rows: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    wts: list[int] = []
+    for w, coords in weight_blocks(pair.weights):
+        piece = sub.intersect(SubspaceGF.coordinate(coords, pair.n, pair.p))
+        for brow, bpiv in zip(piece.basis, piece.pivots):
+            rows.append(brow)
+            pivots.append(bpiv)
+            wts.append(w)
+    if len(rows) != sub.dim:
+        raise ValueError("subspace is not graded")
+
+    def coeffs(u: Sequence[int]) -> tuple[int, ...]:
+        return tuple(u[c] for c in pivots)
+
+    d = len(rows)
+    cols = []
+    for brow in rows:
+        img = pair.x.matvec(brow)
+        if not sub.contains(img):
+            raise ValueError("subspace is not stable under x")
+        cols.append(coeffs(img))
+    xmat = MatrixGF(pair.p, tuple(tuple(col[i] for col in cols) for i in range(d)), d)
+    vres = coeffs(pair.v) if sub.contains(pair.v) else (0,) * d
+    return GradedPair(xmat, vres, tuple(wts))

@@ -1,7 +1,8 @@
 """The parts of the library that the benchmark harness under bench/ uses.
 
 bench/spans.py traces functions and methods by name, and bench/unit.py
-runs the graded_checks commands through the CLI with a --cache file.
+runs the graded_checks commands through the CLI with a --cache file and
+expects every item of each to pass.
 Both files are read as source, never imported or changed, so a rename
 or a removed flag in the library fails here instead of in a bench run.
 bench/unit.py also stops before its first item unless the fiber cache
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from enhcone.cli import build_parser
+from enhcone.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -66,6 +67,17 @@ def test_traced_generator_is_generator_function(label):
 def test_graded_checks_command_parses(argv):
     args = build_parser().parse_args(list(argv) + ["--format", "json", "--cache", "F"])
     assert (args.command, args.format, args.cache) == ("check", "json", "F")
+
+
+def test_graded_checks_commands_pass(tmp_path, capsys, clean_cache):
+    # both commands in order on one fresh cache file, as the bench unit
+    # runs them: the first writes the file and the second reads it
+    cache = str(tmp_path / "fiber-counts.jsonl")
+    for argv, expected in _literal(BENCH / "unit.py", "GradedChecks", "COMMANDS"):
+        code = main(list(argv) + ["--format", "json", "--cache", cache])
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert code == 0, argv
+        assert summary["total"] == summary["passed"] == expected, (argv, summary)
 
 
 def test_import_leaves_the_fiber_cache_empty():

@@ -11,9 +11,9 @@ from enhcone.combinatorics import (
     format_bipartition,
     is_distinguished,
 )
-from enhcone.gflinalg import SubspaceGF
-from enhcone.normalform import explicit_decomposition, normal_pair
-from enhcone import checks, fibers
+from enhcone.gflinalg import SubspaceGF, quotient_map
+from enhcone.normalform import Decomposition, explicit_decomposition, normal_pair, quotient_pair
+from enhcone import checks, cli, fibers
 from enhcone.fibers import (
     FiberQuery,
     QPolynomial,
@@ -34,7 +34,7 @@ from enhcone.checks import (
     check_split_product,
     suite_instances,
 )
-from oracles import prime_schedule
+from oracles import prime_schedule, restrict_pair
 
 PAVING_N4 = Path(__file__).resolve().parent.parent / "bench" / "data" / "paving_n4.json"
 
@@ -314,6 +314,61 @@ class TestSplitProduct:
     def test_rejects_distinguished(self):
         with pytest.raises(ValueError):
             check_split_product(bipartition((), (2,)), bipartition((), (2,)), 2)
+
+    def test_quotient_factors_count_as_restrictions(self, monkeypatch):
+        # V / V2 is V1 and V / V1 is V2, as graded pairs up to a graded
+        # change of basis: each factor query counts as on the restriction
+        queries = []
+
+        def recording(q):
+            queries.append(q)
+            return count_lambda_fixed(q)
+
+        monkeypatch.setattr(checks, "count_lambda_fixed", recording)
+        compared = 0
+        for n in range(5):
+            for big, small in closure_pairs(n):
+                if is_distinguished(small):
+                    continue
+                for p in (2, 3):
+                    np_ = normal_pair(small, p)
+                    dec = explicit_decomposition(np_)
+                    factors = [
+                        (quotient_pair(np_.pair, quotient_map(other)), restrict_pair(np_.pair, sub))
+                        for sub, other in ((dec.v1, dec.v2), (dec.v2, dec.v1))
+                    ]
+                    queries.clear()
+                    assert check_split_product(small, big, p).passed
+                    for q in queries:
+                        matches = [r for f, r in factors if f == q.graded_pair()]
+                        assert matches, (str(small), str(big), p)
+                        for r in matches:
+                            restricted = FiberQuery(r.v, r.x, q.shape, r.weights)
+                            assert count_lambda_fixed(restricted) == count_lambda_fixed(q)
+                            compared += 1
+        assert compared > 100
+
+    def test_bad_splitting_fails_with_violations(self, monkeypatch, capsys):
+        # V2 = span(e_0 + e_2) mixes weights 0 and -1, so no factor pair
+        # is induced on it: the check stops at the splitting
+        b = bipartition((1,), (1, 1))
+        bad = Decomposition(
+            SubspaceGF.coordinate((0, 1), 3, 2), SubspaceGF.span([(1, 0, 1)], 3, 2)
+        )
+
+        def injected(np_):
+            return bad if (np_.bipartition, np_.p) == (b, 2) else explicit_decomposition(np_)
+
+        monkeypatch.setattr(checks, "explicit_decomposition", injected)
+        rep = check_split_product(b, b, 2)
+        assert rep.verdict == "fail"
+        assert rep.witness == {"splitting_violations": ["V2 not weight-graded"]}
+        code = cli.main(["check", "--n", "3", "--checks", "split", "--format", "json"])
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        failed = [r for r in reports if r["verdict"] == "fail"]
+        assert code == 1
+        assert failed and all(r["inputs"]["b"] == {"mu": [1], "nu": [1, 1]} for r in failed)
+        assert all(r["witness"] == rep.witness for r in failed)
 
 
 class TestKernelRecursion:

@@ -518,6 +518,15 @@ class TestMemo:
         # nothing was recomputed
         assert fresh.misses == 0
 
+    def test_clear_empties_process_tables(self):
+        q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((4,), ()), 3)
+        lambda_fixed_profiles(q, weight_filtrations(q))
+        assert fibers._graded_step.cache_info().currsize > 0
+        assert fibers._push.cache_info().currsize > 0
+        fiber_cache().clear()
+        assert fibers._graded_step.cache_info().currsize == 0
+        assert fibers._push.cache_info().currsize == 0
+
     def test_clear_empties_symbolic_tables(self, monkeypatch):
         cache = FiberCache()
         big, small = bipartition((1,), (2,)), bipartition((), (1, 1, 1))

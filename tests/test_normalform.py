@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from enhcone.combinatorics import bipartition, bipartitions, flag_shape, is_distinguished
 from enhcone.fibers import FiberQuery, count_fiber, count_fiber_memo
-from enhcone.gflinalg import MatrixGF, QuotientMap, SubspaceGF, rank
+from enhcone.gflinalg import MatrixGF, QuotientMap, SubspaceGF, enumerate_subspaces, quotient_map, rank
 from enhcone.normalform import (
+    Decomposition,
     GradedPair,
     centralizer_basis,
     classify_pair,
@@ -15,13 +16,15 @@ from enhcone.normalform import (
     explicit_decomposition,
     graded_kernel_blocks,
     graded_projection,
+    graded_span,
     jordan_type,
     normal_pair,
-    restrict_pair,
+    quotient_pair,
 )
 from oracles import (
     centralizer_module_span,
     classify_by_centralizer,
+    graded_by_intersections,
     jordan_type_by_powers,
     nonneg_part,
     orbit_map_tangent_surjective,
@@ -114,6 +117,14 @@ class TestJordanType:
         # here it does, and the image chain of x stalls instead
         with pytest.raises(ValueError, match="not nilpotent"):
             classify_pair((1, 0), MatrixGF.from_rows([[0, 0], [0, 1]], 3))
+
+    def test_classify_rejects_non_square(self):
+        # a 3 x 2 x: v = 0 used to raise through jordan_type, and any
+        # other v used to come back with an orbit
+        x = MatrixGF(2, ((0, 1), (0, 0), (0, 0)), 2)
+        for v in itertools.product(range(2), repeat=3):
+            with pytest.raises(ValueError, match="square"):
+                classify_pair(v, x)
 
 
 class TestCentralizer:
@@ -312,8 +323,6 @@ class TestExplicitDecomposition:
         # V1 not containing v and not x-stable
         bogus_v1 = SubspaceGF.coordinate((1,), 3, 2)
         bogus_v2 = SubspaceGF.coordinate((0, 2), 3, 2)
-        from enhcone.normalform import Decomposition
-
         fails = decomposition_failures(np_.pair, Decomposition(bogus_v1, bogus_v2))
         assert "v not in V1" in fails
 
@@ -332,23 +341,51 @@ class TestGradedPieces:
         )
 
     def test_graded_projection_matches_full_length_oracle(self):
-        # per-block RREF unions: each row is 1 at its pivot and 0 at the
-        # other pivots, which is all that apply and push_matrix rely on
-        for n in range(5):
+        # graded_span sorts the embedded block rows without re-reducing
+        # them; they must already be the canonical basis of their span
+        seen = 0
+        for n in range(6):
             for b in bipartitions(n):
                 for p in (2, 3):
                     pair = normal_pair(b, p).pair
                     blocks = graded_kernel_blocks(pair)
                     for d in range(sum(piece.dim for _, _, piece in blocks) + 1):
                         for selection in enumerate_graded_subspaces(blocks, d):
+                            seen += 1
+                            embedded = [
+                                [dict(zip(coords, row)).get(c, 0) for c in range(n)]
+                                for coords, sub in selection
+                                for row in sub.basis
+                            ]
+                            assert graded_span(selection, n, p) == SubspaceGF.span(embedded, n, p)
                             qm = graded_projection(selection, n, p)
                             assert qm.apply(pair.v) == reduce_apply(qm, pair.v)
                             assert qm.push_matrix(pair.x) == push_matrix_by_columns(qm, pair.x)
+        assert seen == 8252
+
+    def test_grading_read_off_the_rref_basis(self):
+        # every subspace of GF(p)^n against every grading by {0, 1}
+        cases = 0
+        for n in range(1, 5):
+            for p in (2, 3):
+                subspaces = [
+                    s for d in range(n + 1) for s in enumerate_subspaces(SubspaceGF.full(n, p), d)
+                ]
+                for weights in itertools.product((0, 1), repeat=n):
+                    pair = GradedPair(MatrixGF.zeros(n, n, p), (0,) * n, weights)
+                    for sub in subspaces:
+                        cases += 1
+                        fails = decomposition_failures(pair, Decomposition(sub, sub))
+                        assert ("V1 not weight-graded" in fails) != graded_by_intersections(
+                            sub, weights
+                        ), (sub, weights)
+        assert cases == 4868
 
     def test_restrict_pair_on_decomposition(self):
+        # the V1 factor of the split check: the pair induced on V / V2
         np_ = normal_pair(bipartition((2, 2), (1,)), 3)
         dec = explicit_decomposition(np_)
-        sub = restrict_pair(np_.pair, dec.v1)
+        sub = quotient_pair(np_.pair, quotient_map(dec.v2))
         assert sub.n == dec.v1.dim
         # restriction keeps the grading: x raises weights by one
         for r in range(sub.n):
