@@ -22,7 +22,6 @@ from .gflinalg import (
     MatrixGF,
     SubspaceGF,
     enumerate_subspaces,
-    gaussian_binomial,
     is_prime,
     kernel,
     quotient_map,

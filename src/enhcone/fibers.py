@@ -60,8 +60,12 @@ number a product of q-binomials and powers of q.  No row reads a prime
 field.  A row's entries sum to the q-binomial [dim ker x choose r_1]_q;
 a row that does not raises InterpolationError.  A count over GF(p) is
 its polynomial at q = p: count_fiber_memo classifies the query's pair
-once and evaluates P there.  The count, row and polynomial tables live
-in a FiberCache.
+once and evaluates P there.  The rows and the polynomials are
+lru_cache tables, _symbolic_row and _poly_orbit, as pure in their
+arguments as _graded_step and _push; a row that raises is not kept.
+The FiberCache of fiber_cache() holds only the counts of
+count_fiber_memo, the table that a count file saves and loads, and its
+clear() empties that table and all four lru_cache tables.
 
 Fiber counts decide only fiber polynomials: closure_contains reads the
 closure order off two bipartitions in closed form, and the test suite
@@ -105,8 +109,8 @@ from .normalform import (
 class FiberQuery:
     """A pair (v, x) over GF(p) together with a flag shape and marker.
 
-    v is reduced mod p on construction.  weights, when present, record
-    the cocharacter grading of the pair's normal basis and enable
+    v and x are reduced mod p on construction.  weights, when present,
+    record the cocharacter grading of the pair's normal basis and enable
     fixed-point counting.
     """
 
@@ -116,7 +120,9 @@ class FiberQuery:
     weights: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "v", tuple(a % self.x.p for a in self.v))
+        x = self.x
+        object.__setattr__(self, "x", MatrixGF.from_rows(x.rows, x.p, x.ncols))
+        object.__setattr__(self, "v", tuple(a % x.p for a in self.v))
         if not self.x.is_square() or len(self.v) != self.x.ncols:
             raise ValueError("pair dimensions disagree")
         if self.shape.n != self.x.ncols:
@@ -287,57 +293,50 @@ def lambda_fixed_profiles(
 
 
 class FiberCache:
-    """Shared memo tables for orbit-keyed fiber counts and polynomials.
-
-    The count table maps (mu, nu, dims, j, p) to the exact counts that
-    count_fiber_memo returned; it is what `save`/`load` persist.  The
-    symbolic transition table maps (b, r1) to a validated row of
-    polynomials, and the polynomial table maps (b, dims, j) to a fiber
-    polynomial.  All three are emptied by `clear()`, and so are the
-    process-wide _graded_step and _push tables, which hold no count but
-    grow with every graded pair walked; only the count table is ever
-    written to a cache file.  `stats` counts lookups in the count and
-    polynomial tables, and their entries.
+    """The count table: (mu, nu, dims, j, p) to the exact count that
+    count_fiber_memo returned, which `save`/`load` persist.  The other
+    process tables are the lru_cache functions _symbolic_row, _poly_orbit,
+    _graded_step and _push, which depend on their arguments alone;
+    `clear()` empties them all with the count table.  `stats` counts
+    lookups in the count table and in _poly_orbit, and their entries.
     """
 
     FORMAT = 1
 
     def __init__(self):
         self._table: dict = {}
-        self._rows: dict = {}
-        self._polys: dict = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._table)
 
-    def _lookup(self, table: dict, key):
-        value = table.get(key)
+    def get(self, key):
+        value = self._table.get(key)
         if value is None:
             self.misses += 1
         else:
             self.hits += 1
         return value
 
-    def get(self, key):
-        return self._lookup(self._table, key)
-
     def put(self, key, value: int) -> None:
         self._table.setdefault(key, value)
 
     def clear(self) -> None:
-        for table in (self._table, self._rows, self._polys):
-            table.clear()
-        _graded_step.cache_clear()
-        _push.cache_clear()
+        self._table.clear()
+        for table in (_symbolic_row, _poly_orbit, _graded_step, _push):
+            table.cache_clear()
         self.hits = 0
         self.misses = 0
 
     @property
     def stats(self) -> dict:
-        entries = len(self._table) + len(self._polys)
-        return {"hits": self.hits, "misses": self.misses, "entries": entries}
+        polys = _poly_orbit.cache_info()
+        return {
+            "hits": self.hits + polys.hits,
+            "misses": self.misses + polys.misses,
+            "entries": len(self._table) + polys.currsize,
+        }
 
     def save(self, path) -> None:
         """Write the count table to path atomically: the records go to a
@@ -399,19 +398,18 @@ def fiber_cache() -> FiberCache:
     return _default_cache
 
 
-def count_fiber_memo(q: FiberQuery, cache: FiberCache | None = None) -> int:
+def count_fiber_memo(q: FiberQuery) -> int:
     """Same contract as count_fiber: the pair is classified once, and the
     count is the fiber polynomial of its orbit evaluated at q = p, kept
     in the count table.  Raises InterpolationError when a transition row
     that the polynomial reads fails its q-binomial sum."""
-    if cache is None:
-        cache = _default_cache
+    cache = fiber_cache()
     b = classify_pair(q.v, q.x)
     dims, j = q.shape.dims, q.shape.marker
     key = (b.first.parts, b.second.parts, dims, j, q.p)
     count = cache.get(key)
     if count is None:
-        count = _poly_orbit(b, dims, j, cache).evaluate(q.p)
+        count = _poly_orbit(b, dims, j).evaluate(q.p)
         cache.put(key, count)
     return count
 
@@ -548,7 +546,13 @@ def q_power(e: int) -> QPolynomial:
 @functools.lru_cache(maxsize=None)
 def q_binomial(m: int, k: int) -> QPolynomial:
     """[m choose k]_q, by [m, k] = [m-1, k-1] + q^k [m-1, k]; 0 outside
-    0 <= k <= m."""
+    0 <= k <= m.  At q = p it counts the k-subspaces of GF(p)^m.
+
+    >>> q_binomial(2, 1).evaluate(2)
+    3
+    >>> q_binomial(4, 2).evaluate(2)
+    35
+    """
     if k < 0 or k > m:
         return ZERO
     if k in (0, m):
@@ -560,9 +564,7 @@ def q_binomial(m: int, k: int) -> QPolynomial:
 # fiber polynomials from the symbolic transition table
 
 
-def fiber_polynomial(
-    big: Bipartition, small: Bipartition, cache: FiberCache | None = None
-) -> QPolynomial:
+def fiber_polynomial(big: Bipartition, small: Bipartition) -> QPolynomial:
     """The point count of the fiber of big's resolution over small's orbit,
     as a polynomial in q: a recursion over orbits through the symbolic
     transition table, memoized on (b, dims, j).  Raises ValueError when
@@ -570,47 +572,35 @@ def fiber_polynomial(
     reads fails its q-binomial sum."""
     if big.n != small.n:
         raise ValueError("bipartitions must have equal total size")
-    if cache is None:
-        cache = _default_cache
     shape = flag_shape(big)
-    return _poly_orbit(small, shape.dims, shape.marker, cache)
+    return _poly_orbit(small, shape.dims, shape.marker)
 
 
-def _poly_orbit(
-    b: Bipartition, dims: tuple[int, ...], j: int, cache: FiberCache
-) -> QPolynomial:
+@functools.lru_cache(maxsize=None)
+def _poly_orbit(b: Bipartition, dims: tuple[int, ...], j: int) -> QPolynomial:
     if j == 0 and b.first.parts:
         return ZERO
     if len(dims) == 1:
         return ONE
-    key = (b, dims, j)
-    poly = cache._lookup(cache._polys, key)
-    if poly is None:
-        rest = tuple(r - dims[1] for r in dims[1:])
-        jj = max(j - 1, 0)
-        poly = sum(
-            (mult * _poly_orbit(b2, rest, jj, cache)
-             for b2, mult in _symbolic_row(b, dims[1], cache).items()),
-            ZERO,
-        )
-        cache._polys[key] = poly
-    return poly
+    rest = tuple(r - dims[1] for r in dims[1:])
+    jj = max(j - 1, 0)
+    return sum(
+        (mult * _poly_orbit(b2, rest, jj) for b2, mult in _symbolic_row(b, dims[1]).items()),
+        ZERO,
+    )
 
 
-def _symbolic_row(b: Bipartition, r1: int, cache: FiberCache) -> dict:
+@functools.lru_cache(maxsize=None)
+def _symbolic_row(b: Bipartition, r1: int) -> dict:
     """T[(b, r1)], kept only once its entries sum to [k choose r1]_q,
     k = dim ker x."""
-    key = (b, r1)
-    row = cache._rows.get(key)
-    if row is None:
-        row = _transition_row(b, r1)
-        k = b.row_count
-        total = sum(row.values(), ZERO)
-        if total != q_binomial(k, r1):
-            raise InterpolationError(
-                f"T[{b}, {r1}] sums to {total}, not [{k} choose {r1}]_q = {q_binomial(k, r1)}"
-            )
-        cache._rows[key] = row
+    row = _transition_row(b, r1)
+    k = b.row_count
+    total = sum(row.values(), ZERO)
+    if total != q_binomial(k, r1):
+        raise InterpolationError(
+            f"T[{b}, {r1}] sums to {total}, not [{k} choose {r1}]_q = {q_binomial(k, r1)}"
+        )
     return row
 
 

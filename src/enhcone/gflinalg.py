@@ -360,21 +360,3 @@ def enumerate_subspaces(ambient: SubspaceGF, d: int) -> Iterator[SubspaceGF]:
         for rows in itertools.product(*choices):
             yield SubspaceGF(p, n, rows, pivots)
 
-
-def gaussian_binomial(m: int, d: int, q: int) -> int:
-    """q-binomial coefficient [m choose d]_q; 0 outside 0 <= d <= m.
-
-    >>> gaussian_binomial(2, 1, 2)
-    3
-    >>> gaussian_binomial(4, 2, 2)
-    35
-    """
-    if d < 0 or d > m:
-        return 0
-    num = 1
-    den = 1
-    for i in range(d):
-        num *= q ** (m - i) - 1
-        den *= q ** (i + 1) - 1
-    assert num % den == 0
-    return num // den

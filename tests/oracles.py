@@ -26,10 +26,14 @@ dense-orbit statement.  prime_schedule and held_out_prime are the
 fiber-level sampling policy that fiber polynomials came from before
 the symbolic transition table: interpolate the counts at the first
 fiber_dimension_bound + 1 primes, which primes_first lists, and
-validate at the next prime, which next_prime_after finds.  flag_histogram buckets enumerated flags by
-flag_profile, the dimensions of their intersections with fixed
-subspaces in the ambient space: the histogram that the profile walker
-fibers._profiles computes without listing a flag.  The GF(p) kernels
+validate at the next prime, which next_prime_after finds.
+gaussian_binomial is the product formula for [m choose d]_q at an
+integer q, which the number of d-subspaces of GF(q)^m and
+fibers.q_binomial are checked against.  flag_histogram buckets
+enumerated flags by flag_profile, the dimensions of their
+intersections with fixed subspaces in the ambient space: the
+histogram that the profile walker fibers._profiles computes without
+listing a flag.  The GF(p) kernels
 of the walkers before they moved only quotient coordinates are here as
 well: reduce_mod and reduce_apply reduce a full-length vector by the
 rows of a QuotientMap one after another, push_matrix_by_columns pushes
@@ -360,6 +364,20 @@ def next_prime_after(n: int) -> int:
 
 def held_out_prime(schedule: Sequence[int]) -> int:
     return next_prime_after(max(schedule))
+
+
+def gaussian_binomial(m: int, d: int, q: int) -> int:
+    """[m choose d]_q at an integer q by the product formula; 0 outside
+    0 <= d <= m."""
+    if d < 0 or d > m:
+        return 0
+    num = 1
+    den = 1
+    for i in range(d):
+        num *= q ** (m - i) - 1
+        den *= q ** (i + 1) - 1
+    assert num % den == 0
+    return num // den
 
 
 def column(m: MatrixGF, c: int) -> tuple[int, ...]:

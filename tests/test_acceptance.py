@@ -9,7 +9,7 @@ import io
 import time
 
 from enhcone.combinatorics import bipartition, bipartitions, flag_shape, is_distinguished
-from enhcone.gflinalg import SubspaceGF, enumerate_subspaces, gaussian_binomial
+from enhcone.gflinalg import SubspaceGF, enumerate_subspaces
 from enhcone.normalform import (
     classify_pair,
     decomposition_failures,
@@ -32,7 +32,7 @@ from enhcone.checks import (
     check_split_product,
 )
 from enhcone.cli import main as cli_main
-from oracles import centralizer_module_span, nonneg_part
+from oracles import centralizer_module_span, gaussian_binomial, nonneg_part
 
 
 def _verdict(criterion: str, ok: bool, detail: str = "") -> None:

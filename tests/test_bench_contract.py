@@ -2,7 +2,8 @@
 
 bench/spans.py traces functions and methods by name, and bench/unit.py
 runs the graded_checks commands through the CLI with a --cache file and
-expects every item of each to pass.
+expects every item of each to pass, and bench/run.py reads the keys
+of fiber_cache().stats.
 Both files are read as source, never imported or changed, so a rename
 or a removed flag in the library fails here instead of in a bench run.
 bench/unit.py also stops before its first item unless the fiber cache
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from enhcone.cli import build_parser, main
+from enhcone.fibers import fiber_cache
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -78,6 +80,20 @@ def test_graded_checks_commands_pass(tmp_path, capsys, clean_cache):
         summary = json.loads(capsys.readouterr().out)["summary"]
         assert code == 0, argv
         assert summary["total"] == summary["passed"] == expected, (argv, summary)
+
+
+def test_fiber_cache_stats_keys():
+    # bench/run.py's layer_metrics reads these keys of fiber_cache().stats
+    (fn,) = [
+        n for n in ast.parse((BENCH / "run.py").read_text()).body
+        if isinstance(n, ast.FunctionDef) and n.name == "layer_metrics"
+    ]
+    read = {
+        n.slice.value for n in ast.walk(fn)
+        if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name) and n.value.id == "memo"
+    }
+    assert read == {"hits", "misses", "entries"}
+    assert fiber_cache().stats.keys() == read
 
 
 def test_import_leaves_the_fiber_cache_empty():

@@ -21,6 +21,6 @@ def test_module_doctests_pass(name):
 
 
 def test_examples_are_collected():
-    # combinatorics and gflinalg carry 8 examples between them
-    assert "enhcone.combinatorics" in MODULES and "enhcone.gflinalg" in MODULES
+    # combinatorics and fibers carry 8 examples between them
+    assert "enhcone.combinatorics" in MODULES and "enhcone.fibers" in MODULES
     assert sum(run_doctests(name).attempted for name in MODULES) >= 8

@@ -10,7 +10,6 @@ from enhcone.gflinalg import (
     MatrixGF,
     SubspaceGF,
     enumerate_subspaces,
-    gaussian_binomial,
     quotient_map,
     rank,
     rref,
@@ -49,6 +48,7 @@ from oracles import (
     closure_by_count,
     count_by_transitions,
     flag_histogram,
+    gaussian_binomial,
     graded_step,
     hall_row,
     held_out_prime,
@@ -151,14 +151,20 @@ class TestCountFiber:
         assert count_fiber(FiberQuery(np_.v, np_.x, shape)) == 0
 
     def test_vector_is_reduced_mod_p(self, clean_cache):
-        # v = (2,) is 0 over GF(2), so the one flag 0 < V lies in the fiber
-        q = FiberQuery((2,), MatrixGF.zeros(1, 1, 2), FlagShape((0, 1), 0), (0,))
-        assert q.v == (0,)
-        assert count_fiber(q) == 1
-        assert len(list(enumerate_fiber_flags(q))) == 1
-        assert count_lambda_fixed(q) == 1
-        assert len(list(enumerate_lambda_fixed_flags(q))) == 1
-        assert count_fiber_memo(q) == 1
+        # v = (2,) is 0 over GF(2), so the one flag 0 < V lies in the fiber;
+        # x = 2 I is 0 over GF(2), so all 3 lines of V do, though a kernel
+        # computed on the unreduced entries reads 2 as a pivot
+        for v, x, shape, flags in (
+            ((2,), MatrixGF.zeros(1, 1, 2), FlagShape((0, 1), 0), 1),
+            ((0, 0), MatrixGF(2, ((2, 0), (0, 2)), 2), FlagShape((0, 1, 2), 1), 3),
+        ):
+            q = FiberQuery(v, x, shape, (0,) * len(v))
+            assert q.v == (0,) * len(v) and q.x.is_zero()
+            assert count_fiber(q) == flags
+            assert len(list(enumerate_fiber_flags(q))) == flags
+            assert count_lambda_fixed(q) == flags
+            assert len(list(enumerate_lambda_fixed_flags(q))) == flags
+            assert count_fiber_memo(q) == flags
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
@@ -482,59 +488,67 @@ class TestSpringerBenchmarks:
 
 
 class TestMemo:
-    def test_agrees_with_plain_count(self):
-        cache, memo = FiberCache(), {}
+    def test_agrees_with_plain_count(self, clean_cache):
+        memo = {}
         for p in (2, 3):
             for n in range(4):
                 for big, small in itertools.product(bipartitions(n), repeat=2):
                     q = FiberQuery.over_orbit(small, big, p)
                     count = count_fiber(q)
-                    assert count_fiber_memo(q, cache) == count
+                    assert count_fiber_memo(q) == count
                     assert count_by_transitions(q, memo) == count
 
-    def test_cache_statistics(self):
-        cache = FiberCache()
+    def test_cache_statistics(self, clean_cache):
+        cache = fiber_cache()
         q = FiberQuery.over_orbit(
             bipartition((), (1, 1, 1)), bipartition((), (3,)), 2
         )
-        first = count_fiber_memo(q, cache)
+        first = count_fiber_memo(q)
         misses = cache.misses
         assert misses > 0
-        again = count_fiber_memo(q, cache)
+        again = count_fiber_memo(q)
         assert again == first
         assert cache.misses == misses  # fully served from cache
         assert cache.hits > 0
+        # stats also counts the polynomial table, base cases included:
+        # the figures demo 02 prints after the 242 polynomials with n <= 4
+        cache.clear()
+        for n in range(5):
+            for big, small in closure_pairs(n):
+                fiber_polynomial(big, small)
+        assert cache.stats == {"hits": 388, "misses": 286, "entries": 286}
 
-    def test_persistence_roundtrip(self, tmp_path):
-        cache = FiberCache()
+    def test_persistence_roundtrip(self, tmp_path, clean_cache):
+        cache = fiber_cache()
         q = FiberQuery.over_orbit(bipartition((), (2, 1)), bipartition((), (3,)), 3)
-        value = count_fiber_memo(q, cache)
+        value = count_fiber_memo(q)
         path = tmp_path / "counts.jsonl"
         cache.save(path)
-        fresh = FiberCache()
-        fresh.load(path)
-        assert len(fresh) == len(cache)
-        assert count_fiber_memo(q, fresh) == value
+        size = len(cache)
+        cache.clear()
+        cache.load(path)
+        assert len(cache) == size
+        assert count_fiber_memo(q) == value
         # nothing was recomputed
-        assert fresh.misses == 0
+        assert cache.stats["misses"] == 0
 
-    def test_clear_empties_process_tables(self):
+    def test_clear_empties_process_tables(self, clean_cache):
         q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((4,), ()), 3)
         lambda_fixed_profiles(q, weight_filtrations(q))
-        assert fibers._graded_step.cache_info().currsize > 0
-        assert fibers._push.cache_info().currsize > 0
+        fiber_polynomial(bipartition((4,), ()), bipartition((), (2, 1, 1)))
+        tables = (fibers._symbolic_row, fibers._poly_orbit, fibers._graded_step, fibers._push)
+        assert all(table.cache_info().currsize > 0 for table in tables)
         fiber_cache().clear()
-        assert fibers._graded_step.cache_info().currsize == 0
-        assert fibers._push.cache_info().currsize == 0
+        assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0]
 
-    def test_clear_empties_symbolic_tables(self, monkeypatch):
-        cache = FiberCache()
+    def test_clear_empties_symbolic_tables(self, monkeypatch, clean_cache):
+        cache = fiber_cache()
         big, small = bipartition((1,), (2,)), bipartition((), (1, 1, 1))
         q = FiberQuery.over_orbit(small, big, 2)
-        poly = fiber_polynomial(big, small, cache)
-        value = count_fiber_memo(q, cache)
+        poly = fiber_polynomial(big, small)
+        value = count_fiber_memo(q)
         assert value == poly.evaluate(2)
-        misses = cache.misses
+        misses = cache.stats["misses"]
         cache.clear()
         assert cache.stats == {"hits": 0, "misses": 0, "entries": 0}
         transition_row = fibers._transition_row
@@ -546,15 +560,15 @@ class TestMemo:
 
         monkeypatch.setattr(fibers, "_transition_row", counting)
         # the count misses again and is rebuilt from the polynomial
-        assert count_fiber_memo(q, cache) == value
-        assert fiber_polynomial(big, small, cache) == poly
-        assert cache.misses == misses
+        assert count_fiber_memo(q) == value
+        assert fiber_polynomial(big, small) == poly
+        assert cache.stats["misses"] == misses
         assert rows
 
-    def test_failed_save_keeps_old_file(self, tmp_path):
-        cache = FiberCache()
+    def test_failed_save_keeps_old_file(self, tmp_path, clean_cache):
+        cache = fiber_cache()
         q = FiberQuery.over_orbit(bipartition((), (2, 1)), bipartition((), (3,)), 3)
-        value = count_fiber_memo(q, cache)
+        value = count_fiber_memo(q)
         path = tmp_path / "counts.jsonl"
         cache.save(path)
         before = path.read_text()
@@ -564,11 +578,12 @@ class TestMemo:
             cache.save(path)
         assert path.read_text() == before
         assert list(tmp_path.iterdir()) == [path]
-        fresh = FiberCache()
-        fresh.load(path)
-        assert len(fresh) == len(cache) - 1
-        assert count_fiber_memo(q, fresh) == value
-        assert fresh.misses == 0
+        size = len(cache)
+        cache.clear()
+        cache.load(path)
+        assert len(cache) == size - 1
+        assert count_fiber_memo(q) == value
+        assert cache.stats["misses"] == 0
 
     def test_bad_cache_version_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -600,9 +615,8 @@ class TestEquivariance:
         x2 = pmat @ np_.x @ invert(pmat)
         assert count_fiber(FiberQuery(v2, x2, shape)) == base
 
-    def test_random_conjugation(self):
+    def test_random_conjugation(self, clean_cache):
         rng = random.Random(17)
-        cache = FiberCache()
         for n in (3, 4):
             for b in bipartitions(n):
                 np_ = normal_pair(b, 2)
@@ -620,7 +634,7 @@ class TestEquivariance:
                     x2 = g @ np_.x @ invert(g)
                     conjugated = FiberQuery(v2, x2, shape)
                     assert count_fiber(conjugated) == base
-                    assert count_fiber_memo(conjugated, cache) == base
+                    assert count_fiber_memo(conjugated) == base
 
 
 class TestLambdaFixed:
@@ -772,7 +786,7 @@ class TestClosure:
 
 
 class TestHeldOutConsistency:
-    def test_interpolation_predicts_fresh_prime(self):
+    def test_interpolation_predicts_fresh_prime(self, clean_cache):
         # the fiber-level sampling oracle: counts at the schedule fit a
         # polynomial that predicts the held-out prime, and that polynomial
         # is the one assembled from the symbolic transition table; the
@@ -791,7 +805,7 @@ class TestHeldOutConsistency:
                 extra = held_out_prime(sched)
                 fresh = count_by_transitions(FiberQuery.over_orbit(small, big, extra), memo)
                 assert poly.evaluate(extra) == fresh
-                assert fiber_polynomial(big, small, FiberCache()) == poly, (str(big), str(small))
+                assert fiber_polynomial(big, small) == poly, (str(big), str(small))
 
 
 class TestSymbolicTable:
@@ -809,13 +823,13 @@ class TestSymbolicTable:
                 for p in (2, 3):
                     assert q_binomial(m, k).evaluate(p) == gaussian_binomial(m, k, p)
 
-    def test_closed_form_rows_match_enumeration(self):
+    def test_closed_form_rows_match_enumeration(self, clean_cache):
         # every row with n <= 5 at p = 2 and 3, and with n = 6 at p = 2
         checked = 0
         for n in range(1, 7):
             for b in bipartitions(n):
                 for r1 in range(1, b.row_count + 1):
-                    row = fibers._symbolic_row(b, r1, FiberCache())
+                    row = fibers._symbolic_row(b, r1)
                     for p in (2, 3) if n <= 5 else (2,):
                         evaluated = {b2: e.evaluate(p) for b2, e in row.items()}
                         assert evaluated == dict(transitions(b, r1, p)), (str(b), r1, p)
@@ -850,7 +864,7 @@ class TestSymbolicTable:
                     checked += 1
         assert checked == 38
 
-    def test_polynomials_read_no_prime_field(self, monkeypatch):
+    def test_polynomials_read_no_prime_field(self, monkeypatch, clean_cache):
         # the polynomial path enumerates no subspace, classifies no pair and
         # interpolates nothing
         calls = Counter()
@@ -869,10 +883,9 @@ class TestSymbolicTable:
             for holder in modules:
                 if getattr(holder, name, None) is original:
                     monkeypatch.setattr(holder, name, counting)
-        cache = FiberCache()
         for n in range(6):
             for big, small in closure_pairs(n):
-                fiber_polynomial(big, small, cache)
+                fiber_polynomial(big, small)
         assert calls == Counter()
 
 

@@ -6,7 +6,6 @@ from enhcone.gflinalg import (
     MatrixGF,
     SubspaceGF,
     enumerate_subspaces,
-    gaussian_binomial,
     is_prime,
     kernel,
     quotient_map,
@@ -15,6 +14,7 @@ from enhcone.gflinalg import (
 )
 from oracles import (
     enumerate_subspaces_by_patterns,
+    gaussian_binomial,
     primes_first,
     push_matrix_by_columns,
     reduce_apply,
