@@ -80,8 +80,8 @@ def _emit_csv(columns: list[str], rows: list[dict], out) -> None:
 
 def _emit(fmt: str, payload: dict, columns: list[str], rows: list[dict], out) -> None:
     if fmt == "json":
-        json.dump(payload, out, sort_keys=True, separators=(",", ":"))
-        out.write("\n")
+        # json.dumps runs the C encoder; json.dump to a stream never does
+        out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     else:
         _emit_csv(columns, rows, out)
 

@@ -32,17 +32,19 @@ stays independent of the fiber polynomials that it certifies.  _flags
 is the oracle that the walker is tested against.
 
 The checks walk the same small orbits again and again under different
-flag shapes, so two tables live for the whole process, or until
-FiberCache.clear() empties them: _graded_step
-keeps, for each (graded pair, r_1), the tuple of its quotient maps and
-quotient pairs, and _push keeps, for each (quotient map, subspace), the
-canonical pushed subspace.  Both hold exact GF(p) objects that depend
-on their key alone, and no count: every count and histogram still comes
-from a memo that lives for one call, so one call cannot lend another a
-count, and a walk spends as many nodes on a warm table as on a cold
-one.  The kernel step keeps no table: count_fiber walks as far on every
-call, and the n = 6, 7 polynomial sweeps, which count every pair they
-certify through it, would fill such a table without bound.
+flag shapes, so three tables live for the whole process, or until
+FiberCache.clear() empties them: _kernel_step and _graded_step keep,
+for each (pair, r_1), the tuple of its quotient maps and quotient
+pairs, and _push keeps, for each (quotient map, subspace), the
+canonical pushed subspace.  Many W_1 leave the same quotient, and a
+step holds equal quotient pairs as one object (_shared), so the table
+keeps less and the walker memo finds such a key by identity.  All
+three hold exact GF(p) objects that depend on their key alone, and no
+count: every count and histogram still comes from a memo that lives
+for one call, so one call cannot lend another a count, and a walk
+spends as many nodes on a warm table as on a cold one.  The kernel
+step table grows with the orbits counted: the n = 7 polynomial sweep,
+which counts every pair it certifies at p = 2, leaves 14,555 entries.
 
 Counts depend only on the orbit of (v, x), and orbits are indexed by
 bipartitions, so fiber_polynomial recurses over bipartitions in Z[q],
@@ -62,10 +64,10 @@ a row that does not raises InterpolationError.  A count over GF(p) is
 its polynomial at q = p: count_fiber_memo classifies the query's pair
 once and evaluates P there.  The rows and the polynomials are
 lru_cache tables, _symbolic_row and _poly_orbit, as pure in their
-arguments as _graded_step and _push; a row that raises is not kept.
+arguments as the step tables and _push; a row that raises is not kept.
 The FiberCache of fiber_cache() holds only the counts of
 count_fiber_memo, the table that a count file saves and loads, and its
-clear() empties that table and all four lru_cache tables.
+clear() empties that table and all five lru_cache tables.
 
 Fiber counts decide only fiber polynomials: closure_contains reads the
 closure order off two bipartitions in closed form, and the test suite
@@ -158,23 +160,35 @@ class _Pair(NamedTuple):
     x: MatrixGF
 
 
-def _kernel_step(pair: _Pair, r1: int) -> Iterator[tuple[QuotientMap, _Pair]]:
+def _shared(candidates) -> tuple:
+    """The (quotient map, quotient pair) candidates of one step as a tuple,
+    with equal quotient pairs held as one object: many W_1 leave the same
+    quotient, and the walker memo finds a shared key by identity before
+    it compares one."""
+    seen: dict = {}
+    return tuple([(qm, seen.setdefault(sub, sub)) for qm, sub in candidates])
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_step(pair: _Pair, r1: int) -> tuple[tuple[QuotientMap, _Pair], ...]:
     """Every r1-subspace W of ker x, as the quotient map by W together with
-    the induced pair on V/W."""
+    the induced pair on V/W.  A tuple, built once per (pair, r1) in a
+    process: a cached generator would be spent."""
     ker = kernel(pair.x)
     if r1 > ker.dim:
-        return
-    for w in enumerate_subspaces(ker, r1):
-        qm = quotient_map(w)
-        yield qm, _Pair(qm.apply(pair.v), qm.push_matrix(pair.x))
+        return ()
+    return _shared(
+        (qm, _Pair(qm.apply(pair.v), qm.push_matrix(pair.x)))
+        for qm in map(quotient_map, enumerate_subspaces(ker, r1))
+    )
 
 
 @functools.lru_cache(maxsize=None)
 def _graded_step(pair: GradedPair, r1: int) -> tuple[tuple[QuotientMap, GradedPair], ...]:
     """Every weight-graded r1-subspace of ker x, as the quotient map by it
-    together with the induced graded pair on the quotient.  A tuple, built
-    once per (pair, r1) in a process: a cached generator would be spent."""
-    return tuple(
+    together with the induced graded pair on the quotient; a tuple, built
+    once per (pair, r1) in a process like _kernel_step's."""
+    return _shared(
         graded_quotient(pair, selection)
         for selection in enumerate_graded_subspaces(graded_kernel_blocks(pair), r1)
     )
@@ -214,8 +228,8 @@ def _profiles(step, pair, subspaces: tuple, dims: tuple[int, ...], j: int, memo:
     steps are those of W/W_1 against pushed S.  memo maps (pair,
     subspaces, dims, j) to its histogram, all exact canonical objects
     over GF(p); spend() is called once for each candidate W_1 expanded
-    on a miss.  The pushes come from the process-wide _push table, and
-    on the graded step the candidates from the _graded_step table; both
+    on a miss.  The pushes come from the process-wide _push table and
+    the candidates from the _kernel_step or _graded_step table; they
     hold subspaces and pairs, never a histogram, so the memo, a fresh
     dict per call, holds every count."""
     if j == 0 and any(pair.v):
@@ -296,8 +310,8 @@ class FiberCache:
     """The count table: (mu, nu, dims, j, p) to the exact count that
     count_fiber_memo returned, which `save`/`load` persist.  The other
     process tables are the lru_cache functions _symbolic_row, _poly_orbit,
-    _graded_step and _push, which depend on their arguments alone;
-    `clear()` empties them all with the count table.  `stats` counts
+    _kernel_step, _graded_step and _push, which depend on their arguments
+    alone; `clear()` empties them all with the count table.  `stats` counts
     lookups in the count table and in _poly_orbit, and their entries.
     """
 
@@ -324,7 +338,7 @@ class FiberCache:
 
     def clear(self) -> None:
         self._table.clear()
-        for table in (_symbolic_row, _poly_orbit, _graded_step, _push):
+        for table in (_symbolic_row, _poly_orbit, _kernel_step, _graded_step, _push):
             table.cache_clear()
         self.hits = 0
         self.misses = 0

@@ -327,6 +327,49 @@ def quotient_map(w: SubspaceGF) -> QuotientMap:
     return QuotientMap(w.p, w.ambient, w.basis, w.pivots, nonpivots)
 
 
+def _row_options(head: tuple[int, ...], frees: Sequence[tuple[int, ...]], p: int) -> Iterator[tuple[int, ...]]:
+    """head plus every combination of the rows frees, their coefficients
+    in itertools.product order.  The coefficients run as an odometer, so
+    each option after head costs one vector addition: raising a digit
+    adds its row to the partial sum once more, and the digits after it
+    fall back to 0."""
+    coeffs = [0] * len(frees)
+    partial = [head] * len(frees)  # head plus the terms up to and including each digit
+    row = head
+    while True:
+        yield row
+        t = len(frees) - 1
+        while t >= 0 and coeffs[t] == p - 1:
+            coeffs[t] = 0
+            t -= 1
+        if t < 0:
+            return
+        coeffs[t] += 1
+        row = tuple([(a + b) % p for a, b in zip(partial[t], frees[t])])
+        partial[t:] = [row] * (len(frees) - t)
+
+
+def _listed(source: Iterator, into: list) -> Iterator:
+    """source's items, each appended to into as it comes."""
+    for item in source:
+        into.append(item)
+        yield item
+
+
+def _bases(rows: list, i: int, above: tuple) -> Iterator[tuple]:
+    """above followed by every choice of one option for each of rows i,
+    i + 1, ..., the first slowest.  rows[i] is (the option source of row
+    i, the options listed so far): a row's first pass draws from its
+    source and lists what it draws, and every later pass reads the
+    list."""
+    if i == len(rows):
+        yield above
+        return
+    source, listed = rows[i]
+    for row in listed or _listed(source, listed):
+        yield from _bases(rows, i + 1, above + (row,))
+
+
 def enumerate_subspaces(ambient: SubspaceGF, d: int) -> Iterator[SubspaceGF]:
     """Every d-dimensional subspace of ambient, exactly once.
 
@@ -338,25 +381,20 @@ def enumerate_subspaces(ambient: SubspaceGF, d: int) -> Iterator[SubspaceGF]:
     re-reduction.  Pivot choices come in lexicographic order, and within
     one the free coefficients in itertools.product order, row by row,
     each row's coefficients in the order of the ambient rows they scale.
+
+    Each row's options are built as the row first reaches them and kept
+    for its later passes, so the first subspace comes at once however
+    large p is, and no option is built twice.
     """
     k, p, n = ambient.dim, ambient.p, ambient.ambient
     if d < 0 or d > k:
         raise ValueError(f"cannot take {d}-dim subspaces of a {k}-dim space")
     amb_rows = ambient.basis
     for pattern in itertools.combinations(range(k), d):
-        choices = []
-        for s in pattern:
-            options = [amb_rows[s]]
-            for c in range(s + 1, k):
-                if c not in pattern:
-                    free = amb_rows[c]
-                    options = [
-                        tuple([(a + f * b) % p for a, b in zip(row, free)]) if f else row
-                        for row in options
-                        for f in range(p)
-                    ]
-            choices.append(options)
         pivots = tuple(ambient.pivots[s] for s in pattern)
-        for rows in itertools.product(*choices):
-            yield SubspaceGF(p, n, rows, pivots)
-
+        rows = [
+            (_row_options(amb_rows[s], [amb_rows[c] for c in range(s + 1, k) if c not in pattern], p), [])
+            for s in pattern
+        ]
+        for basis in _bases(rows, 0, ()):
+            yield SubspaceGF(p, n, basis, pivots)

@@ -15,9 +15,9 @@ Macdonald's Hall polynomial for v = 0, two q-binomials for x = 0, and
 per-entry interpolation of transitions at primes otherwise.
 walk_count counts fiber flags by the first-step recursion of
 fibers._profiles, with no memo and no fixed subspaces, and
-unmemoized_fiber_count and unmemoized_lambda_fixed_count run it on the
-kernel step and on graded_step, the graded step as a generator that
-builds every candidate afresh, sharing no table with
+unmemoized_fiber_count and unmemoized_lambda_fixed_count run it on
+kernel_step and on graded_step, the two steps as generators that build
+every candidate afresh, sharing no table with fibers._kernel_step and
 fibers._graded_step.  closure_by_count decides the closure order by
 whether a fiber is nonempty over GF(p), by that count.  nonneg_part
 is the closed form the centralizer module takes at a normal pair, and
@@ -273,9 +273,20 @@ def walk_count(step, pair, dims: tuple[int, ...], j: int) -> int:
     return sum(walk_count(step, sub, rest, jj) for _, sub in step(pair, dims[1]))
 
 
+def kernel_step(pair: fibers._Pair, r1: int) -> Iterator[tuple[QuotientMap, fibers._Pair]]:
+    """Every r1-subspace W of ker x, as the quotient map by W together with
+    the induced pair on V/W, built afresh on every call."""
+    ker = kernel(pair.x)
+    if r1 > ker.dim:
+        return
+    for w in enumerate_subspaces(ker, r1):
+        qm = quotient_map(w)
+        yield qm, fibers._Pair(qm.apply(pair.v), qm.push_matrix(pair.x))
+
+
 def unmemoized_fiber_count(q: FiberQuery) -> int:
-    """count_fiber by walk_count on the kernel step."""
-    return walk_count(fibers._kernel_step, fibers._Pair(q.v, q.x), q.shape.dims, q.shape.marker)
+    """count_fiber by walk_count on kernel_step."""
+    return walk_count(kernel_step, fibers._Pair(q.v, q.x), q.shape.dims, q.shape.marker)
 
 
 def graded_step(pair: GradedPair, r1: int) -> Iterator[tuple[QuotientMap, GradedPair]]:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,18 @@ class TestDistinguishedLemma:
         rep = check_distinguished_lemma(bipartition((2, 2), (1,)), 2, budget=3)
         assert rep.verdict == "budget-exceeded"
         assert rep.witness["limit"] == 3
+
+    def test_budget_stops_the_search_before_it_lists_a_large_field(self):
+        # the weight space of (();(1,1,1)) is all of GF(419)^3: the search
+        # spends its budget on the first lines, none of the rest is built
+        tracemalloc.start()
+        try:
+            rep = check_distinguished_lemma(bipartition((), (1, 1, 1)), 419, budget=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == "budget-exceeded"
+        assert peak < 1024 * 1024
 
 
 class TestSplitProduct:

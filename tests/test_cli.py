@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from enhcone import checks, fibers
+from enhcone import checks, cli, fibers
 from enhcone.cli import main
 from enhcone.combinatorics import bipartition
 from enhcone.fibers import fiber_cache
@@ -147,6 +147,24 @@ class TestCheckCommand:
         payload = json.loads(out)
         assert payload["summary"]["failed"] == 0
         assert payload["summary"]["total"] == payload["summary"]["passed"]
+
+    def test_json_output_bytes_are_the_stream_encoders(self, capsys, monkeypatch):
+        # the payload written through json.dumps, the C encoder, reads
+        # byte for byte as json.dump, the pure-Python one, writes it
+        emitted = []
+        emit = cli._emit
+
+        def recording(fmt, payload, *rest):
+            emitted.append(payload)
+            return emit(fmt, payload, *rest)
+
+        monkeypatch.setattr(cli, "_emit", recording)
+        code, out = run_cli(capsys, "check", "--n", "3", "--format", "json")
+        assert code == 0
+        (payload,) = emitted
+        expected = io.StringIO()
+        json.dump(payload, expected, sort_keys=True, separators=(",", ":"))
+        assert out == expected.getvalue() + "\n"
 
     def test_unknown_check_usage_error(self, capsys):
         code, _ = run_cli(capsys, "check", "--n", "2", "--checks", "nonsense")

@@ -22,6 +22,7 @@ from enhcone.normalform import (
     normal_pair,
 )
 from enhcone import fibers, gflinalg, normalform
+from enhcone.checks import check_polynomial_count
 from enhcone.fibers import (
     FiberCache,
     FiberQuery,
@@ -53,6 +54,7 @@ from oracles import (
     hall_row,
     held_out_prime,
     interpolated_row,
+    kernel_step,
     next_prime_after,
     prime_schedule,
     reduce_apply,
@@ -193,7 +195,7 @@ class TestWalkerMemo:
                     str(big), str(small), p,
                 )
 
-    def test_count_is_independent_of_the_polynomials(self, monkeypatch, clean_cache):
+    def test_count_is_independent_of_the_polynomials(self, clean_cache, monkeypatch):
         def forbidden(*args):
             raise AssertionError("the brute-force count read the polynomial path")
 
@@ -203,24 +205,34 @@ class TestWalkerMemo:
             (fibers, "_transition_row"),
         ):
             monkeypatch.setattr(module, name, forbidden)
-        yielded = Counter()
-        enumerate_all = gflinalg.enumerate_subspaces
+        nodes = Counter()
+        cached_step = fibers._kernel_step
 
-        def counting(*args):
-            for w in enumerate_all(*args):
-                yielded["subspaces"] += 1
-                yield w
+        def counting(pair, r1):
+            step = cached_step(pair, r1)
+            nodes["walker"] += len(step)
+            return step
 
-        monkeypatch.setattr(fibers, "enumerate_subspaces", counting)
+        def counting_oracle(pair, r1):
+            for item in kernel_step(pair, r1):
+                nodes["oracle"] += 1
+                yield item
+
+        monkeypatch.setattr(fibers, "_kernel_step", counting)
         q = FiberQuery.over_orbit(bipartition((), (1, 1, 1, 1)), bipartition((), (2, 2)), 2)
         first = count_fiber(q)
-        walked = yielded["subspaces"]
-        # one call's memo is gone by the next call, which walks as far
-        assert count_fiber(q) == first
-        assert yielded["subspaces"] == 2 * walked > 0
+        walked = nodes["walker"]
+        # one call's memo is gone by the next call, which spends as many
+        # nodes on the warm step table
+        spent = []
+        assert sum(fiber_profiles(q, (), lambda: spent.append(1)).values()) == first
+        assert len(spent) == walked > 0
+        assert nodes["walker"] == 2 * walked
         # within a call the memo does replay counts: the plain walker goes further
+        dims, j = q.shape.dims, q.shape.marker
+        assert walk_count(counting_oracle, fibers._Pair(q.v, q.x), dims, j) == first
         assert unmemoized_fiber_count(q) == first
-        assert yielded["subspaces"] - 2 * walked > walked
+        assert nodes["oracle"] > walked
         assert fiber_cache().stats == {"hits": 0, "misses": 0, "entries": 0}
 
 
@@ -299,9 +311,14 @@ class TestProfileWalker:
 
     def test_spends_one_node_per_expanded_candidate(self, monkeypatch):
         candidates = Counter()
-        kernel_step = fibers._kernel_step
+        cached_step = fibers._kernel_step
 
         def counting(pair, r1):
+            step = cached_step(pair, r1)
+            candidates["yielded"] += len(step)
+            return step
+
+        def counting_oracle(pair, r1):
             for item in kernel_step(pair, r1):
                 candidates["yielded"] += 1
                 yield item
@@ -319,22 +336,22 @@ class TestProfileWalker:
         assert len(again) == len(nodes)
         # memo hits expand nothing: the unmemoized walker visits more
         candidates.clear()
-        walk_count(fibers._kernel_step, fibers._Pair(q.v, q.x), q.shape.dims, q.shape.marker)
+        walk_count(counting_oracle, fibers._Pair(q.v, q.x), q.shape.dims, q.shape.marker)
         assert candidates["yielded"] > len(nodes)
 
     def test_counts_walk_as_the_empty_histogram(self, monkeypatch):
         # a count is the profile walk against no subspaces: the same
         # walker calls and the same candidates, on either step
         tally = Counter()
-        kernel_step, cached_step, walker = fibers._kernel_step, fibers._graded_step, fibers._profiles
+        cached_kernel, cached_graded, walker = fibers._kernel_step, fibers._graded_step, fibers._profiles
 
         def counting_kernel(pair, r1):
-            for item in kernel_step(pair, r1):
-                tally["candidates"] += 1
-                yield item
+            step = cached_kernel(pair, r1)
+            tally["candidates"] += len(step)
+            return step
 
         def counting_graded(pair, r1):
-            step = cached_step(pair, r1)
+            step = cached_graded(pair, r1)
             tally["candidates"] += len(step)
             return step
 
@@ -377,9 +394,40 @@ class TestProfileWalker:
                 walk(q, ())
 
 
+def assert_step_table_matches(cached_step, oracle_step, reached: set) -> None:
+    """cached_step equals oracle_step, in yield order, on every pair reached
+    from the given ones, each added to reached; a warm entry is the same
+    tuple, and equal quotient pairs within one entry are one object."""
+    frontier = list(reached)
+    while frontier:
+        pair = frontier.pop()
+        for r1 in range(1, len(pair.v) + 1):
+            step = cached_step(pair, r1)
+            assert isinstance(step, tuple)
+            assert list(step) == list(oracle_step(pair, r1)), (pair, r1)
+            # a warm entry is the same sequence, not a spent generator
+            assert cached_step(pair, r1) is step
+            shared = {}
+            for _, sub in step:
+                assert shared.setdefault(sub, sub) is sub, (pair, r1, sub)
+                if sub not in reached:
+                    reached.add(sub)
+                    frontier.append(sub)
+
+
 class TestProcessTables:
-    """_graded_step and _push keep exact GF(p) objects for the whole
-    process; the counts built from them stay per call."""
+    """_kernel_step, _graded_step and _push keep exact GF(p) objects for
+    the whole process; the counts built from them stay per call."""
+
+    def test_kernel_step_matches_generator_oracle(self):
+        reached = set()
+        for n in range(5):
+            for b in bipartitions(n):
+                for p in (2, 3):
+                    np_ = normal_pair(b, p)
+                    reached.add(fibers._Pair(np_.v, np_.x))
+        assert_step_table_matches(fibers._kernel_step, kernel_step, reached)
+        assert len(reached) > 200
 
     def test_graded_step_matches_generator_oracle(self):
         reached = set()
@@ -388,20 +436,16 @@ class TestProcessTables:
                 for p in (2, 3):
                     np_ = normal_pair(b, p)
                     reached.add(GradedPair(np_.x, np_.v, np_.weights))
-        frontier = list(reached)
-        while frontier:
-            pair = frontier.pop()
-            for r1 in range(1, pair.n + 1):
-                step = fibers._graded_step(pair, r1)
-                assert isinstance(step, tuple)
-                assert list(step) == list(graded_step(pair, r1)), (pair, r1)
-                # a warm entry is the same sequence, not a spent generator
-                assert fibers._graded_step(pair, r1) == step
-                for _, sub in step:
-                    if sub not in reached:
-                        reached.add(sub)
-                        frontier.append(sub)
+        assert_step_table_matches(fibers._graded_step, graded_step, reached)
         assert len(reached) > 200
+
+    def test_kernel_step_shares_equal_quotients(self):
+        # the four lines of ker x at the zero pair of GF(3)^2 leave four
+        # quotients (0, 0): one object, held four times
+        np_ = normal_pair(bipartition((), (1, 1)), 3)
+        step = fibers._kernel_step(fibers._Pair(np_.v, np_.x), 1)
+        assert len(step) == 4
+        assert len({id(sub) for _, sub in step}) == 1
 
     @pytest.mark.parametrize("p", (2, 3, 5))
     def test_push_is_the_span_of_the_images(self, p):
@@ -419,6 +463,32 @@ class TestProcessTables:
             assert pushed == SubspaceGF.span([reduce_apply(qm, u) for u in s.basis], qm.codim, p)
             assert pushed.dim == s.sum(w).dim - w.dim
             assert fibers._push(qm, s) == pushed
+
+    def test_kernel_counts_stay_per_call_on_warm_tables(self, clean_cache, monkeypatch):
+        candidates = Counter()
+        cached_step = fibers._kernel_step
+
+        def counting(pair, r1):
+            step = cached_step(pair, r1)
+            candidates["yielded"] += len(step)
+            return step
+
+        monkeypatch.setattr(fibers, "_kernel_step", counting)
+        q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((4,), ()), 3)
+        filtrations = weight_filtrations(q)
+        cold = []
+        hist = fiber_profiles(q, filtrations, lambda: cold.append(1))
+        assert len(cold) == candidates["yielded"] > 0
+        assert sum(hist.values()) == unmemoized_fiber_count(q) > 0
+        assert len(hist) > 1
+        steps = cached_step.cache_info()
+        # the second call finds every step in the table, yet spends as
+        # many nodes: the histogram memo is its own
+        warm = []
+        assert fiber_profiles(q, filtrations, lambda: warm.append(1)) == hist
+        assert len(warm) == len(cold)
+        assert cached_step.cache_info().misses == steps.misses
+        assert cached_step.cache_info().hits > steps.hits
 
     def test_counts_stay_per_call_on_warm_tables(self, monkeypatch):
         candidates = Counter()
@@ -518,6 +588,15 @@ class TestMemo:
                 fiber_polynomial(big, small)
         assert cache.stats == {"hits": 388, "misses": 286, "entries": 286}
 
+    def test_kernel_step_table_size(self, clean_cache):
+        # the 242 certificates with n <= 4 count their fibers at p = 2 on
+        # 1,238 kernel steps, of which 165 are distinct (pair, r1) keys
+        for n in range(5):
+            for big, small in closure_pairs(n):
+                assert check_polynomial_count(big, small).passed, (str(big), str(small))
+        info = fibers._kernel_step.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (165, 1073, 165)
+
     def test_persistence_roundtrip(self, tmp_path, clean_cache):
         cache = fiber_cache()
         q = FiberQuery.over_orbit(bipartition((), (2, 1)), bipartition((), (3,)), 3)
@@ -535,11 +614,18 @@ class TestMemo:
     def test_clear_empties_process_tables(self, clean_cache):
         q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((4,), ()), 3)
         lambda_fixed_profiles(q, weight_filtrations(q))
+        count_fiber(q)
         fiber_polynomial(bipartition((4,), ()), bipartition((), (2, 1, 1)))
-        tables = (fibers._symbolic_row, fibers._poly_orbit, fibers._graded_step, fibers._push)
+        tables = (
+            fibers._symbolic_row,
+            fibers._poly_orbit,
+            fibers._kernel_step,
+            fibers._graded_step,
+            fibers._push,
+        )
         assert all(table.cache_info().currsize > 0 for table in tables)
         fiber_cache().clear()
-        assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0]
+        assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0, 0]
 
     def test_clear_empties_symbolic_tables(self, monkeypatch, clean_cache):
         cache = fiber_cache()

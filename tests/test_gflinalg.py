@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -233,6 +235,19 @@ class TestEnumeration:
                         assert list(enumerate_subspaces(amb, d)) == list(
                             enumerate_subspaces_by_patterns(amb, d)
                         ), (p, k, d, amb)
+
+    def test_first_subspaces_come_before_any_row_is_listed(self):
+        # the 175,981 lines of GF(419)^3 start with a row of 419^2 options,
+        # which took 18 MiB to list before the first line came
+        amb = SubspaceGF.full(3, 419)
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(enumerate_subspaces(amb, 1), 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == list(itertools.islice(enumerate_subspaces_by_patterns(amb, 1), 5))
+        assert peak < 64 * 1024
 
     def test_gaussian_binomial_brute_force(self):
         assert gaussian_binomial(4, 2, 2) == brute_force_subspace_count(4, 2, 2) == 35
