@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterator, Sequence
 
 
@@ -74,8 +75,10 @@ class MatrixGF:
         return self.nrows == self.ncols
 
     def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
+        if len(v) != self.ncols:
+            raise ValueError("vector length does not match matrix columns")
         p = self.p
-        return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.rows)
+        return tuple(sum(map(mul, row, v)) % p for row in self.rows)
 
     def mul(self, other: "MatrixGF") -> "MatrixGF":
         if self.p != other.p or self.ncols != other.nrows:

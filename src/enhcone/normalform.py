@@ -18,6 +18,7 @@ lambda_i = mu_i + nu_i and kappa_i = nu_i + mu_{i+1}, which determine
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator, Sequence
 
 from .combinatorics import Bipartition, Partition, is_distinguished, transpose
@@ -25,6 +26,7 @@ from .gflinalg import (
     MatrixGF,
     QuotientMap,
     SubspaceGF,
+    _rref_rows,
     check_prime,
     enumerate_subspaces,
     kernel,
@@ -109,26 +111,55 @@ def normal_pair(b: Bipartition, p: int) -> NormalPair:
 
 
 def jordan_type(x: MatrixGF) -> Partition:
-    """Jordan type of a nilpotent matrix via the dimensions of its image
-    chain x^k V, which are the ranks of its powers."""
+    """Jordan type of a nilpotent matrix: the transpose of the drops in
+    dim x^k V, which is the rank of x^k, down the image chain.
+
+    >>> jordan_type(MatrixGF(2, ((0, 1, 0), (0, 0, 1), (0, 0, 0)), 3))
+    Partition(parts=(3,))
+    """
     if not x.is_square():
         raise ValueError("jordan_type needs a square matrix")
-    return partition_from_ranks([s.dim for s in _image_chain(x)])
+    return partition_from_ranks(_chain_ranks(x, ())[0])
 
 
-def _image_chain(x: MatrixGF) -> list[SubspaceGF]:
-    """The subspaces x^k V for k = 0, 1, ... down to the zero subspace,
-    each the span of x applied to the basis of the one before.  Their
-    dimensions strictly fall for nilpotent x; a step that keeps the
-    dimension raises ValueError."""
-    n, p = x.nrows, x.p
-    chain = [SubspaceGF.full(n, p)]
-    while chain[-1].dim:
-        image = SubspaceGF.span([x.matvec(b) for b in chain[-1].basis], n, p)
-        if image.dim == chain[-1].dim:
+def _chain_ranks(x: MatrixGF, krylov: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Two rank sequences read off one walk down the image chain
+    C_k = x^k V of a square x, from C_0 = V to the zero subspace: dim C_k,
+    and dim(C_k + K) - dim K for K the span of the vectors krylov.  With
+    K = F[x]v these are the ranks of x^k on V and on V / F[x]v.
+
+    Each C_k is a list of RREF rows.  C_1 is the row basis of the
+    columns of x, reduced mod p; C_(k+1) is that of x applied to the
+    rows of C_k.  The krylov vectors are row-reduced once, and the second
+    rank at level k is the rank of the rows of C_k reduced modulo them.
+    A level that keeps the dimension of the one before raises
+    ValueError: x is then not nilpotent.
+    """
+    n, p, xrows = x.nrows, x.p, x.rows
+    krows, kpivots = _rref_rows([list(u) for u in krylov], p, n)
+    krows = list(zip(krows, kpivots))
+    dims, quotient_dims = [n], [n - len(krows)]
+    image = [[a % p for a in col] for col in zip(*xrows)]
+    while dims[-1]:
+        image, pivots = _rref_rows(image, p, n)
+        d = len(pivots)
+        if d == dims[-1]:
             raise ValueError("matrix is not nilpotent")
-        chain.append(image)
-    return chain
+        del image[d:]
+        dims.append(d)
+        if krows:
+            left = []
+            for row in image:
+                for krow, c in krows:
+                    f = row[c]
+                    if f:
+                        row = [(a - f * b) % p for a, b in zip(row, krow)]
+                if any(row):
+                    left.append(row)
+            d = len(_rref_rows(left, p, n)[1])
+        quotient_dims.append(d)
+        image = [[sum(map(mul, row, b)) % p for row in xrows] for b in image]
+    return dims, quotient_dims
 
 
 def partition_from_ranks(ranks: Sequence[int]) -> Partition:
@@ -165,35 +196,37 @@ def centralizer_basis(x: MatrixGF) -> tuple[MatrixGF, ...]:
 
 def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
     """The bipartition (mu; nu) of the orbit of the pair (v, x), x nilpotent:
-    orbit_of_types of the Jordan types of x and of x on V / F[x]v.  Both
-    come from the image chain: x^k has rank dim x^k V, and its map on
-    V / F[x]v has rank dim(x^k V + F[x]v) - dim F[x]v.  The roundtrip
-    classify_pair(normal_pair(b, p)) == b pins this contract."""
+    orbit_of_types of lambda, the Jordan type of x, and kappa, that of x
+    on V / F[x]v.  Both come from one walk down the image chain x^k V:
+    x^k has rank dim x^k V, and its map on V / F[x]v has rank
+    dim(x^k V + F[x]v) - dim F[x]v.  The roundtrip
+    classify_pair(normal_pair(b, p)) == b pins this contract, and
+    classification is constant on GL(V)-orbits.  Conjugating the normal
+    pair of ((1); (1)), with v = e_1 and x = E_12, by the swap of e_1 and
+    e_2 gives v = e_2 and x = E_21:
+
+    >>> from .combinatorics import format_bipartition
+    >>> x = MatrixGF(5, ((0, 0), (1, 0)), 2)
+    >>> format_bipartition(classify_pair((0, 1), x))
+    'mu=1;nu=1'
+
+    A non-square x, a v of the wrong length and a non-nilpotent x raise
+    ValueError.
+    """
     if not x.is_square():
         raise ValueError("classify_pair needs a square matrix")
     n = x.nrows
     v = tuple(a % x.p for a in v)
     if len(v) != n:
         raise ValueError("vector length does not match matrix size")
-    if not any(v):
-        return Bipartition(Partition(()), jordan_type(x))
-    if x.is_zero():
-        return Bipartition(Partition((1,) * n), Partition(()))
     krylov = []
-    for _ in range(n):
+    while any(v):
+        if len(krylov) == n:
+            raise ValueError("matrix is not nilpotent")
         krylov.append(v)
         v = x.matvec(v)
-        if not any(v):
-            break
-    else:
-        raise ValueError("matrix is not nilpotent")
-    chain = _image_chain(x)
-    lam = partition_from_ranks([s.dim for s in chain])
-    # x is nilpotent here, so its nonzero Krylov vectors are independent
-    kappa = partition_from_ranks(
-        [SubspaceGF.span(s.basis + tuple(krylov), n, x.p).dim - len(krylov) for s in chain]
-    )
-    return orbit_of_types(lam, kappa)
+    dims, quotient_dims = _chain_ranks(x, krylov)
+    return orbit_of_types(partition_from_ranks(dims), partition_from_ranks(quotient_dims))
 
 
 def orbit_of_types(lam: Partition, kappa: Partition) -> Bipartition:

@@ -46,6 +46,11 @@ basis: the per-weight intersections of a graded subspace add up to its
 dimension.  restrict_pair is how the split check built its factors
 before it took them as quotients: the pair that x and v induce on an
 x-stable graded subspace, in a basis of those intersections.
+classify_by_image_chain is how classify_pair read its two rank
+sequences before it walked plain rows: it spans each x^(k+1) V as a
+SubspaceGF of x applied to the basis of x^k V, starting from the
+identity, and re-spans x^k V together with the Krylov vectors at every
+level.
 """
 
 from __future__ import annotations
@@ -84,6 +89,7 @@ from enhcone.normalform import (
     graded_kernel_blocks,
     graded_quotient,
     normal_pair,
+    orbit_of_types,
     partition_from_ranks,
     weight_blocks,
 )
@@ -115,6 +121,53 @@ def classify_by_centralizer(v: Sequence[int], x: MatrixGF) -> Bipartition:
     nu = jordan_type_by_powers(push_matrix_by_columns(quotient_map(w), x))
     assert mu.size + nu.size == x.nrows
     return Bipartition(mu, nu)
+
+
+def image_chain(x: MatrixGF) -> list[SubspaceGF]:
+    """The subspaces x^k V for k = 0, 1, ... down to the zero subspace,
+    each the span of x applied to the basis of the one before.  Their
+    dimensions strictly fall for nilpotent x; a step that keeps the
+    dimension raises ValueError."""
+    n, p = x.nrows, x.p
+    chain = [SubspaceGF.full(n, p)]
+    while chain[-1].dim:
+        image = SubspaceGF.span([x.matvec(b) for b in chain[-1].basis], n, p)
+        if image.dim == chain[-1].dim:
+            raise ValueError("matrix is not nilpotent")
+        chain.append(image)
+    return chain
+
+
+def classify_by_image_chain(v: Sequence[int], x: MatrixGF) -> Bipartition:
+    """Orbit bipartition of (v, x) from the Jordan types of x and of x on
+    V / F[x]v: x^k has rank dim x^k V, and its map on V / F[x]v has rank
+    dim(x^k V + F[x]v) - dim F[x]v, both over the subspaces of
+    image_chain."""
+    if not x.is_square():
+        raise ValueError("classify_pair needs a square matrix")
+    n = x.nrows
+    v = tuple(a % x.p for a in v)
+    if len(v) != n:
+        raise ValueError("vector length does not match matrix size")
+    if not any(v):
+        return Bipartition(Partition(()), partition_from_ranks([s.dim for s in image_chain(x)]))
+    if x.is_zero():
+        return Bipartition(Partition((1,) * n), Partition(()))
+    krylov = []
+    for _ in range(n):
+        krylov.append(v)
+        v = x.matvec(v)
+        if not any(v):
+            break
+    else:
+        raise ValueError("matrix is not nilpotent")
+    chain = image_chain(x)
+    lam = partition_from_ranks([s.dim for s in chain])
+    # x is nilpotent here, so its nonzero Krylov vectors are independent
+    kappa = partition_from_ranks(
+        [SubspaceGF.span(s.basis + tuple(krylov), n, x.p).dim - len(krylov) for s in chain]
+    )
+    return orbit_of_types(lam, kappa)
 
 
 def stabilizer_orbit_dimension(b: Bipartition) -> int:

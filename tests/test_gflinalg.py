@@ -51,6 +51,15 @@ class TestMatrix:
             for p in (2, 3):
                 assert kernel(jordan_string(n, p)).dim == 1
 
+    def test_matvec_checks_length(self):
+        # zip would cut a short or long vector to the matrix's width
+        m = MatrixGF.from_rows([[1, 2], [0, 1]], 3)
+        assert m.matvec((1, 1)) == (0, 1)
+        for v in ((1,), (1, 1, 1)):
+            with pytest.raises(ValueError, match="length"):
+                m.matvec(v)
+        assert MatrixGF.zeros(3, 0, 2).matvec(()) == (0, 0, 0)
+
     def test_rref_idempotent(self):
         rng = random.Random(7)
         for _ in range(50):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from enhcone.normalform import (
 from oracles import (
     centralizer_module_span,
     classify_by_centralizer,
+    classify_by_image_chain,
     graded_by_intersections,
     jordan_type_by_powers,
     nonneg_part,
@@ -208,6 +210,16 @@ class TestClassify:
         x = regular_nilpotent(3, 2)
         assert classify_pair((0, 0, 0), x) == bipartition((), (3,))
 
+    @pytest.mark.parametrize("rows", [((3, 4), (0, 3)), ((0, 1), (3, 0))])
+    def test_unreduced_entries(self, rows):
+        # built directly, MatrixGF keeps entries >= p; mod 3 both are the
+        # regular nilpotent ((0, 1), (0, 0)).  A read that pivoted on the
+        # 3 of the second would scale that row to zero and count x V as
+        # 2-dimensional, so x would look invertible
+        x = MatrixGF(3, rows, 2)
+        assert classify_pair((0, 1), x) == bipartition((2,), ())
+        assert jordan_type(x).parts == (2,)
+
     def test_cyclic_regular_orbit(self):
         # classify is constant on the GL_2(F_2)-orbit of a cyclic vector
         x = regular_nilpotent(2, 2)
@@ -243,7 +255,63 @@ def conjugated_normal_pairs(draw, max_n=6):
     return b, g.matvec(np_.v), g @ np_.x @ invert_gf(g)
 
 
+def elementary_conjugate(np_, rng: random.Random) -> tuple[tuple[int, ...], MatrixGF]:
+    """(g v, g x g^-1) for the normal pair (v, x) and g a product of 2 n^2
+    random elementary matrices, each applied with its known inverse."""
+    p, n = np_.p, np_.n
+    x = [list(row) for row in np_.x.rows]
+    v = list(np_.v)
+    for _ in range(2 * n * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:  # scale coordinate i by s
+            s = rng.randrange(1, p)
+            s_inv = pow(s, p - 2, p)
+            x[i] = [a * s % p for a in x[i]]
+            for row in x:
+                row[i] = row[i] * s_inv % p
+            v[i] = v[i] * s % p
+        else:  # add c times coordinate j to coordinate i
+            c = rng.randrange(1, p)
+            x[i] = [(a + c * b) % p for a, b in zip(x[i], x[j])]
+            for row in x:
+                row[j] = (row[j] - c * row[i]) % p
+            v[i] = (v[i] + c * v[j]) % p
+    return tuple(v), MatrixGF(p, tuple(tuple(row) for row in x), n)
+
+
 class TestClassifyConjugates:
+    def test_census_conjugates_match_both_oracles(self):
+        # one random GL(n, p) conjugate of every normal pair with n <= 7,
+        # p drawn from 2, 3 and 5
+        rng = random.Random(20)
+        seen = set()
+        for n in range(8):
+            for b in bipartitions(n):
+                p = rng.choice((2, 3, 5))
+                seen.add(p)
+                v, x = elementary_conjugate(normal_pair(b, p), rng)
+                assert classify_pair(v, x) == b
+                assert classify_by_image_chain(v, x) == b
+                assert classify_by_centralizer(v, x) == b
+        assert seen == {2, 3, 5}
+
+    @pytest.mark.parametrize(
+        "v, x",
+        [
+            ((0, 0, 0), MatrixGF(2, ((0, 1), (0, 0), (0, 0)), 2)),
+            ((1, 0, 0), MatrixGF(3, ((0, 1), (0, 0)), 2)),
+            ((0, 0), MatrixGF.identity(2, 3)),
+            ((1, 0), MatrixGF(3, ((0, 0), (0, 1)), 2)),
+        ],
+        ids=["non-square", "wrong-length-v", "non-nilpotent-v-zero", "krylov-dies"],
+    )
+    def test_errors_match_image_chain_oracle(self, v, x):
+        with pytest.raises(ValueError) as old:
+            classify_by_image_chain(v, x)
+        with pytest.raises(ValueError) as new:
+            classify_pair(v, x)
+        assert str(new.value) == str(old.value)
+
     @settings(derandomize=True, deadline=None, database=None)
     @given(conjugated_normal_pairs())
     def test_gl_conjugates_classify_to_b(self, case):
