@@ -23,7 +23,7 @@ from .combinatorics import (
     format_bipartition,
     is_distinguished,
 )
-from .gflinalg import SubspaceGF, enumerate_subspaces, MatrixGF, quotient_map
+from .gflinalg import SubspaceGF, enumerate_subspaces, MatrixGF
 from .normalform import (
     Decomposition,
     GradedPair,
@@ -33,7 +33,7 @@ from .normalform import (
     graded_quotient,
     graded_span,
     normal_pair,
-    quotient_pair,
+    split_factors,
     weight_blocks,
 )
 from .fibers import (
@@ -380,16 +380,17 @@ def check_split_product(
     when they sum to dim W_i.  The factor on V1 is the pair induced on
     V / V2, and that on V2 the pair on V / V1; a splitting that
     decomposition_failures rejects fails the check with its violations.
-    Each distinct factor query is counted once per call.  The budget
-    caps the walker nodes expanded."""
+    The normal pair, the splitting and the factor pairs come from the
+    process table split_factors; the splitting is checked and every
+    count made on each call, and each distinct factor query is counted
+    once per call.  The budget caps the walker nodes expanded."""
     started = time.perf_counter()
     if is_distinguished(b):
         raise ValueError(f"{b} is distinguished; the splitting step does not apply")
     if b.n != big.n:
         raise ValueError("bipartitions must have equal total size")
     inputs = {"b": _bp_json(b), "big": _bp_json(big), "p": p}
-    np_ = normal_pair(b, p)
-    dec = explicit_decomposition(np_)
+    np_, dec, pair1, pair2 = split_factors(b, p)
     bad = decomposition_failures(np_.pair, dec)
     if bad:
         return _report("split-product", inputs, FAIL, {"splitting_violations": bad}, started)
@@ -409,8 +410,6 @@ def check_split_product(
         split_total += count
         dims1 = tuple(a for a, _ in profile)
         buckets[dims1] = buckets.get(dims1, 0) + count
-    pair1 = quotient_pair(np_.pair, quotient_map(dec.v2))
-    pair2 = quotient_pair(np_.pair, quotient_map(dec.v1))
     factor_counts: dict[FiberQuery, int] = {}
 
     def factor_count(fq: FiberQuery) -> int:

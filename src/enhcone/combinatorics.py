@@ -208,9 +208,11 @@ class FlagShape:
         return tuple(self.dims[i + 1] - self.dims[i] for i in range(self.m))
 
 
+@lru_cache(maxsize=None)
 def flag_shape(b: Bipartition) -> FlagShape:
     """Flag shape of the resolution attached to b: r_i = number of boxes in
-    or to the left of column i, marker j = mu_1.
+    or to the left of column i, marker j = mu_1; built once per b in a
+    process, like partitions.
 
     >>> flag_shape(bipartition((3, 1, 1), (3, 2))).dims
     (0, 1, 2, 5, 7, 9, 10)

@@ -32,19 +32,22 @@ stays independent of the fiber polynomials that it certifies.  _flags
 is the oracle that the walker is tested against.
 
 The checks walk the same small orbits again and again under different
-flag shapes, so three tables live for the whole process, or until
+flag shapes, so four tables live for the whole process, or until
 FiberCache.clear() empties them: _kernel_step and _graded_step keep,
 for each (pair, r_1), the tuple of its quotient maps and quotient
-pairs, and _push keeps, for each (quotient map, subspace), the
-canonical pushed subspace.  Many W_1 leave the same quotient, and a
-step holds equal quotient pairs as one object (_shared), so the table
-keeps less and the walker memo finds such a key by identity.  All
-three hold exact GF(p) objects that depend on their key alone, and no
-count: every count and histogram still comes from a memo that lives
-for one call, so one call cannot lend another a count, and a walk
-spends as many nodes on a warm table as on a cold one.  The kernel
-step table grows with the orbits counted: the n = 7 polynomial sweep,
-which counts every pair it certifies at p = 2, leaves 14,555 entries.
+pairs; _push keeps, for each (quotient map, subspace), the canonical
+pushed subspace; and normalform.split_factors keeps, for each (b, p),
+the split check's normal pair, splitting and factor pairs.  Many W_1
+leave the same quotient, within one step and across steps, and the
+_interned dict holds each quotient pair as one object for all steps
+(_shared), so the tables keep less and the walker memo finds such a
+key by identity.  All of them hold exact GF(p) objects that depend on
+their key alone, and no count: every count and histogram still comes
+from a memo that lives for one call, so one call cannot lend another a
+count, and a walk spends as many nodes on a warm table as on a cold
+one.  The kernel step table grows with the orbits counted: the n = 7
+polynomial sweep, which counts every pair it certifies at p = 2,
+leaves 14,555 entries.
 
 Counts depend only on the orbit of (v, x), and orbits are indexed by
 bipartitions, so fiber_polynomial recurses over bipartitions in Z[q],
@@ -67,7 +70,7 @@ lru_cache tables, _symbolic_row and _poly_orbit, as pure in their
 arguments as the step tables and _push; a row that raises is not kept.
 The FiberCache of fiber_cache() holds only the counts of
 count_fiber_memo, the table that a count file saves and loads, and its
-clear() empties that table and all five lru_cache tables.
+clear() empties that table, all six lru_cache tables and _interned.
 
 Fiber counts decide only fiber polynomials: closure_contains reads the
 closure order off two bipartitions in closed form, and the test suite
@@ -104,6 +107,7 @@ from .normalform import (
     normal_pair,
     orbit_of_types,
     partition_from_ranks,
+    split_factors,
 )
 
 
@@ -111,7 +115,8 @@ from .normalform import (
 class FiberQuery:
     """A pair (v, x) over GF(p) together with a flag shape and marker.
 
-    v and x are reduced mod p on construction.  weights, when present,
+    v is reduced mod p on construction, and x is kept as given, since
+    MatrixGF reduces its own entries.  weights, when present,
     record the cocharacter grading of the pair's normal basis and enable
     fixed-point counting.
     """
@@ -122,9 +127,7 @@ class FiberQuery:
     weights: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        x = self.x
-        object.__setattr__(self, "x", MatrixGF.from_rows(x.rows, x.p, x.ncols))
-        object.__setattr__(self, "v", tuple(a % x.p for a in self.v))
+        object.__setattr__(self, "v", tuple(a % self.x.p for a in self.v))
         if not self.x.is_square() or len(self.v) != self.x.ncols:
             raise ValueError("pair dimensions disagree")
         if self.shape.n != self.x.ncols:
@@ -160,13 +163,15 @@ class _Pair(NamedTuple):
     x: MatrixGF
 
 
+_interned: dict = {}  # quotient pair -> the one object that stands for it
+
+
 def _shared(candidates) -> tuple:
     """The (quotient map, quotient pair) candidates of one step as a tuple,
-    with equal quotient pairs held as one object: many W_1 leave the same
-    quotient, and the walker memo finds a shared key by identity before
-    it compares one."""
-    seen: dict = {}
-    return tuple([(qm, seen.setdefault(sub, sub)) for qm, sub in candidates])
+    with equal quotient pairs held as one object, in this step and in
+    every other: many W_1 leave the same quotient, and the walker memo
+    finds a shared key by identity before it compares one."""
+    return tuple([(qm, _interned.setdefault(sub, sub)) for qm, sub in candidates])
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,7 +233,9 @@ def _profiles(step, pair, subspaces: tuple, dims: tuple[int, ...], j: int, memo:
     steps are those of W/W_1 against pushed S.  memo maps (pair,
     subspaces, dims, j) to its histogram, all exact canonical objects
     over GF(p); spend() is called once for each candidate W_1 expanded
-    on a miss.  The pushes come from the process-wide _push table and
+    on a miss.  A child that is empty (v not in W_1 at the marker) or
+    the leaf (W_1 = V) is answered in place, with no push and no
+    recursion.  The pushes come from the process-wide _push table and
     the candidates from the _kernel_step or _graded_step table; they
     hold subspaces and pairs, never a histogram, so the memo, a fresh
     dict per call, holds every count."""
@@ -244,6 +251,13 @@ def _profiles(step, pair, subspaces: tuple, dims: tuple[int, ...], j: int, memo:
         hist = {}
         for qm, sub in step(pair, dims[1]):
             spend()
+            if jj == 0 and any(sub.v):
+                continue  # the child is empty: v is not in W_1
+            if len(rest) == 1:
+                # the child is the leaf: W_1 = V, and every S pushes to 0
+                steps = (tuple([s.dim for s in subspaces]),)
+                hist[steps] = hist.get(steps, 0) + 1
+                continue
             if subspaces:
                 pushed = tuple([_push(qm, s) for s in subspaces])
                 first = (tuple([s.dim - t.dim for s, t in zip(subspaces, pushed)]),)
@@ -310,8 +324,10 @@ class FiberCache:
     """The count table: (mu, nu, dims, j, p) to the exact count that
     count_fiber_memo returned, which `save`/`load` persist.  The other
     process tables are the lru_cache functions _symbolic_row, _poly_orbit,
-    _kernel_step, _graded_step and _push, which depend on their arguments
-    alone; `clear()` empties them all with the count table.  `stats` counts
+    _kernel_step, _graded_step and _push, the split table
+    normalform.split_factors, and the _interned dict of quotient pairs
+    that the step tables share; all depend on their keys alone, and
+    `clear()` empties them all with the count table.  `stats` counts
     lookups in the count table and in _poly_orbit, and their entries.
     """
 
@@ -338,8 +354,9 @@ class FiberCache:
 
     def clear(self) -> None:
         self._table.clear()
-        for table in (_symbolic_row, _poly_orbit, _kernel_step, _graded_step, _push):
+        for table in (_symbolic_row, _poly_orbit, _kernel_step, _graded_step, _push, split_factors):
             table.cache_clear()
+        _interned.clear()
         self.hits = 0
         self.misses = 0
 

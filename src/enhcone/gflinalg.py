@@ -36,11 +36,24 @@ def check_prime(p: int) -> int:
 
 @dataclass(frozen=True)
 class MatrixGF:
-    """Dense matrix over GF(p); rows is a tuple of row tuples."""
+    """Dense matrix over GF(p); rows is a tuple of row tuples.
+
+    Entries are reduced mod p on construction, so every matrix reads the
+    same as its reduction.  Entries already in [0, p) pass one min/max
+    test over all of them and are kept as given:
+
+    >>> MatrixGF(3, ((3, -1), (0, 3)), 2).rows
+    ((0, 2), (0, 0))
+    """
 
     p: int
     rows: tuple[tuple[int, ...], ...]
     ncols: int
+
+    def __post_init__(self):
+        p, rows, flat = self.p, self.rows, itertools.chain.from_iterable
+        if min(flat(rows), default=0) < 0 or max(flat(rows), default=0) >= p:
+            object.__setattr__(self, "rows", tuple(tuple(a % p for a in row) for row in rows))
 
     @property
     def nrows(self) -> int:
@@ -49,7 +62,7 @@ class MatrixGF:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], p: int, ncols: int | None = None) -> "MatrixGF":
         check_prime(p)
-        tup = tuple(tuple(x % p for x in row) for row in rows)
+        tup = tuple(map(tuple, rows))
         if ncols is None:
             if not tup:
                 raise ValueError("ncols required for a matrix with no rows")
@@ -387,11 +400,18 @@ def enumerate_subspaces(ambient: SubspaceGF, d: int) -> Iterator[SubspaceGF]:
 
     Each row's options are built as the row first reaches them and kept
     for its later passes, so the first subspace comes at once however
-    large p is, and no option is built twice.
+    large p is, and no option is built twice.  The zero subspace (d = 0)
+    and ambient itself (d = dim) come at once, with no rows built.
     """
     k, p, n = ambient.dim, ambient.p, ambient.ambient
     if d < 0 or d > k:
         raise ValueError(f"cannot take {d}-dim subspaces of a {k}-dim space")
+    if d == 0:
+        yield SubspaceGF(p, n, (), ())
+        return
+    if d == k:
+        yield ambient
+        return
     amb_rows = ambient.basis
     for pattern in itertools.combinations(range(k), d):
         pivots = tuple(ambient.pivots[s] for s in pattern)

@@ -18,8 +18,9 @@ lambda_i = mu_i + nu_i and kappa_i = nu_i + mu_{i+1}, which determine
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .combinatorics import Bipartition, Partition, is_distinguished, transpose
 from .gflinalg import (
@@ -129,9 +130,10 @@ def _chain_ranks(x: MatrixGF, krylov: Sequence[Sequence[int]]) -> tuple[list[int
     K = F[x]v these are the ranks of x^k on V and on V / F[x]v.
 
     Each C_k is a list of RREF rows.  C_1 is the row basis of the
-    columns of x, reduced mod p; C_(k+1) is that of x applied to the
-    rows of C_k.  The krylov vectors are row-reduced once, and the second
-    rank at level k is the rank of the rows of C_k reduced modulo them.
+    columns of x, whose entries MatrixGF keeps reduced; C_(k+1) is that
+    of x applied to the rows of C_k.  The krylov vectors are row-reduced
+    once, and the second rank at level k is the rank of the rows of C_k
+    reduced modulo them.
     A level that keeps the dimension of the one before raises
     ValueError: x is then not nilpotent.
     """
@@ -139,7 +141,7 @@ def _chain_ranks(x: MatrixGF, krylov: Sequence[Sequence[int]]) -> tuple[list[int
     krows, kpivots = _rref_rows([list(u) for u in krylov], p, n)
     krows = list(zip(krows, kpivots))
     dims, quotient_dims = [n], [n - len(krows)]
-    image = [[a % p for a in col] for col in zip(*xrows)]
+    image = [list(col) for col in zip(*xrows)]
     while dims[-1]:
         image, pivots = _rref_rows(image, p, n)
         d = len(pivots)
@@ -447,3 +449,32 @@ def explicit_decomposition(np: NormalPair) -> Decomposition:
             return Decomposition(SubspaceGF.span(vecs, n, p), v2)
 
     raise AssertionError(f"no construction applies to non-distinguished {b}")
+
+
+class SplitFactors(NamedTuple):
+    """The normal pair of a non-distinguished bipartition, its explicit
+    splitting V1 (+) V2, and the graded factor pairs induced on V / V2
+    (the factor on V1) and on V / V1 (the factor on V2)."""
+
+    normal: NormalPair
+    splitting: Decomposition
+    factor_v1: GradedPair
+    factor_v2: GradedPair
+
+
+@lru_cache(maxsize=None)
+def split_factors(b: Bipartition, p: int) -> SplitFactors:
+    """The split check's set-up for b over GF(p), built once per (b, p) in
+    a process: the check splits each small orbit under every big one.
+    The entry holds exact objects that depend on (b, p) alone and no
+    count; decomposition_failures is left to the caller, since a factor
+    pair means something only for a valid splitting.  A distinguished b
+    raises ValueError, and no entry is kept."""
+    np_ = normal_pair(b, p)
+    dec = explicit_decomposition(np_)
+    return SplitFactors(
+        np_,
+        dec,
+        quotient_pair(np_.pair, quotient_map(dec.v2)),
+        quotient_pair(np_.pair, quotient_map(dec.v1)),
+    )

@@ -14,7 +14,7 @@ from enhcone.combinatorics import (
 )
 from enhcone.gflinalg import SubspaceGF, quotient_map
 from enhcone.normalform import Decomposition, explicit_decomposition, normal_pair, quotient_pair
-from enhcone import checks, cli, fibers
+from enhcone import checks, cli, fibers, normalform
 from enhcone.fibers import (
     FiberQuery,
     QPolynomial,
@@ -305,6 +305,36 @@ class TestSplitProduct:
         assert rep.verdict == "budget-exceeded"
         assert rep.witness == {"nodes": len(nodes), "limit": len(nodes) - 1}
 
+    def test_split_table_is_cleared_and_spends_per_call(self, monkeypatch, clean_cache):
+        spent = []
+
+        class Recording(checks.SearchBudget):
+            def spend(self, amount=1):
+                spent.append(amount)
+                super().spend(amount)
+
+        monkeypatch.setattr(checks, "SearchBudget", Recording)
+        small, big = bipartition((), (1, 1, 1)), bipartition((), (2, 1))
+        runs = []
+        for _ in range(2):
+            spent.clear()
+            runs.append((check_split_product(small, big, 2), len(spent)))
+        (cold, cold_nodes), (warm, warm_nodes) = runs
+        assert cold.passed and warm.passed and cold.witness == warm.witness
+        # the second call reads the split table, yet spends as many nodes
+        assert warm_nodes == cold_nodes > 0
+        info = normalform.split_factors.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        np_, dec, pair1, pair2 = normalform.split_factors(small, 2)
+        assert np_ == normal_pair(small, 2) and dec == explicit_decomposition(np_)
+        assert pair1 == quotient_pair(np_.pair, quotient_map(dec.v2))
+        assert pair2 == quotient_pair(np_.pair, quotient_map(dec.v1))
+        fibers.fiber_cache().clear()
+        assert normalform.split_factors.cache_info().currsize == 0
+        spent.clear()
+        assert check_split_product(small, big, 2).witness == cold.witness
+        assert len(spent) == cold_nodes
+
     def test_counts_each_factor_query_once(self, monkeypatch):
         # three buckets, six factor counts, but only two distinct queries
         queries = []
@@ -361,9 +391,10 @@ class TestSplitProduct:
                             compared += 1
         assert compared > 100
 
-    def test_bad_splitting_fails_with_violations(self, monkeypatch, capsys):
+    def test_bad_splitting_fails_with_violations(self, monkeypatch, capsys, clean_cache):
         # V2 = span(e_0 + e_2) mixes weights 0 and -1, so no factor pair
-        # is induced on it: the check stops at the splitting
+        # is induced on it: the check stops at the splitting.  The split
+        # table keeps the bad splitting until clean_cache empties it.
         b = bipartition((1,), (1, 1))
         bad = Decomposition(
             SubspaceGF.coordinate((0, 1), 3, 2), SubspaceGF.span([(1, 0, 1)], 3, 2)
@@ -372,7 +403,7 @@ class TestSplitProduct:
         def injected(np_):
             return bad if (np_.bipartition, np_.p) == (b, 2) else explicit_decomposition(np_)
 
-        monkeypatch.setattr(checks, "explicit_decomposition", injected)
+        monkeypatch.setattr(normalform, "explicit_decomposition", injected)
         rep = check_split_product(b, b, 2)
         assert rep.verdict == "fail"
         assert rep.witness == {"splitting_violations": ["V2 not weight-graded"]}

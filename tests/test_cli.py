@@ -166,6 +166,29 @@ class TestCheckCommand:
         json.dump(payload, expected, sort_keys=True, separators=(",", ":"))
         assert out == expected.getvalue() + "\n"
 
+    def test_csv_rows_carry_inputs_and_digests(self, capsys, monkeypatch):
+        code, out = run_cli(capsys, "check", "--n", "3", "--format", "json")
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        code, out = run_cli(capsys, "check", "--n", "3")
+        assert code == 0
+        rows = csv_rows(out)
+        descs = [desc for desc, _ in checks.suite_instances(3)]
+        assert len(rows) == len(reports) == len(descs) > 0
+        for row, report, desc in zip(rows, reports, descs):
+            assert row["check"] == report["check"]
+            assert json.loads(row["inputs"]) == desc
+            assert row["witness_digest"] == cli._witness_digest(report["witness"])
+        # a json run builds no csv row, so it digests no witness
+        def forbidden(witness):
+            raise AssertionError("witness digested under --format json")
+
+        monkeypatch.setattr(cli, "_witness_digest", forbidden)
+        code, out = run_cli(capsys, "check", "--n", "3", "--format", "json")
+        untimed = lambda reps: [{k: v for k, v in r.items() if k != "millis"} for r in reps]
+        assert code == 0
+        assert untimed(json.loads(out)["reports"]) == untimed(reports)
+
     def test_unknown_check_usage_error(self, capsys):
         code, _ = run_cli(capsys, "check", "--n", "2", "--checks", "nonsense")
         assert code == 2

@@ -309,6 +309,27 @@ class TestProfileWalker:
                 rows = ((),) * (len(q.shape.dims) - 1)
                 assert fiber_profiles(q, ()) == ({rows: count} if count else {})
 
+    def test_empty_and_leaf_children_push_nothing(self, monkeypatch):
+        # x = 0 and v = e_1 on GF(2)^2, shape (0, 1, 2) with v in W_1: of
+        # the three lines W_1 only span(e_1) holds v, so the other two
+        # children are empty, and below span(e_1) the one W_2 = V is the
+        # leaf.  Every candidate is spent, and only span(e_1) pushes.
+        pushes = []
+        push = fibers._push
+
+        def counting(qm, s):
+            pushes.append(qm.pivots)
+            return push(qm, s)
+
+        monkeypatch.setattr(fibers, "_push", counting)
+        q = FiberQuery((1, 0), MatrixGF.zeros(2, 2, 2), FlagShape((0, 1, 2), 1), (0, 0))
+        full = SubspaceGF.full(2, 2)
+        for walk in (fiber_profiles, lambda_fixed_profiles):
+            nodes, pushes[:] = [], []
+            assert walk(q, (full,), lambda: nodes.append(1)) == {((1,), (2,)): 1}
+            assert len(nodes) == 3 + 1
+            assert pushes == [(0,)]
+
     def test_spends_one_node_per_expanded_candidate(self, monkeypatch):
         candidates = Counter()
         cached_step = fibers._kernel_step
@@ -446,6 +467,29 @@ class TestProcessTables:
         step = fibers._kernel_step(fibers._Pair(np_.v, np_.x), 1)
         assert len(step) == 4
         assert len({id(sub) for _, sub in step}) == 1
+
+    def test_steps_share_equal_quotients_across_steps(self, clean_cache):
+        # a line of the zero pair on GF(3)^2 and a plane of the zero pair
+        # on GF(3)^3 both leave the zero pair on GF(3)^1: one object
+        steps = [
+            fibers._kernel_step(fibers._Pair(np_.v, np_.x), r1)
+            for np_, r1 in (
+                (normal_pair(bipartition((), (1, 1)), 3), 1),
+                (normal_pair(bipartition((), (1, 1, 1)), 3), 2),
+            )
+        ]
+        (first,), (second,) = ({id(sub) for _, sub in step} for step in steps)
+        assert first == second
+        assert steps[0][0][1] == fibers._Pair((0,), MatrixGF.zeros(1, 1, 3))
+        # and so do graded steps, across their own keys
+        graded = [
+            fibers._graded_step(normal_pair(bipartition((), (1,) * n), 3).pair, n - 1)
+            for n in (2, 3)
+        ]
+        assert len({id(sub) for step in graded for _, sub in step}) == 1
+        assert fibers._interned
+        fiber_cache().clear()
+        assert not fibers._interned
 
     @pytest.mark.parametrize("p", (2, 3, 5))
     def test_push_is_the_span_of_the_images(self, p):

@@ -60,6 +60,24 @@ class TestMatrix:
                 m.matvec(v)
         assert MatrixGF.zeros(3, 0, 2).matvec(()) == (0, 0, 0)
 
+    def test_constructor_reduces_entries(self):
+        # 3 is 0 over GF(3): a row scaled by 3 is no pivot
+        m = MatrixGF(3, ((3, 0), (0, 3)), 2)
+        assert m.rows == ((0, 0), (0, 0))
+        assert rank(m) == 0
+        assert kernel(m).dim == 2
+        assert m.is_zero()
+        assert m == MatrixGF.from_rows([[3, 0], [0, 3]], 3)
+        neg = MatrixGF(3, ((-1, 2), (0, -3)), 2)
+        assert neg.rows == ((2, 2), (0, 0))
+        assert neg == MatrixGF.from_rows([[-1, 2], [0, -3]], 3)
+        assert rank(neg) == 1
+        assert kernel(neg) == SubspaceGF.span([(1, 2)], 2, 3)
+        # reduced entries are kept as given, with no rebuild
+        rows = ((0, 2), (1, 0))
+        assert MatrixGF(3, rows, 2).rows is rows
+        assert MatrixGF(2, (), 3).rows == () and MatrixGF(2, ((), ()), 0).rows == ((), ())
+
     def test_rref_idempotent(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -218,6 +236,32 @@ class TestEnumeration:
                     assert len(subs) == gaussian_binomial(m, d, p)
                     assert len(set(subs)) == len(subs)
                     assert all(s.dim == d for s in subs)
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_trivial_dimensions_inside_subspace(self, p):
+        # d = 0 and d = dim answer at once: the zero subspace and ambient
+        amb = SubspaceGF.span([(1, 0, 1, 0, 2), (0, 1, 1, 1, 0), (0, 0, 0, 1, 1)], 5, p)
+        assert amb.dim == 3
+        assert list(enumerate_subspaces(amb, 0)) == [SubspaceGF.zero(5, p)]
+        assert list(enumerate_subspaces(amb, 3)) == [amb]
+        assert list(enumerate_subspaces(SubspaceGF.zero(5, p), 0)) == [SubspaceGF.zero(5, p)]
+        for d in (-1, 4):
+            with pytest.raises(ValueError):
+                list(enumerate_subspaces(amb, d))
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_counts_inside_subspace_match_gaussian_binomials(self, p):
+        rng = random.Random(p)
+        for k in range(5):
+            while True:
+                amb = SubspaceGF.span([[rng.randrange(p) for _ in range(6)] for _ in range(k)], 6, p)
+                if amb.dim == k:
+                    break
+            for d in range(k + 1):
+                subs = list(enumerate_subspaces(amb, d))
+                assert len(subs) == len(set(subs)) == gaussian_binomial(k, d, p)
+                assert all(s.dim == d and amb.contains_subspace(s) for s in subs)
+                assert all(SubspaceGF.span(s.basis, 6, p) == s for s in subs)
 
     def test_enumeration_inside_subspace(self):
         amb = SubspaceGF.span([(1, 0, 1, 0), (0, 1, 1, 1), (0, 0, 0, 1)], 4, 2)
