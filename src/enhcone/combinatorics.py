@@ -9,6 +9,7 @@ diagram determine the flag shape of the associated resolution.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
@@ -16,12 +17,13 @@ from typing import Iterator, NamedTuple, Sequence
 
 @dataclass(frozen=True)
 class Partition:
-    """An integer partition: weakly decreasing tuple of positive parts."""
+    """An integer partition: weakly decreasing tuple of positive parts,
+    taken by operator.index, so a float or str raises TypeError."""
 
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        parts = tuple(int(x) for x in self.parts)
+        parts = tuple(map(operator.index, self.parts))
         object.__setattr__(self, "parts", parts)
         if any(x <= 0 for x in parts):
             raise ValueError(f"partition parts must be positive: {parts}")
@@ -179,14 +181,16 @@ def diagram(b: Bipartition) -> Diagram:
 @dataclass(frozen=True)
 class FlagShape:
     """Strictly increasing dimension sequence 0 = r_0 < ... < r_m = n,
-    plus the marker j of the flag step required to contain v."""
+    plus the marker j of the flag step required to contain v; all taken
+    by operator.index, like Partition's parts."""
 
     dims: tuple[int, ...]
     marker: int
 
     def __post_init__(self):
-        dims = tuple(int(r) for r in self.dims)
+        dims = tuple(map(operator.index, self.dims))
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "marker", operator.index(self.marker))
         if not dims or dims[0] != 0:
             raise ValueError(f"flag shape must start at 0: {dims}")
         if any(dims[i] >= dims[i + 1] for i in range(len(dims) - 1)):

@@ -32,22 +32,21 @@ stays independent of the fiber polynomials that it certifies.  _flags
 is the oracle that the walker is tested against.
 
 The checks walk the same small orbits again and again under different
-flag shapes, so four tables live for the whole process, or until
-FiberCache.clear() empties them: _kernel_step and _graded_step keep,
-for each (pair, r_1), the tuple of its quotient maps and quotient
-pairs; _push keeps, for each (quotient map, subspace), the canonical
-pushed subspace; and normalform.split_factors keeps, for each (b, p),
-the split check's normal pair, splitting and factor pairs.  Many W_1
-leave the same quotient, within one step and across steps, and the
-_interned dict holds each quotient pair as one object for all steps
-(_shared), so the tables keep less and the walker memo finds such a
-key by identity.  All of them hold exact GF(p) objects that depend on
-their key alone, and no count: every count and histogram still comes
-from a memo that lives for one call, so one call cannot lend another a
-count, and a walk spends as many nodes on a warm table as on a cold
-one.  The kernel step table grows with the orbits counted: the n = 7
-polynomial sweep, which counts every pair it certifies at p = 2,
-leaves 14,555 entries.
+flag shapes, so these tables live for the whole process, or until
+FiberCache.clear() empties them: _orbit_pair, the normal pair of each
+(b, p) that FiberQuery.over_orbit queries; _kernel, ker x of each
+matrix; _kernel_step and _graded_step, the quotient maps and quotient
+pairs of each (pair, r_1); _push, the canonical push of each (quotient
+map, subspace); _symbolic_row and _poly_orbit (below);
+normalform.split_factors, the split check's set-up of each (b, p); and
+the _interned dict, which holds each quotient pair as one object for
+all steps (_shared), so the walker memo finds it by identity.
+normal_pair itself stays uncached: a census of conjugates builds many
+normal pairs and uses each once.  The tables hold exact objects that
+depend on their key alone, and no count: every count comes from a memo
+that lives for one call, so a walk spends as many nodes on a warm table
+as on a cold one.  The n = 7 polynomial sweep leaves 14,555 kernel
+steps.
 
 Counts depend only on the orbit of (v, x), and orbits are indexed by
 bipartitions, so fiber_polynomial recurses over bipartitions in Z[q],
@@ -65,12 +64,10 @@ number a product of q-binomials and powers of q.  No row reads a prime
 field.  A row's entries sum to the q-binomial [dim ker x choose r_1]_q;
 a row that does not raises InterpolationError.  A count over GF(p) is
 its polynomial at q = p: count_fiber_memo classifies the query's pair
-once and evaluates P there.  The rows and the polynomials are
-lru_cache tables, _symbolic_row and _poly_orbit, as pure in their
-arguments as the step tables and _push; a row that raises is not kept.
-The FiberCache of fiber_cache() holds only the counts of
-count_fiber_memo, the table that a count file saves and loads, and its
-clear() empties that table, all six lru_cache tables and _interned.
+once and evaluates P there.  A row that raises is not kept.  The
+FiberCache of fiber_cache() holds only the counts of count_fiber_memo,
+which a count file saves and loads; its clear() empties them and every
+table above, but not q_binomial and q_power.
 
 Fiber counts decide only fiber polynomials: closure_contains reads the
 closure order off two bipartitions in closed form, and the test suite
@@ -82,6 +79,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -148,7 +146,7 @@ class FiberQuery:
     @classmethod
     def over_orbit(cls, small: Bipartition, big: Bipartition, p: int) -> "FiberQuery":
         """Fiber of big's resolution over the normal point of small's orbit."""
-        return cls.of(normal_pair(small, p), flag_shape(big))
+        return cls.of(_orbit_pair(small, p), flag_shape(big))
 
     def graded_pair(self) -> GradedPair:
         if self.weights is None:
@@ -175,11 +173,23 @@ def _shared(candidates) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
+def _orbit_pair(b: Bipartition, p: int) -> NormalPair:
+    """normal_pair(b, p), built once per (b, p) in a process."""
+    return normal_pair(b, p)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(x: MatrixGF) -> SubspaceGF:
+    """kernel(x), built once per matrix in a process."""
+    return kernel(x)
+
+
+@functools.lru_cache(maxsize=None)
 def _kernel_step(pair: _Pair, r1: int) -> tuple[tuple[QuotientMap, _Pair], ...]:
     """Every r1-subspace W of ker x, as the quotient map by W together with
     the induced pair on V/W.  A tuple, built once per (pair, r1) in a
     process: a cached generator would be spent."""
-    ker = kernel(pair.x)
+    ker = _kernel(pair.x)
     if r1 > ker.dim:
         return ()
     return _shared(
@@ -322,13 +332,11 @@ def lambda_fixed_profiles(
 
 class FiberCache:
     """The count table: (mu, nu, dims, j, p) to the exact count that
-    count_fiber_memo returned, which `save`/`load` persist.  The other
-    process tables are the lru_cache functions _symbolic_row, _poly_orbit,
-    _kernel_step, _graded_step and _push, the split table
-    normalform.split_factors, and the _interned dict of quotient pairs
-    that the step tables share; all depend on their keys alone, and
-    `clear()` empties them all with the count table.  `stats` counts
-    lookups in the count table and in _poly_orbit, and their entries.
+    count_fiber_memo returned, which `save`/`load` persist.  `clear()`
+    empties it and the process tables of the module docstring: _orbit_pair,
+    _kernel, _kernel_step, _graded_step, _push, _symbolic_row, _poly_orbit,
+    normalform.split_factors and _interned.  `stats` counts lookups in the
+    count table and in _poly_orbit, and their entries.
     """
 
     FORMAT = 1
@@ -354,7 +362,10 @@ class FiberCache:
 
     def clear(self) -> None:
         self._table.clear()
-        for table in (_symbolic_row, _poly_orbit, _kernel_step, _graded_step, _push, split_factors):
+        for table in (
+            _orbit_pair, _kernel, _kernel_step, _graded_step, _push,
+            _symbolic_row, _poly_orbit, split_factors,
+        ):
             table.cache_clear()
         _interned.clear()
         self.hits = 0
@@ -460,15 +471,14 @@ class InterpolationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QPolynomial:
-    """Polynomial in q with exact integer coefficients c_0..c_d."""
+    """Polynomial in q with exact integer coefficients c_0..c_d, taken by
+    operator.index: a float, Fraction or str raises TypeError.  +, - and
+    * skip that check (_canonical)."""
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _trimmed(list(map(operator.index, self.coeffs))))
 
     @property
     def degree(self) -> int:
@@ -484,18 +494,29 @@ class QPolynomial:
         return total
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        short, long = sorted((self.coeffs, other.coeffs), key=len)
-        return QPolynomial(tuple(a + b for a, b in zip(long, short + (0,) * len(long))))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _canonical(out)
 
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self + QPolynomial(tuple(-c for c in other.coeffs))
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return _canonical(out)
 
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPolynomial(tuple(out))
+        a, b = self.coeffs, other.coeffs
+        out = [0] * (len(a) + len(b))
+        for i, c in enumerate(a):
+            if c:
+                for j, d in enumerate(b, i):
+                    out[j] += c * d
+        return _canonical(out)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -516,6 +537,19 @@ class QPolynomial:
         for sign, body in terms[1:]:
             out += sign + body
         return out
+
+
+def _trimmed(coeffs: list) -> tuple[int, ...]:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _canonical(coeffs: list) -> QPolynomial:
+    """The QPolynomial of a list of ints, unchecked."""
+    poly = object.__new__(QPolynomial)
+    object.__setattr__(poly, "coeffs", _trimmed(coeffs))
+    return poly
 
 
 def interpolate_qpoly(samples: Mapping[int, int], degree_bound: int) -> QPolynomial:
@@ -570,6 +604,7 @@ ZERO = QPolynomial(())
 ONE = QPolynomial((1,))
 
 
+@functools.lru_cache(maxsize=None)
 def q_power(e: int) -> QPolynomial:
     return QPolynomial((0,) * e + (1,))
 

@@ -51,6 +51,9 @@ sequences before it walked plain rows: it spans each x^(k+1) V as a
 SubspaceGF of x applied to the basis of x^k V, starting from the
 identity, and re-spans x^k V together with the Krylov vectors at every
 level.
+dense_add, dense_sub and dense_mul are q-polynomial arithmetic on
+plain coefficient lists, index by index, with no trimming: the oracle
+that QPolynomial's +, - and * are checked against.
 """
 
 from __future__ import annotations
@@ -442,6 +445,26 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
         den *= q ** (i + 1) - 1
     assert num % den == 0
     return num // den
+
+
+def dense_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of a + b, padded to the longer length and untrimmed."""
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def dense_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of a - b, padded to the longer length and untrimmed."""
+    return dense_add(a, [-c for c in b])
+
+
+def dense_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of a * b by the schoolbook product, untrimmed."""
+    out = [0] * (len(a) + len(b))
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i + j] += a[i] * b[j]
+    return out
 
 
 def column(m: MatrixGF, c: int) -> tuple[int, ...]:

@@ -2,6 +2,7 @@ import pytest
 
 from enhcone.combinatorics import (
     Bipartition,
+    FlagShape,
     Partition,
     bipartition,
     bipartitions,
@@ -41,6 +42,12 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((2, 0))
         assert Partition((2, 1)).size == 3
+
+    @pytest.mark.parametrize("parts", [(2.7, 1), (2.0,), ("2",)])
+    def test_non_integer_parts_raise(self, parts):
+        # int() would truncate 2.7 to 2 and parse "2"
+        with pytest.raises(TypeError):
+            Partition(parts)
 
     def test_part_padding(self):
         p = Partition((3, 1))
@@ -127,6 +134,17 @@ class TestDiagram:
 
 
 class TestFlagShape:
+    @pytest.mark.parametrize("dims,marker", [((0, 1.5, 3), 0), ((0, 1, 2), 1.0), ((0, "1"), 0)])
+    def test_non_integer_dims_and_marker_raise(self, dims, marker):
+        # int() would truncate 1.5 to 1, leaving dims (0, 1, 3)
+        with pytest.raises(TypeError):
+            FlagShape(dims, marker)
+
+    def test_integer_like_values_become_ints(self):
+        fs = FlagShape((0, True, 2), True)
+        assert fs.dims == (0, 1, 2) and fs.marker == 1
+        assert all(type(r) is int for r in fs.dims + (fs.marker,))
+
     def test_ten_box_example(self):
         fs = flag_shape(bipartition((3, 1, 1), (3, 2)))
         assert fs.dims == (0, 1, 2, 5, 7, 9, 10)

@@ -1,15 +1,19 @@
 import itertools
+import operator
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from enhcone.combinatorics import FlagShape, bipartition, bipartitions, flag_shape, is_distinguished
 from enhcone.gflinalg import (
     MatrixGF,
     SubspaceGF,
     enumerate_subspaces,
+    kernel,
     quotient_map,
     rank,
     rref,
@@ -43,11 +47,15 @@ from enhcone.fibers import (
     lambda_fixed_profiles,
     orbit_dimension,
     q_binomial,
+    q_power,
 )
 from oracles import (
     classify_by_centralizer,
     closure_by_count,
     count_by_transitions,
+    dense_add,
+    dense_mul,
+    dense_sub,
     flag_histogram,
     gaussian_binomial,
     graded_step,
@@ -491,6 +499,41 @@ class TestProcessTables:
         fiber_cache().clear()
         assert not fibers._interned
 
+    def test_over_orbit_shares_one_normal_pair(self, clean_cache):
+        small = bipartition((1,), (1, 1))
+        bigs = [big for big, s in closure_pairs(3) if s == small]
+        assert len(bigs) > 1
+        for p in (2, 3):
+            np_ = fibers._orbit_pair(small, p)
+            assert np_ == normal_pair(small, p)
+            for big in bigs:
+                q = FiberQuery.over_orbit(small, big, p)
+                assert q.x is np_.x and q.weights is np_.weights and q.v == np_.v
+                assert q.shape == flag_shape(big)
+            assert fibers._orbit_pair(small, p) is np_
+        assert fibers._orbit_pair(small, 2) != fibers._orbit_pair(small, 3)
+        # normal_pair itself builds a fresh pair on every call: a table
+        # there would keep every pair that a caller builds only once
+        assert not hasattr(normalform.normal_pair, "cache_info")
+        assert normal_pair(small, 3) is not normal_pair(small, 3)
+
+    def test_kernel_step_reads_each_kernel_once(self, clean_cache, monkeypatch):
+        calls = Counter()
+
+        def counting(x, _original=fibers.kernel):
+            calls[x] += 1
+            return _original(x)
+
+        monkeypatch.setattr(fibers, "kernel", counting)
+        np_ = normal_pair(bipartition((1,), (2, 1)), 3)
+        for v in (np_.v, (0,) * len(np_.v)):
+            for r1 in (1, 2, 3):
+                fibers._kernel_step(fibers._Pair(v, np_.x), r1)
+        assert fibers._kernel_step.cache_info().currsize == 6
+        assert calls == Counter({np_.x: 1})
+        assert fibers._kernel(np_.x) == kernel(np_.x)
+        assert fibers._kernel(MatrixGF.from_rows(np_.x.rows, 3)) is fibers._kernel(np_.x)
+
     @pytest.mark.parametrize("p", (2, 3, 5))
     def test_push_is_the_span_of_the_images(self, p):
         rng = random.Random(p)
@@ -656,20 +699,32 @@ class TestMemo:
         assert cache.stats["misses"] == 0
 
     def test_clear_empties_process_tables(self, clean_cache):
-        q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((4,), ()), 3)
+        small = bipartition((), (2, 1, 1))
+        q = FiberQuery.over_orbit(small, bipartition((4,), ()), 3)
         lambda_fixed_profiles(q, weight_filtrations(q))
         count_fiber(q)
-        fiber_polynomial(bipartition((4,), ()), bipartition((), (2, 1, 1)))
-        tables = (
-            fibers._symbolic_row,
-            fibers._poly_orbit,
-            fibers._kernel_step,
-            fibers._graded_step,
-            fibers._push,
-        )
-        assert all(table.cache_info().currsize > 0 for table in tables)
+        fiber_polynomial(bipartition((4,), ()), small)
+        normalform.split_factors(small, 3)
+        tables = {
+            "_orbit_pair": fibers._orbit_pair,
+            "_kernel": fibers._kernel,
+            "_kernel_step": fibers._kernel_step,
+            "_graded_step": fibers._graded_step,
+            "_push": fibers._push,
+            "_symbolic_row": fibers._symbolic_row,
+            "_poly_orbit": fibers._poly_orbit,
+            "split_factors": normalform.split_factors,
+        }
+        # every lru_cache table that fibers reaches, but the pure
+        # arithmetic and combinatorics ones, which clear() keeps
+        cached = {name for name, f in vars(fibers).items() if hasattr(f, "cache_clear")}
+        assert cached - {"q_binomial", "q_power", "flag_shape"} == set(tables)
+        assert all(table.cache_info().currsize > 0 for table in tables.values())
+        assert fibers._interned
         fiber_cache().clear()
-        assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0, 0]
+        assert {name: table.cache_info().currsize for name, table in tables.items()} == dict.fromkeys(tables, 0)
+        assert not fibers._interned
+        assert q_binomial.cache_info().currsize > 0 and q_power.cache_info().currsize > 0
 
     def test_clear_empties_symbolic_tables(self, monkeypatch, clean_cache):
         cache = fiber_cache()
@@ -829,6 +884,17 @@ class TestInterpolation:
         assert p.coeffs == (1, 1)
         assert p.degree == 1
 
+    @pytest.mark.parametrize("coeffs", [(Fraction(1, 2),), (1.5, 2), ("3",), (2.0,), (Fraction(3),)])
+    def test_non_integer_coefficients_raise(self, coeffs):
+        # int() would make the first the zero polynomial, the second 2q+1
+        # and parse the third
+        with pytest.raises(TypeError):
+            QPolynomial(coeffs)
+
+    def test_integer_like_coefficients_become_ints(self):
+        p = QPolynomial((True, 3, 0))
+        assert p.coeffs == (1, 3) and all(type(c) is int for c in p.coeffs)
+
 
 class TestDimensionBound:
     def test_examples(self):
@@ -936,6 +1002,44 @@ class TestHeldOutConsistency:
                 fresh = count_by_transitions(FiberQuery.over_orbit(small, big, extra), memo)
                 assert poly.evaluate(extra) == fresh
                 assert fiber_polynomial(big, small) == poly, (str(big), str(small))
+
+
+coefficients = st.lists(st.integers(-4, 4), max_size=6)
+
+
+class TestQPolynomialArithmetic:
+    """+, - and * against the dense oracle: every result trimmed, int-typed,
+    and equal and hash-equal to the constructor's polynomial."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(coefficients, coefficients)
+    @example([-1, 1], [1, -1])
+    @example([1, -1], [1, -1])
+    @example([], [3, 0, -2])
+    @example([0, 0, 5, 0], [])
+    @example([2, 0, -7], [0, 0, -7])
+    def test_matches_dense_oracle(self, a, b):
+        pa, pb = QPolynomial(tuple(a)), QPolynomial(tuple(b))
+        for op, oracle in ((operator.add, dense_add), (operator.sub, dense_sub), (operator.mul, dense_mul)):
+            got = op(pa, pb)
+            expected = QPolynomial(tuple(oracle(a, b)))
+            assert got == expected and hash(got) == hash(expected), (op, a, b)
+            assert type(got.coeffs) is tuple and all(type(c) is int for c in got.coeffs)
+            assert not got.coeffs or got.coeffs[-1] != 0
+            for q in (2, 3, 5):
+                assert got.evaluate(q) == op(pa.evaluate(q), pb.evaluate(q))
+
+    def test_cancellation_leaves_the_zero_polynomial(self):
+        q_minus_one = QPolynomial((-1, 1))
+        assert (q_minus_one + QPolynomial((1, -1))).coeffs == ()
+        assert (q_minus_one - q_minus_one) == QPolynomial(()) == fibers.ZERO
+        assert (q_power(3) - QPolynomial((0, 0, 0, 1))).is_zero()
+        assert (q_power(2) + q_minus_one - q_power(2)).coeffs == (-1, 1)
+
+    def test_q_power_is_a_table(self):
+        assert q_power(4) is q_power(4)
+        assert q_power(4).coeffs == (0, 0, 0, 0, 1)
+        assert q_power(0) == fibers.ONE
 
 
 class TestSymbolicTable:
