@@ -32,7 +32,7 @@ from .normalform import (
     graded_kernel_blocks,
     graded_quotient,
     graded_span,
-    normal_pair,
+    orbit_pair,
     split_factors,
     weight_blocks,
 )
@@ -323,7 +323,7 @@ def check_distinguished_lemma(
     non-distinguished ones the explicit construction must verify."""
     started = time.perf_counter()
     inputs = {"b": _bp_json(b), "p": p, "budget": budget}
-    np_ = normal_pair(b, p)
+    np_ = orbit_pair(b, p)
     predicted = is_distinguished(b)
     try:
         found = search_decomposition(np_.pair, SearchBudget(budget))
@@ -481,7 +481,7 @@ def check_kernel_recursion(
             "recursion does not apply to the empty fiber"
         )
     inputs = {"b": _bp_json(b), "shape": list(shape.dims), "j": shape.marker, "p": p}
-    np_ = normal_pair(b, p)
+    np_ = orbit_pair(b, p)
     pair = np_.pair
     blocks = graded_kernel_blocks(pair)
     mults = {w: piece.dim for w, _, piece in blocks if piece.dim > 0}

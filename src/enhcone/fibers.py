@@ -9,14 +9,14 @@ flag is a fiber flag for the induced pair on V / W_1 with the shifted
 shape and marker j - 1 (a marker of 0 requires v = 0 up front).
 
 One counting walker (_profiles) and one flag walker (_flags) run this
-recursion.  A step function supplies the candidates for W_1, each as
-the quotient map by W_1 and the induced pair on V / W_1:
-
-- the kernel step yields every r_1-subspace of ker x
-  (count_fiber, fiber_profiles, enumerate_fiber_flags);
-- the graded step yields the weight-graded ones, block by block
-  (count_lambda_fixed, lambda_fixed_profiles,
-  enumerate_lambda_fixed_flags).
+recursion on a GradedPair, and one step, _graded_step, supplies the
+candidates for W_1: the weight-graded r_1-subspaces of ker x, block by
+block, each as the quotient map by W_1 and the induced graded pair on
+V / W_1.  count_lambda_fixed, lambda_fixed_profiles and
+enumerate_lambda_fixed_flags walk the query's pair under its own
+weights.  count_fiber, fiber_profiles and enumerate_fiber_flags walk it
+under the zero grading, which has one block, so that every
+r_1-subspace of ker x is a candidate.
 
 The counting walker buckets the flags by their profiles dim(W_i & S)
 against a tuple of fixed subspaces S, each pushed into V/W_1 along with
@@ -24,29 +24,29 @@ the pair: the alpha check by the weight filtrations, the split check
 by a splitting V1 (+) V2, and a count is the histogram against no S,
 summed.  Different first subspaces often leave the same quotient, so
 the walker memoizes on (pair, pushed subspaces, dims, j), with pair
-exact over GF(p): v, the matrix of x and, on the graded step, the
-weights.  Equal keys are equal subproblems, so a hit cannot change a
-count.  The memo is a fresh dict for each call.  It classifies nothing
+exact over GF(p): the matrix of x, v and the weights.  Equal keys are
+equal subproblems, so a hit cannot change a count.  The memo is a
+fresh dict for each call.  It classifies nothing
 and reads no transition row and no FiberCache, so the brute-force count
 stays independent of the fiber polynomials that it certifies.  _flags
 is the oracle that the walker is tested against.
 
 The checks walk the same small orbits again and again under different
 flag shapes, so these tables live for the whole process, or until
-FiberCache.clear() empties them: _orbit_pair, the normal pair of each
-(b, p) that FiberQuery.over_orbit queries; _kernel, ker x of each
-matrix; _kernel_step and _graded_step, the quotient maps and quotient
-pairs of each (pair, r_1); _push, the canonical push of each (quotient
-map, subspace); _symbolic_row and _poly_orbit (below);
-normalform.split_factors, the split check's set-up of each (b, p); and
-the _interned dict, which holds each quotient pair as one object for
-all steps (_shared), so the walker memo finds it by identity.
-normal_pair itself stays uncached: a census of conjugates builds many
-normal pairs and uses each once.  The tables hold exact objects that
-depend on their key alone, and no count: every count comes from a memo
-that lives for one call, so a walk spends as many nodes on a warm table
-as on a cold one.  The n = 7 polynomial sweep leaves 14,555 kernel
-steps.
+FiberCache.clear() empties them: normalform.orbit_pair, the normal
+pair of each (b, p) that FiberQuery.over_orbit queries;
+_kernel_blocks, the graded pieces of ker x of each (x, weights);
+_graded_step, the quotient maps and quotient pairs of each (pair, r_1);
+_push, the canonical push of each (quotient map, subspace);
+_symbolic_row and _poly_orbit (below); normalform.split_factors, the
+split check's set-up of each (b, p); and the _interned dict, which
+holds each quotient pair as one object for all steps (_shared), so the
+walker memo finds it by identity.  normal_pair itself stays uncached:
+a census of conjugates builds many normal pairs and uses each once.
+The tables hold exact objects that depend on their key alone, and no
+count: every count comes from a memo that lives for one call, so a
+walk spends as many nodes on a warm table as on a cold one.  The
+n = 7 polynomial sweep leaves 14,555 steps.
 
 Counts depend only on the orbit of (v, x), and orbits are indexed by
 bipartitions, so fiber_polynomial recurses over bipartitions in Z[q],
@@ -84,17 +84,10 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .combinatorics import Bipartition, FlagShape, bipartitions, flag_shape
-from .gflinalg import (
-    MatrixGF,
-    QuotientMap,
-    SubspaceGF,
-    enumerate_subspaces,
-    kernel,
-    quotient_map,
-)
+from .gflinalg import MatrixGF, QuotientMap, SubspaceGF
 from .normalform import (
     GradedPair,
     NormalPair,
@@ -102,8 +95,8 @@ from .normalform import (
     enumerate_graded_subspaces,
     graded_kernel_blocks,
     graded_quotient,
-    normal_pair,
     orbit_of_types,
+    orbit_pair,
     partition_from_ranks,
     split_factors,
 )
@@ -114,9 +107,11 @@ class FiberQuery:
     """A pair (v, x) over GF(p) together with a flag shape and marker.
 
     v is reduced mod p on construction, and x is kept as given, since
-    MatrixGF reduces its own entries.  weights, when present,
-    record the cocharacter grading of the pair's normal basis and enable
-    fixed-point counting.
+    MatrixGF reduces its own entries.  weights, when present, grade the
+    coordinates, as the cocharacter does the normal basis, and enable
+    fixed-point counting.  They are taken by operator.index, like
+    Partition's parts, so a float raises TypeError; a tuple of ints is
+    kept as given.
     """
 
     v: tuple[int, ...]
@@ -132,8 +127,12 @@ class FiberQuery:
             raise ValueError(
                 f"shape ends at {self.shape.n} but the ambient space has dim {self.x.ncols}"
             )
-        if self.weights is not None and len(self.weights) != self.x.ncols:
-            raise ValueError("one weight per coordinate required")
+        if self.weights is not None:
+            weights = tuple(map(operator.index, self.weights))
+            if weights != self.weights:
+                object.__setattr__(self, "weights", weights)
+            if len(weights) != self.x.ncols:
+                raise ValueError("one weight per coordinate required")
 
     @property
     def p(self) -> int:
@@ -146,7 +145,7 @@ class FiberQuery:
     @classmethod
     def over_orbit(cls, small: Bipartition, big: Bipartition, p: int) -> "FiberQuery":
         """Fiber of big's resolution over the normal point of small's orbit."""
-        return cls.of(_orbit_pair(small, p), flag_shape(big))
+        return cls.of(orbit_pair(small, p), flag_shape(big))
 
     def graded_pair(self) -> GradedPair:
         if self.weights is None:
@@ -154,11 +153,10 @@ class FiberQuery:
         return GradedPair(self.x, self.v, self.weights)
 
 
-class _Pair(NamedTuple):
-    """The ungraded pair (v, x) that the kernel step walks."""
-
-    v: tuple[int, ...]
-    x: MatrixGF
+def _zero_graded(q: FiberQuery) -> GradedPair:
+    """q's pair under the zero grading: one weight space, so every
+    subspace is graded."""
+    return GradedPair(q.x, q.v, (0,) * len(q.v))
 
 
 _interned: dict = {}  # quotient pair -> the one object that stands for it
@@ -173,39 +171,21 @@ def _shared(candidates) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _orbit_pair(b: Bipartition, p: int) -> NormalPair:
-    """normal_pair(b, p), built once per (b, p) in a process."""
-    return normal_pair(b, p)
-
-
-@functools.lru_cache(maxsize=None)
-def _kernel(x: MatrixGF) -> SubspaceGF:
-    """kernel(x), built once per matrix in a process."""
-    return kernel(x)
-
-
-@functools.lru_cache(maxsize=None)
-def _kernel_step(pair: _Pair, r1: int) -> tuple[tuple[QuotientMap, _Pair], ...]:
-    """Every r1-subspace W of ker x, as the quotient map by W together with
-    the induced pair on V/W.  A tuple, built once per (pair, r1) in a
-    process: a cached generator would be spent."""
-    ker = _kernel(pair.x)
-    if r1 > ker.dim:
-        return ()
-    return _shared(
-        (qm, _Pair(qm.apply(pair.v), qm.push_matrix(pair.x)))
-        for qm in map(quotient_map, enumerate_subspaces(ker, r1))
-    )
+def _kernel_blocks(x: MatrixGF, weights: tuple[int, ...]) -> tuple:
+    """graded_kernel_blocks of every pair with matrix x and these weights,
+    which do not read v; built once per (x, weights) in a process."""
+    return graded_kernel_blocks(GradedPair(x, (), weights))
 
 
 @functools.lru_cache(maxsize=None)
 def _graded_step(pair: GradedPair, r1: int) -> tuple[tuple[QuotientMap, GradedPair], ...]:
-    """Every weight-graded r1-subspace of ker x, as the quotient map by it
-    together with the induced graded pair on the quotient; a tuple, built
-    once per (pair, r1) in a process like _kernel_step's."""
+    """Every weight-graded r1-subspace W of ker x, as the quotient map by W
+    together with the induced graded pair on V/W; under the zero grading
+    that is every r1-subspace of ker x.  A tuple, built once per (pair,
+    r1) in a process: a cached generator would be spent."""
     return _shared(
         graded_quotient(pair, selection)
-        for selection in enumerate_graded_subspaces(graded_kernel_blocks(pair), r1)
+        for selection in enumerate_graded_subspaces(_kernel_blocks(pair.x, pair.weights), r1)
     )
 
 
@@ -216,7 +196,7 @@ def _push(qm: QuotientMap, s: SubspaceGF) -> SubspaceGF:
     return SubspaceGF.span([qm.apply(u) for u in s.basis], qm.codim, qm.p)
 
 
-def _flags(step, pair, dims: tuple[int, ...], j: int) -> Iterator[tuple[SubspaceGF, ...]]:
+def _flags(pair: GradedPair, dims: tuple[int, ...], j: int) -> Iterator[tuple[SubspaceGF, ...]]:
     """The flags that _profiles counts, lifted to the ambient space of pair."""
     if j == 0 and any(pair.v):
         return
@@ -225,17 +205,17 @@ def _flags(step, pair, dims: tuple[int, ...], j: int) -> Iterator[tuple[Subspace
         return
     rest = tuple(r - dims[1] for r in dims[1:])
     jj = max(j - 1, 0)
-    for qm, sub in step(pair, dims[1]):
+    for qm, sub in _graded_step(pair, dims[1]):
         # qm's kernel is canonical: its rows and pivots are W_1's own
         w1 = SubspaceGF(qm.p, qm.ambient, qm.basis_rows, qm.pivots)
-        for tail in _flags(step, sub, rest, jj):
+        for tail in _flags(sub, rest, jj):
             yield (w1,) + tuple(qm.preimage(s) for s in tail)
 
 
 _LEAF = {(): 1}  # the one empty tail of a flag; read, never written
 
 
-def _profiles(step, pair, subspaces: tuple, dims: tuple[int, ...], j: int, memo: dict, spend) -> dict:
+def _profiles(pair: GradedPair, subspaces: tuple, dims: tuple[int, ...], j: int, memo: dict, spend) -> dict:
     """Histogram {steps: count} of the fiber flags over pair, with
     steps[i][s] = dim(W_(i+1) & S_s) - dim(W_i & S_s), S = subspaces.
     Each candidate W_1 pushes every S into V/W_1, and its first step is
@@ -246,9 +226,9 @@ def _profiles(step, pair, subspaces: tuple, dims: tuple[int, ...], j: int, memo:
     on a miss.  A child that is empty (v not in W_1 at the marker) or
     the leaf (W_1 = V) is answered in place, with no push and no
     recursion.  The pushes come from the process-wide _push table and
-    the candidates from the _kernel_step or _graded_step table; they
-    hold subspaces and pairs, never a histogram, so the memo, a fresh
-    dict per call, holds every count."""
+    the candidates from the _graded_step table; they hold subspaces and
+    pairs, never a histogram, so the memo, a fresh dict per call, holds
+    every count."""
     if j == 0 and any(pair.v):
         return {}
     if len(dims) == 1:
@@ -259,7 +239,7 @@ def _profiles(step, pair, subspaces: tuple, dims: tuple[int, ...], j: int, memo:
         rest = tuple(r - dims[1] for r in dims[1:])
         jj = max(j - 1, 0)
         hist = {}
-        for qm, sub in step(pair, dims[1]):
+        for qm, sub in _graded_step(pair, dims[1]):
             spend()
             if jj == 0 and any(sub.v):
                 continue  # the child is empty: v is not in W_1
@@ -273,18 +253,18 @@ def _profiles(step, pair, subspaces: tuple, dims: tuple[int, ...], j: int, memo:
                 first = (tuple([s.dim - t.dim for s, t in zip(subspaces, pushed)]),)
             else:
                 pushed, first = (), ((),)
-            for tail, count in _profiles(step, sub, pushed, rest, jj, memo, spend).items():
+            for tail, count in _profiles(sub, pushed, rest, jj, memo, spend).items():
                 steps = first + tail
                 hist[steps] = hist.get(steps, 0) + count
         memo[key] = hist
     return hist
 
 
-def _histogram(step, pair, q: FiberQuery, subspaces: Sequence[SubspaceGF], spend) -> dict:
-    """_profiles on q's shape with a fresh memo, each key turned into the
-    running sums of its steps, profile[i][s] = dim(W_(i+1) & S_s).
+def _histogram(pair: GradedPair, q: FiberQuery, subspaces: Sequence[SubspaceGF], spend) -> dict:
+    """_profiles of pair on q's shape with a fresh memo, each key turned
+    into the running sums of its steps, profile[i][s] = dim(W_(i+1) & S_s).
     Distinct steps have distinct running sums, so no two keys merge."""
-    hist = _profiles(step, pair, tuple(subspaces), q.shape.dims, q.shape.marker, {}, spend)
+    hist = _profiles(pair, tuple(subspaces), q.shape.dims, q.shape.marker, {}, spend)
     return {
         tuple(itertools.accumulate(steps, lambda total, row: tuple(a + b for a, b in zip(total, row)))): count
         for steps, count in hist.items()
@@ -299,7 +279,7 @@ def count_fiber(q: FiberQuery) -> int:
 
 def enumerate_fiber_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ...]]:
     """All fiber flags, as tuples of canonical subspaces of the ambient space."""
-    yield from _flags(_kernel_step, _Pair(q.v, q.x), q.shape.dims, q.shape.marker)
+    yield from _flags(_zero_graded(q), q.shape.dims, q.shape.marker)
 
 
 def count_lambda_fixed(q: FiberQuery) -> int:
@@ -310,7 +290,7 @@ def count_lambda_fixed(q: FiberQuery) -> int:
 
 def enumerate_lambda_fixed_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ...]]:
     """All weight-graded fiber flags, lifted to the ambient space."""
-    yield from _flags(_graded_step, q.graded_pair(), q.shape.dims, q.shape.marker)
+    yield from _flags(q.graded_pair(), q.shape.dims, q.shape.marker)
 
 
 def fiber_profiles(
@@ -320,22 +300,22 @@ def fiber_profiles(
     profile[i][s]}, by the profile walker with a memo of its own; spend()
     is called once per walker node, a candidate W_1 expanded on a memo
     miss at any depth."""
-    return _histogram(_kernel_step, _Pair(q.v, q.x), q, subspaces, spend)
+    return _histogram(_zero_graded(q), q, subspaces, spend)
 
 
 def lambda_fixed_profiles(
     q: FiberQuery, subspaces: Sequence[SubspaceGF], spend: Callable[[], object] = lambda: None
 ) -> dict:
     """fiber_profiles over the weight-graded fiber flags only."""
-    return _histogram(_graded_step, q.graded_pair(), q, subspaces, spend)
+    return _histogram(q.graded_pair(), q, subspaces, spend)
 
 
 class FiberCache:
     """The count table: (mu, nu, dims, j, p) to the exact count that
     count_fiber_memo returned, which `save`/`load` persist.  `clear()`
-    empties it and the process tables of the module docstring: _orbit_pair,
-    _kernel, _kernel_step, _graded_step, _push, _symbolic_row, _poly_orbit,
-    normalform.split_factors and _interned.  `stats` counts lookups in the
+    empties it and the process tables of the module docstring:
+    normalform.orbit_pair, _kernel_blocks, _graded_step, _push,
+    _symbolic_row, _poly_orbit, normalform.split_factors and _interned.  `stats` counts lookups in the
     count table and in _poly_orbit, and their entries.
     """
 
@@ -363,7 +343,7 @@ class FiberCache:
     def clear(self) -> None:
         self._table.clear()
         for table in (
-            _orbit_pair, _kernel, _kernel_step, _graded_step, _push,
+            orbit_pair, _kernel_blocks, _graded_step, _push,
             _symbolic_row, _poly_orbit, split_factors,
         ):
             table.cache_clear()

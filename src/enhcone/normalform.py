@@ -5,7 +5,8 @@ diagram box (i, j), ordered row-major.  The nilpotent x shifts each box
 one step left in its row (killing the leftmost box), v is the sum of the
 basis vectors at the alpha-boundary boxes (i, alpha_i), and box (i, j)
 carries the weight alpha_i - j.  Under this grading v is homogeneous of
-weight 0 and x raises weights by exactly 1.
+weight 0 and x raises weights by exactly 1.  The graded subspaces and
+quotients of a GradedPair need neither, so they serve any grading.
 
 Classification of an arbitrary pair (v, x) into its orbit bipartition
 reads two Jordan types: lambda, of x, and kappa, of the map x induces on
@@ -35,11 +36,10 @@ from .gflinalg import (
 )
 
 
-@dataclass(frozen=True)
-class GradedPair:
+class GradedPair(NamedTuple):
     """A vector/nilpotent pair on a coordinate space with one integer
-    weight per coordinate; x maps weight w into weight w + 1 and v is
-    supported on weight-0 coordinates."""
+    weight per coordinate, which x and v need not respect; a tuple, so
+    that the fiber walker's tables hash it as one."""
 
     x: MatrixGF
     v: tuple[int, ...]
@@ -287,31 +287,39 @@ def enumerate_graded_subspaces(
     blocks: Sequence[tuple[int, tuple[int, ...], SubspaceGF]], d: int
 ) -> Iterator[GradedSelection]:
     """All graded subspaces of the direct sum of the blocks with total
-    dimension d, as per-block choices in block coordinates."""
+    dimension d, as per-block choices in block coordinates, the first
+    block's outermost and largest first."""
     if d < 0:
         raise ValueError("dimension must be nonnegative")
+    last = len(blocks) - 1
 
     def walk(idx: int, remaining: int) -> Iterator[GradedSelection]:
-        if idx == len(blocks):
-            if remaining == 0:
-                yield ()
-            return
         _, coords, piece = blocks[idx]
-        hi = min(piece.dim, remaining)
+        if idx == last:  # takes what remains, with no level below
+            if remaining <= piece.dim:
+                for choice in enumerate_subspaces(piece, remaining):
+                    yield ((coords, choice),)
+            return
         lo = max(0, remaining - sum(b[2].dim for b in blocks[idx + 1 :]))
-        for dw in range(hi, lo - 1, -1):
+        for dw in range(min(piece.dim, remaining), lo - 1, -1):
             for choice in enumerate_subspaces(piece, dw):
                 for rest in walk(idx + 1, remaining - dw):
                     yield ((coords, choice),) + rest
 
-    yield from walk(0, d)
+    if blocks:
+        yield from walk(0, d)
+    elif d == 0:
+        yield ()
 
 
 def graded_span(selection: GradedSelection, n: int, p: int) -> SubspaceGF:
     """The span of a graded selection, canonical without re-reduction.
     Blocks have disjoint, ascending coordinates, so each embedded block
     RREF row is 0 before its pivot and at every other pivot; sorted by
-    pivot, the rows are the RREF basis of their span."""
+    pivot, the rows are the RREF basis of their span.  A single block on
+    all n coordinates is its own span, as it is."""
+    if len(selection) == 1 and len(selection[0][0]) == n:
+        return selection[0][1]
     rows = []
     for coords, sub in selection:
         for brow, bpiv in zip(sub.basis, sub.pivots):
@@ -332,7 +340,7 @@ def graded_projection(selection: GradedSelection, n: int, p: int) -> QuotientMap
 def quotient_pair(pair: GradedPair, qm: QuotientMap) -> GradedPair:
     """The graded pair induced on the quotient by qm's kernel, which must
     be x-stable and graded; each quotient coordinate keeps its weight."""
-    weights = tuple(pair.weights[c] for c in qm.nonpivots)
+    weights = tuple([pair.weights[c] for c in qm.nonpivots])
     return GradedPair(qm.push_matrix(pair.x), qm.apply(pair.v), weights)
 
 
@@ -341,7 +349,7 @@ def graded_quotient(
 ) -> tuple[QuotientMap, GradedPair]:
     """Quotient map by a graded subspace of ker x, with the induced graded
     pair on the quotient."""
-    qm = graded_projection(selection, pair.n, pair.p)
+    qm = graded_projection(selection, pair.x.ncols, pair.x.p)
     return qm, quotient_pair(pair, qm)
 
 
@@ -463,6 +471,14 @@ class SplitFactors(NamedTuple):
 
 
 @lru_cache(maxsize=None)
+def orbit_pair(b: Bipartition, p: int) -> NormalPair:
+    """normal_pair(b, p), built once per (b, p) in a process for the fiber
+    queries over an orbit and the graded checks.  normal_pair itself
+    stays uncached: a census of conjugates uses each of its pairs once."""
+    return normal_pair(b, p)
+
+
+@lru_cache(maxsize=None)
 def split_factors(b: Bipartition, p: int) -> SplitFactors:
     """The split check's set-up for b over GF(p), built once per (b, p) in
     a process: the check splits each small orbit under every big one.
@@ -470,7 +486,7 @@ def split_factors(b: Bipartition, p: int) -> SplitFactors:
     count; decomposition_failures is left to the caller, since a factor
     pair means something only for a valid splitting.  A distinguished b
     raises ValueError, and no entry is kept."""
-    np_ = normal_pair(b, p)
+    np_ = orbit_pair(b, p)
     dec = explicit_decomposition(np_)
     return SplitFactors(
         np_,

@@ -14,11 +14,17 @@ were assembled from before the closed form of fibers._transition_row:
 Macdonald's Hall polynomial for v = 0, two q-binomials for x = 0, and
 per-entry interpolation of transitions at primes otherwise.
 walk_count counts fiber flags by the first-step recursion of
-fibers._profiles, with no memo and no fixed subspaces, and
-unmemoized_fiber_count and unmemoized_lambda_fixed_count run it on
-kernel_step and on graded_step, the two steps as generators that build
-every candidate afresh, sharing no table with fibers._kernel_step and
-fibers._graded_step.  closure_by_count decides the closure order by
+fibers._profiles, with no memo and no fixed subspaces, and walk_flags
+lists them, lifted to the ambient space.  unmemoized_fiber_count and
+unmemoized_lambda_fixed_count run walk_count on kernel_step and on
+graded_step, two steps as generators that build every candidate
+afresh and share no table with fibers._graded_step.  kernel_step
+quotients by every subspace of ker x with its own kernel, quotient_map,
+apply and push_matrix and no graded code; its pairs carry the zero
+grading (zero_graded) only so that they compare with the walker's.
+graded_flag_count counts the flags of the kernel_step walk whose
+subspaces all pass graded_by_intersections, for any weights.
+closure_by_count decides the closure order by
 whether a fiber is nonempty over GF(p), by that count.  nonneg_part
 is the closed form the centralizer module takes at a normal pair, and
 orbit_map_tangent_surjective is the tangent-space shadow of the
@@ -63,7 +69,6 @@ from collections import Counter
 from typing import Iterator, Sequence
 
 from enhcone.combinatorics import EMPTY, Bipartition, Partition, transpose
-from enhcone import fibers
 from enhcone.fibers import (
     ONE,
     ZERO,
@@ -329,20 +334,52 @@ def walk_count(step, pair, dims: tuple[int, ...], j: int) -> int:
     return sum(walk_count(step, sub, rest, jj) for _, sub in step(pair, dims[1]))
 
 
-def kernel_step(pair: fibers._Pair, r1: int) -> Iterator[tuple[QuotientMap, fibers._Pair]]:
+def walk_flags(step, pair, dims: tuple[int, ...], j: int) -> Iterator[tuple[SubspaceGF, ...]]:
+    """The flags that walk_count counts, each subspace lifted to the
+    ambient space of pair."""
+    if j == 0 and any(pair.v):
+        return
+    if len(dims) == 1:
+        yield ()
+        return
+    rest = tuple(r - dims[1] for r in dims[1:])
+    jj = max(j - 1, 0)
+    for qm, sub in step(pair, dims[1]):
+        w1 = SubspaceGF.span(qm.basis_rows, qm.ambient, qm.p)
+        for tail in walk_flags(step, sub, rest, jj):
+            yield (w1,) + tuple(qm.preimage(s) for s in tail)
+
+
+def zero_graded(q: FiberQuery) -> GradedPair:
+    """q's pair with weight 0 on every coordinate."""
+    return GradedPair(q.x, q.v, (0,) * len(q.v))
+
+
+def kernel_step(pair: GradedPair, r1: int) -> Iterator[tuple[QuotientMap, GradedPair]]:
     """Every r1-subspace W of ker x, as the quotient map by W together with
-    the induced pair on V/W, built afresh on every call."""
+    the induced pair on V/W under the zero grading, built afresh on every
+    call; pair's own weights play no part."""
     ker = kernel(pair.x)
     if r1 > ker.dim:
         return
     for w in enumerate_subspaces(ker, r1):
         qm = quotient_map(w)
-        yield qm, fibers._Pair(qm.apply(pair.v), qm.push_matrix(pair.x))
+        yield qm, GradedPair(qm.push_matrix(pair.x), qm.apply(pair.v), (0,) * qm.codim)
 
 
 def unmemoized_fiber_count(q: FiberQuery) -> int:
     """count_fiber by walk_count on kernel_step."""
-    return walk_count(kernel_step, fibers._Pair(q.v, q.x), q.shape.dims, q.shape.marker)
+    return walk_count(kernel_step, zero_graded(q), q.shape.dims, q.shape.marker)
+
+
+def graded_flag_count(q: FiberQuery, weights: Sequence[int]) -> int:
+    """count_lambda_fixed under the given weights, read off the flags of
+    the kernel_step walk: those whose every subspace passes
+    graded_by_intersections."""
+    return sum(
+        all(graded_by_intersections(w, weights) for w in flag)
+        for flag in walk_flags(kernel_step, zero_graded(q), q.shape.dims, q.shape.marker)
+    )
 
 
 def graded_step(pair: GradedPair, r1: int) -> Iterator[tuple[QuotientMap, GradedPair]]:

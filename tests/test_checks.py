@@ -451,6 +451,31 @@ class TestKernelRecursion:
                     assert rep.passed, (str(big), str(small), p, rep.witness)
 
 
+class TestNormalPairTable:
+    def test_checks_and_queries_share_one_normal_pair(self, monkeypatch, clean_cache):
+        # the distinguished, split and kernel-recursion checks and the
+        # fiber queries over an orbit read normalform.orbit_pair, which
+        # builds each (b, p) once until the cache is cleared
+        built = []
+
+        def counting(b, p, _original=normalform.normal_pair):
+            built.append((b, p))
+            return _original(b, p)
+
+        monkeypatch.setattr(normalform, "normal_pair", counting)
+        dist, split = bipartition((2,), (1,)), bipartition((), (1, 1, 1))
+        for _ in range(2):
+            for b in (dist, split):
+                assert check_distinguished_lemma(b, 2).passed
+                FiberQuery.over_orbit(b, b, 2)
+            assert check_kernel_recursion(dist, flag_shape(dist), 2).passed
+            assert check_split_product(split, bipartition((), (2, 1)), 2).passed
+        assert sorted(built, key=str) == sorted([(dist, 2), (split, 2)], key=str)
+        fibers.fiber_cache().clear()
+        check_distinguished_lemma(dist, 2)
+        assert built[-1] == (dist, 2) and len(built) == 3
+
+
 class TestSemismall:
     def test_regular_two(self):
         rep = check_semismall(bipartition((), (2,)))

@@ -58,6 +58,7 @@ from oracles import (
     dense_sub,
     flag_histogram,
     gaussian_binomial,
+    graded_flag_count,
     graded_step,
     hall_row,
     held_out_prime,
@@ -72,6 +73,7 @@ from oracles import (
     unmemoized_lambda_fixed_count,
     walk_count,
     x_zero_row,
+    zero_graded,
 )
 
 
@@ -214,7 +216,7 @@ class TestWalkerMemo:
         ):
             monkeypatch.setattr(module, name, forbidden)
         nodes = Counter()
-        cached_step = fibers._kernel_step
+        cached_step = fibers._graded_step
 
         def counting(pair, r1):
             step = cached_step(pair, r1)
@@ -226,7 +228,7 @@ class TestWalkerMemo:
                 nodes["oracle"] += 1
                 yield item
 
-        monkeypatch.setattr(fibers, "_kernel_step", counting)
+        monkeypatch.setattr(fibers, "_graded_step", counting)
         q = FiberQuery.over_orbit(bipartition((), (1, 1, 1, 1)), bipartition((), (2, 2)), 2)
         first = count_fiber(q)
         walked = nodes["walker"]
@@ -238,7 +240,7 @@ class TestWalkerMemo:
         assert nodes["walker"] == 2 * walked
         # within a call the memo does replay counts: the plain walker goes further
         dims, j = q.shape.dims, q.shape.marker
-        assert walk_count(counting_oracle, fibers._Pair(q.v, q.x), dims, j) == first
+        assert walk_count(counting_oracle, zero_graded(q), dims, j) == first
         assert unmemoized_fiber_count(q) == first
         assert nodes["oracle"] > walked
         assert fiber_cache().stats == {"hits": 0, "misses": 0, "entries": 0}
@@ -340,7 +342,7 @@ class TestProfileWalker:
 
     def test_spends_one_node_per_expanded_candidate(self, monkeypatch):
         candidates = Counter()
-        cached_step = fibers._kernel_step
+        cached_step = fibers._graded_step
 
         def counting(pair, r1):
             step = cached_step(pair, r1)
@@ -352,7 +354,7 @@ class TestProfileWalker:
                 candidates["yielded"] += 1
                 yield item
 
-        monkeypatch.setattr(fibers, "_kernel_step", counting)
+        monkeypatch.setattr(fibers, "_graded_step", counting)
         q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((), (2, 2)), 2)
         filtrations = weight_filtrations(q)
         nodes = []
@@ -365,22 +367,17 @@ class TestProfileWalker:
         assert len(again) == len(nodes)
         # memo hits expand nothing: the unmemoized walker visits more
         candidates.clear()
-        walk_count(counting_oracle, fibers._Pair(q.v, q.x), q.shape.dims, q.shape.marker)
+        walk_count(counting_oracle, zero_graded(q), q.shape.dims, q.shape.marker)
         assert candidates["yielded"] > len(nodes)
 
     def test_counts_walk_as_the_empty_histogram(self, monkeypatch):
         # a count is the profile walk against no subspaces: the same
-        # walker calls and the same candidates, on either step
+        # walker calls and the same candidates, under either grading
         tally = Counter()
-        cached_kernel, cached_graded, walker = fibers._kernel_step, fibers._graded_step, fibers._profiles
+        cached_step, walker = fibers._graded_step, fibers._profiles
 
-        def counting_kernel(pair, r1):
-            step = cached_kernel(pair, r1)
-            tally["candidates"] += len(step)
-            return step
-
-        def counting_graded(pair, r1):
-            step = cached_graded(pair, r1)
+        def counting_step(pair, r1):
+            step = cached_step(pair, r1)
             tally["candidates"] += len(step)
             return step
 
@@ -388,8 +385,7 @@ class TestProfileWalker:
             tally["calls"] += 1
             return walker(*args)
 
-        monkeypatch.setattr(fibers, "_kernel_step", counting_kernel)
-        monkeypatch.setattr(fibers, "_graded_step", counting_graded)
+        monkeypatch.setattr(fibers, "_graded_step", counting_step)
         monkeypatch.setattr(fibers, "_profiles", counting_walker)
 
         def walked(fn, *args) -> Counter:
@@ -445,17 +441,18 @@ def assert_step_table_matches(cached_step, oracle_step, reached: set) -> None:
 
 
 class TestProcessTables:
-    """_kernel_step, _graded_step and _push keep exact GF(p) objects for
+    """_graded_step, _kernel_blocks and _push keep exact GF(p) objects for
     the whole process; the counts built from them stay per call."""
 
     def test_kernel_step_matches_generator_oracle(self):
+        # under the zero grading the one step is the ungraded kernel step
         reached = set()
         for n in range(5):
             for b in bipartitions(n):
                 for p in (2, 3):
                     np_ = normal_pair(b, p)
-                    reached.add(fibers._Pair(np_.v, np_.x))
-        assert_step_table_matches(fibers._kernel_step, kernel_step, reached)
+                    reached.add(GradedPair(np_.x, np_.v, (0,) * n))
+        assert_step_table_matches(fibers._graded_step, kernel_step, reached)
         assert len(reached) > 200
 
     def test_graded_step_matches_generator_oracle(self):
@@ -472,7 +469,7 @@ class TestProcessTables:
         # the four lines of ker x at the zero pair of GF(3)^2 leave four
         # quotients (0, 0): one object, held four times
         np_ = normal_pair(bipartition((), (1, 1)), 3)
-        step = fibers._kernel_step(fibers._Pair(np_.v, np_.x), 1)
+        step = fibers._graded_step(GradedPair(np_.x, np_.v, (0, 0)), 1)
         assert len(step) == 4
         assert len({id(sub) for _, sub in step}) == 1
 
@@ -480,7 +477,7 @@ class TestProcessTables:
         # a line of the zero pair on GF(3)^2 and a plane of the zero pair
         # on GF(3)^3 both leave the zero pair on GF(3)^1: one object
         steps = [
-            fibers._kernel_step(fibers._Pair(np_.v, np_.x), r1)
+            fibers._graded_step(GradedPair(np_.x, np_.v, (0,) * np_.n), r1)
             for np_, r1 in (
                 (normal_pair(bipartition((), (1, 1)), 3), 1),
                 (normal_pair(bipartition((), (1, 1, 1)), 3), 2),
@@ -488,8 +485,8 @@ class TestProcessTables:
         ]
         (first,), (second,) = ({id(sub) for _, sub in step} for step in steps)
         assert first == second
-        assert steps[0][0][1] == fibers._Pair((0,), MatrixGF.zeros(1, 1, 3))
-        # and so do graded steps, across their own keys
+        assert steps[0][0][1] == GradedPair(MatrixGF.zeros(1, 1, 3), (0,), (0,))
+        # and so do steps under the normal grading, across their own keys
         graded = [
             fibers._graded_step(normal_pair(bipartition((), (1,) * n), 3).pair, n - 1)
             for n in (2, 3)
@@ -504,14 +501,17 @@ class TestProcessTables:
         bigs = [big for big, s in closure_pairs(3) if s == small]
         assert len(bigs) > 1
         for p in (2, 3):
-            np_ = fibers._orbit_pair(small, p)
+            np_ = normalform.orbit_pair(small, p)
             assert np_ == normal_pair(small, p)
             for big in bigs:
                 q = FiberQuery.over_orbit(small, big, p)
                 assert q.x is np_.x and q.weights is np_.weights and q.v == np_.v
                 assert q.shape == flag_shape(big)
-            assert fibers._orbit_pair(small, p) is np_
-        assert fibers._orbit_pair(small, 2) != fibers._orbit_pair(small, 3)
+            assert normalform.orbit_pair(small, p) is np_
+            # the split check's set-up reads the same table
+            if not is_distinguished(small):
+                assert normalform.split_factors(small, p).normal is np_
+        assert normalform.orbit_pair(small, 2) != normalform.orbit_pair(small, 3)
         # normal_pair itself builds a fresh pair on every call: a table
         # there would keep every pair that a caller builds only once
         assert not hasattr(normalform.normal_pair, "cache_info")
@@ -520,19 +520,22 @@ class TestProcessTables:
     def test_kernel_step_reads_each_kernel_once(self, clean_cache, monkeypatch):
         calls = Counter()
 
-        def counting(x, _original=fibers.kernel):
+        def counting(x, _original=normalform.kernel):
             calls[x] += 1
             return _original(x)
 
-        monkeypatch.setattr(fibers, "kernel", counting)
+        monkeypatch.setattr(normalform, "kernel", counting)
         np_ = normal_pair(bipartition((1,), (2, 1)), 3)
-        for v in (np_.v, (0,) * len(np_.v)):
+        zeros = (0,) * np_.n
+        for v in (np_.v, zeros):
             for r1 in (1, 2, 3):
-                fibers._kernel_step(fibers._Pair(v, np_.x), r1)
-        assert fibers._kernel_step.cache_info().currsize == 6
+                fibers._graded_step(GradedPair(np_.x, v, zeros), r1)
+        assert fibers._graded_step.cache_info().currsize == 6
+        # the zero grading has one block, whose matrix is x itself
         assert calls == Counter({np_.x: 1})
-        assert fibers._kernel(np_.x) == kernel(np_.x)
-        assert fibers._kernel(MatrixGF.from_rows(np_.x.rows, 3)) is fibers._kernel(np_.x)
+        blocks = fibers._kernel_blocks(np_.x, zeros)
+        assert blocks == ((0, tuple(range(np_.n)), kernel(np_.x)),)
+        assert fibers._kernel_blocks(MatrixGF.from_rows(np_.x.rows, 3), zeros) is blocks
 
     @pytest.mark.parametrize("p", (2, 3, 5))
     def test_push_is_the_span_of_the_images(self, p):
@@ -553,14 +556,14 @@ class TestProcessTables:
 
     def test_kernel_counts_stay_per_call_on_warm_tables(self, clean_cache, monkeypatch):
         candidates = Counter()
-        cached_step = fibers._kernel_step
+        cached_step = fibers._graded_step
 
         def counting(pair, r1):
             step = cached_step(pair, r1)
             candidates["yielded"] += len(step)
             return step
 
-        monkeypatch.setattr(fibers, "_kernel_step", counting)
+        monkeypatch.setattr(fibers, "_graded_step", counting)
         q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((4,), ()), 3)
         filtrations = weight_filtrations(q)
         cold = []
@@ -677,12 +680,14 @@ class TestMemo:
 
     def test_kernel_step_table_size(self, clean_cache):
         # the 242 certificates with n <= 4 count their fibers at p = 2 on
-        # 1,238 kernel steps, of which 165 are distinct (pair, r1) keys
+        # 1,238 steps under the zero grading, of which 165 are distinct
+        # (pair, r1) keys, on the kernels of 18 distinct matrices
         for n in range(5):
             for big, small in closure_pairs(n):
                 assert check_polynomial_count(big, small).passed, (str(big), str(small))
-        info = fibers._kernel_step.cache_info()
+        info = fibers._graded_step.cache_info()
         assert (info.misses, info.hits, info.currsize) == (165, 1073, 165)
+        assert fibers._kernel_blocks.cache_info().currsize == 18
 
     def test_persistence_roundtrip(self, tmp_path, clean_cache):
         cache = fiber_cache()
@@ -706,9 +711,8 @@ class TestMemo:
         fiber_polynomial(bipartition((4,), ()), small)
         normalform.split_factors(small, 3)
         tables = {
-            "_orbit_pair": fibers._orbit_pair,
-            "_kernel": fibers._kernel,
-            "_kernel_step": fibers._kernel_step,
+            "orbit_pair": normalform.orbit_pair,
+            "_kernel_blocks": fibers._kernel_blocks,
             "_graded_step": fibers._graded_step,
             "_push": fibers._push,
             "_symbolic_row": fibers._symbolic_row,
@@ -851,6 +855,47 @@ class TestLambdaFixed:
         with pytest.raises(ValueError):
             count_lambda_fixed(q)
 
+    def test_list_weights_become_an_int_tuple(self):
+        # list weights become an int tuple, which the step table hashes
+        q = FiberQuery([1, 0], MatrixGF.zeros(2, 2, 2), FlagShape((0, 1, 2), 1), [0, 0])
+        assert q.v == (1, 0) and q.weights == (0, 0) and type(q.weights) is tuple
+        assert count_fiber(q) == count_lambda_fixed(q) == 1
+        assert len(list(enumerate_lambda_fixed_flags(q))) == 1
+        assert {q: 1}[FiberQuery((1, 0), q.x, q.shape, (0, 0))] == 1
+
+    @pytest.mark.parametrize("weights", [(0.0, 0.5), (0, 1.0), ("0", "1")])
+    def test_non_integer_weights_raise(self, weights):
+        # weights are taken by operator.index, like a Partition's parts
+        with pytest.raises(TypeError):
+            FiberQuery((0, 0), MatrixGF.zeros(2, 2, 2), FlagShape((0, 1, 2), 0), weights)
+
+    def test_any_grading_matches_graded_flags(self):
+        # the walk asks nothing of how x moves weights: under the zero
+        # grading x keeps them, and under K w + i, i counted only on the
+        # rows of beta below alpha, x raises them by K
+        K = 100
+        differs = 0
+        for n in range(5):
+            for big, small in closure_pairs(n):
+                np_ = normal_pair(small, 2)
+                shape = flag_shape(big)
+                torus = tuple(
+                    K * w + (i if i > small.first.length else 0)
+                    for w, (i, _) in zip(np_.weights, np_.basis_labels)
+                )
+                for weights in ((0,) * n, torus):
+                    q = FiberQuery(np_.v, np_.x, shape, weights)
+                    assert count_lambda_fixed(q) == graded_flag_count(q, weights), (
+                        str(big), str(small), weights,
+                    )
+                zero = FiberQuery(np_.v, np_.x, shape, (0,) * n)
+                assert count_lambda_fixed(zero) == count_fiber(zero)
+                differs += count_lambda_fixed(FiberQuery(np_.v, np_.x, shape, torus)) != (
+                    count_lambda_fixed(FiberQuery.of(np_, shape))
+                )
+        # the extra torus leaves fewer fixed flags than lambda on some pairs
+        assert differs > 50
+
 
 class TestInterpolation:
     def test_line(self):
@@ -935,9 +980,9 @@ class TestTransitionClassification:
             for b in bipartitions(n):
                 for p in (2, 3):
                     np_ = normal_pair(b, p)
-                    pair = fibers._Pair(np_.v, np_.x)
+                    pair = GradedPair(np_.x, np_.v, (0,) * n)
                     for r1 in range(1, n + 1):
-                        subs = {sub for _, sub in fibers._kernel_step(pair, r1)}
+                        subs = {sub for _, sub in fibers._graded_step(pair, r1)}
                         for sub in subs:
                             assert classify_pair(sub.v, sub.x) == classify_by_centralizer(
                                 sub.v, sub.x
