@@ -37,10 +37,15 @@ FiberCache.clear() empties them: normalform.orbit_pair, the normal
 pair of each (b, p) that FiberQuery.over_orbit queries;
 _kernel_blocks, the graded pieces of ker x of each (x, weights);
 _graded_step, the quotient maps and quotient pairs of each (pair, r_1);
-_push, the canonical push of each (quotient map, subspace);
-_symbolic_row and _poly_orbit (below); normalform.split_factors, the
-split check's set-up of each (b, p); and the _interned dict, which
-holds each quotient pair as one object for all steps (_shared), so the
+_push, the canonical push of each (quotient map, subspace); _pushes,
+aligned with _graded_step, each candidate's pushed subspaces and first
+step of each (pair, subspaces, r_1, child marker is 0), or None for an
+empty child, so that a node of a walk against subspaces finds all its
+children in one lookup (a count walk, against no subspaces, reads the
+step alone); _symbolic_row and _poly_orbit (below);
+normalform.split_factors, the split check's set-up of each (b, p); and
+the _interned dict, which holds each quotient pair, push entry and
+first step as one object for all steps (_shared, _intern), so the
 walker memo finds it by identity.  normal_pair itself stays uncached:
 a census of conjugates builds many normal pairs and uses each once.
 The tables hold exact objects that depend on their key alone, and no
@@ -106,12 +111,12 @@ from .normalform import (
 class FiberQuery:
     """A pair (v, x) over GF(p) together with a flag shape and marker.
 
-    v is reduced mod p on construction, and x is kept as given, since
-    MatrixGF reduces its own entries.  weights, when present, grade the
-    coordinates, as the cocharacter does the normal basis, and enable
-    fixed-point counting.  They are taken by operator.index, like
-    Partition's parts, so a float raises TypeError; a tuple of ints is
-    kept as given.
+    v is taken by operator.index, like Partition's parts, so a float
+    raises TypeError, and reduced mod p on construction; x is kept as
+    given, since MatrixGF checks its own entries.  weights, when present,
+    grade the coordinates, as the cocharacter does the normal basis, and
+    enable fixed-point counting.  They are taken by operator.index too; a
+    tuple of ints is kept as given.
     """
 
     v: tuple[int, ...]
@@ -120,7 +125,8 @@ class FiberQuery:
     weights: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "v", tuple(a % self.x.p for a in self.v))
+        p = self.x.p
+        object.__setattr__(self, "v", tuple([operator.index(a) % p for a in self.v]))
         if not self.x.is_square() or len(self.v) != self.x.ncols:
             raise ValueError("pair dimensions disagree")
         if self.shape.n != self.x.ncols:
@@ -159,7 +165,12 @@ def _zero_graded(q: FiberQuery) -> GradedPair:
     return GradedPair(q.x, q.v, (0,) * len(q.v))
 
 
-_interned: dict = {}  # quotient pair -> the one object that stands for it
+_interned: dict = {}  # quotient pair, push entry or first step -> the one object for it
+
+
+def _intern(value):
+    """The one object in _interned equal to value."""
+    return _interned.setdefault(value, value)
 
 
 def _shared(candidates) -> tuple:
@@ -167,7 +178,7 @@ def _shared(candidates) -> tuple:
     with equal quotient pairs held as one object, in this step and in
     every other: many W_1 leave the same quotient, and the walker memo
     finds a shared key by identity before it compares one."""
-    return tuple([(qm, _interned.setdefault(sub, sub)) for qm, sub in candidates])
+    return tuple([(qm, _intern(sub)) for qm, sub in candidates])
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,6 +205,26 @@ def _push(qm: QuotientMap, s: SubspaceGF) -> SubspaceGF:
     """The image of s in the quotient by qm's kernel, canonical; built once
     per (qm, s) in a process."""
     return SubspaceGF.span([qm.apply(u) for u in s.basis], qm.codim, qm.p)
+
+
+@functools.lru_cache(maxsize=None)
+def _pushes(pair: GradedPair, subspaces: tuple, r1: int, at_zero: bool) -> tuple:
+    """For each candidate (qm, sub) of _graded_step(pair, r1), in its order:
+    None when the child is empty, that is when at_zero (the child's
+    marker is 0) and v is not in W_1; otherwise (pushed, first), the
+    subspaces pushed into V/W_1 by _push and the first-step increments
+    first[0][s] = dim(W_1 & S_s) = dim S_s - dim(pushed S_s).  Built once
+    per key in a process; equal entries and equal increment rows are
+    held as one object in _interned."""
+    entries = []
+    for qm, sub in _graded_step(pair, r1):
+        if at_zero and any(sub.v):
+            entries.append(None)
+            continue
+        pushed = tuple([_push(qm, s) for s in subspaces])
+        first = _intern((tuple([s.dim - t.dim for s, t in zip(subspaces, pushed)]),))
+        entries.append(_intern((pushed, first)))
+    return tuple(entries)
 
 
 def _flags(pair: GradedPair, dims: tuple[int, ...], j: int) -> Iterator[tuple[SubspaceGF, ...]]:
@@ -225,10 +256,11 @@ def _profiles(pair: GradedPair, subspaces: tuple, dims: tuple[int, ...], j: int,
     over GF(p); spend() is called once for each candidate W_1 expanded
     on a miss.  A child that is empty (v not in W_1 at the marker) or
     the leaf (W_1 = V) is answered in place, with no push and no
-    recursion.  The pushes come from the process-wide _push table and
-    the candidates from the _graded_step table; they hold subspaces and
-    pairs, never a histogram, so the memo, a fresh dict per call, holds
-    every count."""
+    recursion.  The candidates come from the process-wide _graded_step
+    table, and against subspaces each node reads its children's pushes
+    and first steps from the _pushes table in one lookup; the tables
+    hold subspaces and pairs, never a histogram, so the memo, a fresh
+    dict per call, holds every count."""
     if j == 0 and any(pair.v):
         return {}
     if len(dims) == 1:
@@ -236,26 +268,33 @@ def _profiles(pair: GradedPair, subspaces: tuple, dims: tuple[int, ...], j: int,
     key = (pair, subspaces, dims, j)
     hist = memo.get(key)
     if hist is None:
-        rest = tuple(r - dims[1] for r in dims[1:])
+        r1 = dims[1]
+        rest = tuple(r - r1 for r in dims[1:])
         jj = max(j - 1, 0)
         hist = {}
-        for qm, sub in _graded_step(pair, dims[1]):
-            spend()
-            if jj == 0 and any(sub.v):
-                continue  # the child is empty: v is not in W_1
-            if len(rest) == 1:
-                # the child is the leaf: W_1 = V, and every S pushes to 0
-                steps = (tuple([s.dim for s in subspaces]),)
-                hist[steps] = hist.get(steps, 0) + 1
-                continue
-            if subspaces:
-                pushed = tuple([_push(qm, s) for s in subspaces])
-                first = (tuple([s.dim - t.dim for s, t in zip(subspaces, pushed)]),)
-            else:
-                pushed, first = (), ((),)
-            for tail, count in _profiles(sub, pushed, rest, jj, memo, spend).items():
-                steps = first + tail
-                hist[steps] = hist.get(steps, 0) + count
+        step = _graded_step(pair, r1)
+        if subspaces and len(rest) > 1:
+            for (_, sub), entry in zip(step, _pushes(pair, subspaces, r1, jj == 0)):
+                spend()
+                if entry is None:
+                    continue  # the child is empty: v is not in W_1
+                pushed, first = entry
+                for tail, count in _profiles(sub, pushed, rest, jj, memo, spend).items():
+                    steps = first + tail
+                    hist[steps] = hist.get(steps, 0) + count
+        else:  # a count walk, against no S, or a node whose children are all leaves
+            for _, sub in step:
+                spend()
+                if jj == 0 and any(sub.v):
+                    continue  # the child is empty: v is not in W_1
+                if len(rest) == 1:
+                    # the child is the leaf: W_1 = V, and every S pushes to 0
+                    steps = (tuple([s.dim for s in subspaces]),)
+                    hist[steps] = hist.get(steps, 0) + 1
+                    continue
+                for tail, count in _profiles(sub, (), rest, jj, memo, spend).items():
+                    steps = ((),) + tail
+                    hist[steps] = hist.get(steps, 0) + count
         memo[key] = hist
     return hist
 
@@ -314,9 +353,10 @@ class FiberCache:
     """The count table: (mu, nu, dims, j, p) to the exact count that
     count_fiber_memo returned, which `save`/`load` persist.  `clear()`
     empties it and the process tables of the module docstring:
-    normalform.orbit_pair, _kernel_blocks, _graded_step, _push,
-    _symbolic_row, _poly_orbit, normalform.split_factors and _interned.  `stats` counts lookups in the
-    count table and in _poly_orbit, and their entries.
+    normalform.orbit_pair, _kernel_blocks, _graded_step, _push, _pushes,
+    _symbolic_row, _poly_orbit, normalform.split_factors and _interned.
+    `stats` counts lookups in the count table and in _poly_orbit, and
+    their entries.
     """
 
     FORMAT = 1
@@ -343,7 +383,7 @@ class FiberCache:
     def clear(self) -> None:
         self._table.clear()
         for table in (
-            orbit_pair, _kernel_blocks, _graded_step, _push,
+            orbit_pair, _kernel_blocks, _graded_step, _push, _pushes,
             _symbolic_row, _poly_orbit, split_factors,
         ):
             table.cache_clear()

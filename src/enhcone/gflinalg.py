@@ -5,12 +5,20 @@ with entries in [0, p); subspaces are stored in reduced row echelon form
 so that equal subspaces have identical representations and can be used
 as cache keys.  Enumeration of subspaces walks RREF pivot patterns, so
 each subspace appears exactly once.
+
+MatrixGF, SubspaceGF and QuotientMap key the fiber walker's tables, so
+each hashes once: the hash of its fields is computed on construction
+and stored in a slot, and equality still compares the fields.  They
+are slotted, with no __dict__.  The kernels below build their results
+through unchecked constructors (_matrix, _subspace), which skip the
+public constructor's checks: their entries are already reduced.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 from typing import Iterator, Sequence
@@ -34,13 +42,15 @@ def check_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatrixGF:
     """Dense matrix over GF(p); rows is a tuple of row tuples.
 
-    Entries are reduced mod p on construction, so every matrix reads the
-    same as its reduction.  Entries already in [0, p) pass one min/max
-    test over all of them and are kept as given:
+    A row whose length is not ncols raises ValueError.  Entries are
+    taken by operator.index, like Partition's parts, so a float raises
+    TypeError, and reduced mod p, so every matrix reads the same as its
+    reduction.  Int tuples already in [0, p) pass one type test and one
+    min/max test over all entries and are kept as given:
 
     >>> MatrixGF(3, ((3, -1), (0, 3)), 2).rows
     ((0, 2), (0, 0))
@@ -49,11 +59,25 @@ class MatrixGF:
     p: int
     rows: tuple[tuple[int, ...], ...]
     ncols: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p, rows, flat = self.p, self.rows, itertools.chain.from_iterable
-        if min(flat(rows), default=0) < 0 or max(flat(rows), default=0) >= p:
-            object.__setattr__(self, "rows", tuple(tuple(a % p for a in row) for row in rows))
+        p, rows, ncols = self.p, self.rows, self.ncols
+        if not set(map(len, rows)) <= {ncols}:
+            raise ValueError(f"ragged rows: every row needs {ncols} entries")
+        entries = list(itertools.chain.from_iterable(rows))
+        if (
+            {type(rows), *map(type, rows)} != {tuple}
+            or not set(map(type, entries)) <= {int}
+            or min(entries, default=0) < 0
+            or max(entries, default=0) >= p
+        ):
+            rows = tuple(tuple(operator.index(a) % p for a in row) for row in rows)
+            object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_hash", hash((p, rows, ncols)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def nrows(self) -> int:
@@ -102,7 +126,7 @@ class MatrixGF:
             tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
             for row in self.rows
         )
-        return MatrixGF(p, rows, other.ncols)
+        return _matrix(p, rows, other.ncols)
 
     def __matmul__(self, other: "MatrixGF") -> "MatrixGF":
         return self.mul(other)
@@ -115,14 +139,31 @@ class MatrixGF:
             tuple((a - b) % p for a, b in zip(r1, r2))
             for r1, r2 in zip(self.rows, other.rows)
         )
-        return MatrixGF(p, rows, self.ncols)
+        return _matrix(p, rows, self.ncols)
 
     def transpose(self) -> "MatrixGF":
         if self.rows:
             rows = tuple(tuple(r) for r in zip(*self.rows))
         else:
             rows = tuple(() for _ in range(self.ncols))
-        return MatrixGF(self.p, rows, self.nrows)
+        return _matrix(self.p, rows, self.nrows)
+
+
+_new = object.__new__
+_set_mp, _set_mrows, _set_mncols, _set_mhash = (
+    d.__set__ for d in (MatrixGF.p, MatrixGF.rows, MatrixGF.ncols, MatrixGF._hash)
+)
+
+
+def _matrix(p: int, rows: tuple[tuple[int, ...], ...], ncols: int) -> MatrixGF:
+    """The MatrixGF of rows that are already tuples of ncols ints in
+    [0, p), unchecked: the fields go straight into the slots."""
+    m = _new(MatrixGF)
+    _set_mp(m, p)
+    _set_mrows(m, rows)
+    _set_mncols(m, ncols)
+    _set_mhash(m, hash((p, rows, ncols)))
+    return m
 
 
 def _rref_rows(rows: list[list[int]], p: int, ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -158,7 +199,7 @@ def rref(m: MatrixGF) -> MatrixGF:
     """Reduced row echelon form, same shape (zero rows kept at the bottom)."""
     rows = [list(row) for row in m.rows]
     rows, _ = _rref_rows(rows, m.p, m.ncols)
-    return MatrixGF(m.p, tuple(tuple(row) for row in rows), m.ncols)
+    return _matrix(m.p, tuple(tuple(row) for row in rows), m.ncols)
 
 
 def rank(m: MatrixGF) -> int:
@@ -167,7 +208,7 @@ def rank(m: MatrixGF) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubspaceGF:
     """Subspace of GF(p)^n in canonical form: RREF basis + pivot columns."""
 
@@ -175,6 +216,13 @@ class SubspaceGF:
     ambient: int
     basis: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.p, self.ambient, self.basis, self.pivots)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -192,7 +240,7 @@ class SubspaceGF:
             basis = tuple(tuple(row) for row in rows[: len(pivots)])
         else:
             basis, pivots = (), []
-        return cls(p, ambient, basis, tuple(pivots))
+        return _subspace(p, ambient, basis, tuple(pivots))
 
     @classmethod
     def zero(cls, ambient: int, p: int) -> "SubspaceGF":
@@ -244,7 +292,7 @@ class SubspaceGF:
         a, b = self.dim, other.dim
         if a == 0 or b == 0:
             return SubspaceGF.zero(self.ambient, self.p)
-        stacked = MatrixGF(self.p, self.basis + other.basis, self.ambient)
+        stacked = _matrix(self.p, self.basis + other.basis, self.ambient)
         ker = kernel(stacked.transpose())
         vecs = []
         for coeffs in ker.basis:
@@ -255,6 +303,22 @@ class SubspaceGF:
                     v = [(x + f * y) % self.p for x, y in zip(v, self.basis[s])]
             vecs.append(v)
         return SubspaceGF.span(vecs, self.ambient, self.p)
+
+
+_set_sp, _set_samb, _set_sbasis, _set_spiv, _set_shash = (
+    d.__set__ for d in (SubspaceGF.p, SubspaceGF.ambient, SubspaceGF.basis, SubspaceGF.pivots, SubspaceGF._hash)
+)
+
+
+def _subspace(p: int, ambient: int, basis: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]) -> SubspaceGF:
+    """The SubspaceGF of a canonical basis and its pivots, unchecked."""
+    s = _new(SubspaceGF)
+    _set_sp(s, p)
+    _set_samb(s, ambient)
+    _set_sbasis(s, basis)
+    _set_spiv(s, pivots)
+    _set_shash(s, hash((p, ambient, basis, pivots)))
+    return s
 
 
 def kernel(m: MatrixGF) -> SubspaceGF:
@@ -275,7 +339,7 @@ def kernel(m: MatrixGF) -> SubspaceGF:
     return SubspaceGF.span(vecs, ncols, p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuotientMap:
     """Projection GF(p)^n -> GF(p)^(n-d) whose kernel is the canonical
     subspace with RREF basis basis_rows and pivot columns pivots; only
@@ -288,6 +352,9 @@ class QuotientMap:
     each row is subtracted v[c_r] times, and coordinate t of the image
     is v[N_t] - sum_r v[c_r] * row_r[N_t].  apply and push_matrix build
     the n - d coordinates they return and no full-length vector.
+
+    The nonpivots follow from ambient and pivots, so the stored hash is
+    that of the kernel's subspace, and quotient_map copies it.
     """
 
     p: int
@@ -295,6 +362,13 @@ class QuotientMap:
     basis_rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
     nonpivots: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.p, self.ambient, self.basis_rows, self.pivots)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def codim(self) -> int:
@@ -323,7 +397,7 @@ class QuotientMap:
                     xr = xrows[c]
                     out = [(a - f * xr[s]) % p for a, s in zip(out, nonpivots)]
             rows.append(tuple(out))
-        return MatrixGF(p, tuple(rows), len(nonpivots))
+        return _matrix(p, tuple(rows), len(nonpivots))
 
     def lift(self, v: Sequence[int]) -> tuple[int, ...]:
         out = [0] * self.ambient
@@ -336,11 +410,26 @@ class QuotientMap:
         return SubspaceGF.span(vecs, self.ambient, self.p)
 
 
+_set_qp, _set_qamb, _set_qrows, _set_qpiv, _set_qnonpiv, _set_qhash = (
+    d.__set__ for d in (
+        QuotientMap.p, QuotientMap.ambient, QuotientMap.basis_rows, QuotientMap.pivots,
+        QuotientMap.nonpivots, QuotientMap._hash,
+    )
+)
+
+
 def quotient_map(w: SubspaceGF) -> QuotientMap:
     """Quotient map by w onto the non-pivot coordinate space of GF(p)^n,
-    straight from w's canonical basis, whose pivots are distinct."""
-    nonpivots = tuple(c for c in range(w.ambient) if c not in w.pivots)
-    return QuotientMap(w.p, w.ambient, w.basis, w.pivots, nonpivots)
+    straight from w's canonical basis, whose pivots are distinct, and
+    with w's stored hash, unchecked."""
+    qm = _new(QuotientMap)
+    _set_qp(qm, w.p)
+    _set_qamb(qm, w.ambient)
+    _set_qrows(qm, w.basis)
+    _set_qpiv(qm, w.pivots)
+    _set_qnonpiv(qm, tuple(c for c in range(w.ambient) if c not in w.pivots))
+    _set_qhash(qm, w._hash)
+    return qm
 
 
 def _row_options(head: tuple[int, ...], frees: Sequence[tuple[int, ...]], p: int) -> Iterator[tuple[int, ...]]:
@@ -407,7 +496,7 @@ def enumerate_subspaces(ambient: SubspaceGF, d: int) -> Iterator[SubspaceGF]:
     if d < 0 or d > k:
         raise ValueError(f"cannot take {d}-dim subspaces of a {k}-dim space")
     if d == 0:
-        yield SubspaceGF(p, n, (), ())
+        yield _subspace(p, n, (), ())
         return
     if d == k:
         yield ambient
@@ -420,4 +509,4 @@ def enumerate_subspaces(ambient: SubspaceGF, d: int) -> Iterator[SubspaceGF]:
             for s in pattern
         ]
         for basis in _bases(rows, 0, ()):
-            yield SubspaceGF(p, n, basis, pivots)
+            yield _subspace(p, n, basis, pivots)

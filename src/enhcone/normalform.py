@@ -28,7 +28,9 @@ from .gflinalg import (
     MatrixGF,
     QuotientMap,
     SubspaceGF,
+    _matrix,
     _rref_rows,
+    _subspace,
     check_prime,
     enumerate_subspaces,
     kernel,
@@ -271,7 +273,7 @@ def graded_kernel_blocks(
     """Per-weight kernel pieces (w, block coords, ker x in block coordinates)."""
     out = []
     for w, coords in weight_blocks(pair.weights):
-        sub = MatrixGF(
+        sub = _matrix(
             pair.p,
             tuple(tuple(row[c] for c in coords) for row in pair.x.rows),
             len(coords),
@@ -328,7 +330,7 @@ def graded_span(selection: GradedSelection, n: int, p: int) -> SubspaceGF:
                 row[c] = val
             rows.append((coords[bpiv], tuple(row)))
     rows.sort()
-    return SubspaceGF(p, n, tuple(row for _, row in rows), tuple(c for c, _ in rows))
+    return _subspace(p, n, tuple(row for _, row in rows), tuple(c for c, _ in rows))
 
 
 def graded_projection(selection: GradedSelection, n: int, p: int) -> QuotientMap:

@@ -260,6 +260,32 @@ def splitting(small, p: int) -> tuple[SubspaceGF, SubspaceGF]:
     return dec.v1, dec.v2
 
 
+def count_walker_candidates(monkeypatch) -> Counter:
+    """Counts under "yielded" the candidates that the walker reads from
+    fibers._graded_step, one per node: the reads of a _pushes miss, which
+    builds its entries from the same step, are not counted."""
+    candidates = Counter()
+    cached_step, cached_pushes = fibers._graded_step, fibers._pushes
+    building = []
+
+    def counting_step(pair, r1):
+        step = cached_step(pair, r1)
+        if not building:
+            candidates["yielded"] += len(step)
+        return step
+
+    def counting_pushes(*key):
+        building.append(key)
+        try:
+            return cached_pushes(*key)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(fibers, "_graded_step", counting_step)
+    monkeypatch.setattr(fibers, "_pushes", counting_pushes)
+    return candidates
+
+
 class TestProfileWalker:
     """The walker's histograms equal the enumerated flags bucketed in the
     ambient space, for the subspaces that the alpha and split checks use."""
@@ -319,11 +345,13 @@ class TestProfileWalker:
                 rows = ((),) * (len(q.shape.dims) - 1)
                 assert fiber_profiles(q, ()) == ({rows: count} if count else {})
 
-    def test_empty_and_leaf_children_push_nothing(self, monkeypatch):
+    def test_empty_and_leaf_children_push_nothing(self, clean_cache, monkeypatch):
         # x = 0 and v = e_1 on GF(2)^2, shape (0, 1, 2) with v in W_1: of
         # the three lines W_1 only span(e_1) holds v, so the other two
         # children are empty, and below span(e_1) the one W_2 = V is the
-        # leaf.  Every candidate is spent, and only span(e_1) pushes.
+        # leaf.  Every candidate is spent, and only span(e_1) pushes, on
+        # cold tables; the _pushes entries of the two empty children are
+        # None.
         pushes = []
         push = fibers._push
 
@@ -335,26 +363,25 @@ class TestProfileWalker:
         q = FiberQuery((1, 0), MatrixGF.zeros(2, 2, 2), FlagShape((0, 1, 2), 1), (0, 0))
         full = SubspaceGF.full(2, 2)
         for walk in (fiber_profiles, lambda_fixed_profiles):
+            push.cache_clear()
+            fibers._pushes.cache_clear()
             nodes, pushes[:] = [], []
             assert walk(q, (full,), lambda: nodes.append(1)) == {((1,), (2,)): 1}
             assert len(nodes) == 3 + 1
             assert pushes == [(0,)]
+            entries = fibers._pushes(GradedPair(q.x, q.v, (0, 0)), (full,), 1, True)
+            assert [entry is None for entry in entries].count(True) == 2
+            assert fibers._pushes.cache_info().misses == 1
+            assert pushes == [(0,)]
 
-    def test_spends_one_node_per_expanded_candidate(self, monkeypatch):
-        candidates = Counter()
-        cached_step = fibers._graded_step
-
-        def counting(pair, r1):
-            step = cached_step(pair, r1)
-            candidates["yielded"] += len(step)
-            return step
+    def test_spends_one_node_per_expanded_candidate(self, clean_cache, monkeypatch):
+        candidates = count_walker_candidates(monkeypatch)
 
         def counting_oracle(pair, r1):
             for item in kernel_step(pair, r1):
                 candidates["yielded"] += 1
                 yield item
 
-        monkeypatch.setattr(fibers, "_graded_step", counting)
         q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((), (2, 2)), 2)
         filtrations = weight_filtrations(q)
         nodes = []
@@ -555,15 +582,8 @@ class TestProcessTables:
             assert fibers._push(qm, s) == pushed
 
     def test_kernel_counts_stay_per_call_on_warm_tables(self, clean_cache, monkeypatch):
-        candidates = Counter()
         cached_step = fibers._graded_step
-
-        def counting(pair, r1):
-            step = cached_step(pair, r1)
-            candidates["yielded"] += len(step)
-            return step
-
-        monkeypatch.setattr(fibers, "_graded_step", counting)
+        candidates = count_walker_candidates(monkeypatch)
         q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((4,), ()), 3)
         filtrations = weight_filtrations(q)
         cold = []
@@ -581,34 +601,32 @@ class TestProcessTables:
         assert cached_step.cache_info().hits > steps.hits
 
     def test_counts_stay_per_call_on_warm_tables(self, monkeypatch):
-        candidates = Counter()
-        cached_step = fibers._graded_step
-
-        def counting(pair, r1):
-            step = cached_step(pair, r1)
-            candidates["yielded"] += len(step)
-            return step
-
-        monkeypatch.setattr(fibers, "_graded_step", counting)
+        cached_step, node_pushes = fibers._graded_step, fibers._pushes
+        candidates = count_walker_candidates(monkeypatch)
         q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((4,), ()), 3)
         filtrations = weight_filtrations(q)
         cached_step.cache_clear()
         fibers._push.cache_clear()
+        node_pushes.cache_clear()
         cold = []
         hist = lambda_fixed_profiles(q, filtrations, lambda: cold.append(1))
         assert len(cold) == candidates["yielded"] > 0
         assert sum(hist.values()) == unmemoized_lambda_fixed_count(q) > 0
         assert len(hist) > 1
         steps, pushes = cached_step.cache_info(), fibers._push.cache_info()
-        # the second call finds every step and push in the tables, yet
-        # spends as many nodes: the histogram memo is its own
+        nodes = node_pushes.cache_info()
+        assert pushes.misses > 0 and nodes.misses > 0
+        # the second call finds every step and every node's pushes in the
+        # tables, so it pushes nothing, yet spends as many nodes: the
+        # histogram memo is its own
         warm = []
         assert lambda_fixed_profiles(q, filtrations, lambda: warm.append(1)) == hist
         assert len(warm) == len(cold)
         assert cached_step.cache_info().misses == steps.misses
         assert cached_step.cache_info().hits > steps.hits
-        assert fibers._push.cache_info().misses == pushes.misses
-        assert fibers._push.cache_info().hits > pushes.hits
+        assert node_pushes.cache_info().misses == nodes.misses
+        assert node_pushes.cache_info().hits > nodes.hits
+        assert fibers._push.cache_info() == pushes
         # count_lambda_fixed expands as many candidates on every call
         candidates.clear()
         first = count_lambda_fixed(q)
@@ -715,6 +733,7 @@ class TestMemo:
             "_kernel_blocks": fibers._kernel_blocks,
             "_graded_step": fibers._graded_step,
             "_push": fibers._push,
+            "_pushes": fibers._pushes,
             "_symbolic_row": fibers._symbolic_row,
             "_poly_orbit": fibers._poly_orbit,
             "split_factors": normalform.split_factors,
@@ -868,6 +887,19 @@ class TestLambdaFixed:
         # weights are taken by operator.index, like a Partition's parts
         with pytest.raises(TypeError):
             FiberQuery((0, 0), MatrixGF.zeros(2, 2, 2), FlagShape((0, 1, 2), 0), weights)
+
+    @pytest.mark.parametrize("v", [(0.5, 0), (1.0, 0), (0, 0.0), ("1", 0)])
+    def test_non_integer_v_raises(self, v):
+        # v is taken by operator.index too: (0.5, 0) was counted 1, and
+        # (1.0, 0) was counted by count_fiber but not by count_fiber_memo
+        with pytest.raises(TypeError):
+            FiberQuery(v, MatrixGF.zeros(2, 2, 2), FlagShape((0, 1, 2), 1))
+
+    def test_list_v_becomes_an_int_tuple(self):
+        q = FiberQuery([True, 3], MatrixGF.zeros(2, 2, 2), FlagShape((0, 1, 2), 1))
+        assert q.v == (1, 1) and type(q.v) is tuple
+        assert all(type(a) is int for a in q.v)
+        assert count_fiber(q) == count_fiber_memo(q) == 1
 
     def test_any_grading_matches_graded_flags(self):
         # the walk asks nothing of how x moves weights: under the zero

@@ -1,12 +1,19 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enhcone.gflinalg import (
     MatrixGF,
+    QuotientMap,
     SubspaceGF,
+    _matrix,
+    _subspace,
     enumerate_subspaces,
     is_prime,
     kernel,
@@ -78,6 +85,20 @@ class TestMatrix:
         assert MatrixGF(3, rows, 2).rows is rows
         assert MatrixGF(2, (), 3).rows == () and MatrixGF(2, ((), ()), 0).rows == ((), ())
 
+    def test_constructor_rejects_ragged_rows_and_non_integers(self):
+        # a short row would be cut by zip in matvec and transpose
+        for rows in (((1, 0), (1,)), ((1, 0, 1), (1, 0))):
+            with pytest.raises(ValueError, match="ragged"):
+                MatrixGF(2, rows, 2)
+        for entry in (0.5, 1.0, "1"):
+            with pytest.raises(TypeError):
+                MatrixGF(2, ((entry, 1),), 2)
+        # entries are taken by operator.index, and rows become int tuples
+        m = MatrixGF(3, [[True, 4], (False, -1)], 2)
+        assert m.rows == ((1, 1), (0, 2))
+        assert all(type(a) is int for row in m.rows for a in row)
+        assert m == MatrixGF.from_rows([[1, 1], [0, 2]], 3)
+
     def test_rref_idempotent(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -86,6 +107,85 @@ class TestMatrix:
                 [[rng.randrange(p) for _ in range(4)] for _ in range(3)], p
             )
             assert rref(rref(m)) == rref(m)
+
+
+_PRIMES = st.sampled_from((2, 3, 5))
+
+
+@st.composite
+def matrices(draw):
+    """(p, rows, ncols) with entries anywhere in [-2p, 2p]."""
+    p, nrows, ncols = draw(_PRIMES), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    row = st.tuples(*[st.integers(-2 * p, 2 * p)] * ncols)
+    return p, draw(st.tuples(*[row] * nrows)), ncols
+
+
+@st.composite
+def spanning_sets(draw):
+    """(p, n, vectors) in GF(p)^n, n <= 3, unreduced entries."""
+    p, n = draw(st.sampled_from((2, 3))), draw(st.integers(0, 3))
+    vector = st.tuples(*[st.integers(-p, 2 * p)] * n)
+    return p, n, draw(st.lists(vector, max_size=3))
+
+
+def assert_same_value(a, b) -> None:
+    assert a == b and hash(a) == hash(b)
+
+
+class TestHashContract:
+    """MatrixGF, SubspaceGF and QuotientMap store their hash once; equal
+    values hash equal however they were built, and copies keep both."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(matrices())
+    def test_matrix_hash_ignores_how_entries_were_given(self, case):
+        p, rows, ncols = case
+        reduced = tuple(tuple(a % p for a in row) for row in rows)
+        m = MatrixGF(p, rows, ncols)
+        assert_same_value(m, MatrixGF(p, reduced, ncols))
+        assert_same_value(m, _matrix(p, reduced, ncols))
+        assert_same_value(m, MatrixGF.from_rows([list(row) for row in rows], p, ncols))
+        assert_same_value(m.transpose().transpose(), m)
+        assert_same_value(m.sub(m), MatrixGF.zeros(len(rows), ncols, p))
+        assert_same_value(rref(rref(m)), rref(m))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(spanning_sets())
+    def test_subspace_hash_ignores_how_it_was_built(self, case):
+        p, n, vectors = case
+        s = SubspaceGF.span(vectors, n, p)
+        (listed,) = [t for t in enumerate_subspaces(SubspaceGF.full(n, p), s.dim) if t == s]
+        assert_same_value(s, listed)
+        assert_same_value(s, SubspaceGF(p, n, s.basis, s.pivots))
+        assert_same_value(s, _subspace(p, n, s.basis, s.pivots))
+        assert_same_value(s, s.sum(s))
+        qm = quotient_map(s)
+        assert_same_value(qm, quotient_map(listed))
+        assert_same_value(qm, QuotientMap(p, n, s.basis, s.pivots, qm.nonpivots))
+        assert_same_value(qm.preimage(SubspaceGF.zero(qm.codim, p)), s)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(matrices(), spanning_sets())
+    def test_copies_keep_equality_and_hash(self, mcase, scase):
+        p, n, vectors = scase
+        s = SubspaceGF.span(vectors, n, p)
+        for value in (MatrixGF(*mcase), s, quotient_map(s)):
+            for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert_same_value(copied, value)
+            assert_same_value(dataclasses.replace(value), value)
+        m = MatrixGF(*mcase)
+        p = mcase[0]
+        other = dataclasses.replace(m, rows=tuple(tuple((a + 1) % p for a in row) for row in m.rows))
+        assert (other == m) == (not m.rows or not m.ncols)
+        assert hash(other) == hash(MatrixGF(p, other.rows, m.ncols))
+
+    def test_values_have_no_instance_dict(self):
+        s = SubspaceGF.span([(1, 1, 0)], 3, 2)
+        for value in (MatrixGF.identity(2, 3), s, quotient_map(s)):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                value.p = 5
+        assert "_hash" not in repr(s)
 
 
 class TestSubspace:
