@@ -9,6 +9,9 @@ reads it, for its fiber totals; no other check does.
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed
 (a falsification witness is in the output), 2 usage or config error,
 3 internal error (a library invariant failed; never caused by the input).
+An internal error is reported on stderr, and with --format json also as
+one JSON object on stdout: {"schema": ..., "error": {"exit_code": 3,
+"type": ..., "message": ...}}.
 """
 
 from __future__ import annotations
@@ -363,6 +366,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except Exception as exc:  # KeyboardInterrupt and SystemExit pass through
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if args.format == "json":
+            error = {"exit_code": EXIT_INTERNAL, "type": type(exc).__name__, "message": str(exc)}
+            _emit("json", {"schema": SCHEMA, "error": error}, [], [], sys.stdout)
         return EXIT_INTERNAL
 
 

@@ -92,17 +92,16 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .combinatorics import Bipartition, FlagShape, bipartitions, flag_shape
-from .gflinalg import MatrixGF, QuotientMap, SubspaceGF
+from .gflinalg import MatrixGF, QuotientMap, SubspaceGF, _subspace
 from .normalform import (
     GradedPair,
     NormalPair,
+    _orbit_of_ranks,
     classify_pair,
     enumerate_graded_subspaces,
     graded_kernel_blocks,
     graded_quotient,
-    orbit_of_types,
     orbit_pair,
-    partition_from_ranks,
     split_factors,
 )
 
@@ -238,7 +237,7 @@ def _flags(pair: GradedPair, dims: tuple[int, ...], j: int) -> Iterator[tuple[Su
     jj = max(j - 1, 0)
     for qm, sub in _graded_step(pair, dims[1]):
         # qm's kernel is canonical: its rows and pivots are W_1's own
-        w1 = SubspaceGF(qm.p, qm.ambient, qm.basis_rows, qm.pivots)
+        w1 = _subspace(qm.p, qm.ambient, qm.basis_rows, qm.pivots)
         for tail in _flags(sub, rest, jj):
             yield (w1,) + tuple(qm.preimage(s) for s in tail)
 
@@ -696,7 +695,7 @@ def _transition_row(b: Bipartition, r: int) -> dict:
     With A_k = K & im x^k and B_k = K & (im x^k + F[x]v), rank x^k drops
     by dim(W & A_k) on V/W, and on V/(W + F[x]v) it is its rank on
     U = V/F[x]v (Jordan type kappa_i = nu_i + mu_(i+1)) minus dim(W & B_k)
-    plus dim(W & F[x]v); orbit_of_types reads b' off the two types.
+    plus dim(W & F[x]v); _orbit_of_ranks reads b' off the two rank sequences.
 
     A_k and B_k are spanned by basis vectors of K: e_(i,1) for each row i,
     but u_m, the sum of the e_(j,1) over a run of equal mu_j = m > 0, for
@@ -734,9 +733,10 @@ def _transition_row(b: Bipartition, r: int) -> dict:
                 [r - c[0] - ranks[t[k]][0] + c[k] - ranks[t[k]][1][k] for k in range(top + 1)]
                 for t in (in_a, in_b)
             )
-            lam = partition_from_ranks([a - d for a, d in zip(rank_v, in_w_a)])
-            kap = partition_from_ranks([a - d + in_w_b[-1] for a, d in zip(rank_u, in_w_b)])
-            b2 = orbit_of_types(lam, kap)
+            b2 = _orbit_of_ranks(
+                [a - d for a, d in zip(rank_v, in_w_a)],
+                [a - d + in_w_b[-1] for a, d in zip(rank_u, in_w_b)],
+            )
             row[b2] = row.get(b2, ZERO) + cells * maps
     return row
 

@@ -9,9 +9,10 @@ each subspace appears exactly once.
 MatrixGF, SubspaceGF and QuotientMap key the fiber walker's tables, so
 each hashes once: the hash of its fields is computed on construction
 and stored in a slot, and equality still compares the fields.  They
-are slotted, with no __dict__.  The kernels below build their results
-through unchecked constructors (_matrix, _subspace), which skip the
-public constructor's checks: their entries are already reduced.
+are slotted, with no __dict__.  The kernels below, and SubspaceGF's
+zero, full and coordinate, build their results through unchecked
+constructors (_matrix, _subspace), which skip the public constructor's
+checks: their entries are already reduced and their bases canonical.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
+from operator import lt, mul
 from typing import Iterator, Sequence
 
 
@@ -46,7 +47,8 @@ def check_prime(p: int) -> int:
 class MatrixGF:
     """Dense matrix over GF(p); rows is a tuple of row tuples.
 
-    A row whose length is not ncols raises ValueError.  Entries are
+    A modulus that is not prime and a row whose length is not ncols
+    raise ValueError.  Entries are
     taken by operator.index, like Partition's parts, so a float raises
     TypeError, and reduced mod p, so every matrix reads the same as its
     reduction.  Int tuples already in [0, p) pass one type test and one
@@ -63,6 +65,7 @@ class MatrixGF:
 
     def __post_init__(self):
         p, rows, ncols = self.p, self.rows, self.ncols
+        check_prime(p)
         if not set(map(len, rows)) <= {ncols}:
             raise ValueError(f"ragged rows: every row needs {ncols} entries")
         entries = list(itertools.chain.from_iterable(rows))
@@ -85,7 +88,6 @@ class MatrixGF:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], p: int, ncols: int | None = None) -> "MatrixGF":
-        check_prime(p)
         tup = tuple(map(tuple, rows))
         if ncols is None:
             if not tup:
@@ -97,12 +99,10 @@ class MatrixGF:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int, p: int) -> "MatrixGF":
-        check_prime(p)
         return cls(p, tuple((0,) * ncols for _ in range(nrows)), ncols)
 
     @classmethod
     def identity(cls, n: int, p: int) -> "MatrixGF":
-        check_prime(p)
         return cls(p, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     def is_zero(self) -> bool:
@@ -210,7 +210,18 @@ def rank(m: MatrixGF) -> int:
 
 @dataclass(frozen=True, slots=True)
 class SubspaceGF:
-    """Subspace of GF(p)^n in canonical form: RREF basis + pivot columns."""
+    """Subspace of GF(p)^n in canonical form: RREF basis + pivot columns.
+
+    The constructor takes only the canonical form, so that equal
+    subspaces stay equal values: a modulus that is not prime raises
+    ValueError, and so does a basis that is not the RREF basis of its
+    span with the given pivots.
+
+    >>> SubspaceGF(3, 2, ((2, 0),), (0,))
+    Traceback (most recent call last):
+    ...
+    ValueError: basis row 0 is not 0 before its pivot, 1 at it and 0 at the other pivots
+    """
 
     p: int
     ambient: int
@@ -219,7 +230,10 @@ class SubspaceGF:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.p, self.ambient, self.basis, self.pivots)))
+        p, ambient, basis, pivots = self.p, self.ambient, self.basis, self.pivots
+        check_prime(p)
+        _check_canonical(p, ambient, basis, pivots)
+        object.__setattr__(self, "_hash", hash((p, ambient, basis, pivots)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -245,21 +259,24 @@ class SubspaceGF:
     @classmethod
     def zero(cls, ambient: int, p: int) -> "SubspaceGF":
         check_prime(p)
-        return cls(p, ambient, (), ())
+        return _subspace(p, ambient, (), ())
 
     @classmethod
     def full(cls, ambient: int, p: int) -> "SubspaceGF":
         check_prime(p)
         basis = tuple(tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient))
-        return cls(p, ambient, basis, tuple(range(ambient)))
+        return _subspace(p, ambient, basis, tuple(range(ambient)))
 
     @classmethod
     def coordinate(cls, coords: Sequence[int], ambient: int, p: int) -> "SubspaceGF":
-        """Span of the standard basis vectors e_c for c in coords."""
+        """Span of the standard basis vectors e_c for c in coords, which
+        must lie in range(ambient)."""
         check_prime(p)
         cs = tuple(sorted(set(coords)))
+        if cs and (cs[0] < 0 or cs[-1] >= ambient):
+            raise ValueError(f"coordinates {cs} are not all in range({ambient})")
         basis = tuple(tuple(1 if j == c else 0 for j in range(ambient)) for c in cs)
-        return cls(p, ambient, basis, cs)
+        return _subspace(p, ambient, basis, cs)
 
     def _check_compatible(self, other: "SubspaceGF") -> None:
         if self.p != other.p or self.ambient != other.ambient:
@@ -308,6 +325,37 @@ class SubspaceGF:
 _set_sp, _set_samb, _set_sbasis, _set_spiv, _set_shash = (
     d.__set__ for d in (SubspaceGF.p, SubspaceGF.ambient, SubspaceGF.basis, SubspaceGF.pivots, SubspaceGF._hash)
 )
+
+
+def _check_canonical(p: int, ambient: int, basis: tuple, pivots: tuple) -> None:
+    """Raise ValueError unless basis is the RREF basis of its span in
+    GF(p)^ambient, with the given pivots: rows of ambient int entries in
+    [0, p), strictly increasing pivots, and each row 0 before its pivot,
+    1 at it and 0 at every other row's pivot."""
+    if type(ambient) is not int or ambient < 0:
+        raise ValueError(f"ambient dimension must be a nonnegative int, got {ambient!r}")
+    if type(basis) is not tuple or type(pivots) is not tuple or len(basis) != len(pivots):
+        raise ValueError("basis and pivots must be tuples of equal length")
+    if not (
+        set(map(type, pivots)) <= {int}
+        and all(map(lt, pivots, pivots[1:]))
+        and (not pivots or (pivots[0] >= 0 and pivots[-1] < ambient))
+    ):
+        raise ValueError(f"pivots must be strictly increasing columns below {ambient}: {pivots}")
+    for r, (row, c) in enumerate(zip(basis, pivots)):
+        if (
+            type(row) is not tuple
+            or len(row) != ambient
+            or not set(map(type, row)) <= {int}
+            or min(row) < 0
+            or max(row) >= p
+        ):
+            raise ValueError(f"basis row {r} is not a tuple of {ambient} ints in [0, {p})")
+        # entries are >= 0, so a sum of 1 over the pivots leaves the others 0
+        if any(row[:c]) or row[c] != 1 or sum(map(row.__getitem__, pivots)) != 1:
+            raise ValueError(
+                f"basis row {r} is not 0 before its pivot, 1 at it and 0 at the other pivots"
+            )
 
 
 def _subspace(p: int, ambient: int, basis: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]) -> SubspaceGF:

@@ -13,23 +13,28 @@ reads two Jordan types: lambda, of x, and kappa, of the map x induces on
 V / F[x]v, where F[x]v is the span of v, xv, x^2 v, ...  Both are
 GL(V)-invariant, and on the normal pair of (mu; nu) they are
 lambda_i = mu_i + nu_i and kappa_i = nu_i + mu_{i+1}, which determine
-(mu; nu) from the last row upward.
+(mu; nu) from the last row upward.  Both come from one forward-elimination
+walk down the image chain C_k = x^k V: lambda from the dimensions of the
+C_k, and kappa from where F[x]v enters the chain.  F[x]v is cyclic, so
+C_k meets it in x^j F[x]v for the least j with x^j v in C_k, and the
+rank of x^k on V / F[x]v is dim C_k minus the dimension of that
+intersection.  The orbit is read straight off the two rank sequences.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import lt, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .combinatorics import Bipartition, Partition, is_distinguished, transpose
+from .combinatorics import Bipartition, Partition, is_distinguished
 from .gflinalg import (
     MatrixGF,
     QuotientMap,
     SubspaceGF,
     _matrix,
-    _rref_rows,
     _subspace,
     check_prime,
     enumerate_subspaces,
@@ -128,49 +133,69 @@ def jordan_type(x: MatrixGF) -> Partition:
 def _chain_ranks(x: MatrixGF, krylov: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     """Two rank sequences read off one walk down the image chain
     C_k = x^k V of a square x, from C_0 = V to the zero subspace: dim C_k,
-    and dim(C_k + K) - dim K for K the span of the vectors krylov.  With
-    K = F[x]v these are the ranks of x^k on V and on V / F[x]v.
+    and dim(C_k + K) - dim K for K the span of the vectors krylov, which
+    must be v, xv, ..., x^(m-1) v with x^m v = 0.  With K = F[x]v these
+    are the ranks of x^k on V and on V / F[x]v.
 
-    Each C_k is a list of RREF rows.  C_1 is the row basis of the
-    columns of x, whose entries MatrixGF keeps reduced; C_(k+1) is that
-    of x applied to the rows of C_k.  The krylov vectors are row-reduced
-    once, and the second rank at level k is the rank of the rows of C_k
-    reduced modulo them.
+    Each level is forward elimination in insertion order: a spanning row
+    is reduced by the echelon rows before it, one after another, and a
+    row that is left nonzero is scaled to 1 at its first nonzero entry,
+    its pivot.  Each echelon row is 0 at the pivots before its own, so
+    that reduction is a membership test, and no row is back-substituted.
+    C_1 is spanned by the columns of x, whose entries MatrixGF keeps
+    reduced, and C_(k+1) by x applied to the echelon rows of C_k.
+
+    K is cyclic, so its only x-stable subspaces are the x^j K, and
+    C_k & K = x^(j_k) K for j_k the least j with x^j v in C_k.  Hence
+    dim(C_k + K) - dim K = dim C_k - (m - j_k).  A Krylov vector out of
+    C_k is out of every later level, so j_k never falls as k grows, and
+    x^k v lies in C_k: each level tests from j_(k-1) on and stops at the
+    first vector in, at most k.  The whole walk reduces at most
+    (levels + m) Krylov vectors, each against one level's echelon rows.
     A level that keeps the dimension of the one before raises
     ValueError: x is then not nilpotent.
     """
     n, p, xrows = x.nrows, x.p, x.rows
-    krows, kpivots = _rref_rows([list(u) for u in krylov], p, n)
-    krows = list(zip(krows, kpivots))
-    dims, quotient_dims = [n], [n - len(krows)]
-    image = [list(col) for col in zip(*xrows)]
+    m, j = len(krylov), 0
+    dims, quotient_dims = [n], [n - m]
+    level = [list(col) for col in zip(*xrows)]
     while dims[-1]:
-        image, pivots = _rref_rows(image, p, n)
-        d = len(pivots)
+        echelon = []
+        for row in level:
+            for erow, c in echelon:
+                f = row[c]
+                if f:
+                    row = [(a - f * b) % p for a, b in zip(row, erow)]
+            for c, f in enumerate(row):
+                if f:
+                    if f != 1:
+                        f = pow(f, p - 2, p)
+                        row = [a * f % p for a in row]
+                    echelon.append((row, c))
+                    break
+        d = len(echelon)
         if d == dims[-1]:
             raise ValueError("matrix is not nilpotent")
-        del image[d:]
         dims.append(d)
-        if krows:
-            left = []
-            for row in image:
-                for krow, c in krows:
-                    f = row[c]
-                    if f:
-                        row = [(a - f * b) % p for a, b in zip(row, krow)]
-                if any(row):
-                    left.append(row)
-            d = len(_rref_rows(left, p, n)[1])
-        quotient_dims.append(d)
-        image = [[sum(map(mul, row, b)) % p for row in xrows] for b in image]
+        top = min(len(dims) - 1, m)  # x^k v lies in C_k
+        while j < top:
+            u = krylov[j]
+            for erow, c in echelon:
+                f = u[c]
+                if f:
+                    u = [(a - f * b) % p for a, b in zip(u, erow)]
+            if not any(u):
+                break
+            j += 1
+        quotient_dims.append(d - m + j)
+        level = [[sum(map(mul, r, row)) % p for r in xrows] for row, _ in echelon]
     return dims, quotient_dims
 
 
 def partition_from_ranks(ranks: Sequence[int]) -> Partition:
     """Jordan type of a nilpotent map whose k-th power has rank ranks[k],
     down to a final 0: the transpose of the rank drops."""
-    drops = (a - b for a, b in zip(ranks, ranks[1:]))
-    return transpose(Partition(tuple(d for d in drops if d)))
+    return Partition(tuple(_drop_columns(ranks)))
 
 
 def centralizer_basis(x: MatrixGF) -> tuple[MatrixGF, ...]:
@@ -201,9 +226,11 @@ def centralizer_basis(x: MatrixGF) -> tuple[MatrixGF, ...]:
 def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
     """The bipartition (mu; nu) of the orbit of the pair (v, x), x nilpotent:
     orbit_of_types of lambda, the Jordan type of x, and kappa, that of x
-    on V / F[x]v.  Both come from one walk down the image chain x^k V:
-    x^k has rank dim x^k V, and its map on V / F[x]v has rank
-    dim(x^k V + F[x]v) - dim F[x]v.  The roundtrip
+    on V / F[x]v.  Both come from one walk down the image chain x^k V
+    (_chain_ranks): x^k has rank dim x^k V, and its map on V / F[x]v has
+    rank dim x^k V - (m - j_k), with m = dim F[x]v and j_k the least j
+    with x^j v in x^k V.  _orbit_of_ranks reads (mu; nu) off the two rank
+    sequences.  The roundtrip
     classify_pair(normal_pair(b, p)) == b pins this contract, and
     classification is constant on GL(V)-orbits.  Conjugating the normal
     pair of ((1); (1)), with v = e_1 and x = E_12, by the swap of e_1 and
@@ -215,12 +242,13 @@ def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
     'mu=1;nu=1'
 
     A non-square x, a v of the wrong length and a non-nilpotent x raise
-    ValueError.
+    ValueError.  Entries of v are taken by operator.index, like those of
+    x, so a float raises TypeError.
     """
     if not x.is_square():
         raise ValueError("classify_pair needs a square matrix")
     n = x.nrows
-    v = tuple(a % x.p for a in v)
+    v = tuple(operator.index(a) % x.p for a in v)
     if len(v) != n:
         raise ValueError("vector length does not match matrix size")
     krylov = []
@@ -230,7 +258,7 @@ def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
         krylov.append(v)
         v = x.matvec(v)
     dims, quotient_dims = _chain_ranks(x, krylov)
-    return orbit_of_types(partition_from_ranks(dims), partition_from_ranks(quotient_dims))
+    return _orbit_of_ranks(dims, quotient_dims)
 
 
 def orbit_of_types(lam: Partition, kappa: Partition) -> Bipartition:
@@ -238,15 +266,45 @@ def orbit_of_types(lam: Partition, kappa: Partition) -> Bipartition:
     V / F[x]v.  With kappa padded to the length of lam, nu_i = kappa_i -
     mu_(i+1) and mu_i = lam_i - nu_i for i from the last row up, with mu
     beyond the last row 0."""
-    ell = lam.length
+    return _orbit(list(lam.parts), list(kappa.parts))
+
+
+def _orbit_of_ranks(ranks: Sequence[int], quotient_ranks: Sequence[int]) -> Bipartition:
+    """orbit_of_types(partition_from_ranks(ranks),
+    partition_from_ranks(quotient_ranks)), with only mu and nu built as
+    Partitions: the two types stay lists of the column counts of the
+    rank drops."""
+    return _orbit(_drop_columns(ranks), _drop_columns(quotient_ranks))
+
+
+def _orbit(lam: list[int], kappa: list[int]) -> Bipartition:
+    """orbit_of_types on the parts of lam and kappa; types that no orbit
+    has raise AssertionError."""
+    ell = len(lam)
+    padded = kappa + [0] * (ell - len(kappa))
     mu = [0] * (ell + 1)
     nu = [0] * ell
-    for i in range(ell, 0, -1):
-        nu[i - 1] = kappa.part(i) - mu[i]
-        mu[i - 1] = lam.part(i) - nu[i - 1]
-    if kappa.length > ell or min(mu + nu) < 0:
+    for i in range(ell - 1, -1, -1):
+        nu[i] = padded[i] - mu[i + 1]
+        mu[i] = lam[i] - nu[i]
+    if len(kappa) > ell or min(mu + nu) < 0:
+        lam, kappa = Partition(tuple(lam)), Partition(tuple(kappa))
         raise AssertionError(f"no orbit has Jordan types {lam} and {kappa}")
     return Bipartition(_trimmed(mu), _trimmed(nu))
+
+
+def _drop_columns(ranks: Sequence[int]) -> list[int]:
+    """The column counts of the nonzero drops ranks[k] - ranks[k + 1],
+    weakly decreasing; drops that are not positive and weakly decreasing
+    raise ValueError."""
+    drops = [d for d in map(sub, ranks, ranks[1:]) if d]
+    if drops and (drops[-1] < 0 or any(map(lt, drops, drops[1:]))):
+        raise ValueError(f"rank drops must be positive and weakly decreasing: {tuple(drops)}")
+    columns = [0] * (drops[0] if drops else 0)
+    for d in drops:
+        for i in range(d):
+            columns[i] += 1
+    return columns
 
 
 def _trimmed(parts: list[int]) -> Partition:

@@ -56,7 +56,9 @@ classify_by_image_chain is how classify_pair read its two rank
 sequences before it walked plain rows: it spans each x^(k+1) V as a
 SubspaceGF of x applied to the basis of x^k V, starting from the
 identity, and re-spans x^k V together with the Krylov vectors at every
-level.
+level.  It takes the rank on V / F[x]v as dim(x^k V + F[x]v) -
+dim F[x]v and so shares nothing with the rule classify_pair reads it
+by now, dim x^k V - (m - j_k) for j_k the least j with x^j v in x^k V.
 dense_add, dense_sub and dense_mul are q-polynomial arithmetic on
 plain coefficient lists, index by index, with no trimming: the oracle
 that QPolynomial's +, - and * are checked against.

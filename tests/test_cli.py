@@ -307,16 +307,28 @@ class TestExitCodes:
             assert code == 2, argv
 
     def test_library_error_is_internal(self, capsys, monkeypatch):
+        argv = ["fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1"]
         for error in (ValueError, KeyError, TypeError):
 
             def broken(q):
                 raise error("invariant broken")
 
             monkeypatch.setattr(checks, "count_fiber", broken)
-            code = main(["fiber-poly", "--big", "mu=;nu=2", "--small", "mu=;nu=1,1"])
-            err = capsys.readouterr().err
+            code = main(argv)
+            captured = capsys.readouterr()
             assert code == 3, error
-            assert err.startswith(f"internal error: {error.__name__}:")
+            assert captured.err.startswith(f"internal error: {error.__name__}:")
+            assert captured.out == ""
+            # with --format json the same error is also one JSON object on stdout
+            code = main(argv + ["--format", "json"])
+            captured = capsys.readouterr()
+            assert code == 3, error
+            assert captured.err.startswith(f"internal error: {error.__name__}:")
+            assert captured.out.count("\n") == 1
+            assert json.loads(captured.out) == {
+                "schema": "enhcone/1",
+                "error": {"exit_code": 3, "type": error.__name__, "message": str(error("invariant broken"))},
+            }
 
     def test_interrupt_is_not_an_internal_error(self, monkeypatch):
         def interrupted(q):

@@ -189,6 +189,52 @@ class TestHashContract:
 
 
 class TestSubspace:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (3, 2, ((2, 0),), (0,)),  # not 1 at its pivot
+            (2, 2, ((0, 1), (1, 0)), (1, 0)),  # pivots not increasing
+            (2, 2, ((1, 1), (0, 1)), (0, 1)),  # not 0 at the other row's pivot
+            (2, 2, ((0, 1),), (0,)),  # 0 at its own pivot
+            (3, 2, ((1, 3),), (0,)),  # an entry not below p
+            (3, 2, ((1, -1),), (0,)),  # a negative entry
+            (3, 2, ((1, 0, 0),), (0,)),  # a row longer than ambient
+            (3, 2, ((1, 0),), ()),  # more rows than pivots
+            (3, 2, ((1, 0),), (2,)),  # a pivot beyond ambient
+            (3, 2, ([1, 0],), (0,)),  # a row that is not a tuple
+            (3, 2, ((1.0, 0),), (0,)),  # an entry that is not an int
+        ],
+    )
+    def test_constructor_rejects_a_non_canonical_basis(self, args):
+        # a basis taken as canonical when it is not gives wrong answers:
+        # SubspaceGF(3, 2, ((2, 0),), (0,)) would not contain (1, 0)
+        with pytest.raises(ValueError):
+            SubspaceGF(*args)
+
+    def test_constructor_rejects_a_non_prime_modulus(self):
+        for make in (
+            lambda: SubspaceGF(6, 2, ((1, 0),), (0,)),
+            lambda: SubspaceGF.zero(2, 6),
+            lambda: SubspaceGF.full(2, 6),
+            lambda: SubspaceGF.coordinate((1,), 2, 6),
+            lambda: SubspaceGF.span([(1, 3)], 2, 6),
+        ):
+            with pytest.raises(ValueError, match="modulus 6 is not prime"):
+                make()
+
+    def test_coordinate_rejects_coordinates_out_of_range(self):
+        for coords in ((2,), (-1, 0)):
+            with pytest.raises(ValueError, match="range"):
+                SubspaceGF.coordinate(coords, 2, 3)
+        assert SubspaceGF.coordinate((1, 0, 1), 2, 3) == SubspaceGF.full(2, 3)
+
+    def test_constructor_keeps_canonical_bases(self):
+        for p, n in ((2, 3), (3, 3), (5, 2)):
+            for d in range(n + 1):
+                for sub in enumerate_subspaces(SubspaceGF.full(n, p), d):
+                    assert_same_value(SubspaceGF(p, n, sub.basis, sub.pivots), sub)
+        assert SubspaceGF(2, 0, (), ()) == SubspaceGF.zero(0, 2) == SubspaceGF.full(0, 2)
+
     def test_intersect_self(self):
         s = SubspaceGF.span([(1, 1, 0), (0, 1, 1)], 3, 2)
         assert s.intersect(s) == s

@@ -10,6 +10,8 @@ from enhcone.gflinalg import MatrixGF, QuotientMap, SubspaceGF, enumerate_subspa
 from enhcone.normalform import (
     Decomposition,
     GradedPair,
+    _chain_ranks,
+    _orbit_of_ranks,
     centralizer_basis,
     classify_pair,
     decomposition_failures,
@@ -20,6 +22,8 @@ from enhcone.normalform import (
     graded_span,
     jordan_type,
     normal_pair,
+    orbit_of_types,
+    partition_from_ranks,
     quotient_pair,
 )
 from oracles import (
@@ -27,6 +31,7 @@ from oracles import (
     classify_by_centralizer,
     classify_by_image_chain,
     graded_by_intersections,
+    image_chain,
     jordan_type_by_powers,
     nonneg_part,
     orbit_map_tangent_surjective,
@@ -206,6 +211,32 @@ class TestClassify:
                     np_ = normal_pair(b, p)
                     assert classify_pair(np_.v, np_.x) == b
 
+    @pytest.mark.parametrize(
+        "p, rows",
+        [
+            (4, ((0, 2), (0, 0))),
+            (9, ((0, 3), (0, 0))),
+            (6, ((0, 3, 0), (0, 0, 2), (0, 0, 0))),
+        ],
+        ids=["p4", "p9", "p6"],
+    )
+    def test_non_prime_modulus_is_rejected(self, p, rows):
+        # Z/p with p not prime is no field: unchecked, the first two x get a
+        # Jordan type (2) and an orbit, and the third a stray partition error
+        with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+            MatrixGF(p, rows, len(rows))
+        with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+            MatrixGF.from_rows(rows, p)
+
+    def test_rejects_non_integer_vector_entries(self):
+        # the Krylov vectors are never scaled by a field inverse, so a
+        # float entry would otherwise be classified
+        x = MatrixGF(3, ((0, 1), (0, 0)), 2)
+        for v in ((0.5, 0), (0, 1.5), (1.0, 0), ("1", 0)):
+            with pytest.raises(TypeError):
+                classify_pair(v, x)
+        assert classify_pair((True, 0), x) == bipartition((1,), (1,))
+
     def test_zero_vector(self):
         x = regular_nilpotent(3, 2)
         assert classify_pair((0, 0, 0), x) == bipartition((), (3,))
@@ -318,6 +349,80 @@ class TestClassifyConjugates:
         b, v, x = case
         assert classify_pair(v, x) == b
         assert jordan_type(x) == jordan_type_by_powers(x)
+
+
+def krylov_vectors(v, x) -> list[tuple[int, ...]]:
+    """v, xv, x^2 v, ... up to the last nonzero one."""
+    out = []
+    while any(v):
+        out.append(v)
+        v = x.matvec(v)
+    return out
+
+
+class TestChainRanks:
+    def test_image_chain_meets_the_krylov_space_in_a_tail(self):
+        # x^k V & F[x]v is the span of x^j v for j >= j_k, j_k the least j
+        # with x^j v in x^k V, so the rank of x^k on V / F[x]v is
+        # dim x^k V - (m - j_k); one conjugate of every normal pair
+        rng = random.Random(25)
+        levels = 0
+        for n in range(7):
+            for b in bipartitions(n):
+                for p in (2, 3, 5):
+                    v, x = elementary_conjugate(normal_pair(b, p), rng)
+                    krylov = krylov_vectors(v, x)
+                    m = len(krylov)
+                    space = SubspaceGF.span(krylov, n, p)
+                    chain = image_chain(x)
+                    dims, quotient_dims = _chain_ranks(x, krylov)
+                    assert dims == [c.dim for c in chain]
+                    # the ranks that classify_by_image_chain reads
+                    assert quotient_dims == [
+                        SubspaceGF.span(c.basis + tuple(krylov), n, p).dim - m for c in chain
+                    ]
+                    for c, d in zip(chain, quotient_dims):
+                        levels += 1
+                        j = next(j for j in range(m + 1) if j == m or c.contains(krylov[j]))
+                        assert c.intersect(space) == SubspaceGF.span(krylov[j:], n, p)
+                        assert d == c.dim - (m - j)
+        assert levels == 1737
+
+    def test_orbit_of_ranks_matches_the_types(self):
+        # every normal pair with n <= 8: the orbit read straight off the
+        # two rank sequences is the orbit of their two Jordan types
+        pairs = 0
+        for n in range(9):
+            for b in bipartitions(n):
+                np_ = normal_pair(b, 2)
+                ranks, quotient_ranks = _chain_ranks(np_.x, krylov_vectors(np_.v, np_.x))
+                expected = orbit_of_types(
+                    partition_from_ranks(ranks), partition_from_ranks(quotient_ranks)
+                )
+                assert _orbit_of_ranks(ranks, quotient_ranks) == expected == b
+                pairs += 1
+        assert pairs == 434
+
+    @pytest.mark.parametrize(
+        "ranks, quotient_ranks",
+        [([3, 2, 0], [1, 0]), ([2, 1, 0], [3, 2, 0]), ([1, 2, 0], [0]), ([2, 1, 0], [1, 2, 0])],
+        ids=["drops-rise", "quotient-drops-rise", "rank-rises", "quotient-rank-rises"],
+    )
+    def test_non_convex_ranks_raise(self, ranks, quotient_ranks):
+        with pytest.raises(ValueError):
+            orbit_of_types(partition_from_ranks(ranks), partition_from_ranks(quotient_ranks))
+        with pytest.raises(ValueError):
+            _orbit_of_ranks(ranks, quotient_ranks)
+
+    @pytest.mark.parametrize(
+        "ranks, quotient_ranks", [([1, 0], [2, 1, 0]), ([1, 0], [2, 0])], ids=["mu-negative", "kappa-longer"]
+    )
+    def test_types_of_no_orbit_raise(self, ranks, quotient_ranks):
+        with pytest.raises(AssertionError) as old:
+            orbit_of_types(partition_from_ranks(ranks), partition_from_ranks(quotient_ranks))
+        with pytest.raises(AssertionError) as new:
+            _orbit_of_ranks(ranks, quotient_ranks)
+        assert str(new.value) == str(old.value)
 
 
 class TestFiberCountConjugates:
