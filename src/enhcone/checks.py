@@ -93,7 +93,11 @@ class BudgetExceeded(RuntimeError):
 
 
 class SearchBudget:
-    """Node counter for brute-force searches; never silently truncates."""
+    """Node counter for brute-force searches; never silently truncates.
+    spend(amount) charges amount nodes at once: the profile walkers
+    charge each expanded walker node its number of candidates W_1
+    together, so a BudgetExceeded can report up to one node's
+    candidates, less 1, past the limit."""
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
         self.limit = limit
@@ -175,8 +179,8 @@ def check_alpha_partition(
     and its part are nonempty at both primes, with piece = p^d * part for
     one d in [0, fiber_dimension_bound].  Nothing is interpolated.  The
     total is count_fiber_memo, so a transition row that fails its
-    validation fails the check with a note.  The budget caps the nodes
-    of both walkers over both primes."""
+    validation fails the check with a note.  The budget caps the
+    candidates W_1 that both walkers expand over both primes."""
     started = time.perf_counter()
     primes = (2, 3)  # the cheapest walks that still pin d
     inputs = {"big": _bp_json(big), "small": _bp_json(small), "primes": list(primes)}
@@ -383,7 +387,7 @@ def check_split_product(
     The normal pair, the splitting and the factor pairs come from the
     process table split_factors; the splitting is checked and every
     count made on each call, and each distinct factor query is counted
-    once per call.  The budget caps the walker nodes expanded."""
+    once per call.  The budget caps the candidates W_1 the walker expands."""
     started = time.perf_counter()
     if is_distinguished(b):
         raise ValueError(f"{b} is distinguished; the splitting step does not apply")

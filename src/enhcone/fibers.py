@@ -9,24 +9,25 @@ flag is a fiber flag for the induced pair on V / W_1 with the shifted
 shape and marker j - 1 (a marker of 0 requires v = 0 up front).
 
 One counting walker (_profiles) and one flag walker (_flags) run this
-recursion on a GradedPair, and one step, _graded_step, supplies the
-candidates for W_1: the weight-graded r_1-subspaces of ker x, block by
-block, each as the quotient map by W_1 and the induced graded pair on
-V / W_1.  count_lambda_fixed, lambda_fixed_profiles and
-enumerate_lambda_fixed_flags walk the query's pair under its own
-weights.  count_fiber, fiber_profiles and enumerate_fiber_flags walk it
-under the zero grading, which has one block, so that every
-r_1-subspace of ker x is a candidate.
+recursion on a GradedPair.  The candidates for W_1 are the
+weight-graded r_1-subspaces of ker x, enumerated block by block, each
+with the induced graded pair on V / W_1.  count_lambda_fixed,
+lambda_fixed_profiles and enumerate_lambda_fixed_flags walk the query's
+pair under its own weights.  count_fiber, fiber_profiles and
+enumerate_fiber_flags walk it under the zero grading, which has one
+block, so that every r_1-subspace of ker x is a candidate.
 
 The counting walker buckets the flags by their profiles dim(W_i & S)
 against a tuple of fixed subspaces S, each pushed into V/W_1 along with
 the pair: the alpha check by the weight filtrations, the split check
 by a splitting V1 (+) V2, and a count is the histogram against no S,
-summed.  Different first subspaces often leave the same quotient, so
+summed.  Different first subspaces often leave the same quotient, so a
+node walks each distinct child (quotient pair, pushed subspaces, first
+step) once, weighted by the number of candidates W_1 that leave it, and
 the walker memoizes on (pair, pushed subspaces, dims, j), with pair
-exact over GF(p): the matrix of x, v and the weights.  Equal keys are
-equal subproblems, so a hit cannot change a count.  The memo is a
-fresh dict for each call.  It classifies nothing
+exact over GF(p): the matrix of x, v and the weights.  Equal children
+and equal keys are equal subproblems, so neither can change a count.
+The memo is a fresh dict for each call.  It classifies nothing
 and reads no transition row and no FiberCache, so the brute-force count
 stays independent of the fiber polynomials that it certifies.  _flags
 is the oracle that the walker is tested against.
@@ -36,22 +37,24 @@ flag shapes, so these tables live for the whole process, or until
 FiberCache.clear() empties them: normalform.orbit_pair, the normal
 pair of each (b, p) that FiberQuery.over_orbit queries;
 _kernel_blocks, the graded pieces of ker x of each (x, weights);
-_graded_step, the quotient maps and quotient pairs of each (pair, r_1);
-_push, the canonical push of each (quotient map, subspace); _pushes,
-aligned with _graded_step, each candidate's pushed subspaces and first
-step of each (pair, subspaces, r_1, child marker is 0), or None for an
-empty child, so that a node of a walk against subspaces finds all its
-children in one lookup (a count walk, against no subspaces, reads the
-step alone); _symbolic_row and _poly_orbit (below);
-normalform.split_factors, the split check's set-up of each (b, p); and
-the _interned dict, which holds each quotient pair, push entry and
-first step as one object for all steps (_shared, _intern), so the
-walker memo finds it by identity.  normal_pair itself stays uncached:
-a census of conjugates builds many normal pairs and uses each once.
-The tables hold exact objects that depend on their key alone, and no
-count: every count comes from a memo that lives for one call, so a
-walk spends as many nodes on a warm table as on a cold one.  The
-n = 7 polynomial sweep leaves 14,555 steps.
+_children, the candidate count and the distinct children, with their
+multiplicities, of each (pair, subspaces, r_1), so that a node finds
+all its children in one lookup (a count walk, against no subspaces,
+builds its entry straight from the enumeration and keeps no quotient
+map); _graded_step, the quotient maps and quotient pairs of each
+(pair, r_1), which only walks against subspaces and _flags read; _push,
+the canonical push of each (quotient map, subspace); _symbolic_row and
+_poly_orbit (below); normalform.split_factors, the split check's
+set-up of each (b, p); and the _interned dict, which holds each
+quotient pair, tuple of pushed subspaces and first step as one object
+for all nodes (_shared, _intern), so the walker memo finds it by
+identity.  normal_pair itself stays uncached: a census of conjugates
+builds many normal pairs and uses each once.  The tables hold exact
+objects that depend on their key alone, and no count: every count
+comes from a memo that lives for one call, so a walk spends as many
+nodes on a warm table as on a cold one.  The n = 7 polynomial sweep
+leaves 14,555 nodes in _children, whose 406,126 candidates leave
+60,054 distinct children, and no step.
 
 Counts depend only on the orbit of (v, x), and orbits are indexed by
 bipartitions, so fiber_polynomial recurses over bipartitions in Z[q],
@@ -87,6 +90,7 @@ import json
 import operator
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
@@ -164,7 +168,7 @@ def _zero_graded(q: FiberQuery) -> GradedPair:
     return GradedPair(q.x, q.v, (0,) * len(q.v))
 
 
-_interned: dict = {}  # quotient pair, push entry or first step -> the one object for it
+_interned: dict = {}  # quotient pair, pushed subspaces or first step -> the one object for it
 
 
 def _intern(value):
@@ -207,23 +211,30 @@ def _push(qm: QuotientMap, s: SubspaceGF) -> SubspaceGF:
 
 
 @functools.lru_cache(maxsize=None)
-def _pushes(pair: GradedPair, subspaces: tuple, r1: int, at_zero: bool) -> tuple:
-    """For each candidate (qm, sub) of _graded_step(pair, r1), in its order:
-    None when the child is empty, that is when at_zero (the child's
-    marker is 0) and v is not in W_1; otherwise (pushed, first), the
-    subspaces pushed into V/W_1 by _push and the first-step increments
-    first[0][s] = dim(W_1 & S_s) = dim S_s - dim(pushed S_s).  Built once
-    per key in a process; equal entries and equal increment rows are
-    held as one object in _interned."""
-    entries = []
-    for qm, sub in _graded_step(pair, r1):
-        if at_zero and any(sub.v):
-            entries.append(None)
-            continue
-        pushed = tuple([_push(qm, s) for s in subspaces])
-        first = _intern((tuple([s.dim - t.dim for s, t in zip(subspaces, pushed)]),))
-        entries.append(_intern((pushed, first)))
-    return tuple(entries)
+def _children(pair: GradedPair, subspaces: tuple, r1: int) -> tuple:
+    """(candidates, children) of a walker node: the number of weight-graded
+    r1-subspaces W_1 of ker x, and one (sub, pushed, first, mult) per
+    distinct child, in the order of its first W_1: the quotient pair, the
+    subspaces pushed into V/W_1 by _push, the first step first[0][s] =
+    dim(W_1 & S_s) = dim S_s - dim(pushed S_s), and the number of W_1
+    that leave it.  Against no subspaces the children come straight from
+    the enumeration, and no quotient map is kept.  Built once per key in
+    a process; sub, pushed and first are held as one object in _interned."""
+    if subspaces:
+        candidates = (
+            (sub, _intern(tuple([_push(qm, s) for s in subspaces])))
+            for qm, sub in _graded_step(pair, r1)
+        )
+    else:
+        candidates = (
+            (_intern(graded_quotient(pair, selection)[1]), ())
+            for selection in enumerate_graded_subspaces(_kernel_blocks(pair.x, pair.weights), r1)
+        )
+    mults = Counter(candidates)  # in the order of each child's first candidate
+    return sum(mults.values()), tuple([
+        (sub, pushed, _intern((tuple([s.dim - t.dim for s, t in zip(subspaces, pushed)]),)), mult)
+        for (sub, pushed), mult in mults.items()
+    ])
 
 
 def _flags(pair: GradedPair, dims: tuple[int, ...], j: int) -> Iterator[tuple[SubspaceGF, ...]]:
@@ -252,14 +263,13 @@ def _profiles(pair: GradedPair, subspaces: tuple, dims: tuple[int, ...], j: int,
     dim(W_1 & S) = dim S - dim(pushed S); by the modular law the later
     steps are those of W/W_1 against pushed S.  memo maps (pair,
     subspaces, dims, j) to its histogram, all exact canonical objects
-    over GF(p); spend() is called once for each candidate W_1 expanded
-    on a miss.  A child that is empty (v not in W_1 at the marker) or
-    the leaf (W_1 = V) is answered in place, with no push and no
-    recursion.  The candidates come from the process-wide _graded_step
-    table, and against subspaces each node reads its children's pushes
-    and first steps from the _pushes table in one lookup; the tables
-    hold subspaces and pairs, never a histogram, so the memo, a fresh
-    dict per call, holds every count."""
+    over GF(p).  A miss reads the node's children from the _children
+    table, calls spend(candidates) once with the number of candidates
+    W_1, and walks each distinct child once, weighted by the number of
+    candidates that leave it; an empty child (v not in W_1 at the
+    marker) and the leaf (W_1 = V) are answered by the guards on entry.
+    The tables hold subspaces and pairs, never a histogram, so the memo,
+    a fresh dict per call, holds every count."""
     if j == 0 and any(pair.v):
         return {}
     if len(dims) == 1:
@@ -270,30 +280,13 @@ def _profiles(pair: GradedPair, subspaces: tuple, dims: tuple[int, ...], j: int,
         r1 = dims[1]
         rest = tuple(r - r1 for r in dims[1:])
         jj = max(j - 1, 0)
+        candidates, children = _children(pair, subspaces, r1)
+        spend(candidates)
         hist = {}
-        step = _graded_step(pair, r1)
-        if subspaces and len(rest) > 1:
-            for (_, sub), entry in zip(step, _pushes(pair, subspaces, r1, jj == 0)):
-                spend()
-                if entry is None:
-                    continue  # the child is empty: v is not in W_1
-                pushed, first = entry
-                for tail, count in _profiles(sub, pushed, rest, jj, memo, spend).items():
-                    steps = first + tail
-                    hist[steps] = hist.get(steps, 0) + count
-        else:  # a count walk, against no S, or a node whose children are all leaves
-            for _, sub in step:
-                spend()
-                if jj == 0 and any(sub.v):
-                    continue  # the child is empty: v is not in W_1
-                if len(rest) == 1:
-                    # the child is the leaf: W_1 = V, and every S pushes to 0
-                    steps = (tuple([s.dim for s in subspaces]),)
-                    hist[steps] = hist.get(steps, 0) + 1
-                    continue
-                for tail, count in _profiles(sub, (), rest, jj, memo, spend).items():
-                    steps = ((),) + tail
-                    hist[steps] = hist.get(steps, 0) + count
+        for sub, pushed, first, mult in children:
+            for tail, count in _profiles(sub, pushed, rest, jj, memo, spend).items():
+                steps = first + tail
+                hist[steps] = hist.get(steps, 0) + mult * count
         memo[key] = hist
     return hist
 
@@ -332,17 +325,18 @@ def enumerate_lambda_fixed_flags(q: FiberQuery) -> Iterator[tuple[SubspaceGF, ..
 
 
 def fiber_profiles(
-    q: FiberQuery, subspaces: Sequence[SubspaceGF], spend: Callable[[], object] = lambda: None
+    q: FiberQuery, subspaces: Sequence[SubspaceGF], spend: Callable[[int], object] = lambda amount: None
 ) -> dict:
     """{profile: number of fiber flags W with dim(W_(i+1) & subspaces[s]) =
-    profile[i][s]}, by the profile walker with a memo of its own; spend()
-    is called once per walker node, a candidate W_1 expanded on a memo
-    miss at any depth."""
+    profile[i][s]}, by the profile walker with a memo of its own; each
+    walker node expanded on a memo miss, at any depth, calls spend once
+    with its number of candidates W_1, so the amounts sum to the
+    candidates expanded."""
     return _histogram(_zero_graded(q), q, subspaces, spend)
 
 
 def lambda_fixed_profiles(
-    q: FiberQuery, subspaces: Sequence[SubspaceGF], spend: Callable[[], object] = lambda: None
+    q: FiberQuery, subspaces: Sequence[SubspaceGF], spend: Callable[[int], object] = lambda amount: None
 ) -> dict:
     """fiber_profiles over the weight-graded fiber flags only."""
     return _histogram(q.graded_pair(), q, subspaces, spend)
@@ -352,7 +346,7 @@ class FiberCache:
     """The count table: (mu, nu, dims, j, p) to the exact count that
     count_fiber_memo returned, which `save`/`load` persist.  `clear()`
     empties it and the process tables of the module docstring:
-    normalform.orbit_pair, _kernel_blocks, _graded_step, _push, _pushes,
+    normalform.orbit_pair, _kernel_blocks, _graded_step, _push, _children,
     _symbolic_row, _poly_orbit, normalform.split_factors and _interned.
     `stats` counts lookups in the count table and in _poly_orbit, and
     their entries.
@@ -382,7 +376,7 @@ class FiberCache:
     def clear(self) -> None:
         self._table.clear()
         for table in (
-            orbit_pair, _kernel_blocks, _graded_step, _push, _pushes,
+            orbit_pair, _kernel_blocks, _graded_step, _push, _children,
             _symbolic_row, _poly_orbit, split_factors,
         ):
             table.cache_clear()

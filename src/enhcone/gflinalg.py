@@ -9,10 +9,11 @@ each subspace appears exactly once.
 MatrixGF, SubspaceGF and QuotientMap key the fiber walker's tables, so
 each hashes once: the hash of its fields is computed on construction
 and stored in a slot, and equality still compares the fields.  They
-are slotted, with no __dict__.  The kernels below, and SubspaceGF's
-zero, full and coordinate, build their results through unchecked
-constructors (_matrix, _subspace), which skip the public constructor's
-checks: their entries are already reduced and their bases canonical.
+are slotted, with no __dict__.  The kernels below, SubspaceGF's zero,
+full and coordinate, and quotient_map build their results through
+unchecked constructors (_matrix, _subspace, _new), which skip the
+public constructors' checks: their entries are already reduced and
+their bases canonical.
 """
 
 from __future__ import annotations
@@ -390,9 +391,12 @@ def kernel(m: MatrixGF) -> SubspaceGF:
 @dataclass(frozen=True, slots=True)
 class QuotientMap:
     """Projection GF(p)^n -> GF(p)^(n-d) whose kernel is the canonical
-    subspace with RREF basis basis_rows and pivot columns pivots; only
-    quotient_map builds one.  The quotient coordinates are the non-pivot
-    coordinates, in ascending order.
+    subspace with RREF basis basis_rows and pivot columns pivots.  The
+    quotient coordinates are the non-pivot coordinates, in ascending
+    order.  The constructor checks that contract as SubspaceGF's does: a
+    modulus that is not prime, a kernel basis that is not canonical and
+    nonpivots other than the complement of pivots in range(ambient)
+    raise ValueError.  quotient_map builds one unchecked.
 
     That contract is why only quotient coordinates move.  Each row is 1
     at its own pivot and 0 at every other row's pivot, so reducing v by
@@ -403,6 +407,11 @@ class QuotientMap:
 
     The nonpivots follow from ambient and pivots, so the stored hash is
     that of the kernel's subspace, and quotient_map copies it.
+
+    >>> QuotientMap(3, 2, ((1, 1),), (0,), (0, 1))
+    Traceback (most recent call last):
+    ...
+    ValueError: nonpivots must be the columns of range(2) outside the pivots (0,), got (0, 1)
     """
 
     p: int
@@ -413,7 +422,15 @@ class QuotientMap:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.p, self.ambient, self.basis_rows, self.pivots)))
+        p, ambient, basis_rows, pivots = self.p, self.ambient, self.basis_rows, self.pivots
+        check_prime(p)
+        _check_canonical(p, ambient, basis_rows, pivots)
+        if self.nonpivots != tuple(c for c in range(ambient) if c not in pivots):
+            raise ValueError(
+                f"nonpivots must be the columns of range({ambient}) outside the pivots {pivots}, "
+                f"got {self.nonpivots!r}"
+            )
+        object.__setattr__(self, "_hash", hash((p, ambient, basis_rows, pivots)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -144,21 +144,23 @@ class TestAlphaPartition:
         assert failed == []
 
     def test_budget_counts_walker_nodes(self):
-        # x = 0 on GF(p)^2 at p = 2, 3: each walker expands the p + 1 lines
-        # W_1, then W_2 = V once, since every quotient is the same pair
-        # with the same pushed filtration
+        # x = 0 on GF(p)^2 at p = 2, 3: each walker spends the p + 1 lines
+        # W_1 at once, then W_2 = V once, since every quotient is the same
+        # pair with the same pushed filtration
         big, small = bipartition((), (2,)), bipartition((), (1, 1))
-        nodes = []
+        spent = []
         for p in (2, 3):
             q = FiberQuery.over_orbit(small, big, p)
             filtrations = [SubspaceGF.full(2, p)]
             for walk in (fiber_profiles, lambda_fixed_profiles):
-                walk(q, filtrations, lambda: nodes.append(1))
-        assert len(nodes) == 2 * sum(p + 1 + 1 for p in (2, 3)) == 18
-        assert check_alpha_partition(big, small, budget=len(nodes)).passed
-        rep = check_alpha_partition(big, small, budget=len(nodes) - 1)
+                walk(q, filtrations, spent.append)
+        assert spent == [3, 1, 3, 1, 4, 1, 4, 1]
+        nodes = sum(spent)
+        assert nodes == 2 * sum(p + 1 + 1 for p in (2, 3)) == 18
+        assert check_alpha_partition(big, small, budget=nodes).passed
+        rep = check_alpha_partition(big, small, budget=nodes - 1)
         assert rep.verdict == "budget-exceeded"
-        assert rep.witness == {"nodes": len(nodes), "limit": len(nodes) - 1}
+        assert rep.witness == {"nodes": nodes, "limit": nodes - 1}
 
     def test_interpolates_nothing_and_walks_only_p_2_and_3(self, monkeypatch):
         def forbidden(*args):
@@ -242,6 +244,31 @@ class TestAlphaPartitionFaults:
         assert piece["counts"] == {2: 3, 3: 0} and piece["fixed"] == {2: 3, 3: 0}
 
 
+class TestWalkerMultiplicityFault:
+    """A walker that walks each distinct child once but reads every
+    multiplicity as 1 fails the checks that read its counts.
+    check_kernel_recursion compares the walker with itself, so it is no
+    guard against such a fault."""
+
+    def test_each_check_catches_multiplicity_one(self, monkeypatch):
+        cached_children = fibers._children
+
+        def multiplicity_one(*key):
+            candidates, children = cached_children(*key)
+            return candidates, tuple((sub, pushed, first, 1) for sub, pushed, first, _ in children)
+
+        monkeypatch.setattr(fibers, "_children", multiplicity_one)
+        pairs = [pair for n in range(4) for pair in closure_pairs(n)]
+        assert any(check_polynomial_count(big, small).verdict == "fail" for big, small in pairs)
+        assert any(check_alpha_partition(big, small).verdict == "fail" for big, small in pairs)
+        assert any(
+            check_split_product(small, big, p).verdict == "fail"
+            for big, small in pairs
+            if not is_distinguished(small)
+            for p in (2, 3)
+        )
+
+
 class TestDistinguishedLemma:
     def test_regular_is_distinguished(self):
         rep = check_distinguished_lemma(bipartition((), (3,)), 2)
@@ -298,12 +325,14 @@ class TestSplitProduct:
         small, big = bipartition((), (1, 1, 1)), bipartition((), (2, 1))
         q = FiberQuery.of(normal_pair(small, 2), flag_shape(big))
         dec = explicit_decomposition(normal_pair(small, 2))
-        nodes = []
-        lambda_fixed_profiles(q, (dec.v1, dec.v2), lambda: nodes.append(1))
-        assert check_split_product(small, big, 2, budget=len(nodes)).passed
-        rep = check_split_product(small, big, 2, budget=len(nodes) - 1)
+        spent = []
+        lambda_fixed_profiles(q, (dec.v1, dec.v2), spent.append)
+        nodes = sum(spent)
+        assert nodes > len(spent) > 0
+        assert check_split_product(small, big, 2, budget=nodes).passed
+        rep = check_split_product(small, big, 2, budget=nodes - 1)
         assert rep.verdict == "budget-exceeded"
-        assert rep.witness == {"nodes": len(nodes), "limit": len(nodes) - 1}
+        assert rep.witness == {"nodes": nodes, "limit": nodes - 1}
 
     def test_split_table_is_cleared_and_spends_per_call(self, monkeypatch, clean_cache):
         spent = []
@@ -318,7 +347,7 @@ class TestSplitProduct:
         runs = []
         for _ in range(2):
             spent.clear()
-            runs.append((check_split_product(small, big, 2), len(spent)))
+            runs.append((check_split_product(small, big, 2), sum(spent)))
         (cold, cold_nodes), (warm, warm_nodes) = runs
         assert cold.passed and warm.passed and cold.witness == warm.witness
         # the second call reads the split table, yet spends as many nodes
@@ -333,7 +362,7 @@ class TestSplitProduct:
         assert normalform.split_factors.cache_info().currsize == 0
         spent.clear()
         assert check_split_product(small, big, 2).witness == cold.witness
-        assert len(spent) == cold_nodes
+        assert sum(spent) == cold_nodes
 
     def test_counts_each_factor_query_once(self, monkeypatch):
         # three buckets, six factor counts, but only two distinct queries

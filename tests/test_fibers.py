@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import operator
 import random
@@ -216,28 +217,30 @@ class TestWalkerMemo:
         ):
             monkeypatch.setattr(module, name, forbidden)
         nodes = Counter()
-        cached_step = fibers._graded_step
+        cached_children = fibers._children
 
-        def counting(pair, r1):
-            step = cached_step(pair, r1)
-            nodes["walker"] += len(step)
-            return step
+        def counting(pair, subspaces, r1):
+            entry = cached_children(pair, subspaces, r1)
+            nodes["walker"] += entry[0]
+            return entry
 
         def counting_oracle(pair, r1):
             for item in kernel_step(pair, r1):
                 nodes["oracle"] += 1
                 yield item
 
-        monkeypatch.setattr(fibers, "_graded_step", counting)
+        monkeypatch.setattr(fibers, "_children", counting)
         q = FiberQuery.over_orbit(bipartition((), (1, 1, 1, 1)), bipartition((), (2, 2)), 2)
         first = count_fiber(q)
         walked = nodes["walker"]
         # one call's memo is gone by the next call, which spends as many
-        # nodes on the warm step table
+        # candidates on the warm children's table
         spent = []
-        assert sum(fiber_profiles(q, (), lambda: spent.append(1)).values()) == first
-        assert len(spent) == walked > 0
+        assert sum(fiber_profiles(q, (), spent.append).values()) == first
+        assert sum(spent) == walked > 0
         assert nodes["walker"] == 2 * walked
+        # a count walk keeps no quotient map
+        assert fibers._graded_step.cache_info().currsize == 0
         # within a call the memo does replay counts: the plain walker goes further
         dims, j = q.shape.dims, q.shape.marker
         assert walk_count(counting_oracle, zero_graded(q), dims, j) == first
@@ -261,29 +264,32 @@ def splitting(small, p: int) -> tuple[SubspaceGF, SubspaceGF]:
 
 
 def count_walker_candidates(monkeypatch) -> Counter:
-    """Counts under "yielded" the candidates that the walker reads from
-    fibers._graded_step, one per node: the reads of a _pushes miss, which
-    builds its entries from the same step, are not counted."""
+    """Counts under "yielded" the candidates of every node that the walker
+    reads from fibers._children, one read per expanded node."""
     candidates = Counter()
-    cached_step, cached_pushes = fibers._graded_step, fibers._pushes
-    building = []
+    cached_children = fibers._children
 
-    def counting_step(pair, r1):
-        step = cached_step(pair, r1)
-        if not building:
-            candidates["yielded"] += len(step)
-        return step
+    def counting(pair, subspaces, r1):
+        entry = cached_children(pair, subspaces, r1)
+        candidates["yielded"] += entry[0]
+        return entry
 
-    def counting_pushes(*key):
-        building.append(key)
-        try:
-            return cached_pushes(*key)
-        finally:
-            building.pop()
-
-    monkeypatch.setattr(fibers, "_graded_step", counting_step)
-    monkeypatch.setattr(fibers, "_pushes", counting_pushes)
+    monkeypatch.setattr(fibers, "_children", counting)
     return candidates
+
+
+def record_children(monkeypatch) -> dict:
+    """A dict that maps each key the walker reads from fibers._children
+    to its entry."""
+    cached_children = fibers._children
+    entries = {}
+
+    def recording(*key):
+        entries[key] = cached_children(*key)
+        return entries[key]
+
+    monkeypatch.setattr(fibers, "_children", recording)
+    return entries
 
 
 class TestProfileWalker:
@@ -345,34 +351,26 @@ class TestProfileWalker:
                 rows = ((),) * (len(q.shape.dims) - 1)
                 assert fiber_profiles(q, ()) == ({rows: count} if count else {})
 
-    def test_empty_and_leaf_children_push_nothing(self, clean_cache, monkeypatch):
+    def test_empty_and_leaf_children_are_answered_on_entry(self, clean_cache):
         # x = 0 and v = e_1 on GF(2)^2, shape (0, 1, 2) with v in W_1: of
-        # the three lines W_1 only span(e_1) holds v, so the other two
-        # children are empty, and below span(e_1) the one W_2 = V is the
-        # leaf.  Every candidate is spent, and only span(e_1) pushes, on
-        # cold tables; the _pushes entries of the two empty children are
-        # None.
-        pushes = []
-        push = fibers._push
-
-        def counting(qm, s):
-            pushes.append(qm.pivots)
-            return push(qm, s)
-
-        monkeypatch.setattr(fibers, "_push", counting)
+        # the three lines W_1 only span(e_1) holds v.  The other two leave
+        # one quotient pair, with v != 0 at marker 0: one empty child of
+        # multiplicity 2, which the walker enters once and answers with no
+        # node spent.  Below span(e_1) the one W_2 = V is the leaf.
         q = FiberQuery((1, 0), MatrixGF.zeros(2, 2, 2), FlagShape((0, 1, 2), 1), (0, 0))
         full = SubspaceGF.full(2, 2)
+        zero = GradedPair(MatrixGF.zeros(1, 1, 2), (0,), (0,))
         for walk in (fiber_profiles, lambda_fixed_profiles):
-            push.cache_clear()
-            fibers._pushes.cache_clear()
-            nodes, pushes[:] = [], []
-            assert walk(q, (full,), lambda: nodes.append(1)) == {((1,), (2,)): 1}
-            assert len(nodes) == 3 + 1
-            assert pushes == [(0,)]
-            entries = fibers._pushes(GradedPair(q.x, q.v, (0, 0)), (full,), 1, True)
-            assert [entry is None for entry in entries].count(True) == 2
-            assert fibers._pushes.cache_info().misses == 1
-            assert pushes == [(0,)]
+            spent = []
+            assert walk(q, (full,), spent.append) == {((1,), (2,)): 1}
+            assert spent == [3, 1]
+            candidates, children = fibers._children(GradedPair(q.x, q.v, (0, 0)), (full,), 1)
+            assert candidates == 3
+            assert [(sub.v, mult) for sub, _, _, mult in children] == [((0,), 1), ((1,), 2)]
+            assert children[0][0] == zero
+            assert {(pushed, first) for _, pushed, first, _ in children} == {
+                ((SubspaceGF.full(1, 2),), ((1,),))
+            }
 
     def test_spends_one_node_per_expanded_candidate(self, clean_cache, monkeypatch):
         candidates = count_walker_candidates(monkeypatch)
@@ -385,34 +383,36 @@ class TestProfileWalker:
         q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((), (2, 2)), 2)
         filtrations = weight_filtrations(q)
         nodes = []
-        hist = fiber_profiles(q, filtrations, lambda: nodes.append(1))
-        assert len(nodes) == candidates["yielded"] > 0
+        hist = fiber_profiles(q, filtrations, nodes.append)
+        assert sum(nodes) == candidates["yielded"] > 0
+        # one spend per expanded node, of all its candidates together
+        assert 0 < len(nodes) < sum(nodes)
         assert sum(hist.values()) == count_fiber(q)
         # a fresh memo on the next call spends as much again
         again = []
-        assert fiber_profiles(q, filtrations, lambda: again.append(1)) == hist
-        assert len(again) == len(nodes)
+        assert fiber_profiles(q, filtrations, again.append) == hist
+        assert again == nodes
         # memo hits expand nothing: the unmemoized walker visits more
         candidates.clear()
         walk_count(counting_oracle, zero_graded(q), q.shape.dims, q.shape.marker)
-        assert candidates["yielded"] > len(nodes)
+        assert candidates["yielded"] > sum(nodes)
 
     def test_counts_walk_as_the_empty_histogram(self, monkeypatch):
         # a count is the profile walk against no subspaces: the same
         # walker calls and the same candidates, under either grading
         tally = Counter()
-        cached_step, walker = fibers._graded_step, fibers._profiles
+        cached_children, walker = fibers._children, fibers._profiles
 
-        def counting_step(pair, r1):
-            step = cached_step(pair, r1)
-            tally["candidates"] += len(step)
-            return step
+        def counting_children(pair, subspaces, r1):
+            entry = cached_children(pair, subspaces, r1)
+            tally["candidates"] += entry[0]
+            return entry
 
         def counting_walker(*args):
             tally["calls"] += 1
             return walker(*args)
 
-        monkeypatch.setattr(fibers, "_graded_step", counting_step)
+        monkeypatch.setattr(fibers, "_children", counting_children)
         monkeypatch.setattr(fibers, "_profiles", counting_walker)
 
         def walked(fn, *args) -> Counter:
@@ -444,6 +444,78 @@ class TestProfileWalker:
         for walk in (fiber_profiles, lambda_fixed_profiles):
             with pytest.raises(RuntimeError, match="profile walker reached"):
                 walk(q, ())
+
+
+def pinned_walks():
+    """(p, subspaces' name, walker, query, subspaces) for every closure pair
+    with n <= 4 at p = 2 and 3, under both walkers, against no subspaces,
+    the weight filtrations and, when small is not distinguished, its
+    explicit splitting: 2,744 walks."""
+    for n in range(5):
+        for big, small in closure_pairs(n):
+            for p in (2, 3):
+                q = FiberQuery.over_orbit(small, big, p)
+                sets = {"none": (), "filtrations": weight_filtrations(q)}
+                if not is_distinguished(small):
+                    sets["splitting"] = splitting(small, p)
+                for name, subspaces in sets.items():
+                    for walk in (fiber_profiles, lambda_fixed_profiles):
+                        yield p, name, walk, q, subspaces
+
+
+class TestChildrenTable:
+    """fibers._children groups a node's candidates W_1 by the child they
+    leave, and the walker weights each distinct child by its multiplicity."""
+
+    def test_walker_traffic_is_pinned(self, clean_cache):
+        # the histograms and the budget spent by the grouped walker are
+        # those of the walker that visited every candidate W_1
+        spent = Counter()
+        digest = hashlib.sha256()
+        walks = 0
+        for p, name, walk, q, subspaces in pinned_walks():
+
+            def spend(amount, key=(p, name)):
+                spent[key] += amount
+
+            hist = walk(q, subspaces, spend)
+            digest.update(repr(sorted(hist.items())).encode())
+            walks += 1
+        assert walks == 2744
+        assert spent == {
+            (2, "none"): 6398, (2, "filtrations"): 6443, (2, "splitting"): 9153,
+            (3, "none"): 15668, (3, "filtrations"): 15718, (3, "splitting"): 23185,
+        }
+        assert sum(spent.values()) == 76565
+        assert digest.hexdigest() == "7201930ba78124182c1883538aee186a575580b69a8f151c56f6bc03183981b9"
+
+    def test_children_are_the_oracle_step_grouped(self, clean_cache, monkeypatch):
+        # every node that the pinned walks reach: the multiplicities sum to
+        # the candidates, which the oracle step lists one by one, and each
+        # distinct child is the quotient pair and pushed subspaces of as
+        # many oracle candidates as its multiplicity
+        reached = record_children(monkeypatch)
+        for _, _, walk, q, subspaces in pinned_walks():
+            walk(q, subspaces)
+        assert len(reached) > 1000
+        for (pair, subspaces, r1), (candidates, children) in reached.items():
+            assert sum(mult for *_, mult in children) == candidates
+            zero = not any(pair.weights)
+            oracle = list((kernel_step if zero else graded_step)(pair, r1))
+            assert len(oracle) == candidates, (pair, r1)
+            if zero:
+                dim_ker = pair.n - rank(pair.x)
+                assert candidates == gaussian_binomial(dim_ker, r1, pair.p), (pair, r1)
+            expected = Counter()
+            for qm, sub in oracle:
+                pushed = tuple(
+                    SubspaceGF.span([reduce_apply(qm, u) for u in s.basis], qm.codim, qm.p)
+                    for s in subspaces
+                )
+                first = (tuple(s.dim - t.dim for s, t in zip(subspaces, pushed)),)
+                expected[sub, pushed, first] += 1
+            assert {child[:3]: child[3] for child in children} == expected, (pair, subspaces, r1)
+            assert len(children) == len(expected)
 
 
 def assert_step_table_matches(cached_step, oracle_step, reached: set) -> None:
@@ -582,58 +654,59 @@ class TestProcessTables:
             assert fibers._push(qm, s) == pushed
 
     def test_kernel_counts_stay_per_call_on_warm_tables(self, clean_cache, monkeypatch):
-        cached_step = fibers._graded_step
+        cached_children = fibers._children
         candidates = count_walker_candidates(monkeypatch)
         q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((4,), ()), 3)
         filtrations = weight_filtrations(q)
         cold = []
-        hist = fiber_profiles(q, filtrations, lambda: cold.append(1))
-        assert len(cold) == candidates["yielded"] > 0
+        hist = fiber_profiles(q, filtrations, cold.append)
+        assert sum(cold) == candidates["yielded"] > 0
         assert sum(hist.values()) == unmemoized_fiber_count(q) > 0
         assert len(hist) > 1
-        steps = cached_step.cache_info()
-        # the second call finds every step in the table, yet spends as
-        # many nodes: the histogram memo is its own
+        nodes = cached_children.cache_info()
+        # the second call finds every node's children in the table, yet
+        # spends as many nodes: the histogram memo is its own
         warm = []
-        assert fiber_profiles(q, filtrations, lambda: warm.append(1)) == hist
-        assert len(warm) == len(cold)
-        assert cached_step.cache_info().misses == steps.misses
-        assert cached_step.cache_info().hits > steps.hits
+        assert fiber_profiles(q, filtrations, warm.append) == hist
+        assert warm == cold
+        assert cached_children.cache_info().misses == nodes.misses
+        assert cached_children.cache_info().hits > nodes.hits
 
     def test_counts_stay_per_call_on_warm_tables(self, monkeypatch):
-        cached_step, node_pushes = fibers._graded_step, fibers._pushes
+        cached_step, node_children = fibers._graded_step, fibers._children
         candidates = count_walker_candidates(monkeypatch)
         q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((4,), ()), 3)
         filtrations = weight_filtrations(q)
         cached_step.cache_clear()
         fibers._push.cache_clear()
-        node_pushes.cache_clear()
+        node_children.cache_clear()
         cold = []
-        hist = lambda_fixed_profiles(q, filtrations, lambda: cold.append(1))
-        assert len(cold) == candidates["yielded"] > 0
+        hist = lambda_fixed_profiles(q, filtrations, cold.append)
+        assert sum(cold) == candidates["yielded"] > 0
         assert sum(hist.values()) == unmemoized_lambda_fixed_count(q) > 0
         assert len(hist) > 1
         steps, pushes = cached_step.cache_info(), fibers._push.cache_info()
-        nodes = node_pushes.cache_info()
-        assert pushes.misses > 0 and nodes.misses > 0
-        # the second call finds every step and every node's pushes in the
-        # tables, so it pushes nothing, yet spends as many nodes: the
+        nodes = node_children.cache_info()
+        assert steps.misses > 0 and pushes.misses > 0 and nodes.misses > 0
+        # the second call finds every node's children in the table, so it
+        # reads no step and pushes nothing, yet spends as many nodes: the
         # histogram memo is its own
         warm = []
-        assert lambda_fixed_profiles(q, filtrations, lambda: warm.append(1)) == hist
-        assert len(warm) == len(cold)
-        assert cached_step.cache_info().misses == steps.misses
-        assert cached_step.cache_info().hits > steps.hits
-        assert node_pushes.cache_info().misses == nodes.misses
-        assert node_pushes.cache_info().hits > nodes.hits
+        assert lambda_fixed_profiles(q, filtrations, warm.append) == hist
+        assert warm == cold
+        assert node_children.cache_info().misses == nodes.misses
+        assert node_children.cache_info().hits > nodes.hits
+        assert cached_step.cache_info() == steps
         assert fibers._push.cache_info() == pushes
         # count_lambda_fixed expands as many candidates on every call
         candidates.clear()
         first = count_lambda_fixed(q)
-        walked = candidates["yielded"]
+        walked, counted = candidates["yielded"], node_children.cache_info()
         assert count_lambda_fixed(q) == first == sum(hist.values())
         assert candidates["yielded"] == 2 * walked > 0
-        assert cached_step.cache_info().misses == steps.misses
+        assert node_children.cache_info().misses == counted.misses
+        # and reads no step: its children come straight from the enumeration
+        assert cached_step.cache_info() == steps
 
 
 class TestSpringerBenchmarks:
@@ -696,15 +769,22 @@ class TestMemo:
                 fiber_polynomial(big, small)
         assert cache.stats == {"hits": 388, "misses": 286, "entries": 286}
 
-    def test_kernel_step_table_size(self, clean_cache):
+    def test_kernel_step_table_size(self, clean_cache, monkeypatch):
         # the 242 certificates with n <= 4 count their fibers at p = 2 on
-        # 1,238 steps under the zero grading, of which 165 are distinct
-        # (pair, r1) keys, on the kernels of 18 distinct matrices
+        # 1,238 nodes under the zero grading, of which 165 are distinct
+        # (pair, (), r1) keys, on the kernels of 18 distinct matrices;
+        # their 472 candidates leave 254 distinct children, and a count
+        # walk keeps no step, so no quotient map
+        cached_children = fibers._children
+        entries = record_children(monkeypatch)
         for n in range(5):
             for big, small in closure_pairs(n):
                 assert check_polynomial_count(big, small).passed, (str(big), str(small))
-        info = fibers._graded_step.cache_info()
+        info = cached_children.cache_info()
         assert (info.misses, info.hits, info.currsize) == (165, 1073, 165)
+        assert sum(candidates for candidates, _ in entries.values()) == 472
+        assert sum(len(children) for _, children in entries.values()) == 254
+        assert fibers._graded_step.cache_info().currsize == 0
         assert fibers._kernel_blocks.cache_info().currsize == 18
 
     def test_persistence_roundtrip(self, tmp_path, clean_cache):
@@ -733,7 +813,7 @@ class TestMemo:
             "_kernel_blocks": fibers._kernel_blocks,
             "_graded_step": fibers._graded_step,
             "_push": fibers._push,
-            "_pushes": fibers._pushes,
+            "_children": fibers._children,
             "_symbolic_row": fibers._symbolic_row,
             "_poly_orbit": fibers._poly_orbit,
             "split_factors": normalform.split_factors,

@@ -293,6 +293,31 @@ class TestSubspace:
 
 
 class TestQuotient:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (6, 2, ((2, 3),), (0,), (1,)),  # a modulus that is not prime
+            (3, 2, ((1, 1),), (0,), (0, 1)),  # nonpivots that hold the pivot
+            (3, 2, ((2, 0),), (0,), (1,)),  # a kernel basis not 1 at its pivot
+            (3, 2, ((1, 0),), (0,), ()),  # a quotient coordinate left out
+            (3, 2, ((1, 0),), (0,), [1]),  # nonpivots that are not a tuple
+            (3, 3, (), (), (0, 2, 1)),  # nonpivots out of order
+        ],
+    )
+    def test_constructor_rejects_a_broken_contract(self, args):
+        # QuotientMap(6, 2, ((2, 3),), (0,), (1,)) would map (1, 1) to (4,),
+        # and QuotientMap(3, 2, ((1, 1),), (0,), (0, 1)) would claim
+        # codimension 2 for a line of GF(3)^2
+        with pytest.raises(ValueError):
+            QuotientMap(*args)
+
+    def test_constructor_keeps_every_quotient_map(self):
+        for p, n in ((2, 3), (3, 2)):
+            for d in range(n + 1):
+                for sub in enumerate_subspaces(SubspaceGF.full(n, p), d):
+                    qm = quotient_map(sub)
+                    assert_same_value(QuotientMap(p, n, sub.basis, sub.pivots, qm.nonpivots), qm)
+
     def test_quotient_by_zero_is_invertible(self):
         z = SubspaceGF.zero(3, 5)
         qm = quotient_map(z)
