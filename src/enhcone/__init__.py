@@ -26,7 +26,6 @@ from .gflinalg import (
     kernel,
     quotient_map,
     rank,
-    rref,
 )
 from .normalform import (
     Decomposition,

@@ -39,22 +39,23 @@ pair of each (b, p) that FiberQuery.over_orbit queries;
 _kernel_blocks, the graded pieces of ker x of each (x, weights);
 _children, the candidate count and the distinct children, with their
 multiplicities, of each (pair, subspaces, r_1), so that a node finds
-all its children in one lookup (a count walk, against no subspaces,
-builds its entry straight from the enumeration and keeps no quotient
-map); _graded_step, the quotient maps and quotient pairs of each
-(pair, r_1), which only walks against subspaces and _flags read; _push,
-the canonical push of each (quotient map, subspace); _symbolic_row and
+all its children in one lookup; _push, the canonical push of each
+(quotient map, subspace), which many nodes share; _symbolic_row and
 _poly_orbit (below); normalform.split_factors, the split check's
 set-up of each (b, p); and the _interned dict, which holds each
 quotient pair, tuple of pushed subspaces and first step as one object
-for all nodes (_shared, _intern), so the walker memo finds it by
-identity.  normal_pair itself stays uncached: a census of conjugates
-builds many normal pairs and uses each once.  The tables hold exact
-objects that depend on their key alone, and no count: every count
-comes from a memo that lives for one call, so a walk spends as many
-nodes on a warm table as on a cold one.  The n = 7 polynomial sweep
-leaves 14,555 nodes in _children, whose 406,126 candidates leave
-60,054 distinct children, and no step.
+for all nodes (_intern), so the walker memo finds it by identity.
+_children builds an entry in one pass over _step, a generator of the
+quotient map and quotient pair of every candidate W_1 that no table
+keeps, and _flags reads the same generator: there is one step path,
+and no table holds a quotient map but as a key of _push.  normal_pair
+itself stays uncached: a census of conjugates builds many normal pairs
+and uses each once.  The tables hold exact objects that depend on
+their key alone, and no count: every count comes from a memo that
+lives for one call, so a walk spends as many nodes on a warm table as
+on a cold one.  The n = 7 polynomial sweep leaves 14,555 nodes in
+_children, whose 406,126 candidates leave 60,054 distinct children,
+and pushes nothing.
 
 Counts depend only on the orbit of (v, x), and orbits are indexed by
 bipartitions, so fiber_polynomial recurses over bipartitions in Z[q],
@@ -176,14 +177,6 @@ def _intern(value):
     return _interned.setdefault(value, value)
 
 
-def _shared(candidates) -> tuple:
-    """The (quotient map, quotient pair) candidates of one step as a tuple,
-    with equal quotient pairs held as one object, in this step and in
-    every other: many W_1 leave the same quotient, and the walker memo
-    finds a shared key by identity before it compares one."""
-    return tuple([(qm, _intern(sub)) for qm, sub in candidates])
-
-
 @functools.lru_cache(maxsize=None)
 def _kernel_blocks(x: MatrixGF, weights: tuple[int, ...]) -> tuple:
     """graded_kernel_blocks of every pair with matrix x and these weights,
@@ -191,16 +184,15 @@ def _kernel_blocks(x: MatrixGF, weights: tuple[int, ...]) -> tuple:
     return graded_kernel_blocks(GradedPair(x, (), weights))
 
 
-@functools.lru_cache(maxsize=None)
-def _graded_step(pair: GradedPair, r1: int) -> tuple[tuple[QuotientMap, GradedPair], ...]:
+def _step(pair: GradedPair, r1: int) -> Iterator[tuple[QuotientMap, GradedPair]]:
     """Every weight-graded r1-subspace W of ker x, as the quotient map by W
-    together with the induced graded pair on V/W; under the zero grading
-    that is every r1-subspace of ker x.  A tuple, built once per (pair,
-    r1) in a process: a cached generator would be spent."""
-    return _shared(
-        graded_quotient(pair, selection)
-        for selection in enumerate_graded_subspaces(_kernel_blocks(pair.x, pair.weights), r1)
-    )
+    together with the induced graded pair on V/W, which is held as one
+    object in _interned; under the zero grading that is every r1-subspace
+    of ker x.  Built afresh on every call: only _children and _flags read
+    it."""
+    for selection in enumerate_graded_subspaces(_kernel_blocks(pair.x, pair.weights), r1):
+        qm, sub = graded_quotient(pair, selection)
+        yield qm, _intern(sub)
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,20 +209,12 @@ def _children(pair: GradedPair, subspaces: tuple, r1: int) -> tuple:
     distinct child, in the order of its first W_1: the quotient pair, the
     subspaces pushed into V/W_1 by _push, the first step first[0][s] =
     dim(W_1 & S_s) = dim S_s - dim(pushed S_s), and the number of W_1
-    that leave it.  Against no subspaces the children come straight from
-    the enumeration, and no quotient map is kept.  Built once per key in
-    a process; sub, pushed and first are held as one object in _interned."""
-    if subspaces:
-        candidates = (
-            (sub, _intern(tuple([_push(qm, s) for s in subspaces])))
-            for qm, sub in _graded_step(pair, r1)
-        )
-    else:
-        candidates = (
-            (_intern(graded_quotient(pair, selection)[1]), ())
-            for selection in enumerate_graded_subspaces(_kernel_blocks(pair.x, pair.weights), r1)
-        )
-    mults = Counter(candidates)  # in the order of each child's first candidate
+    that leave it.  Built once per key in a process, in one pass over
+    _step, and keeps no quotient map; sub, pushed and first are held as
+    one object in _interned."""
+    mults = Counter(  # in the order of each child's first candidate
+        (sub, _intern(tuple([_push(qm, s) for s in subspaces]))) for qm, sub in _step(pair, r1)
+    )
     return sum(mults.values()), tuple([
         (sub, pushed, _intern((tuple([s.dim - t.dim for s, t in zip(subspaces, pushed)]),)), mult)
         for (sub, pushed), mult in mults.items()
@@ -246,7 +230,7 @@ def _flags(pair: GradedPair, dims: tuple[int, ...], j: int) -> Iterator[tuple[Su
         return
     rest = tuple(r - dims[1] for r in dims[1:])
     jj = max(j - 1, 0)
-    for qm, sub in _graded_step(pair, dims[1]):
+    for qm, sub in _step(pair, dims[1]):
         # qm's kernel is canonical: its rows and pivots are W_1's own
         w1 = _subspace(qm.p, qm.ambient, qm.basis_rows, qm.pivots)
         for tail in _flags(sub, rest, jj):
@@ -346,8 +330,8 @@ class FiberCache:
     """The count table: (mu, nu, dims, j, p) to the exact count that
     count_fiber_memo returned, which `save`/`load` persist.  `clear()`
     empties it and the process tables of the module docstring:
-    normalform.orbit_pair, _kernel_blocks, _graded_step, _push, _children,
-    _symbolic_row, _poly_orbit, normalform.split_factors and _interned.
+    normalform.orbit_pair, _kernel_blocks, _push, _children, _symbolic_row,
+    _poly_orbit, normalform.split_factors and _interned.
     `stats` counts lookups in the count table and in _poly_orbit, and
     their entries.
     """
@@ -376,8 +360,8 @@ class FiberCache:
     def clear(self) -> None:
         self._table.clear()
         for table in (
-            orbit_pair, _kernel_blocks, _graded_step, _push, _children,
-            _symbolic_row, _poly_orbit, split_factors,
+            orbit_pair, _kernel_blocks, _push, _children, _symbolic_row,
+            _poly_orbit, split_factors,
         ):
             table.cache_clear()
         _interned.clear()

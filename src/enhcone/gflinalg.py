@@ -196,13 +196,6 @@ def _rref_rows(rows: list[list[int]], p: int, ncols: int) -> tuple[list[list[int
     return rows, pivots
 
 
-def rref(m: MatrixGF) -> MatrixGF:
-    """Reduced row echelon form, same shape (zero rows kept at the bottom)."""
-    rows = [list(row) for row in m.rows]
-    rows, _ = _rref_rows(rows, m.p, m.ncols)
-    return _matrix(m.p, tuple(tuple(row) for row in rows), m.ncols)
-
-
 def rank(m: MatrixGF) -> int:
     rows = [list(row) for row in m.rows]
     _, pivots = _rref_rows(rows, m.p, m.ncols)
@@ -295,10 +288,6 @@ class SubspaceGF:
 
     def contains(self, v: Sequence[int]) -> bool:
         return not any(self.reduce(v))
-
-    def contains_subspace(self, other: "SubspaceGF") -> bool:
-        self._check_compatible(other)
-        return all(self.contains(row) for row in other.basis)
 
     def sum(self, other: "SubspaceGF") -> "SubspaceGF":
         self._check_compatible(other)

@@ -18,7 +18,7 @@ fibers._profiles, with no memo and no fixed subspaces, and walk_flags
 lists them, lifted to the ambient space.  unmemoized_fiber_count and
 unmemoized_lambda_fixed_count run walk_count on kernel_step and on
 graded_step, two steps as generators that build every candidate
-afresh and share no table with fibers._graded_step.  kernel_step
+afresh and share no table with the walker.  kernel_step
 quotients by every subspace of ker x with its own kernel, quotient_map,
 apply and push_matrix and no graded code; its pairs carry the zero
 grading (zero_graded) only so that they compare with the walker's.
@@ -61,7 +61,10 @@ dim F[x]v and so shares nothing with the rule classify_pair reads it
 by now, dim x^k V - (m - j_k) for j_k the least j with x^j v in x^k V.
 dense_add, dense_sub and dense_mul are q-polynomial arithmetic on
 plain coefficient lists, index by index, with no trimming: the oracle
-that QPolynomial's +, - and * are checked against.
+that QPolynomial's +, - and * are checked against.  rref, the reduced
+row echelon form of a matrix, and contains_subspace, whether one
+subspace lies in another, left the library when nothing in it read
+them; the tests invert matrices and check enumerations with them.
 """
 
 from __future__ import annotations
@@ -84,6 +87,8 @@ from enhcone.gflinalg import (
     MatrixGF,
     QuotientMap,
     SubspaceGF,
+    _matrix,
+    _rref_rows,
     enumerate_subspaces,
     is_prime,
     kernel,
@@ -533,6 +538,18 @@ def push_matrix_by_columns(qm: QuotientMap, x: MatrixGF) -> MatrixGF:
     cols = [reduce_apply(qm, column(x, c)) for c in qm.nonpivots]
     rows = tuple(tuple(col[t] for col in cols) for t in range(qm.codim))
     return MatrixGF(qm.p, rows, qm.codim)
+
+
+def rref(m: MatrixGF) -> MatrixGF:
+    """Reduced row echelon form, same shape (zero rows kept at the bottom)."""
+    rows, _ = _rref_rows([list(row) for row in m.rows], m.p, m.ncols)
+    return _matrix(m.p, tuple(tuple(row) for row in rows), m.ncols)
+
+
+def contains_subspace(big: SubspaceGF, small: SubspaceGF) -> bool:
+    """Whether small <= big, both in the same GF(p)^n."""
+    big._check_compatible(small)
+    return all(big.contains(row) for row in small.basis)
 
 
 def rref_patterns(k: int, d: int, p: int):

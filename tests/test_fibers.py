@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import operator
@@ -17,7 +18,6 @@ from enhcone.gflinalg import (
     kernel,
     quotient_map,
     rank,
-    rref,
 )
 from enhcone.normalform import (
     GradedPair,
@@ -27,7 +27,7 @@ from enhcone.normalform import (
     normal_pair,
 )
 from enhcone import fibers, gflinalg, normalform
-from enhcone.checks import check_polynomial_count
+from enhcone.checks import check_alpha_partition, check_polynomial_count, check_split_product
 from enhcone.fibers import (
     FiberCache,
     FiberQuery,
@@ -53,6 +53,7 @@ from enhcone.fibers import (
 from oracles import (
     classify_by_centralizer,
     closure_by_count,
+    contains_subspace,
     count_by_transitions,
     dense_add,
     dense_mul,
@@ -68,6 +69,7 @@ from oracles import (
     next_prime_after,
     prime_schedule,
     reduce_apply,
+    rref,
     stabilizer_orbit_dimension,
     transitions,
     unmemoized_fiber_count,
@@ -96,7 +98,7 @@ def brute_fiber_count(q: FiberQuery) -> int:
             yield prefix
             return
         for s in _subspaces(n, p, levels[i]):
-            if prefix and not s.contains_subspace(prefix[-1]):
+            if prefix and not contains_subspace(s, prefix[-1]):
                 continue
             yield from chains(prefix + (s,))
 
@@ -239,8 +241,8 @@ class TestWalkerMemo:
         assert sum(fiber_profiles(q, (), spent.append).values()) == first
         assert sum(spent) == walked > 0
         assert nodes["walker"] == 2 * walked
-        # a count walk keeps no quotient map
-        assert fibers._graded_step.cache_info().currsize == 0
+        # a count walk pushes nothing, so it keeps no quotient map
+        assert fibers._push.cache_info().currsize == 0
         # within a call the memo does replay counts: the plain walker goes further
         dims, j = q.shape.dims, q.shape.marker
         assert walk_count(counting_oracle, zero_graded(q), dims, j) == first
@@ -518,19 +520,20 @@ class TestChildrenTable:
             assert len(children) == len(expected)
 
 
-def assert_step_table_matches(cached_step, oracle_step, reached: set) -> None:
-    """cached_step equals oracle_step, in yield order, on every pair reached
-    from the given ones, each added to reached; a warm entry is the same
-    tuple, and equal quotient pairs within one entry are one object."""
+def assert_step_matches(oracle_step, reached: set) -> None:
+    """fibers._step yields what oracle_step yields, in order, on every pair
+    reached from the given ones, each added to reached; a second call
+    yields it again, and equal quotient pairs are one object."""
     frontier = list(reached)
     while frontier:
         pair = frontier.pop()
         for r1 in range(1, len(pair.v) + 1):
-            step = cached_step(pair, r1)
-            assert isinstance(step, tuple)
-            assert list(step) == list(oracle_step(pair, r1)), (pair, r1)
-            # a warm entry is the same sequence, not a spent generator
-            assert cached_step(pair, r1) is step
+            step = list(fibers._step(pair, r1))
+            assert step == list(oracle_step(pair, r1)), (pair, r1)
+            # each call is a fresh generator, whose pairs are the interned ones
+            again = list(fibers._step(pair, r1))
+            assert again == step
+            assert all(a is b for (_, a), (_, b) in zip(again, step))
             shared = {}
             for _, sub in step:
                 assert shared.setdefault(sub, sub) is sub, (pair, r1, sub)
@@ -540,7 +543,7 @@ def assert_step_table_matches(cached_step, oracle_step, reached: set) -> None:
 
 
 class TestProcessTables:
-    """_graded_step, _kernel_blocks and _push keep exact GF(p) objects for
+    """_kernel_blocks, _push and _children keep exact GF(p) objects for
     the whole process; the counts built from them stay per call."""
 
     def test_kernel_step_matches_generator_oracle(self):
@@ -551,7 +554,7 @@ class TestProcessTables:
                 for p in (2, 3):
                     np_ = normal_pair(b, p)
                     reached.add(GradedPair(np_.x, np_.v, (0,) * n))
-        assert_step_table_matches(fibers._graded_step, kernel_step, reached)
+        assert_step_matches(kernel_step, reached)
         assert len(reached) > 200
 
     def test_graded_step_matches_generator_oracle(self):
@@ -561,36 +564,47 @@ class TestProcessTables:
                 for p in (2, 3):
                     np_ = normal_pair(b, p)
                     reached.add(GradedPair(np_.x, np_.v, np_.weights))
-        assert_step_table_matches(fibers._graded_step, graded_step, reached)
+        assert_step_matches(graded_step, reached)
         assert len(reached) > 200
 
-    def test_kernel_step_shares_equal_quotients(self):
+    def test_kernel_step_shares_equal_quotients(self, clean_cache):
         # the four lines of ker x at the zero pair of GF(3)^2 leave four
-        # quotients (0, 0): one object, held four times
+        # quotients (0, 0): one object, one child of multiplicity four
         np_ = normal_pair(bipartition((), (1, 1)), 3)
-        step = fibers._graded_step(GradedPair(np_.x, np_.v, (0, 0)), 1)
+        pair = GradedPair(np_.x, np_.v, (0, 0))
+        step = list(fibers._step(pair, 1))
         assert len(step) == 4
         assert len({id(sub) for _, sub in step}) == 1
+        candidates, ((sub, pushed, first, mult),) = fibers._children(pair, (), 1)
+        assert (candidates, pushed, first, mult) == (4, (), ((),), 4)
+        assert sub is step[0][1]
+        # against a line S the line W_1 = S leaves a child of its own, but
+        # the quotient pair of both children is the same object
+        line = SubspaceGF.coordinate([0], 2, 3)
+        candidates, children = fibers._children(pair, (line,), 1)
+        assert candidates == 4
+        assert sorted((first, mult) for _, _, first, mult in children) == [(((0,),), 3), (((1,),), 1)]
+        assert all(child[0] is sub for child in children)
 
     def test_steps_share_equal_quotients_across_steps(self, clean_cache):
         # a line of the zero pair on GF(3)^2 and a plane of the zero pair
         # on GF(3)^3 both leave the zero pair on GF(3)^1: one object
-        steps = [
-            fibers._graded_step(GradedPair(np_.x, np_.v, (0,) * np_.n), r1)
+        entries = [
+            fibers._children(GradedPair(np_.x, np_.v, (0,) * np_.n), (), r1)[1]
             for np_, r1 in (
                 (normal_pair(bipartition((), (1, 1)), 3), 1),
                 (normal_pair(bipartition((), (1, 1, 1)), 3), 2),
             )
         ]
-        (first,), (second,) = ({id(sub) for _, sub in step} for step in steps)
-        assert first == second
-        assert steps[0][0][1] == GradedPair(MatrixGF.zeros(1, 1, 3), (0,), (0,))
-        # and so do steps under the normal grading, across their own keys
+        ((first, *_),), ((second, *_),) = entries
+        assert first is second
+        assert first == GradedPair(MatrixGF.zeros(1, 1, 3), (0,), (0,))
+        # and so do nodes under the normal grading, across their own keys
         graded = [
-            fibers._graded_step(normal_pair(bipartition((), (1,) * n), 3).pair, n - 1)
+            fibers._children(normal_pair(bipartition((), (1,) * n), 3).pair, (), n - 1)[1]
             for n in (2, 3)
         ]
-        assert len({id(sub) for step in graded for _, sub in step}) == 1
+        assert len({id(sub) for children in graded for sub, *_ in children}) == 1
         assert fibers._interned
         fiber_cache().clear()
         assert not fibers._interned
@@ -626,10 +640,12 @@ class TestProcessTables:
         monkeypatch.setattr(normalform, "kernel", counting)
         np_ = normal_pair(bipartition((1,), (2, 1)), 3)
         zeros = (0,) * np_.n
+        line = SubspaceGF.coordinate([0], np_.n, 3)
         for v in (np_.v, zeros):
-            for r1 in (1, 2, 3):
-                fibers._graded_step(GradedPair(np_.x, v, zeros), r1)
-        assert fibers._graded_step.cache_info().currsize == 6
+            for subspaces in ((), (line,)):
+                for r1 in (1, 2, 3):
+                    fibers._children(GradedPair(np_.x, v, zeros), subspaces, r1)
+        assert fibers._children.cache_info().currsize == 12
         # the zero grading has one block, whose matrix is x itself
         assert calls == Counter({np_.x: 1})
         blocks = fibers._kernel_blocks(np_.x, zeros)
@@ -673,11 +689,10 @@ class TestProcessTables:
         assert cached_children.cache_info().hits > nodes.hits
 
     def test_counts_stay_per_call_on_warm_tables(self, monkeypatch):
-        cached_step, node_children = fibers._graded_step, fibers._children
+        node_children = fibers._children
         candidates = count_walker_candidates(monkeypatch)
         q = FiberQuery.over_orbit(bipartition((), (2, 1, 1)), bipartition((4,), ()), 3)
         filtrations = weight_filtrations(q)
-        cached_step.cache_clear()
         fibers._push.cache_clear()
         node_children.cache_clear()
         cold = []
@@ -685,18 +700,16 @@ class TestProcessTables:
         assert sum(cold) == candidates["yielded"] > 0
         assert sum(hist.values()) == unmemoized_lambda_fixed_count(q) > 0
         assert len(hist) > 1
-        steps, pushes = cached_step.cache_info(), fibers._push.cache_info()
-        nodes = node_children.cache_info()
-        assert steps.misses > 0 and pushes.misses > 0 and nodes.misses > 0
+        pushes, nodes = fibers._push.cache_info(), node_children.cache_info()
+        assert pushes.misses > 0 and nodes.misses > 0
         # the second call finds every node's children in the table, so it
-        # reads no step and pushes nothing, yet spends as many nodes: the
-        # histogram memo is its own
+        # pushes nothing, yet spends as many nodes: the histogram memo is
+        # its own
         warm = []
         assert lambda_fixed_profiles(q, filtrations, warm.append) == hist
         assert warm == cold
         assert node_children.cache_info().misses == nodes.misses
         assert node_children.cache_info().hits > nodes.hits
-        assert cached_step.cache_info() == steps
         assert fibers._push.cache_info() == pushes
         # count_lambda_fixed expands as many candidates on every call
         candidates.clear()
@@ -705,8 +718,21 @@ class TestProcessTables:
         assert count_lambda_fixed(q) == first == sum(hist.values())
         assert candidates["yielded"] == 2 * walked > 0
         assert node_children.cache_info().misses == counted.misses
-        # and reads no step: its children come straight from the enumeration
-        assert cached_step.cache_info() == steps
+        # and pushes nothing: its nodes carry no subspaces
+        assert fibers._push.cache_info() == pushes
+
+    def test_only_the_push_table_keeps_quotient_maps(self, clean_cache):
+        # the alpha and split walks build a quotient map for every
+        # candidate W_1, and no table but _push keeps one
+        for n in range(5):
+            for big, small in closure_pairs(n):
+                assert check_alpha_partition(big, small).passed, (str(big), str(small))
+                if not is_distinguished(small):
+                    assert check_split_product(small, big, 2).passed, (str(big), str(small))
+        assert fibers._push.cache_info().currsize > 0
+        fibers._push.cache_clear()
+        gc.collect()
+        assert not any(isinstance(obj, gflinalg.QuotientMap) for obj in gc.get_objects())
 
 
 class TestSpringerBenchmarks:
@@ -774,7 +800,7 @@ class TestMemo:
         # 1,238 nodes under the zero grading, of which 165 are distinct
         # (pair, (), r1) keys, on the kernels of 18 distinct matrices;
         # their 472 candidates leave 254 distinct children, and a count
-        # walk keeps no step, so no quotient map
+        # walk pushes nothing, so it keeps no quotient map
         cached_children = fibers._children
         entries = record_children(monkeypatch)
         for n in range(5):
@@ -784,7 +810,7 @@ class TestMemo:
         assert (info.misses, info.hits, info.currsize) == (165, 1073, 165)
         assert sum(candidates for candidates, _ in entries.values()) == 472
         assert sum(len(children) for _, children in entries.values()) == 254
-        assert fibers._graded_step.cache_info().currsize == 0
+        assert fibers._push.cache_info().currsize == 0
         assert fibers._kernel_blocks.cache_info().currsize == 18
 
     def test_persistence_roundtrip(self, tmp_path, clean_cache):
@@ -811,7 +837,6 @@ class TestMemo:
         tables = {
             "orbit_pair": normalform.orbit_pair,
             "_kernel_blocks": fibers._kernel_blocks,
-            "_graded_step": fibers._graded_step,
             "_push": fibers._push,
             "_children": fibers._children,
             "_symbolic_row": fibers._symbolic_row,
@@ -1094,7 +1119,7 @@ class TestTransitionClassification:
                     np_ = normal_pair(b, p)
                     pair = GradedPair(np_.x, np_.v, (0,) * n)
                     for r1 in range(1, n + 1):
-                        subs = {sub for _, sub in fibers._graded_step(pair, r1)}
+                        subs = {sub for _, sub in fibers._step(pair, r1)}
                         for sub in subs:
                             assert classify_pair(sub.v, sub.x) == classify_by_centralizer(
                                 sub.v, sub.x

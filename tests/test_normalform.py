@@ -37,6 +37,7 @@ from oracles import (
     orbit_map_tangent_surjective,
     push_matrix_by_columns,
     reduce_apply,
+    rref,
 )
 
 
@@ -183,8 +184,6 @@ def invert_gf(g: MatrixGF) -> MatrixGF:
         [list(g.rows[r]) + [1 if c == r else 0 for c in range(n)] for r in range(n)],
         p,
     )
-    from enhcone.gflinalg import rref
-
     r = rref(aug)
     return MatrixGF.from_rows([row[n:] for row in r.rows], p)
 
