@@ -94,8 +94,6 @@ class MatrixGF:
             if not tup:
                 raise ValueError("ncols required for a matrix with no rows")
             ncols = len(tup[0])
-        if any(len(row) != ncols for row in tup):
-            raise ValueError("ragged rows")
         return cls(p, tup, ncols)
 
     @classmethod

@@ -247,8 +247,8 @@ class TestAlphaPartitionFaults:
 class TestWalkerMultiplicityFault:
     """A walker that walks each distinct child once but reads every
     multiplicity as 1 fails the checks that read its counts.
-    check_kernel_recursion compares the walker with itself, so it is no
-    guard against such a fault."""
+    check_kernel_recursion runs no walker, so it is no guard against
+    such a fault; it guards the first-step enumerator instead."""
 
     def test_each_check_catches_multiplicity_one(self, monkeypatch):
         cached_children = fibers._children
@@ -449,13 +449,14 @@ class TestKernelRecursion:
         b = bipartition((2,), (1,))
         rep = check_kernel_recursion(b, flag_shape(b), 2)
         assert rep.passed
-        assert rep.witness["lhs"] == rep.witness["rhs"]
+        assert rep.witness == {"kernel_weight_multiplicities": {1: 1}, "first_steps": 1}
 
     def test_oversized_first_step_gives_zero(self):
+        # one kernel line has no 2-dimensional subspace: comb(1, 2) = 0
         b = bipartition((2,), (1,))
         rep = check_kernel_recursion(b, FlagShape((0, 2, 3), 1), 2)
         assert rep.passed
-        assert rep.witness["lhs"] == rep.witness["rhs"] == 0
+        assert rep.witness["first_steps"] == 0
 
     def test_rejects_marker_zero(self):
         b = bipartition((2,), (1,))
@@ -478,6 +479,30 @@ class TestKernelRecursion:
                 for p in (2, 3):
                     rep = check_kernel_recursion(small, shape, p)
                     assert rep.passed, (str(big), str(small), p, rep.witness)
+
+    @staticmethod
+    def kernel_reports(n):
+        return [thunk() for _, thunk in suite_instances(n, ("kernel",))]
+
+    def test_no_walker_runs(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("the kernel check ran the fiber walker")
+
+        monkeypatch.setattr(fibers, "_profiles", no_walk)
+        reports = self.kernel_reports(5)
+        assert len(reports) == 52
+        assert all(rep.passed for rep in reports)
+
+    def test_every_item_catches_a_dropped_first_step(self, monkeypatch, clean_cache):
+        # an enumerator that loses its last candidate, wherever it is read
+        def drop_last(blocks, d, _original=normalform.enumerate_graded_subspaces):
+            return iter(list(_original(blocks, d))[:-1])
+
+        for module in (checks, fibers):
+            monkeypatch.setattr(module, "enumerate_graded_subspaces", drop_last)
+        reports = self.kernel_reports(5)
+        assert len(reports) == 52
+        assert all(rep.verdict == "fail" for rep in reports)
 
 
 class TestNormalPairTable:

@@ -221,6 +221,14 @@ class TestCheckCommand:
         rows = csv_rows(out)
         assert any(r["verdict"] == "budget-exceeded" for r in rows)
 
+    def test_kernel_check_spends_no_budget(self, capsys):
+        code, out = run_cli(
+            capsys, "check", "--n", "4", "--checks", "kernel", "--budget", "1", "--format", "json"
+        )
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary["passed"] == summary["total"] == 25
+
     def test_walker_budget_exhaustion_exits_nonzero(self, capsys):
         code, out = run_cli(
             capsys, "check", "--n", "2", "--checks", "alpha,split", "--budget", "2"

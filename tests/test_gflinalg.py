@@ -91,6 +91,8 @@ class TestMatrix:
         for rows in (((1, 0), (1,)), ((1, 0, 1), (1, 0))):
             with pytest.raises(ValueError, match="ragged"):
                 MatrixGF(2, rows, 2)
+            with pytest.raises(ValueError, match="ragged"):
+                MatrixGF.from_rows(rows, 2)
         for entry in (0.5, 1.0, "1"):
             with pytest.raises(TypeError):
                 MatrixGF(2, ((entry, 1),), 2)

@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enhcone.combinatorics import bipartition, bipartitions, flag_shape, is_distinguished
-from enhcone.fibers import FiberQuery, count_fiber, count_fiber_memo
+from enhcone.combinatorics import FlagShape, bipartition, bipartitions, flag_shape, is_distinguished
+from enhcone.fibers import FiberQuery, closure_pairs, count_fiber, count_fiber_memo, count_lambda_fixed
 from enhcone.gflinalg import MatrixGF, QuotientMap, SubspaceGF, enumerate_subspaces, quotient_map, rank
 from enhcone.normalform import (
     Decomposition,
@@ -19,6 +19,7 @@ from enhcone.normalform import (
     explicit_decomposition,
     graded_kernel_blocks,
     graded_projection,
+    graded_quotient,
     graded_span,
     jordan_type,
     normal_pair,
@@ -38,6 +39,7 @@ from oracles import (
     push_matrix_by_columns,
     reduce_apply,
     rref,
+    unmemoized_lambda_fixed_count,
 )
 
 
@@ -534,6 +536,42 @@ class TestGradedPieces:
                             assert qm.apply(pair.v) == reduce_apply(qm, pair.v)
                             assert qm.push_matrix(pair.x) == push_matrix_by_columns(qm, pair.x)
         assert seen == 8252
+
+    def test_first_steps_are_sums_of_kernel_lines(self):
+        # the recursion behind the kernel check: at a distinguished pair
+        # with nonzero v-part, the graded r_1-subspaces are the sums of r_1
+        # kernel lines, and the graded count is the sum over them of the
+        # counts of the quotients with the reduced shape, here by the
+        # unmemoized oracle walk, which reads none of the walker's tables
+        cases = 0
+        for n in range(5):
+            for big, small in closure_pairs(n):
+                shape = flag_shape(big)
+                if not is_distinguished(small) or small.first.length == 0 or shape.marker == 0:
+                    continue
+                r1 = shape.dims[1]
+                rest = FlagShape(tuple(r - r1 for r in shape.dims[1:]), shape.marker - 1)
+                for p in (2, 3):
+                    cases += 1
+                    np_ = normal_pair(small, p)
+                    blocks = graded_kernel_blocks(np_.pair)
+                    lines = [(coords, piece) for _, coords, piece in blocks if piece.dim == 1]
+                    subsets = list(itertools.combinations(lines, r1))
+                    listed = {graded_span(sel, n, p) for sel in enumerate_graded_subspaces(blocks, r1)}
+                    assert listed == {
+                        SubspaceGF.span(
+                            [[dict(zip(coords, line.basis[0])).get(c, 0) for c in range(n)] for coords, line in subset],
+                            n,
+                            p,
+                        )
+                        for subset in subsets
+                    }
+                    terms = []
+                    for subset in subsets:
+                        _, sub = graded_quotient(np_.pair, subset)
+                        terms.append(unmemoized_lambda_fixed_count(FiberQuery(sub.v, sub.x, rest, sub.weights)))
+                    assert count_lambda_fixed(FiberQuery.of(np_, shape)) == sum(terms), (str(big), str(small), p)
+        assert cases == 50
 
     def test_grading_read_off_the_rref_basis(self):
         # every subspace of GF(p)^n against every grading by {0, 1}
