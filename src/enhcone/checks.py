@@ -384,20 +384,21 @@ def check_split_product(
     when they sum to dim W_i.  The factor on V1 is the pair induced on
     V / V2, and that on V2 the pair on V / V1; a splitting that
     decomposition_failures rejects fails the check with its violations.
-    The normal pair, the splitting and the factor pairs come from the
-    process table split_factors; the splitting is checked and every
-    count made on each call, and each distinct factor query is counted
-    once per call.  The budget caps the candidates W_1 the walker expands."""
+    The normal pair, the splitting, its violations and the factor pairs
+    come from the process table split_factors, which validates each
+    splitting once per (b, p); every count is made on each call, and
+    each distinct factor query is counted once per call.  The budget
+    caps the candidates W_1 the walker expands."""
     started = time.perf_counter()
     if is_distinguished(b):
         raise ValueError(f"{b} is distinguished; the splitting step does not apply")
     if b.n != big.n:
         raise ValueError("bipartitions must have equal total size")
     inputs = {"b": _bp_json(b), "big": _bp_json(big), "p": p}
-    np_, dec, pair1, pair2 = split_factors(b, p)
-    bad = decomposition_failures(np_.pair, dec)
+    np_, dec, bad, pair1, pair2 = split_factors(b, p)
     if bad:
-        return _report("split-product", inputs, FAIL, {"splitting_violations": bad}, started)
+        witness = {"splitting_violations": list(bad)}
+        return _report("split-product", inputs, FAIL, witness, started)
     shape = flag_shape(big)
     j = shape.marker
     q = FiberQuery.of(np_, shape)

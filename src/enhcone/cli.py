@@ -17,7 +17,6 @@ one JSON object on stdout: {"schema": ..., "error": {"exit_code": 3,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -90,6 +89,12 @@ def _emit(fmt: str, payload: dict, columns: list[str], rows: list[dict], out) ->
 
 
 def _witness_digest(witness: dict) -> str:
+    """The first 12 hex digits of the SHA-256 of the witness's canonical
+    JSON.  hashlib is imported here, not at module level: it loads
+    OpenSSL's libcrypto, about 3.6 MiB of resident memory, and only the
+    CSV rows of `check` read a digest."""
+    import hashlib
+
     blob = json.dumps(witness, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 

@@ -71,12 +71,18 @@ subspaces ker x & im x^k and ker x & (im x^k + F[x]v), which a basis of
 ker x splits into coordinate subspaces, and the W in each position
 number a product of q-binomials and powers of q.  No row reads a prime
 field.  A row's entries sum to the q-binomial [dim ker x choose r_1]_q;
-a row that does not raises InterpolationError.  A count over GF(p) is
-its polynomial at q = p: count_fiber_memo classifies the query's pair
-once and evaluates P there.  A row that raises is not kept.  The
-FiberCache of fiber_cache() holds only the counts of count_fiber_memo,
-which a count file saves and loads; its clear() empties them and every
-table above, but not q_binomial and q_power.
+a row that does not raises InterpolationError.  A row reads its cells,
+its line ranks and the orbit of each pair of rank sequences off the
+process tables _schubert_cells, _line_ranks and _row_orbit, keyed by
+tuples of small integers.  A count over GF(p) is its polynomial at
+q = p: count_fiber_memo classifies the query's pair once and evaluates
+P there.  A row that raises is not kept.  The FiberCache of
+fiber_cache() holds only the counts of count_fiber_memo, which a count
+file saves and loads; its clear() empties them and every table above,
+but not the closed-form tables q_binomial, q_power, _schubert_cells,
+_line_ranks and _row_orbit: they read no prime field and no pair, and
+after the polynomial sweep over n <= 8 the last three hold about
+0.5 MiB.
 
 Fiber counts decide only fiber polynomials: closure_contains reads the
 closure order off two bipartitions in closed form, and the test suite
@@ -93,7 +99,6 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .combinatorics import Bipartition, FlagShape, bipartitions, flag_shape
@@ -331,9 +336,10 @@ class FiberCache:
     count_fiber_memo returned, which `save`/`load` persist.  `clear()`
     empties it and the process tables of the module docstring:
     normalform.orbit_pair, _kernel_blocks, _push, _children, _symbolic_row,
-    _poly_orbit, normalform.split_factors and _interned.
-    `stats` counts lookups in the count table and in _poly_orbit, and
-    their entries.
+    _poly_orbit, normalform.split_factors and _interned.  It keeps the
+    closed-form tables q_binomial, q_power, _schubert_cells, _line_ranks
+    and _row_orbit.  `stats` counts lookups in the count table and in
+    _poly_orbit, and their entries.
     """
 
     FORMAT = 1
@@ -556,8 +562,11 @@ def interpolate_qpoly(samples: Mapping[int, int], degree_bound: int) -> QPolynom
     Raises ValueError when fewer than degree_bound + 1 samples are given
     and InterpolationError when the interpolant has non-integral
     coefficients or exceeds the bound -- a falsification signal, never
-    swallowed.
+    swallowed.  fractions is imported here, not at module level: it
+    loads decimal too, and nothing in the package calls this function.
     """
+    from fractions import Fraction
+
     points = sorted(samples.items())
     if len(points) < degree_bound + 1:
         raise ValueError(
@@ -685,7 +694,10 @@ def _transition_row(b: Bipartition, r: int) -> dict:
     and L & B_k is the span F_t of the first t lines.  W is its projection
     W' to H (_schubert_cells), W_L = W & L and phi: W' -> L/W_L
     (_line_ranks), and dim(W & A_k) = dim(W_L & A_k) + dim(W' & A_k) -
-    rank(phi: W' & A_k -> L/(L & A_k + W_L)), and the same for B_k."""
+    rank(phi: W' & A_k -> L/(L & A_k + W_L)), and the same for B_k.
+    Many rows share their cells, their line ranks and their pairs of
+    rank sequences, so all three are read off process tables over
+    tuples (_schubert_cells, _line_ranks and _row_orbit)."""
     mu, nu, top = b.first, b.second, b.row_length(1)  # A_top = 0, B_top = K & F[x]v
     rows = range(1, b.row_count + 1)
     h, lines = [0] * top, []
@@ -704,26 +716,36 @@ def _transition_row(b: Bipartition, r: int) -> dict:
     rank_v = [sum(max(b.row_length(i) - k, 0) for i in rows) for k in range(top + 1)]
     rank_u = [sum(max(a - k, 0) for a in kappa) for k in range(top + 1)]
     row: dict = {}
-    for c, cells in _schubert_cells(h, r):
+    for c, cells in _schubert_cells(tuple(h), r):
         for ranks, maps in _line_ranks(c, len(lines), r - c[0]):
             # ranks[t] = (dim W_L - dim(W_L & F_t), ranks of phi modulo F_t)
             in_w_a, in_w_b = (
                 [r - c[0] - ranks[t[k]][0] + c[k] - ranks[t[k]][1][k] for k in range(top + 1)]
                 for t in (in_a, in_b)
             )
-            b2 = _orbit_of_ranks(
-                [a - d for a, d in zip(rank_v, in_w_a)],
-                [a - d + in_w_b[-1] for a, d in zip(rank_u, in_w_b)],
+            b2 = _row_orbit(
+                tuple([a - d for a, d in zip(rank_v, in_w_a)]),
+                tuple([a - d + in_w_b[-1] for a, d in zip(rank_u, in_w_b)]),
             )
             row[b2] = row.get(b2, ZERO) + cells * maps
     return row
 
 
-def _schubert_cells(h: Sequence[int], most: int) -> list[tuple[tuple[int, ...], QPolynomial]]:
+@functools.lru_cache(maxsize=None)
+def _row_orbit(ranks: tuple[int, ...], quotient_ranks: tuple[int, ...]) -> Bipartition:
+    """_orbit_of_ranks, built once per pair of rank sequences in a process
+    for the transition rows.  classify_pair calls _orbit_of_ranks itself,
+    so that classification keeps no table."""
+    return _orbit_of_ranks(ranks, quotient_ranks)
+
+
+@functools.lru_cache(maxsize=None)
+def _schubert_cells(h: tuple[int, ...], most: int) -> tuple[tuple[tuple[int, ...], QPolynomial], ...]:
     """The subspaces W' of dimension at most `most` of a space with h[k]
     basis vectors at level k, by Schubert cell: (c, count), c[k] =
     dim(W' & levels >= k), count = prod over k of [h_k choose s_k]_q
-    q^(s_k (e_(k+1) - c_(k+1))), s_k = c_k - c_(k+1), e_k = h_k + h_(k+1) + ..."""
+    q^(s_k (e_(k+1) - c_(k+1))), s_k = c_k - c_(k+1), e_k = h_k + h_(k+1) + ...
+    Built once per (h, most) in a process."""
     cells = [((0,), ONE)]
     above = 0  # e_(k+1)
     for k in range(len(h) - 1, -1, -1):
@@ -733,33 +755,35 @@ def _schubert_cells(h: Sequence[int], most: int) -> list[tuple[tuple[int, ...], 
             for s in range(min(h[k], most - c[0]) + 1)
         ]
         above += h[k]
-    return cells
+    return tuple(cells)
 
 
-def _line_ranks(c: Sequence[int], n_lines: int, n_jumps: int) -> list[tuple[list, QPolynomial]]:
+@functools.lru_cache(maxsize=None)
+def _line_ranks(c: tuple[int, ...], n_lines: int, n_jumps: int) -> tuple[tuple[tuple, QPolynomial], ...]:
     """The pairs (W_L, phi), dim W_L = n_jumps and dim(W' & A_k) = c[k], by
     position: (ranks, count), ranks[t] = (the pivots of W_L after line t,
     the ranks on each W' & A_k of the rows of phi after line t).  Each
     line, from the last, is a pivot of W_L or a row of phi, free at the
     pivots after it.  A row raises the rank rho_k of the rows after it on
     W' & A_k exactly for the k up to some j, and q^(rho_(j+1) + N -
-    c_(j+1)) - q^(rho_j + N - c_j) rows do so, N = dim W'."""
-    paths = [([(0, (0,) * len(c))], ONE)]
+    c_(j+1)) - q^(rho_j + N - c_j) rows do so, N = dim W'.  Built once per
+    (c, n_lines, n_jumps) in a process."""
+    paths = [(((0, (0,) * len(c)),), ONE)]
     for _ in range(n_lines):
         grown = []
         for ranks, count in paths:
             after, rho = ranks[0]
             if after < n_jumps:
-                grown.append(([(after + 1, rho)] + ranks, count))
+                grown.append((((after + 1, rho),) + ranks, count))
             lower = ZERO
             for j in range(-1, len(c) - 1):
                 upper = q_power(rho[j + 1] + c[0] - c[j + 1])
                 if upper != lower:
                     raised = tuple(a + (k <= j) for k, a in enumerate(rho))
-                    grown.append(([(after, raised)] + ranks, count * q_power(after) * (upper - lower)))
+                    grown.append((((after, raised),) + ranks, count * q_power(after) * (upper - lower)))
                 lower = upper
         paths = grown
-    return [(ranks, count) for ranks, count in paths if ranks[0][0] == n_jumps]
+    return tuple([(ranks, count) for ranks, count in paths if ranks[0][0] == n_jumps])
 
 
 # ---------------------------------------------------------------------------

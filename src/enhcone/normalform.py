@@ -521,13 +521,17 @@ def explicit_decomposition(np: NormalPair) -> Decomposition:
 
 class SplitFactors(NamedTuple):
     """The normal pair of a non-distinguished bipartition, its explicit
-    splitting V1 (+) V2, and the graded factor pairs induced on V / V2
-    (the factor on V1) and on V / V1 (the factor on V2)."""
+    splitting V1 (+) V2, the splitting conditions that the splitting
+    violates (decomposition_failures, as a tuple), and the graded factor
+    pairs induced on V / V2 (the factor on V1) and on V / V1 (the factor
+    on V2).  A factor pair means something only for a valid splitting,
+    so both are None when failures is not empty."""
 
     normal: NormalPair
     splitting: Decomposition
-    factor_v1: GradedPair
-    factor_v2: GradedPair
+    failures: tuple[str, ...]
+    factor_v1: GradedPair | None
+    factor_v2: GradedPair | None
 
 
 @lru_cache(maxsize=None)
@@ -542,15 +546,19 @@ def orbit_pair(b: Bipartition, p: int) -> NormalPair:
 def split_factors(b: Bipartition, p: int) -> SplitFactors:
     """The split check's set-up for b over GF(p), built once per (b, p) in
     a process: the check splits each small orbit under every big one.
-    The entry holds exact objects that depend on (b, p) alone and no
-    count; decomposition_failures is left to the caller, since a factor
-    pair means something only for a valid splitting.  A distinguished b
-    raises ValueError, and no entry is kept."""
+    The splitting is validated here, once, by decomposition_failures,
+    and the factor pairs are built only when it passes.  The entry holds
+    exact objects that depend on (b, p) alone and no count.  A
+    distinguished b raises ValueError, and no entry is kept."""
     np_ = orbit_pair(b, p)
     dec = explicit_decomposition(np_)
+    failures = tuple(decomposition_failures(np_.pair, dec))
+    if failures:
+        return SplitFactors(np_, dec, failures, None, None)
     return SplitFactors(
         np_,
         dec,
+        failures,
         quotient_pair(np_.pair, quotient_map(dec.v2)),
         quotient_pair(np_.pair, quotient_map(dec.v1)),
     )

@@ -354,8 +354,9 @@ class TestSplitProduct:
         assert warm_nodes == cold_nodes > 0
         info = normalform.split_factors.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        np_, dec, pair1, pair2 = normalform.split_factors(small, 2)
+        np_, dec, failures, pair1, pair2 = normalform.split_factors(small, 2)
         assert np_ == normal_pair(small, 2) and dec == explicit_decomposition(np_)
+        assert failures == ()
         assert pair1 == quotient_pair(np_.pair, quotient_map(dec.v2))
         assert pair2 == quotient_pair(np_.pair, quotient_map(dec.v1))
         fibers.fiber_cache().clear()
@@ -442,6 +443,42 @@ class TestSplitProduct:
         assert code == 1
         assert failed and all(r["inputs"]["b"] == {"mu": [1], "nu": [1, 1]} for r in failed)
         assert all(r["witness"] == rep.witness for r in failed)
+
+    def test_bad_splitting_is_validated_once_per_orbit(self, monkeypatch, clean_cache):
+        # every split item of b reads the violations of the table's entry;
+        # the splitting is validated once, and clear() drops the entry
+        b = bipartition((1,), (1, 1))
+        bad = Decomposition(
+            SubspaceGF.coordinate((0, 1), 3, 2), SubspaceGF.span([(1, 0, 1)], 3, 2)
+        )
+        validated = []
+
+        def injected(np_):
+            return bad if (np_.bipartition, np_.p) == (b, 2) else explicit_decomposition(np_)
+
+        def counting(pair, dec, _original=normalform.decomposition_failures):
+            validated.append(dec)
+            return _original(pair, dec)
+
+        monkeypatch.setattr(normalform, "explicit_decomposition", injected)
+        monkeypatch.setattr(normalform, "decomposition_failures", counting)
+        bigs = [big for big, small in closure_pairs(3) if small == b]
+        assert len(bigs) > 1
+        reports = [check_split_product(b, big, 2) for big in bigs]
+        assert all(r.verdict == "fail" for r in reports)
+        assert all(r.witness == {"splitting_violations": ["V2 not weight-graded"]} for r in reports)
+        assert validated == [bad]
+        entry = normalform.split_factors(b, 2)
+        assert entry.failures == ("V2 not weight-graded",)
+        assert entry.factor_v1 is None and entry.factor_v2 is None
+        # a report's witness is its own list, not the table's
+        reports[0].witness["splitting_violations"].append("edited")
+        assert check_split_product(b, bigs[0], 2).witness == reports[1].witness
+        fibers.fiber_cache().clear()
+        assert normalform.split_factors.cache_info().currsize == 0
+        monkeypatch.setattr(normalform, "explicit_decomposition", explicit_decomposition)
+        assert all(check_split_product(b, big, 2).passed for big in bigs)
+        assert len(validated) == 2
 
 
 class TestKernelRecursion:

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,27 @@ def run_cli(capsys, *args):
 
 def csv_rows(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+class TestStartUp:
+    def test_import_loads_no_digest_or_rational_modules(self):
+        # hashlib loads OpenSSL's libcrypto and fractions loads decimal,
+        # about 4 MiB of peak RSS in every process; only the CSV witness
+        # digest and interpolate_qpoly read them, so they import them
+        # where they run, in a fresh interpreter without site packages
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import enhcone, enhcone.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        assert "enhcone.cli" in out and "enhcone.fibers" in out
+        assert not {"hashlib", "_hashlib", "fractions", "decimal"} & set(out)
 
 
 class TestOrbits:

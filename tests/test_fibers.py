@@ -10,7 +10,14 @@ from functools import lru_cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from enhcone.combinatorics import FlagShape, bipartition, bipartitions, flag_shape, is_distinguished
+from enhcone.combinatorics import (
+    Bipartition,
+    FlagShape,
+    bipartition,
+    bipartitions,
+    flag_shape,
+    is_distinguished,
+)
 from enhcone.gflinalg import (
     MatrixGF,
     SubspaceGF,
@@ -845,14 +852,21 @@ class TestMemo:
         }
         # every lru_cache table that fibers reaches, but the pure
         # arithmetic and combinatorics ones, which clear() keeps
+        kept = {
+            "q_binomial": q_binomial,
+            "q_power": q_power,
+            "_schubert_cells": fibers._schubert_cells,
+            "_line_ranks": fibers._line_ranks,
+            "_row_orbit": fibers._row_orbit,
+        }
         cached = {name for name, f in vars(fibers).items() if hasattr(f, "cache_clear")}
-        assert cached - {"q_binomial", "q_power", "flag_shape"} == set(tables)
+        assert cached - {"flag_shape"} == set(tables) | set(kept)
         assert all(table.cache_info().currsize > 0 for table in tables.values())
         assert fibers._interned
         fiber_cache().clear()
         assert {name: table.cache_info().currsize for name, table in tables.items()} == dict.fromkeys(tables, 0)
         assert not fibers._interned
-        assert q_binomial.cache_info().currsize > 0 and q_power.cache_info().currsize > 0
+        assert all(table.cache_info().currsize > 0 for table in kept.values())
 
     def test_clear_empties_symbolic_tables(self, monkeypatch, clean_cache):
         cache = fiber_cache()
@@ -1303,6 +1317,58 @@ class TestSymbolicTable:
             for big, small in closure_pairs(n):
                 fiber_polynomial(big, small)
         assert calls == Counter()
+
+
+ROW_TABLES = ("_schubert_cells", "_line_ranks", "_row_orbit")
+
+
+class TestRowTables:
+    """The transition rows read their cells, line ranks and orbits off
+    process tables over tuples, which FiberCache.clear() keeps."""
+
+    PAIRS = [pair for n in range(6) for pair in closure_pairs(n)]
+
+    def sweep(self) -> list:
+        fiber_cache().clear()  # the rows and polynomials, not the row tables
+        return [fiber_polynomial(big, small) for big, small in self.PAIRS]
+
+    def test_cold_and_warm_tables_give_the_same_polynomials(self, monkeypatch, clean_cache):
+        tables = {name: getattr(fibers, name) for name in ROW_TABLES}
+        for name, table in tables.items():
+            monkeypatch.setattr(fibers, name, table.__wrapped__)
+        untabled = self.sweep()
+        monkeypatch.undo()
+        for table in tables.values():
+            table.cache_clear()
+        cold = self.sweep()
+        infos = {name: table.cache_info() for name, table in tables.items()}
+        assert all(info.currsize > 0 and info.hits > 0 for info in infos.values())
+        warm = self.sweep()
+        assert warm == cold == untabled
+        # the warm sweep built no entry: it read every part off the tables
+        assert {name: table.cache_info().misses for name, table in tables.items()} == {
+            name: info.misses for name, info in infos.items()
+        }
+
+    def test_cached_values_are_immutable(self, monkeypatch, clean_cache):
+        returned = {name: [] for name in ROW_TABLES}
+        for name in ROW_TABLES:
+            def recording(*args, _table=getattr(fibers, name), _seen=returned[name]):
+                value = _table(*args)
+                assert _table(*args) is value
+                _seen.append(value)
+                return value
+
+            monkeypatch.setattr(fibers, name, recording)
+        self.sweep()
+        assert all(returned.values())
+        assert all(type(cells) is tuple for cells in returned["_schubert_cells"])
+        assert all(type(paths) is tuple for paths in returned["_line_ranks"])
+        assert all(type(b) is Bipartition for b in returned["_row_orbit"])
+        # a value that holds a list or a dict anywhere has no hash
+        for values in returned.values():
+            for value in values:
+                hash(value)
 
 
 class TestFlagEnumeration:
