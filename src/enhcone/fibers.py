@@ -82,7 +82,9 @@ file saves and loads; its clear() empties them and every table above,
 but not the closed-form tables q_binomial, q_power, _schubert_cells,
 _line_ranks and _row_orbit: they read no prime field and no pair, and
 after the polynomial sweep over n <= 8 the last three hold about
-0.5 MiB.
+0.5 MiB.  Nor does it empty gflinalg._packed_layout, the packed-vector
+layout of each (n, p) that classification reads: one small entry per
+size and prime, which holds no pair.
 
 Fiber counts decide only fiber polynomials: closure_contains reads the
 closure order off two bipartitions in closed form, and the test suite
@@ -338,8 +340,9 @@ class FiberCache:
     normalform.orbit_pair, _kernel_blocks, _push, _children, _symbolic_row,
     _poly_orbit, normalform.split_factors and _interned.  It keeps the
     closed-form tables q_binomial, q_power, _schubert_cells, _line_ranks
-    and _row_orbit.  `stats` counts lookups in the count table and in
-    _poly_orbit, and their entries.
+    and _row_orbit, and classification's packed-vector layouts,
+    gflinalg._packed_layout.  `stats` counts lookups in the count table
+    and in _poly_orbit, and their entries.
     """
 
     FORMAT = 1
@@ -657,15 +660,16 @@ def _poly_orbit(b: Bipartition, dims: tuple[int, ...], j: int) -> QPolynomial:
     rest = tuple(r - dims[1] for r in dims[1:])
     jj = max(j - 1, 0)
     return sum(
-        (mult * _poly_orbit(b2, rest, jj) for b2, mult in _symbolic_row(b, dims[1]).items()),
+        (mult * _poly_orbit(b2, rest, jj) for b2, mult in _symbolic_row(b, dims[1])),
         ZERO,
     )
 
 
 @functools.lru_cache(maxsize=None)
-def _symbolic_row(b: Bipartition, r1: int) -> dict:
-    """T[(b, r1)], kept only once its entries sum to [k choose r1]_q,
-    k = dim ker x."""
+def _symbolic_row(b: Bipartition, r1: int) -> tuple[tuple[Bipartition, QPolynomial], ...]:
+    """T[(b, r1)] as a tuple of (b', polynomial) pairs, kept only once its
+    entries sum to [k choose r1]_q, k = dim ker x.  A tuple, so that no
+    caller can change the row that every later caller reads."""
     row = _transition_row(b, r1)
     k = b.row_count
     total = sum(row.values(), ZERO)
@@ -673,7 +677,7 @@ def _symbolic_row(b: Bipartition, r1: int) -> dict:
         raise InterpolationError(
             f"T[{b}, {r1}] sums to {total}, not [{k} choose {r1}]_q = {q_binomial(k, r1)}"
         )
-    return row
+    return tuple(row.items())
 
 
 def _transition_row(b: Bipartition, r: int) -> dict:

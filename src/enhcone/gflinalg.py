@@ -14,6 +14,10 @@ full and coordinate, and quotient_map build their results through
 unchecked constructors (_matrix, _subspace, _new), which skip the
 public constructors' checks: their entries are already reduced and
 their bases canonical.
+
+Classification walks its image chain on packed vectors instead: one
+int per vector, one bit field per entry, reduced mod p in all fields at
+once (PackedLayout, _packed_layout).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import lt, mul
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 
 @lru_cache(maxsize=None)
@@ -198,6 +202,61 @@ def rank(m: MatrixGF) -> int:
     rows = [list(row) for row in m.rows]
     _, pivots = _rref_rows(rows, m.p, m.ncols)
     return len(pivots)
+
+
+class PackedLayout(NamedTuple):
+    """Vectors of n entries of GF(p) packed into one int each.  Entry c
+    sits in a field of `width` bits at bit offset width * (n - 1 - c), so
+    entry 0 is the most significant field and the first nonzero entry of
+    a vector is the field of its top bit.  Adding packed ints and
+    multiplying them by ints adds and multiplies every field at once,
+    with no carry between fields while each stays below 2^width.
+    `reduce` takes a packed int whose fields are all below `bound` to
+    the packed int of their residues mod p."""
+
+    width: int
+    bound: int
+    reduce: Callable[[int], int]
+
+    def pack(self, entries: Sequence[int]) -> int:
+        """The packed int of entries, each in [0, p)."""
+        packed, width = 0, self.width
+        for a in entries:
+            packed = packed << width | a
+        return packed
+
+
+@lru_cache(maxsize=None)
+def _packed_layout(n: int, p: int) -> PackedLayout:
+    """The layout of packed vectors of length n over GF(p), built once per
+    (n, p) in a process.
+
+    reduce is one Barrett step on all fields at once: a field a becomes
+    a - p * floor(a m / 2^s), with m = ceil(2^s / p).  The bound is
+    B = max(n (p-1)^2, p^2) + p, above every field that
+    normalform._chain_ranks reduces.  For a < B the error
+    a m / 2^s - a / p = a (m p - 2^s) / (p 2^s) is below B / 2^s, and
+    s = bits(B) + 2 bits(p) makes that less than 1 / p, the least
+    distance from a / p up to the next integer, so the floor is
+    floor(a / p).  One multiplication of the packed int by m makes every
+    a m, which is below B m < 2^(width - 1) with
+    width = bits(B m) + 1, so the products do not overlap.  The shift by
+    s leaves floor(a m / 2^s) in the low width - s bits of each field and
+    drops the low s bits of a m into the top of the field below, where
+    the mask Q of the low width - s bits of every field clears them.
+    Each field of p times the masked quotients is at most its a, so the
+    subtraction borrows nothing."""
+    bound = max(n * (p - 1) ** 2, p * p) + p
+    s = bound.bit_length() + 2 * p.bit_length()
+    m = -(-(1 << s) // p)
+    width = (bound * m).bit_length() + 1
+    low = (1 << (width - s)) - 1
+    mask = sum(low << (width * c) for c in range(n))
+
+    def reduce(a: int) -> int:
+        return a - p * ((a * m >> s) & mask)
+
+    return PackedLayout(width, bound, reduce)
 
 
 @dataclass(frozen=True, slots=True)

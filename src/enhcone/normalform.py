@@ -19,6 +19,18 @@ C_k, and kappa from where F[x]v enters the chain.  F[x]v is cyclic, so
 C_k meets it in x^j F[x]v for the least j with x^j v in C_k, and the
 rank of x^k on V / F[x]v is dim C_k minus the dimension of that
 intersection.  The orbit is read straight off the two rank sequences.
+
+The walk keeps each vector as one packed int (gflinalg.PackedLayout):
+entry c in a fixed-width bit field, entry 0 the most significant, so
+that a row operation or a matrix-vector product acts on all n entries
+with a few integer operations, and one Barrett step reduces every
+field mod p at once.  The step is exact below the bound
+B = max(n (p-1)^2, p^2) + p of the layout.  No field reaches B, since
+each is reduced right after one operation: adding a multiple of one
+reduced row to another makes at most (p-1) + (p-1)^2 < p^2, scaling
+a reduced row (p-1)^2, and x applied to a reduced row, a sum of n
+products of entries, n (p-1)^2.  The layout depends on (n, p) alone
+and is built once per (n, p) in a process.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from .gflinalg import (
     QuotientMap,
     SubspaceGF,
     _matrix,
+    _packed_layout,
     _subspace,
     check_prime,
     enumerate_subspaces,
@@ -134,8 +147,8 @@ def _chain_ranks(x: MatrixGF, krylov: Sequence[Sequence[int]]) -> tuple[list[int
     """Two rank sequences read off one walk down the image chain
     C_k = x^k V of a square x, from C_0 = V to the zero subspace: dim C_k,
     and dim(C_k + K) - dim K for K the span of the vectors krylov, which
-    must be v, xv, ..., x^(m-1) v with x^m v = 0.  With K = F[x]v these
-    are the ranks of x^k on V and on V / F[x]v.
+    must be v, xv, ..., x^(m-1) v with x^m v = 0 and entries in [0, p).
+    With K = F[x]v these are the ranks of x^k on V and on V / F[x]v.
 
     Each level is forward elimination in insertion order: a spanning row
     is reduced by the echelon rows before it, one after another, and a
@@ -144,6 +157,18 @@ def _chain_ranks(x: MatrixGF, krylov: Sequence[Sequence[int]]) -> tuple[list[int
     that reduction is a membership test, and no row is back-substituted.
     C_1 is spanned by the columns of x, whose entries MatrixGF keeps
     reduced, and C_(k+1) by x applied to the echelon rows of C_k.
+
+    Every row is one packed int (gflinalg.PackedLayout), so a row
+    operation is a few integer operations on all n entries at once.
+    Reducing by an echelon row whose pivot is f in the row adds p - f
+    times the echelon row, and scaling multiplies by the pivot's
+    inverse; x applied to a row is the sum over c of its entry c times
+    x's packed column c.  One Barrett step (layout.reduce) then takes
+    every entry back into [0, p).  Before it an entry is at most
+    (p-1) + (p-1)^2 < p^2, (p-1)^2 or n (p-1)^2, all below the layout's
+    bound B = max(n (p-1)^2, p^2) + p, so no field carries into the
+    next and the step is exact.  The pivot is the field of the row's
+    top bit, and its entry is the row shifted down to that field.
 
     K is cyclic, so its only x-stable subspaces are the x^j K, and
     C_k & K = x^(j_k) K for j_k the least j with x^j v in C_k.  Hence
@@ -155,40 +180,47 @@ def _chain_ranks(x: MatrixGF, krylov: Sequence[Sequence[int]]) -> tuple[list[int
     A level that keeps the dimension of the one before raises
     ValueError: x is then not nilpotent.
     """
-    n, p, xrows = x.nrows, x.p, x.rows
+    n, p = x.nrows, x.p
     m, j = len(krylov), 0
     dims, quotient_dims = [n], [n - m]
-    level = [list(col) for col in zip(*xrows)]
+    layout = _packed_layout(n, p)
+    width, reduce, pack = layout.width, layout.reduce, layout.pack
+    field = (1 << width) - 1
+    offsets = range(width * (n - 1), -1, -width)  # of entries 0, 1, ..., n - 1
+    columns = [pack(col) for col in zip(*x.rows)]
+    level = columns
     while dims[-1]:
         echelon = []
         for row in level:
-            for erow, c in echelon:
-                f = row[c]
+            for erow, offset in echelon:
+                f = row >> offset & field
                 if f:
-                    row = [(a - f * b) % p for a, b in zip(row, erow)]
-            for c, f in enumerate(row):
-                if f:
-                    if f != 1:
-                        f = pow(f, p - 2, p)
-                        row = [a * f % p for a in row]
-                    echelon.append((row, c))
-                    break
+                    row = reduce(row + (p - f) * erow)
+            if row:
+                offset = (row.bit_length() - 1) // width * width
+                f = row >> offset
+                if f != 1:
+                    row = reduce(row * pow(f, -1, p))
+                echelon.append((row, offset))
         d = len(echelon)
         if d == dims[-1]:
             raise ValueError("matrix is not nilpotent")
         dims.append(d)
         top = min(len(dims) - 1, m)  # x^k v lies in C_k
         while j < top:
-            u = krylov[j]
-            for erow, c in echelon:
-                f = u[c]
+            u = pack(krylov[j])
+            for erow, offset in echelon:
+                f = u >> offset & field
                 if f:
-                    u = [(a - f * b) % p for a, b in zip(u, erow)]
-            if not any(u):
+                    u = reduce(u + (p - f) * erow)
+            if not u:
                 break
             j += 1
         quotient_dims.append(d - m + j)
-        level = [[sum(map(mul, r, row)) % p for r in xrows] for row, _ in echelon]
+        level = [
+            reduce(sum(map(mul, [erow >> offset & field for offset in offsets], columns)))
+            for erow, _ in echelon
+        ]
     return dims, quotient_dims
 
 

@@ -841,6 +841,7 @@ class TestMemo:
         count_fiber(q)
         fiber_polynomial(bipartition((4,), ()), small)
         normalform.split_factors(small, 3)
+        normalform.classify_pair(q.v, q.x)  # fills classification's layout table
         tables = {
             "orbit_pair": normalform.orbit_pair,
             "_kernel_blocks": fibers._kernel_blocks,
@@ -867,6 +868,7 @@ class TestMemo:
         assert {name: table.cache_info().currsize for name, table in tables.items()} == dict.fromkeys(tables, 0)
         assert not fibers._interned
         assert all(table.cache_info().currsize > 0 for table in kept.values())
+        assert gflinalg._packed_layout.cache_info().currsize > 0
 
     def test_clear_empties_symbolic_tables(self, monkeypatch, clean_cache):
         cache = fiber_cache()
@@ -1261,10 +1263,22 @@ class TestSymbolicTable:
                 for r1 in range(1, b.row_count + 1):
                     row = fibers._symbolic_row(b, r1)
                     for p in (2, 3) if n <= 5 else (2,):
-                        evaluated = {b2: e.evaluate(p) for b2, e in row.items()}
+                        evaluated = {b2: e.evaluate(p) for b2, e in row}
                         assert evaluated == dict(transitions(b, r1, p)), (str(b), r1, p)
                     checked += 1
         assert checked == 342
+
+    def test_cached_rows_are_tuples_no_caller_can_change(self, clean_cache):
+        # a row is one shared table entry: editing what a caller got must
+        # not change a later polynomial
+        big, small = bipartition((3,), ()), bipartition((), (2, 1))
+        assert fiber_polynomial(big, small) == QPolynomial((1, 2))
+        row = fibers._symbolic_row(small, flag_shape(big).dims[1])  # the row it read
+        assert isinstance(row, tuple) and all(isinstance(entry, tuple) for entry in row)
+        with pytest.raises(TypeError):
+            row[0] = (row[0][0], row[0][1] + row[0][1])
+        fibers._poly_orbit.cache_clear()
+        assert fiber_polynomial(big, small) == QPolynomial((1, 2))
 
     def test_hall_and_x_zero_rows(self):
         # v = 0 rows are Macdonald's Hall polynomials, x = 0 rows two q-binomials

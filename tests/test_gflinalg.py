@@ -13,6 +13,7 @@ from enhcone.gflinalg import (
     QuotientMap,
     SubspaceGF,
     _matrix,
+    _packed_layout,
     _subspace,
     enumerate_subspaces,
     is_prime,
@@ -483,6 +484,49 @@ class TestEnumeration:
         assert gaussian_binomial(5, 0, 3) == 1
         assert gaussian_binomial(3, 4, 2) == 0
         assert gaussian_binomial(2, 1, 2) == 3
+
+
+def fields(packed: int, n: int, width: int) -> list[int]:
+    """The n fields of a packed int, entry 0 (the most significant) first."""
+    return [packed >> (width * (n - 1 - c)) & ((1 << width) - 1) for c in range(n)]
+
+
+class TestPackedLayout:
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_reduce_is_mod_p_below_the_bound_in_every_field(self, p):
+        # exhaustive: field c holds (a + c) mod B, so over a < B every
+        # field takes every value below the bound
+        for n in range(1, 9):
+            layout = _packed_layout(n, p)
+            bound, width = layout.bound, layout.width
+            assert bound == max(n * (p - 1) ** 2, p * p) + p
+            for a in range(bound):
+                entries = [(a + c) % bound for c in range(n)]
+                packed = layout.pack(entries)
+                assert fields(packed, n, width) == entries
+                assert fields(layout.reduce(packed), n, width) == [e % p for e in entries]
+
+    @pytest.mark.parametrize("p", (419, 2**31 - 1))
+    def test_reduce_at_a_large_prime(self, p):
+        # 0, B - 1 and the values next to multiples of p, the ones a floor
+        # that is off by one gets wrong
+        for n in (1, 2, 3, 8):
+            layout = _packed_layout(n, p)
+            bound, width = layout.bound, layout.width
+            multiples = {k * p for k in (1, 2, 3, n, bound // p - 1, bound // p)}
+            values = sorted(
+                {0, bound - 1} | {a + d for a in multiples for d in (-1, 0, 1) if 0 <= a + d < bound}
+            )
+            for start in range(len(values)):
+                entries = [values[(start + c) % len(values)] for c in range(n)]
+                packed = layout.pack(entries)
+                assert fields(packed, n, width) == entries
+                assert fields(layout.reduce(packed), n, width) == [e % p for e in entries]
+
+    def test_layout_is_a_table_and_passes_64_bits_at_a_large_prime(self):
+        assert _packed_layout(8, 3) is _packed_layout(8, 3)
+        assert _packed_layout(1, 2**31 - 1).width > 64
+        assert _packed_layout(0, 3).pack(()) == 0
 
 
 class TestModularRankAgreement:

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from enhcone.combinatorics import FlagShape, bipartition, bipartitions, flag_shape, is_distinguished
 from enhcone.fibers import FiberQuery, closure_pairs, count_fiber, count_fiber_memo, count_lambda_fixed
@@ -311,6 +311,20 @@ def elementary_conjugate(np_, rng: random.Random) -> tuple[tuple[int, ...], Matr
     return tuple(v), MatrixGF(p, tuple(tuple(row) for row in x), n)
 
 
+def census_examples(test):
+    """test with one more hypothesis example for each of 50 seeded dense
+    GL(8, 3) conjugates of normal pairs, the size the classification
+    census of the benchmark runs."""
+    rng = random.Random(8)
+    for b in rng.sample(bipartitions(8), 50):
+        test = example((b, *elementary_conjugate(normal_pair(b, 3), rng)))(test)
+    return test
+
+
+LARGE_P = 2**31 - 1  # its packed fields are wider than 64 bits
+DENSE_ROWS = ((LARGE_P - 1, 5, 123456789), (1, 0, 7), (3, 1, 2**30))  # not nilpotent
+
+
 class TestClassifyConjugates:
     def test_census_conjugates_match_both_oracles(self):
         # one random GL(n, p) conjugate of every normal pair with n <= 7,
@@ -334,8 +348,21 @@ class TestClassifyConjugates:
             ((1, 0, 0), MatrixGF(3, ((0, 1), (0, 0)), 2)),
             ((0, 0), MatrixGF.identity(2, 3)),
             ((1, 0), MatrixGF(3, ((0, 0), (0, 1)), 2)),
+            ((0, 0, 0), MatrixGF(419, ((0, 1, 0), (0, 0, 1), (0, 0, 418)), 3)),
+            ((1, 0, 0), MatrixGF(419, ((0, 1, 0), (0, 0, 1), (0, 0, 418)), 3)),
+            ((0, 0, 0), MatrixGF(LARGE_P, DENSE_ROWS, 3)),
+            ((1, 2, 3), MatrixGF(LARGE_P, DENSE_ROWS, 3)),
         ],
-        ids=["non-square", "wrong-length-v", "non-nilpotent-v-zero", "krylov-dies"],
+        ids=[
+            "non-square",
+            "wrong-length-v",
+            "non-nilpotent-v-zero",
+            "krylov-dies",
+            "p419-v-zero",
+            "p419-krylov-dies",
+            "large-p-dense-v-zero",
+            "large-p-dense",
+        ],
     )
     def test_errors_match_image_chain_oracle(self, v, x):
         with pytest.raises(ValueError) as old:
@@ -346,9 +373,10 @@ class TestClassifyConjugates:
 
     @settings(derandomize=True, deadline=None, database=None)
     @given(conjugated_normal_pairs())
+    @census_examples
     def test_gl_conjugates_classify_to_b(self, case):
         b, v, x = case
-        assert classify_pair(v, x) == b
+        assert classify_pair(v, x) == classify_by_image_chain(v, x) == b
         assert jordan_type(x) == jordan_type_by_powers(x)
 
 
@@ -388,6 +416,26 @@ class TestChainRanks:
                         assert c.intersect(space) == SubspaceGF.span(krylov[j:], n, p)
                         assert d == c.dim - (m - j)
         assert levels == 1737
+
+    @pytest.mark.parametrize(
+        "p, sizes",
+        [(2, (8,)), (3, (8,)), (419, (0, 1, 2, 3, 4, 5, 6, 8)), (LARGE_P, (0, 1, 2, 3, 4, 5, 8))],
+        ids=["n8-p2", "n8-p3", "p419", "large-p"],
+    )
+    def test_packed_walk_matches_image_chain_oracle(self, p, sizes):
+        # one conjugate of every normal pair of each size: the packed
+        # fields are widest at n = 8 and at a large prime
+        rng = random.Random(30)
+        for n in sizes:
+            for b in bipartitions(n):
+                v, x = elementary_conjugate(normal_pair(b, p), rng)
+                krylov = krylov_vectors(v, x)
+                chain = image_chain(x)
+                assert _chain_ranks(x, krylov) == (
+                    [c.dim for c in chain],
+                    [SubspaceGF.span(c.basis + tuple(krylov), n, p).dim - len(krylov) for c in chain],
+                )
+                assert classify_pair(v, x) == classify_by_image_chain(v, x) == b
 
     def test_orbit_of_ranks_matches_the_types(self):
         # every normal pair with n <= 8: the orbit read straight off the
