@@ -23,11 +23,13 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        parts = tuple(map(operator.index, self.parts))
-        object.__setattr__(self, "parts", parts)
-        if any(x <= 0 for x in parts):
+        parts = self.parts
+        if type(parts) is not tuple or not set(map(type, parts)) <= {int}:
+            parts = tuple(map(operator.index, parts))
+            object.__setattr__(self, "parts", parts)
+        if min(parts, default=1) <= 0:
             raise ValueError(f"partition parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(map(operator.lt, parts, parts[1:])):
             raise ValueError(f"partition parts must be weakly decreasing: {parts}")
 
     @property

@@ -48,14 +48,15 @@ for all nodes (_intern), so the walker memo finds it by identity.
 _children builds an entry in one pass over _step, a generator of the
 quotient map and quotient pair of every candidate W_1 that no table
 keeps, and _flags reads the same generator: there is one step path,
-and no table holds a quotient map but as a key of _push.  normal_pair
+and no table holds a quotient map but as a key of _push.  A node with
+one step left is answered in closed form (_last_step).  normal_pair
 itself stays uncached: a census of conjugates builds many normal pairs
 and uses each once.  The tables hold exact objects that depend on
 their key alone, and no count: every count comes from a memo that
 lives for one call, so a walk spends as many nodes on a warm table as
-on a cold one.  The n = 7 polynomial sweep leaves 14,555 nodes in
-_children, whose 406,126 candidates leave 60,054 distinct children,
-and pushes nothing.
+on a cold one.  The n = 7 polynomial sweep leaves 12,598 nodes in
+_children, whose 405,998 candidates leave 59,926 distinct children,
+answers 1,957 more with one step left, and pushes nothing.
 
 Counts depend only on the orbit of (v, x), and orbits are indexed by
 bipartitions, so fiber_polynomial recurses over bipartitions in Z[q],
@@ -258,7 +259,8 @@ def _profiles(pair: GradedPair, subspaces: tuple, dims: tuple[int, ...], j: int,
     table, calls spend(candidates) once with the number of candidates
     W_1, and walks each distinct child once, weighted by the number of
     candidates that leave it; an empty child (v not in W_1 at the
-    marker) and the leaf (W_1 = V) are answered by the guards on entry.
+    marker) and the leaf are answered by the guards on entry, and a node
+    with one step left by _last_step, with no _children entry.
     The tables hold subspaces and pairs, never a histogram, so the memo,
     a fresh dict per call, holds every count."""
     if j == 0 and any(pair.v):
@@ -268,18 +270,32 @@ def _profiles(pair: GradedPair, subspaces: tuple, dims: tuple[int, ...], j: int,
     key = (pair, subspaces, dims, j)
     hist = memo.get(key)
     if hist is None:
-        r1 = dims[1]
-        rest = tuple(r - r1 for r in dims[1:])
-        jj = max(j - 1, 0)
-        candidates, children = _children(pair, subspaces, r1)
-        spend(candidates)
-        hist = {}
-        for sub, pushed, first, mult in children:
-            for tail, count in _profiles(sub, pushed, rest, jj, memo, spend).items():
-                steps = first + tail
-                hist[steps] = hist.get(steps, 0) + mult * count
+        if len(dims) == 2:
+            candidates, hist = _last_step(pair, subspaces)
+            spend(candidates)
+        else:
+            r1 = dims[1]
+            rest = tuple(r - r1 for r in dims[1:])
+            jj = max(j - 1, 0)
+            candidates, children = _children(pair, subspaces, r1)
+            spend(candidates)
+            hist = {}
+            for sub, pushed, first, mult in children:
+                for tail, count in _profiles(sub, pushed, rest, jj, memo, spend).items():
+                    steps = first + tail
+                    hist[steps] = hist.get(steps, 0) + mult * count
         memo[key] = hist
     return hist
+
+
+def _last_step(pair: GradedPair, subspaces: tuple) -> tuple[int, dict]:
+    """(candidates, histogram) of a walker node with one step left, in
+    closed form: its only W_1 is V, which lies in ker x only when x = 0,
+    and then its one step is dim(V & S_s) = dim S_s.  No quotient is
+    formed and nothing is pushed."""
+    if pair.x.is_zero():
+        return 1, {(tuple([s.dim for s in subspaces]),): 1}
+    return 0, {}
 
 
 def _histogram(pair: GradedPair, q: FiberQuery, subspaces: Sequence[SubspaceGF], spend) -> dict:

@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import lt, mul
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 @lru_cache(maxsize=None)
@@ -212,11 +212,15 @@ class PackedLayout(NamedTuple):
     multiplying them by ints adds and multiplies every field at once,
     with no carry between fields while each stays below 2^width.
     `reduce` takes a packed int whose fields are all below `bound` to
-    the packed int of their residues mod p."""
+    the packed int of their residues mod p, by one Barrett step with
+    `multiplier`, `shift` and `mask`; a hot loop may spell the step out."""
 
+    p: int
     width: int
     bound: int
-    reduce: Callable[[int], int]
+    multiplier: int
+    shift: int
+    mask: int
 
     def pack(self, entries: Sequence[int]) -> int:
         """The packed int of entries, each in [0, p)."""
@@ -224,6 +228,10 @@ class PackedLayout(NamedTuple):
         for a in entries:
             packed = packed << width | a
         return packed
+
+    def reduce(self, a: int) -> int:
+        """a with every field taken mod p, each field of a below bound."""
+        return a - self.p * ((a * self.multiplier >> self.shift) & self.mask)
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +242,9 @@ def _packed_layout(n: int, p: int) -> PackedLayout:
     reduce is one Barrett step on all fields at once: a field a becomes
     a - p * floor(a m / 2^s), with m = ceil(2^s / p).  The bound is
     B = max(n (p-1)^2, p^2) + p, above every field that
-    normalform._chain_ranks reduces.  For a < B the error
+    normalform._chain_ranks reduces: a row operation, a scaling, and x
+    applied to a reduced vector, an echelon row or a Krylov vector, which
+    is a sum of n products of entries.  For a < B the error
     a m / 2^s - a / p = a (m p - 2^s) / (p 2^s) is below B / 2^s, and
     s = bits(B) + 2 bits(p) makes that less than 1 / p, the least
     distance from a / p up to the next integer, so the floor is
@@ -252,11 +262,7 @@ def _packed_layout(n: int, p: int) -> PackedLayout:
     width = (bound * m).bit_length() + 1
     low = (1 << (width - s)) - 1
     mask = sum(low << (width * c) for c in range(n))
-
-    def reduce(a: int) -> int:
-        return a - p * ((a * m >> s) & mask)
-
-    return PackedLayout(width, bound, reduce)
+    return PackedLayout(p, width, bound, m, s, mask)
 
 
 @dataclass(frozen=True, slots=True)

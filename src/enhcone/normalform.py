@@ -18,19 +18,14 @@ walk down the image chain C_k = x^k V: lambda from the dimensions of the
 C_k, and kappa from where F[x]v enters the chain.  F[x]v is cyclic, so
 C_k meets it in x^j F[x]v for the least j with x^j v in C_k, and the
 rank of x^k on V / F[x]v is dim C_k minus the dimension of that
-intersection.  The orbit is read straight off the two rank sequences.
+intersection.  The orbit is read straight off the two rank sequences,
+each rank-drop sequence transposed in one pass.
 
-The walk keeps each vector as one packed int (gflinalg.PackedLayout):
-entry c in a fixed-width bit field, entry 0 the most significant, so
-that a row operation or a matrix-vector product acts on all n entries
-with a few integer operations, and one Barrett step reduces every
-field mod p at once.  The step is exact below the bound
-B = max(n (p-1)^2, p^2) + p of the layout.  No field reaches B, since
-each is reduced right after one operation: adding a multiple of one
-reduced row to another makes at most (p-1) + (p-1)^2 < p^2, scaling
-a reduced row (p-1)^2, and x applied to a reduced row, a sum of n
-products of entries, n (p-1)^2.  The layout depends on (n, p) alone
-and is built once per (n, p) in a process.
+The walk keeps every vector, each Krylov vector x^j v included, as one
+packed int (gflinalg.PackedLayout), so that a row operation or a
+matrix-vector product acts on all n entries with a few integer
+operations and one Barrett step; _chain_ranks says why no field
+overflows.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import lt, mul, sub
+from operator import mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .combinatorics import Bipartition, Partition, is_distinguished
@@ -140,15 +135,15 @@ def jordan_type(x: MatrixGF) -> Partition:
     """
     if not x.is_square():
         raise ValueError("jordan_type needs a square matrix")
-    return partition_from_ranks(_chain_ranks(x, ())[0])
+    return partition_from_ranks(_chain_ranks(x, (0,) * x.nrows)[0])
 
 
-def _chain_ranks(x: MatrixGF, krylov: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+def _chain_ranks(x: MatrixGF, v: Sequence[int]) -> tuple[list[int], list[int]]:
     """Two rank sequences read off one walk down the image chain
     C_k = x^k V of a square x, from C_0 = V to the zero subspace: dim C_k,
-    and dim(C_k + K) - dim K for K the span of the vectors krylov, which
-    must be v, xv, ..., x^(m-1) v with x^m v = 0 and entries in [0, p).
-    With K = F[x]v these are the ranks of x^k on V and on V / F[x]v.
+    and dim(C_k + K) - dim K for K = F[x]v, the span of the Krylov
+    vectors v, xv, x^2 v, ...  v has n entries in [0, p).  These are the
+    ranks of x^k on V and on V / F[x]v.
 
     Each level is forward elimination in insertion order: a spanning row
     is reduced by the echelon rows before it, one after another, and a
@@ -158,19 +153,22 @@ def _chain_ranks(x: MatrixGF, krylov: Sequence[Sequence[int]]) -> tuple[list[int
     C_1 is spanned by the columns of x, whose entries MatrixGF keeps
     reduced, and C_(k+1) by x applied to the echelon rows of C_k.
 
-    Every row is one packed int (gflinalg.PackedLayout), so a row
+    Every vector is one packed int (gflinalg.PackedLayout), so a row
     operation is a few integer operations on all n entries at once.
     Reducing by an echelon row whose pivot is f in the row adds p - f
     times the echelon row, and scaling multiplies by the pivot's
-    inverse; x applied to a row is the sum over c of its entry c times
-    x's packed column c.  One Barrett step (layout.reduce) then takes
-    every entry back into [0, p).  Before it an entry is at most
-    (p-1) + (p-1)^2 < p^2, (p-1)^2 or n (p-1)^2, all below the layout's
-    bound B = max(n (p-1)^2, p^2) + p, so no field carries into the
-    next and the step is exact.  The pivot is the field of the row's
-    top bit, and its entry is the row shifted down to that field.
+    inverse; x applied to a vector u, an echelon row or a Krylov vector,
+    is the sum over c of u_c times x's packed column c.  One Barrett
+    step (layout.reduce, written out inline) then takes every entry back
+    into [0, p).  Before it an entry is at most (p-1) + (p-1)^2 < p^2,
+    (p-1)^2 or n (p-1)^2, all below the layout's bound
+    B = max(n (p-1)^2, p^2) + p, so no field carries into the next and
+    the step is exact.  The pivot is the field of the row's top bit, and
+    its entry is the row shifted down to that field.
 
-    K is cyclic, so its only x-stable subspaces are the x^j K, and
+    The Krylov vectors are built first, x^m v = 0 ending them; n of them
+    nonzero raise ValueError, since x is then not nilpotent.  K is
+    cyclic, so its only x-stable subspaces are the x^j K, and
     C_k & K = x^(j_k) K for j_k the least j with x^j v in C_k.  Hence
     dim(C_k + K) - dim K = dim C_k - (m - j_k).  A Krylov vector out of
     C_k is out of every later level, so j_k never falls as k grows, and
@@ -178,16 +176,24 @@ def _chain_ranks(x: MatrixGF, krylov: Sequence[Sequence[int]]) -> tuple[list[int
     first vector in, at most k.  The whole walk reduces at most
     (levels + m) Krylov vectors, each against one level's echelon rows.
     A level that keeps the dimension of the one before raises
-    ValueError: x is then not nilpotent.
+    ValueError: x is then not nilpotent either.
     """
     n, p = x.nrows, x.p
-    m, j = len(krylov), 0
-    dims, quotient_dims = [n], [n - m]
     layout = _packed_layout(n, p)
-    width, reduce, pack = layout.width, layout.reduce, layout.pack
+    pack, width = layout.pack, layout.width
+    mult, shift, mask = layout.multiplier, layout.shift, layout.mask
     field = (1 << width) - 1
     offsets = range(width * (n - 1), -1, -width)  # of entries 0, 1, ..., n - 1
     columns = [pack(col) for col in zip(*x.rows)]
+    krylov, u = [], pack(v)
+    while u:
+        if len(krylov) == n:
+            raise ValueError("matrix is not nilpotent")
+        krylov.append(u)
+        u = sum(map(mul, [u >> offset & field for offset in offsets], columns))
+        u -= p * ((u * mult >> shift) & mask)  # layout.reduce, spelled out
+    m, j = len(krylov), 0
+    dims, quotient_dims = [n], [n - m]
     level = columns
     while dims[-1]:
         echelon = []
@@ -195,12 +201,14 @@ def _chain_ranks(x: MatrixGF, krylov: Sequence[Sequence[int]]) -> tuple[list[int
             for erow, offset in echelon:
                 f = row >> offset & field
                 if f:
-                    row = reduce(row + (p - f) * erow)
+                    row += (p - f) * erow
+                    row -= p * ((row * mult >> shift) & mask)
             if row:
                 offset = (row.bit_length() - 1) // width * width
                 f = row >> offset
                 if f != 1:
-                    row = reduce(row * pow(f, -1, p))
+                    row *= pow(f, -1, p)
+                    row -= p * ((row * mult >> shift) & mask)
                 echelon.append((row, offset))
         d = len(echelon)
         if d == dims[-1]:
@@ -208,19 +216,20 @@ def _chain_ranks(x: MatrixGF, krylov: Sequence[Sequence[int]]) -> tuple[list[int
         dims.append(d)
         top = min(len(dims) - 1, m)  # x^k v lies in C_k
         while j < top:
-            u = pack(krylov[j])
+            u = krylov[j]
             for erow, offset in echelon:
                 f = u >> offset & field
                 if f:
-                    u = reduce(u + (p - f) * erow)
+                    u += (p - f) * erow
+                    u -= p * ((u * mult >> shift) & mask)
             if not u:
                 break
             j += 1
         quotient_dims.append(d - m + j)
-        level = [
-            reduce(sum(map(mul, [erow >> offset & field for offset in offsets], columns)))
-            for erow, _ in echelon
-        ]
+        level = []
+        for erow, _ in echelon:
+            u = sum(map(mul, [erow >> offset & field for offset in offsets], columns))
+            level.append(u - p * ((u * mult >> shift) & mask))
     return dims, quotient_dims
 
 
@@ -259,10 +268,13 @@ def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
     """The bipartition (mu; nu) of the orbit of the pair (v, x), x nilpotent:
     orbit_of_types of lambda, the Jordan type of x, and kappa, that of x
     on V / F[x]v.  Both come from one walk down the image chain x^k V
-    (_chain_ranks): x^k has rank dim x^k V, and its map on V / F[x]v has
-    rank dim x^k V - (m - j_k), with m = dim F[x]v and j_k the least j
-    with x^j v in x^k V.  _orbit_of_ranks reads (mu; nu) off the two rank
-    sequences.  The roundtrip
+    (_chain_ranks), which packs v once and builds the Krylov vectors
+    x^j v on the packed columns of x that the chain uses: x^k has rank
+    dim x^k V, and its map on V / F[x]v has rank dim x^k V - (m - j_k),
+    with m = dim F[x]v and j_k the least j with x^j v in x^k V.  No
+    MatrixGF.matvec and no tuple Krylov vector is formed.
+    _orbit_of_ranks reads (mu; nu) off the two rank sequences.  The
+    roundtrip
     classify_pair(normal_pair(b, p)) == b pins this contract, and
     classification is constant on GL(V)-orbits.  Conjugating the normal
     pair of ((1); (1)), with v = e_1 and x = E_12, by the swap of e_1 and
@@ -283,14 +295,7 @@ def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
     v = tuple(operator.index(a) % x.p for a in v)
     if len(v) != n:
         raise ValueError("vector length does not match matrix size")
-    krylov = []
-    while any(v):
-        if len(krylov) == n:
-            raise ValueError("matrix is not nilpotent")
-        krylov.append(v)
-        v = x.matvec(v)
-    dims, quotient_dims = _chain_ranks(x, krylov)
-    return _orbit_of_ranks(dims, quotient_dims)
+    return _orbit_of_ranks(*_chain_ranks(x, v))
 
 
 def orbit_of_types(lam: Partition, kappa: Partition) -> Bipartition:
@@ -327,15 +332,16 @@ def _orbit(lam: list[int], kappa: list[int]) -> Bipartition:
 
 def _drop_columns(ranks: Sequence[int]) -> list[int]:
     """The column counts of the nonzero drops ranks[k] - ranks[k + 1],
-    weakly decreasing; drops that are not positive and weakly decreasing
-    raise ValueError."""
+    columns[i] = #{drops > i}, built in one pass up the drops from the
+    last; drops that are not positive and weakly decreasing raise
+    ValueError."""
     drops = [d for d in map(sub, ranks, ranks[1:]) if d]
-    if drops and (drops[-1] < 0 or any(map(lt, drops, drops[1:]))):
-        raise ValueError(f"rank drops must be positive and weakly decreasing: {tuple(drops)}")
-    columns = [0] * (drops[0] if drops else 0)
-    for d in drops:
-        for i in range(d):
-            columns[i] += 1
+    columns, below = [], 0
+    for count, d in zip(range(len(drops), 0, -1), reversed(drops)):
+        if d < below:
+            raise ValueError(f"rank drops must be positive and weakly decreasing: {tuple(drops)}")
+        columns += [count] * (d - below)  # the drops > i for below <= i < d
+        below = d
     return columns
 
 

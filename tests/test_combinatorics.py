@@ -43,11 +43,44 @@ class TestPartition:
             Partition((2, 0))
         assert Partition((2, 1)).size == 3
 
-    @pytest.mark.parametrize("parts", [(2.7, 1), (2.0,), ("2",)])
+    @pytest.mark.parametrize(
+        "parts", [(2.7, 1), (2.0,), ("2",), (2, 1.0), [2, 1.5], (3, "1"), ["3"], (None,)]
+    )
     def test_non_integer_parts_raise(self, parts):
-        # int() would truncate 2.7 to 2 and parse "2"
+        # int() would truncate 2.7 to 2 and parse "2"; in a tuple or a list
         with pytest.raises(TypeError):
             Partition(parts)
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ((0,), "partition parts must be positive: (0,)"),
+            ((2, 0), "partition parts must be positive: (2, 0)"),
+            ((0, 1), "partition parts must be positive: (0, 1)"),
+            ((-1, 2), "partition parts must be positive: (-1, 2)"),
+            ([3, -2], "partition parts must be positive: (3, -2)"),
+            ((1, 2), "partition parts must be weakly decreasing: (1, 2)"),
+            ((3, 1, 1, 2), "partition parts must be weakly decreasing: (3, 1, 1, 2)"),
+            ([True, 2], "partition parts must be weakly decreasing: (1, 2)"),
+        ],
+    )
+    def test_invalid_parts_messages(self, parts, message):
+        # positivity is checked first, so (0, 1) reports "positive"
+        with pytest.raises(ValueError) as raised:
+            Partition(parts)
+        assert str(raised.value) == message
+
+    def test_lists_and_bools_become_int_tuples(self):
+        for parts in ([3, 1, 1], (True, True), [2, True], range(3, 0, -1)):
+            p = Partition(parts)
+            assert type(p.parts) is tuple and all(type(a) is int for a in p.parts)
+            assert p.parts == tuple(int(a) for a in parts)
+        assert Partition([]) == Partition(()) == Partition()
+        assert Partition([2, True]) == Partition((2, 1))
+        assert hash(Partition([2, True])) == hash(Partition((2, 1)))
+        # a tuple of ints is kept as given
+        parts = (4, 2, 2)
+        assert Partition(parts).parts is parts
 
     def test_part_padding(self):
         p = Partition((3, 1))

@@ -226,10 +226,15 @@ class TestWalkerMemo:
         ):
             monkeypatch.setattr(module, name, forbidden)
         nodes = Counter()
-        cached_children = fibers._children
+        cached_children, last_step = fibers._children, fibers._last_step
 
         def counting(pair, subspaces, r1):
             entry = cached_children(pair, subspaces, r1)
+            nodes["walker"] += entry[0]
+            return entry
+
+        def counting_last(pair, subspaces):
+            entry = last_step(pair, subspaces)
             nodes["walker"] += entry[0]
             return entry
 
@@ -239,6 +244,7 @@ class TestWalkerMemo:
                 yield item
 
         monkeypatch.setattr(fibers, "_children", counting)
+        monkeypatch.setattr(fibers, "_last_step", counting_last)
         q = FiberQuery.over_orbit(bipartition((), (1, 1, 1, 1)), bipartition((), (2, 2)), 2)
         first = count_fiber(q)
         walked = nodes["walker"]
@@ -274,16 +280,23 @@ def splitting(small, p: int) -> tuple[SubspaceGF, SubspaceGF]:
 
 def count_walker_candidates(monkeypatch) -> Counter:
     """Counts under "yielded" the candidates of every node that the walker
-    reads from fibers._children, one read per expanded node."""
+    expands, one read per expanded node: of fibers._children, or of
+    fibers._last_step for a node with one step left."""
     candidates = Counter()
-    cached_children = fibers._children
+    cached_children, last_step = fibers._children, fibers._last_step
 
     def counting(pair, subspaces, r1):
         entry = cached_children(pair, subspaces, r1)
         candidates["yielded"] += entry[0]
         return entry
 
+    def counting_last(pair, subspaces):
+        entry = last_step(pair, subspaces)
+        candidates["yielded"] += entry[0]
+        return entry
+
     monkeypatch.setattr(fibers, "_children", counting)
+    monkeypatch.setattr(fibers, "_last_step", counting_last)
     return candidates
 
 
@@ -410,10 +423,15 @@ class TestProfileWalker:
         # a count is the profile walk against no subspaces: the same
         # walker calls and the same candidates, under either grading
         tally = Counter()
-        cached_children, walker = fibers._children, fibers._profiles
+        cached_children, last_step, walker = fibers._children, fibers._last_step, fibers._profiles
 
         def counting_children(pair, subspaces, r1):
             entry = cached_children(pair, subspaces, r1)
+            tally["candidates"] += entry[0]
+            return entry
+
+        def counting_last(pair, subspaces):
+            entry = last_step(pair, subspaces)
             tally["candidates"] += entry[0]
             return entry
 
@@ -422,6 +440,7 @@ class TestProfileWalker:
             return walker(*args)
 
         monkeypatch.setattr(fibers, "_children", counting_children)
+        monkeypatch.setattr(fibers, "_last_step", counting_last)
         monkeypatch.setattr(fibers, "_profiles", counting_walker)
 
         def walked(fn, *args) -> Counter:
@@ -525,6 +544,36 @@ class TestChildrenTable:
                 expected[sub, pushed, first] += 1
             assert {child[:3]: child[3] for child in children} == expected, (pair, subspaces, r1)
             assert len(children) == len(expected)
+
+    def test_last_step_is_the_oracle_step(self, clean_cache, monkeypatch):
+        # every node with one step left that the pinned walks reach: the
+        # closed form has the candidates and the one-step histogram that
+        # the oracle step's W_1 = V gives, and no _children entry is read
+        # for it
+        last_step, reached = fibers._last_step, {}
+        children = record_children(monkeypatch)
+
+        def recording(pair, subspaces):
+            reached[pair, subspaces] = last_step(pair, subspaces)
+            return reached[pair, subspaces]
+
+        monkeypatch.setattr(fibers, "_last_step", recording)
+        for _, _, walk, q, subspaces in pinned_walks():
+            walk(q, subspaces)
+        assert len(reached) > 100
+        assert sum(candidates for candidates, _ in reached.values()) > 10
+        for (pair, subspaces), (candidates, hist) in reached.items():
+            assert (pair, subspaces, pair.n) not in children
+            oracle = list((graded_step if any(pair.weights) else kernel_step)(pair, pair.n))
+            assert candidates == len(oracle) <= 1, pair
+            expected = Counter()
+            for qm, _ in oracle:
+                pushed = [
+                    SubspaceGF.span([reduce_apply(qm, u) for u in s.basis], qm.codim, qm.p)
+                    for s in subspaces
+                ]
+                expected[(tuple(s.dim - t.dim for s, t in zip(subspaces, pushed)),)] += 1
+            assert hist == expected, (pair, subspaces)
 
 
 def assert_step_matches(oracle_step, reached: set) -> None:
@@ -805,20 +854,38 @@ class TestMemo:
     def test_kernel_step_table_size(self, clean_cache, monkeypatch):
         # the 242 certificates with n <= 4 count their fibers at p = 2 on
         # 1,238 nodes under the zero grading, of which 165 are distinct
-        # (pair, (), r1) keys, on the kernels of 18 distinct matrices;
-        # their 472 candidates leave 254 distinct children, and a count
-        # walk pushes nothing, so it keeps no quotient map
-        cached_children = fibers._children
+        # (pair, (), r1) keys; their 472 candidates leave 254 distinct
+        # children.  874 nodes on 125 keys read _children, on the kernels
+        # of 17 distinct matrices; the other 364 nodes, on 40 keys, have
+        # one step left and are answered by _last_step in closed form,
+        # 16 keys with x = 0 and so one candidate W_1 = V and one child.
+        # A count walk pushes nothing, so it keeps no quotient map
+        cached_children, last_step = fibers._children, fibers._last_step
         entries = record_children(monkeypatch)
+        last, last_calls = {}, Counter()
+
+        def recording_last(*key):
+            last_calls["calls"] += 1
+            last[key] = last_step(*key)
+            return last[key]
+
+        monkeypatch.setattr(fibers, "_last_step", recording_last)
         for n in range(5):
             for big, small in closure_pairs(n):
                 assert check_polynomial_count(big, small).passed, (str(big), str(small))
         info = cached_children.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (165, 1073, 165)
-        assert sum(candidates for candidates, _ in entries.values()) == 472
-        assert sum(len(children) for _, children in entries.values()) == 254
+        assert (info.misses, info.hits, info.currsize) == (125, 749, 125)
+        assert (len(last), last_calls["calls"]) == (40, 364)
+        assert info.misses + len(last) == 165
+        assert info.misses + info.hits + last_calls["calls"] == 1238
+        assert sum(candidates for candidates, _ in entries.values()) == 456
+        assert sum(len(children) for _, children in entries.values()) == 238
+        assert [candidates for candidates, _ in last.values()].count(1) == 16
+        assert all(hist == ({((),): 1} if candidates else {}) for candidates, hist in last.values())
+        assert all(r1 < pair.n for pair, _, r1 in entries)
+        assert all(pair.x.is_zero() == bool(candidates) for (pair, _), (candidates, _) in last.items())
         assert fibers._push.cache_info().currsize == 0
-        assert fibers._kernel_blocks.cache_info().currsize == 18
+        assert fibers._kernel_blocks.cache_info().currsize == 17
 
     def test_persistence_roundtrip(self, tmp_path, clean_cache):
         cache = fiber_cache()

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from enhcone.combinatorics import FlagShape, bipartition, bipartitions, flag_shape, is_distinguished
+from enhcone.combinatorics import FlagShape, Partition, bipartition, bipartitions, flag_shape, is_distinguished
 from enhcone.fibers import FiberQuery, closure_pairs, count_fiber, count_fiber_memo, count_lambda_fixed
 from enhcone.gflinalg import MatrixGF, QuotientMap, SubspaceGF, enumerate_subspaces, quotient_map, rank
 from enhcone.normalform import (
@@ -404,7 +404,7 @@ class TestChainRanks:
                     m = len(krylov)
                     space = SubspaceGF.span(krylov, n, p)
                     chain = image_chain(x)
-                    dims, quotient_dims = _chain_ranks(x, krylov)
+                    dims, quotient_dims = _chain_ranks(x, v)
                     assert dims == [c.dim for c in chain]
                     # the ranks that classify_by_image_chain reads
                     assert quotient_dims == [
@@ -419,23 +419,76 @@ class TestChainRanks:
 
     @pytest.mark.parametrize(
         "p, sizes",
-        [(2, (8,)), (3, (8,)), (419, (0, 1, 2, 3, 4, 5, 6, 8)), (LARGE_P, (0, 1, 2, 3, 4, 5, 8))],
-        ids=["n8-p2", "n8-p3", "p419", "large-p"],
+        [
+            (2, (8,)),
+            (3, (8,)),
+            (5, (7, 8)),
+            (419, (0, 1, 2, 3, 4, 5, 6, 8)),
+            (LARGE_P, (0, 1, 2, 3, 4, 5, 8)),
+        ],
+        ids=["n8-p2", "n8-p3", "n8-p5", "p419", "large-p"],
     )
     def test_packed_walk_matches_image_chain_oracle(self, p, sizes):
         # one conjugate of every normal pair of each size: the packed
-        # fields are widest at n = 8 and at a large prime
+        # fields are widest at n = 8 and at a large prime, and the walk
+        # builds the Krylov vectors itself from v, on the packed columns
         rng = random.Random(30)
         for n in sizes:
             for b in bipartitions(n):
                 v, x = elementary_conjugate(normal_pair(b, p), rng)
                 krylov = krylov_vectors(v, x)
                 chain = image_chain(x)
-                assert _chain_ranks(x, krylov) == (
+                assert _chain_ranks(x, v) == (
                     [c.dim for c in chain],
                     [SubspaceGF.span(c.basis + tuple(krylov), n, p).dim - len(krylov) for c in chain],
                 )
                 assert classify_pair(v, x) == classify_by_image_chain(v, x) == b
+
+    def test_non_nilpotent_raises_from_the_krylov_loop_and_the_chain(self):
+        # x = g diag(5, J_2) g^-1 at a large prime, dense, with the
+        # eigenvector u = g e_1 of eigenvalue 5: the Krylov vectors of u
+        # never reach 0, so n of them raise before the chain is walked;
+        # from v = 0 there is no Krylov vector and the chain stalls
+        p, n = LARGE_P, 3
+        g = MatrixGF(p, ((3, 1, 4), (1, 5, 9), (2, 6, 5)), n)
+        e = MatrixGF(p, ((5, 0, 0), (0, 0, 1), (0, 0, 0)), n)
+        x = g @ e @ invert_gf(g)
+        u = g.matvec((1, 0, 0))
+        assert x.matvec(u) == tuple(5 * a % p for a in u)
+        assert sum(a > 2**16 for row in x.rows for a in row) >= 5  # dense, wide entries
+        with pytest.raises(ValueError, match="matrix is not nilpotent") as krylov_loop:
+            _chain_ranks(x, u)
+        frame = krylov_loop.traceback[-1].frame.f_locals
+        assert len(frame["krylov"]) == n and "dims" not in frame
+        with pytest.raises(ValueError, match="matrix is not nilpotent") as chain:
+            _chain_ranks(x, (0, 0, 0))
+        frame = chain.traceback[-1].frame.f_locals
+        assert frame["krylov"] == [] and frame["dims"] == [3, 2, 1]
+        for v in (u, (0, 0, 0)):
+            with pytest.raises(ValueError) as old:
+                classify_by_image_chain(v, x)
+            with pytest.raises(ValueError) as new:
+                classify_pair(v, x)
+            assert str(new.value) == str(old.value)
+
+    def test_classify_makes_no_matvec(self, monkeypatch):
+        # the Krylov vectors are packed ints built on x's packed columns
+        rng = random.Random(31)
+        cases = [
+            (b, *elementary_conjugate(normal_pair(b, p), rng))
+            for p in (2, 3, 419, LARGE_P)
+            for n in (0, 1, 4, 8)
+            for b in bipartitions(n)
+        ]
+
+        def forbidden(*args):
+            raise AssertionError("classify_pair called MatrixGF.matvec")
+
+        monkeypatch.setattr(MatrixGF, "matvec", forbidden)
+        for b, v, x in cases:
+            assert classify_pair(v, x) == b
+            rows = tuple(b.row_length(i) for i in range(1, b.row_count + 1))
+            assert jordan_type(x) == Partition(rows)
 
     def test_orbit_of_ranks_matches_the_types(self):
         # every normal pair with n <= 8: the orbit read straight off the
@@ -444,7 +497,7 @@ class TestChainRanks:
         for n in range(9):
             for b in bipartitions(n):
                 np_ = normal_pair(b, 2)
-                ranks, quotient_ranks = _chain_ranks(np_.x, krylov_vectors(np_.v, np_.x))
+                ranks, quotient_ranks = _chain_ranks(np_.x, np_.v)
                 expected = orbit_of_types(
                     partition_from_ranks(ranks), partition_from_ranks(quotient_ranks)
                 )
@@ -462,6 +515,48 @@ class TestChainRanks:
             orbit_of_types(partition_from_ranks(ranks), partition_from_ranks(quotient_ranks))
         with pytest.raises(ValueError):
             _orbit_of_ranks(ranks, quotient_ranks)
+
+    @pytest.mark.parametrize(
+        "ranks, drops",
+        [
+            ([3, 2, 0], (1, 2)),
+            ([4, 3, 2, 0], (1, 1, 2)),
+            ([0, 1], (-1,)),
+            ([1, 2, 0], (-1, 2)),
+            ([2, 3, 1, 0], (-1, 2, 1)),
+            ([0, 1, 3], (-1, -2)),
+        ],
+        ids=["increasing", "increasing-last", "negative", "negative-first", "negative-inside", "all-negative"],
+    )
+    def test_bad_drops_raise(self, ranks, drops):
+        message = f"rank drops must be positive and weakly decreasing: {drops}"
+        with pytest.raises(ValueError) as raised:
+            partition_from_ranks(ranks)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "ranks, parts",
+        [
+            ([], ()),
+            ([0], ()),
+            ([5, 5, 5], ()),
+            ([3, 0], (1, 1, 1)),
+            ([7, 4, 2, 1, 0], (4, 2, 1)),
+            ([6, 3, 0], (2, 2, 2)),
+            ([6, 6, 3, 3, 1, 0], (3, 2, 1)),
+        ],
+    )
+    def test_drops_transpose(self, ranks, parts):
+        # zero drops are skipped; part i counts the drops greater than i
+        assert partition_from_ranks(ranks).parts == parts
+
+    def test_orbit_of_types_rejects_types_of_no_orbit(self):
+        # kappa longer than lambda, and a mu that would go negative
+        for lam, kappa in (((1,), (1, 1)), ((2,), (3,)), ((1, 1), (2, 1))):
+            message = f"no orbit has Jordan types {Partition(lam)} and {Partition(kappa)}"
+            with pytest.raises(AssertionError) as raised:
+                orbit_of_types(Partition(lam), Partition(kappa))
+            assert str(raised.value) == message
 
     @pytest.mark.parametrize(
         "ranks, quotient_ranks", [([1, 0], [2, 1, 0]), ([1, 0], [2, 0])], ids=["mu-negative", "kappa-longer"]
