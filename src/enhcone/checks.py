@@ -1,15 +1,15 @@
 """Named verifications of the finite-checkable paving consequences.
 
-Each check runs an exact computation over small prime fields and returns
-a CheckReport whose fail verdicts always carry a concrete counterexample
-witness.  The checks falsify (or fail to falsify) statements that are
-theorems over any field, so a fail on any tested instance signals an
-implementation bug, never an acceptable tolerance.
+Each check runs an exact computation, over small prime fields or in Z[q]
+on the validated fiber polynomials, and returns a CheckReport whose fail
+verdicts always carry a concrete counterexample witness.  The checks
+falsify (or fail to falsify) statements that are theorems over any
+field, so a fail on any tested instance signals an implementation bug,
+never an acceptable tolerance.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -39,7 +39,6 @@ from .normalform import (
 from .fibers import (
     FiberQuery,
     InterpolationError,
-    QPolynomial,
     closure_contains,
     closure_pairs,
     count_fiber,
@@ -503,14 +502,13 @@ def check_kernel_recursion(b: Bipartition, shape: FlagShape, p: int) -> CheckRep
 # semismallness
 
 
-def check_semismall(
-    big: Bipartition,
-    certificate: Callable[[Bipartition, Bipartition], CheckReport] = check_polynomial_count,
-) -> CheckReport:
+def check_semismall(big: Bipartition) -> CheckReport:
     """Twice the fiber polynomial degree over each contained orbit must be
-    at most the difference of orbit dimensions.  Each polynomial must pass
-    its certificate, check_polynomial_count unless a suite shares its
-    own; a stratum that fails it carries its notes."""
+    at most the difference of orbit dimensions, and the polynomial must
+    be nonzero: the resolution maps onto big's orbit closure.  The
+    polynomials come from fiber_polynomial; a stratum whose transition
+    row fails its q-binomial sum fails with that reason.  P(2) = count is
+    left to check_polynomial_count."""
     started = time.perf_counter()
     inputs = {"big": _bp_json(big)}
     dim_big = orbit_dimension(big)
@@ -519,19 +517,19 @@ def check_semismall(
     for small in bipartitions(big.n):
         if not closure_contains(big, small):
             continue
-        cert = certificate(big, small)
-        if not cert.passed:
+        try:
+            poly = fiber_polynomial(big, small)
+        except InterpolationError as exc:
             ok = False
-            strata[format_bipartition(small)] = {"reason": "; ".join(cert.notes)}
+            strata[format_bipartition(small)] = {"reason": str(exc)}
             continue
-        degree = QPolynomial(tuple(cert.witness["polynomial"])).degree
-        dim_small = orbit_dimension(small)
-        good = 2 * degree <= dim_big - dim_small
+        codim = dim_big - orbit_dimension(small)
+        good = 2 * poly.degree <= codim and not poly.is_zero()
         ok = ok and good
         strata[format_bipartition(small)] = {
-            "fiber_poly": cert.witness["display"],
-            "2*deg": 2 * degree,
-            "codim": dim_big - dim_small,
+            "fiber_poly": str(poly),
+            "2*deg": 2 * poly.degree,
+            "codim": codim,
             "ok": good,
         }
     witness = {"orbit_dim": dim_big, "strata": strata}
@@ -560,17 +558,16 @@ def suite_instances(
 ) -> list[tuple[dict, Callable[[], CheckReport]]]:
     """All (description, thunk) pairs of the selected checks over every
     bipartition / closure pair of sizes 0..n, in deterministic order.
-    The polynomial and semismall checks share one paving certificate per
-    closure pair.  budget caps the nodes of each item: for alpha the
-    candidates both profile walks expand at p = 2 and 3, for split those
-    of its one walk but not its factor counts, for distinguished the
-    candidates of the splitting search; kernel, polynomial and semismall
-    count none."""
+    The polynomial check makes one paving certificate per closure pair;
+    semismall reads the fiber polynomials alone.  budget caps the nodes
+    of each item: for alpha the candidates both profile walks expand at
+    p = 2 and 3, for split those of its one walk but not its factor
+    counts, for distinguished the candidates of the splitting search;
+    kernel, polynomial and semismall count none."""
     unknown = set(checks) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     out: list[tuple[dict, Callable[[], CheckReport]]] = []
-    certificate = functools.cache(check_polynomial_count)
 
     def add(desc: dict, thunk: Callable[[], CheckReport]) -> None:
         out.append((desc, thunk))
@@ -581,7 +578,7 @@ def suite_instances(
             for big, small in pairs:
                 add(
                     {"check": "polynomial", "big": format_bipartition(big), "small": format_bipartition(small)},
-                    lambda big=big, small=small: certificate(big, small),
+                    lambda big=big, small=small: check_polynomial_count(big, small),
                 )
         if "alpha" in checks:
             for big, small in pairs:
@@ -621,6 +618,6 @@ def suite_instances(
             for big in bipartitions(size):
                 add(
                     {"check": "semismall", "big": format_bipartition(big)},
-                    lambda big=big: check_semismall(big, certificate),
+                    lambda big=big: check_semismall(big),
                 )
     return out

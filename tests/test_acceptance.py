@@ -143,14 +143,14 @@ def test_criterion_5_classification_roundtrip():
 
 
 def test_criterion_6_semismallness():
-    """2 deg(fiber poly) <= codim of every stratum, n <= 4."""
+    """2 deg(fiber poly) <= codim of every stratum, n <= 8."""
     bad = []
-    for n in range(5):
+    for n in range(9):
         for b in bipartitions(n):
             report = check_semismall(b)
             if not report.passed:
                 bad.append(str(b))
-    _verdict("criterion 6: semismallness", not bad, "n <= 4" + (f"; bad: {bad}" if bad else ""))
+    _verdict("criterion 6: semismallness", not bad, "n <= 8" + (f"; bad: {bad}" if bad else ""))
 
 
 def test_criterion_7_structure_recursions():

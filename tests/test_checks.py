@@ -574,11 +574,60 @@ class TestSemismall:
         stratum = rep.witness["strata"]["mu=;nu=1,1"]
         assert stratum["2*deg"] == 2 and stratum["codim"] == 2
 
-    def test_all_small(self):
-        for n in range(4):
+    def test_all_small(self, monkeypatch):
+        # semismall reads the fiber polynomials alone and makes no count
+        def no_count(query):
+            raise AssertionError("semismall made a brute-force count")
+
+        monkeypatch.setattr(checks, "count_fiber", no_count)
+        for n in range(5):
             for b in bipartitions(n):
                 rep = check_semismall(b)
                 assert rep.passed, (str(b), rep.witness)
+
+    @staticmethod
+    def faked(monkeypatch, small, poly):
+        """check_semismall(mu=;nu=2) with the polynomial over small replaced."""
+        real = checks.fiber_polynomial
+
+        def fake(big, s):
+            return poly if s == small else real(big, s)
+
+        monkeypatch.setattr(checks, "fiber_polynomial", fake)
+        return check_semismall(bipartition((), (2,)))
+
+    def test_degree_above_half_codim_fails(self, monkeypatch):
+        rep = self.faked(monkeypatch, bipartition((), (1, 1)), QPolynomial((0, 0, 1)))
+        assert rep.verdict == "fail"
+        assert rep.witness["strata"]["mu=;nu=1,1"] == {
+            "fiber_poly": "q^2", "2*deg": 4, "codim": 2, "ok": False
+        }
+        assert rep.witness["strata"]["mu=;nu=2"]["ok"]
+
+    def test_empty_contained_fiber_fails(self, monkeypatch):
+        # the resolution maps onto the closure: no contained fiber is empty
+        rep = self.faked(monkeypatch, bipartition((), (1, 1)), QPolynomial(()))
+        assert rep.verdict == "fail"
+        stratum = rep.witness["strata"]["mu=;nu=1,1"]
+        assert stratum["2*deg"] == 0 and stratum["ok"] is False
+
+    def test_failed_transition_row_fails_stratum(self, monkeypatch, clean_cache):
+        # T[((1);(1)), 1] is the constant 1; doubled, it no longer sums to [1 choose 1]_q
+        transition_row = fibers._transition_row
+        b = bipartition((1,), (1,))
+
+        def miscounted(orbit, r1):
+            row = transition_row(orbit, r1)
+            if (orbit, r1) == (b, 1):
+                row = {b2: e + e for b2, e in row.items()}
+            return row
+
+        monkeypatch.setattr(fibers, "_transition_row", miscounted)
+        rep = check_semismall(bipartition((2,), ()))
+        assert rep.verdict == "fail"
+        reason = rep.witness["strata"]["mu=1;nu=1"]["reason"]
+        assert reason.startswith("T[((1);(1)), 1] sums to 2")
+        assert rep.witness["strata"]["mu=1,1;nu="]["ok"]
 
 
 class TestEulerBridge:

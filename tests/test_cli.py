@@ -231,6 +231,10 @@ class TestCheckCommand:
             return certify(big, small)
 
         monkeypatch.setattr(checks, "check_polynomial_count", counted)
+        code, out = run_cli(capsys, "check", "--n", "4", "--checks", "semismall", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["summary"]["passed"] == 38
+        assert made == []
         code, out = run_cli(
             capsys, "check", "--n", "4", "--checks", "polynomial,semismall", "--format", "json"
         )
