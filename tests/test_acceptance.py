@@ -102,14 +102,16 @@ def test_criterion_3_springer_benchmarks():
 
 
 def test_criterion_4_distinguished_lemma():
-    """Brute-force splitting existence over GF(2) agrees with the
-    predicate for n <= 4; explicit constructions verify for n <= 6."""
+    """Brute-force splitting existence agrees with the predicate over
+    GF(2) for n <= 7 and over GF(3) for n <= 6; explicit constructions
+    verify for n <= 6."""
     bad = []
-    for n in range(5):
-        for b in bipartitions(n):
-            report = check_distinguished_lemma(b, 2)
-            if not report.passed:
-                bad.append((str(b), report.verdict))
+    for p, top in ((2, 7), (3, 6)):
+        for n in range(top + 1):
+            for b in bipartitions(n):
+                report = check_distinguished_lemma(b, p)
+                if not report.passed:
+                    bad.append((str(b), p, report.verdict))
     constructions = 0
     for n in range(7):
         for b in bipartitions(n):
@@ -123,7 +125,7 @@ def test_criterion_4_distinguished_lemma():
     _verdict(
         "criterion 4: distinguished lemma",
         not bad,
-        f"search n <= 4 at p=2; {constructions} constructions n <= 6" + (f"; bad: {bad}" if bad else ""),
+        f"search n <= 7 at p=2, n <= 6 at p=3; {constructions} constructions n <= 6" + (f"; bad: {bad}" if bad else ""),
     )
 
 

@@ -304,6 +304,28 @@ class TestDistinguishedLemma:
         assert rep.verdict == "budget-exceeded"
         assert peak < 1024 * 1024
 
+    def test_budget_counts_search_nodes(self):
+        # one node per candidate subspace of a block, and V2 draws only
+        # complements at their own dimension: (();(1,1,1)) at p = 3 spends
+        # 2 nodes on V1 (0, then the line of e_1) and 4 on the planes up
+        # to the first that misses that line
+        for b, p, nodes in (
+            (bipartition((2, 2), (1,)), 2, 20),
+            (bipartition((), (1, 1, 1)), 3, 6),
+        ):
+            spent = checks.SearchBudget()
+            assert checks.search_decomposition(normal_pair(b, p).pair, spent) is not None
+            assert spent.nodes == nodes
+            assert check_distinguished_lemma(b, p, budget=nodes).passed
+            rep = check_distinguished_lemma(b, p, budget=nodes - 1)
+            assert rep.verdict == "budget-exceeded"
+            assert rep.witness == {"nodes": nodes, "limit": nodes - 1}
+
+    def test_explicit_splitting_read_from_split_table(self, clean_cache):
+        rep = check_distinguished_lemma(bipartition((2, 2), (1,)), 2)
+        assert rep.passed
+        assert normalform.split_factors.cache_info().currsize == 1
+
 
 class TestSplitProduct:
     def test_two_lines(self):
@@ -667,3 +689,13 @@ class TestReports:
     def test_suite_rejects_unknown_names(self):
         with pytest.raises(ValueError):
             suite_instances(1, ("bogus",))
+
+    def test_suite_builds_closure_pairs_only_for_checks_that_read_them(self, monkeypatch):
+        def forbidden(size):
+            raise AssertionError("closure_pairs called")
+
+        monkeypatch.setattr(checks, "closure_pairs", forbidden)
+        names = [desc["check"] for desc, _ in suite_instances(4, ("distinguished", "semismall"))]
+        assert names.count("distinguished") == names.count("semismall") == 38
+        with pytest.raises(AssertionError):
+            suite_instances(4, ("distinguished", "kernel"))
