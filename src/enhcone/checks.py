@@ -48,6 +48,7 @@ from .fibers import (
     fiber_profiles,
     lambda_fixed_profiles,
     orbit_dimension,
+    split_profiles,
 )
 
 DEFAULT_BUDGET = 10**7
@@ -347,11 +348,7 @@ def check_distinguished_lemma(
 
 
 def _dedup_increasing(values: Sequence[int]) -> tuple[int, ...]:
-    out = [0]
-    for v in values:
-        if v != out[-1]:
-            out.append(v)
-    return tuple(out)
+    return tuple(sorted({0, *values}))
 
 
 def check_split_product(
@@ -360,17 +357,16 @@ def check_split_product(
     """For a non-distinguished pair split as V1 (+) V2, the graded fiber
     flags that respect the splitting, bucketed by the profile
     dim(W_i intersect V1), must match products of the two factors'
-    graded fiber counts with shapes read off the profile.  The profiles
-    dim(W_i intersect V1), dim(W_i intersect V2) come from the profile
-    walker lambda_fixed_profiles, and a flag respects the splitting
-    when they sum to dim W_i.  The factor on V1 is the pair induced on
-    V / V2, and that on V2 the pair on V / V1; a splitting that
+    graded fiber counts with shapes read off the profile.  The split
+    walk split_profiles counts those flags alone, by their profiles
+    against V1 and V2.  The factor on V1 is the pair induced on V / V2,
+    and that on V2 the pair on V / V1; a splitting that
     decomposition_failures rejects fails the check with its violations.
     The normal pair, the splitting, its violations and the factor pairs
     come from the process table split_factors, which validates each
     splitting once per (b, p); every count is made on each call, and
     each distinct factor query is counted once per call.  The budget
-    caps the candidates W_1 the walker expands."""
+    caps the candidates W_1 the split walk expands."""
     started = time.perf_counter()
     if is_distinguished(b):
         raise ValueError(f"{b} is distinguished; the splitting step does not apply")
@@ -385,18 +381,13 @@ def check_split_product(
     j = shape.marker
     q = FiberQuery.of(np_, shape)
     try:
-        hist = lambda_fixed_profiles(q, (dec.v1, dec.v2), SearchBudget(budget).spend)
+        hist = split_profiles(q, dec.v1, dec.v2, SearchBudget(budget).spend)
     except BudgetExceeded as exc:
         witness = {"nodes": exc.nodes, "limit": exc.limit}
         return _report("split-product", inputs, BUDGET_EXCEEDED, witness, started)
-    buckets: dict[tuple[int, ...], int] = {}
-    split_total = 0
-    for profile, count in hist.items():
-        if any(a + bdim != d for (a, bdim), d in zip(profile, shape.dims[1:])):
-            continue
-        split_total += count
-        dims1 = tuple(a for a, _ in profile)
-        buckets[dims1] = buckets.get(dims1, 0) + count
+    # a split profile is fixed by its V1 part
+    buckets = {tuple([a for a, _ in profile]): count for profile, count in hist.items()}
+    split_total = sum(hist.values())
     factor_counts: dict[FiberQuery, int] = {}
 
     def factor_count(fq: FiberQuery) -> int:
@@ -439,7 +430,6 @@ def check_split_product(
         }
     euler_ok = product_total == split_total
     witness = {
-        "lambda_fixed_flags": sum(hist.values()),
         "split_flags": split_total,
         "profiles": profile_witness,
         "product_total": product_total,
@@ -544,8 +534,8 @@ def suite_instances(
     The polynomial check makes one paving certificate per closure pair;
     semismall reads the fiber polynomials alone.  budget caps the nodes
     of each item: for alpha the candidates both profile walks expand at
-    p = 2 and 3, for split those of its one walk but not its factor
-    counts, for distinguished the candidates of the splitting search;
+    p = 2 and 3, for split those its split walk expands but not its
+    factor counts, for distinguished the candidates of the splitting search;
     kernel, polynomial and semismall count none."""
     unknown = set(checks) - set(CHECK_NAMES)
     if unknown:

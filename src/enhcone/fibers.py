@@ -20,17 +20,18 @@ block, so that every r_1-subspace of ker x is a candidate.
 The counting walker buckets the flags by their profiles dim(W_i & S)
 against a tuple of fixed subspaces S, each pushed into V/W_1 along with
 the pair: the alpha check by the weight filtrations, the split check
-by a splitting V1 (+) V2, and a count is the histogram against no S,
-summed.  Different first subspaces often leave the same quotient, so a
-node walks each distinct child (quotient pair, pushed subspaces, first
-step) once, weighted by the number of candidates W_1 that leave it, and
-the walker memoizes on (pair, pushed subspaces, dims, j), with pair
-exact over GF(p): the matrix of x, v and the weights.  Equal children
-and equal keys are equal subproblems, so neither can change a count.
-The memo is a fresh dict for each call.  It classifies nothing
-and reads no transition row and no FiberCache, so the brute-force count
-stays independent of the fiber polynomials that it certifies.  _flags
-is the oracle that the walker is tested against.
+by a splitting V1 (+) V2 over the flags that respect it alone
+(split_profiles), and a count is the histogram against no S, summed.
+Different first subspaces often leave the same quotient, so a node
+walks each distinct child (quotient pair, pushed subspaces, first step)
+once, weighted by the number of candidates W_1 that leave it, and the
+walker memoizes on (pair, pushed subspaces, dims, j), with pair exact
+over GF(p): the matrix of x, v and the weights.  Equal children and
+equal keys are equal subproblems, so neither can change a count.  The
+walker classifies nothing and reads no transition row and no
+FiberCache, so the brute-force count stays independent of the fiber
+polynomials that it certifies.  _flags is the oracle that the walker
+is tested against.
 
 The checks walk the same small orbits again and again under different
 flag shapes, so these tables live for the whole process, or until
@@ -248,7 +249,7 @@ def _flags(pair: GradedPair, dims: tuple[int, ...], j: int) -> Iterator[tuple[Su
 _LEAF = {(): 1}  # the one empty tail of a flag; read, never written
 
 
-def _profiles(pair: GradedPair, subspaces: tuple, dims: tuple[int, ...], j: int, memo: dict, spend) -> dict:
+def _profiles(pair: GradedPair, subspaces: tuple, dims: tuple[int, ...], j: int, memo: dict, spend, split) -> dict:
     """Histogram {steps: count} of the fiber flags over pair, with
     steps[i][s] = dim(W_(i+1) & S_s) - dim(W_i & S_s), S = subspaces.
     Each candidate W_1 pushes every S into V/W_1, and its first step is
@@ -260,9 +261,10 @@ def _profiles(pair: GradedPair, subspaces: tuple, dims: tuple[int, ...], j: int,
     W_1, and walks each distinct child once, weighted by the number of
     candidates that leave it; an empty child (v not in W_1 at the
     marker) and the leaf are answered by the guards on entry, and a node
-    with one step left by _last_step, with no _children entry.
-    The tables hold subspaces and pairs, never a histogram, so the memo,
-    a fresh dict per call, holds every count."""
+    with one step left by _last_step, with no _children entry.  A split
+    walk, S a splitting V1 (+) V2, skips each child whose first step
+    does not sum to r_1: a flag respects the splitting exactly when all
+    its steps do, and the last one does once the others have."""
     if j == 0 and any(pair.v):
         return {}
     if len(dims) == 1:
@@ -281,7 +283,9 @@ def _profiles(pair: GradedPair, subspaces: tuple, dims: tuple[int, ...], j: int,
             spend(candidates)
             hist = {}
             for sub, pushed, first, mult in children:
-                for tail, count in _profiles(sub, pushed, rest, jj, memo, spend).items():
+                if split and sum(first[0]) != r1:
+                    continue
+                for tail, count in _profiles(sub, pushed, rest, jj, memo, spend, split).items():
                     steps = first + tail
                     hist[steps] = hist.get(steps, 0) + mult * count
         memo[key] = hist
@@ -298,11 +302,11 @@ def _last_step(pair: GradedPair, subspaces: tuple) -> tuple[int, dict]:
     return 0, {}
 
 
-def _histogram(pair: GradedPair, q: FiberQuery, subspaces: Sequence[SubspaceGF], spend) -> dict:
+def _histogram(pair: GradedPair, q: FiberQuery, subspaces: Sequence[SubspaceGF], spend, split=False) -> dict:
     """_profiles of pair on q's shape with a fresh memo, each key turned
     into the running sums of its steps, profile[i][s] = dim(W_(i+1) & S_s).
     Distinct steps have distinct running sums, so no two keys merge."""
-    hist = _profiles(pair, tuple(subspaces), q.shape.dims, q.shape.marker, {}, spend)
+    hist = _profiles(pair, tuple(subspaces), q.shape.dims, q.shape.marker, {}, spend, split)
     return {
         tuple(itertools.accumulate(steps, lambda total, row: tuple(a + b for a, b in zip(total, row)))): count
         for steps, count in hist.items()
@@ -349,16 +353,21 @@ def lambda_fixed_profiles(
     return _histogram(q.graded_pair(), q, subspaces, spend)
 
 
+def split_profiles(
+    q: FiberQuery, v1: SubspaceGF, v2: SubspaceGF, spend: Callable[[int], object] = lambda amount: None
+) -> dict:
+    """lambda_fixed_profiles against a graded splitting v1 (+) v2 of V,
+    walking only the flags W_i = (W_i & v1) (+) (W_i & v2)."""
+    return _histogram(q.graded_pair(), q, (v1, v2), spend, True)
+
+
 class FiberCache:
     """The count table: (mu, nu, dims, j, p) to the exact count that
     count_fiber_memo returned, which `save`/`load` persist.  `clear()`
-    empties it and the process tables of the module docstring:
-    normalform.orbit_pair, _kernel_blocks, _push, _children, _symbolic_row,
-    _poly_orbit, normalform.split_factors and _interned.  It keeps the
-    closed-form tables q_binomial, q_power, _schubert_cells, _line_ranks
-    and _row_orbit, and classification's packed-vector layouts,
-    gflinalg._packed_layout.  `stats` counts lookups in the count table
-    and in _poly_orbit, and their entries.
+    empties it and the process tables that the module docstring names,
+    all but the closed-form ones and gflinalg._packed_layout.  `stats`
+    counts lookups in the count table and in _poly_orbit, and their
+    entries.
     """
 
     FORMAT = 1

@@ -30,10 +30,9 @@ overflows.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul, sub
+from operator import index, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .combinatorics import Bipartition, Partition, is_distinguished
@@ -142,8 +141,9 @@ def _chain_ranks(x: MatrixGF, v: Sequence[int]) -> tuple[list[int], list[int]]:
     """Two rank sequences read off one walk down the image chain
     C_k = x^k V of a square x, from C_0 = V to the zero subspace: dim C_k,
     and dim(C_k + K) - dim K for K = F[x]v, the span of the Krylov
-    vectors v, xv, x^2 v, ...  v has n entries in [0, p).  These are the
-    ranks of x^k on V and on V / F[x]v.
+    vectors v, xv, x^2 v, ...  v has n int entries, each taken by
+    operator.index and reduced mod p as it is packed, in one pass.  These
+    are the ranks of x^k on V and on V / F[x]v.
 
     Each level is forward elimination in insertion order: a spanning row
     is reduced by the echelon rows before it, one after another, and a
@@ -185,7 +185,9 @@ def _chain_ranks(x: MatrixGF, v: Sequence[int]) -> tuple[list[int], list[int]]:
     field = (1 << width) - 1
     offsets = range(width * (n - 1), -1, -width)  # of entries 0, 1, ..., n - 1
     columns = [pack(col) for col in zip(*x.rows)]
-    krylov, u = [], pack(v)
+    krylov, u = [], 0
+    for a in v:
+        u = u << width | index(a) % p
     while u:
         if len(krylov) == n:
             raise ValueError("matrix is not nilpotent")
@@ -268,17 +270,16 @@ def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
     """The bipartition (mu; nu) of the orbit of the pair (v, x), x nilpotent:
     orbit_of_types of lambda, the Jordan type of x, and kappa, that of x
     on V / F[x]v.  Both come from one walk down the image chain x^k V
-    (_chain_ranks), which packs v once and builds the Krylov vectors
-    x^j v on the packed columns of x that the chain uses: x^k has rank
-    dim x^k V, and its map on V / F[x]v has rank dim x^k V - (m - j_k),
-    with m = dim F[x]v and j_k the least j with x^j v in x^k V.  No
-    MatrixGF.matvec and no tuple Krylov vector is formed.
-    _orbit_of_ranks reads (mu; nu) off the two rank sequences.  The
-    roundtrip
-    classify_pair(normal_pair(b, p)) == b pins this contract, and
-    classification is constant on GL(V)-orbits.  Conjugating the normal
-    pair of ((1); (1)), with v = e_1 and x = E_12, by the swap of e_1 and
-    e_2 gives v = e_2 and x = E_21:
+    (_chain_ranks), which reduces and packs v in one pass and builds the
+    Krylov vectors x^j v on the packed columns of x that the chain uses:
+    x^k has rank dim x^k V, and its map on V / F[x]v has rank
+    dim x^k V - (m - j_k), with m = dim F[x]v and j_k the least j with
+    x^j v in x^k V.  No MatrixGF.matvec and no tuple Krylov vector is
+    formed.  _orbit_of_ranks reads (mu; nu) off the two rank sequences.
+    The roundtrip classify_pair(normal_pair(b, p)) == b pins this
+    contract, and classification is constant on GL(V)-orbits.
+    Conjugating the normal pair of ((1); (1)), with v = e_1 and x = E_12,
+    by the swap of e_1 and e_2 gives v = e_2 and x = E_21:
 
     >>> from .combinatorics import format_bipartition
     >>> x = MatrixGF(5, ((0, 0), (1, 0)), 2)
@@ -291,9 +292,7 @@ def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
     """
     if not x.is_square():
         raise ValueError("classify_pair needs a square matrix")
-    n = x.nrows
-    v = tuple(operator.index(a) % x.p for a in v)
-    if len(v) != n:
+    if len(v) != x.nrows:
         raise ValueError("vector length does not match matrix size")
     return _orbit_of_ranks(*_chain_ranks(x, v))
 

@@ -410,8 +410,16 @@ def flag_profile(
 
 
 def flag_histogram(flags, subspaces: Sequence[SubspaceGF]) -> dict:
-    """{profile: number of flags} over the flags, by flag_profile."""
-    return dict(Counter(flag_profile(flag, subspaces) for flag in flags))
+    """{profile: number of flags} over the flags, by flag_profile.  Many
+    flags share a subspace, so each distinct one is intersected once."""
+    rows: dict = {}
+
+    def row(w: SubspaceGF) -> tuple[int, ...]:
+        if w not in rows:
+            rows[w] = flag_profile((w,), subspaces)[0]
+        return rows[w]
+
+    return dict(Counter(tuple(map(row, flag)) for flag in flags))
 
 
 def closure_by_count(big: Bipartition, small: Bipartition, p: int, memo: dict) -> bool:

@@ -25,6 +25,7 @@ from enhcone.fibers import (
     fiber_profiles,
     interpolate_qpoly,
     lambda_fixed_profiles,
+    split_profiles,
 )
 from enhcone.checks import (
     check_alpha_partition,
@@ -348,7 +349,7 @@ class TestSplitProduct:
         q = FiberQuery.of(normal_pair(small, 2), flag_shape(big))
         dec = explicit_decomposition(normal_pair(small, 2))
         spent = []
-        lambda_fixed_profiles(q, (dec.v1, dec.v2), spent.append)
+        split_profiles(q, dec.v1, dec.v2, spent.append)
         nodes = sum(spent)
         assert nodes > len(spent) > 0
         assert check_split_product(small, big, 2, budget=nodes).passed
@@ -400,7 +401,6 @@ class TestSplitProduct:
         assert len(queries) == len(set(queries)) == 2
         factors = {"factor_v1": 4, "factor_v2": 1, "flags": 4, "product": 4}
         assert rep.witness == {
-            "lambda_fixed_flags": 52,
             "split_flags": 12,
             "profiles": {"0,1,2": factors, "1,1,2": factors, "1,2,2": factors},
             "product_total": 12,

@@ -56,6 +56,7 @@ from enhcone.fibers import (
     orbit_dimension,
     q_binomial,
     q_power,
+    split_profiles,
 )
 from oracles import (
     classify_by_centralizer,
@@ -355,15 +356,40 @@ class TestProfileWalker:
                         ranks.setdefault(profile, set()).add(d)
                 assert all(len(ds) == 1 for ds in ranks.values()), (str(big), str(small))
 
-    def test_split_profiles_match_enumeration_n4(self):
-        for big, small in closure_pairs(4):
-            if is_distinguished(small):
-                continue
-            q = FiberQuery.over_orbit(small, big, 2)
-            halves = splitting(small, 2)
-            assert lambda_fixed_profiles(q, halves) == flag_histogram(
-                enumerate_lambda_fixed_flags(q), halves
-            ), (str(big), str(small))
+    def test_split_walk_keeps_exactly_the_split_profiles(self):
+        # the full walk against a splitting matches the enumerated flags,
+        # and the split walk, which prunes each child whose first step
+        # does not sum to r_1, keeps exactly the profiles of both that sum
+        # to dim W_i at every level
+        compared = 0
+        for n in range(5):
+            for big, small in closure_pairs(n):
+                if is_distinguished(small):
+                    continue
+                for p in (2, 3):
+                    q = FiberQuery.over_orbit(small, big, p)
+                    halves = splitting(small, p)
+                    full = lambda_fixed_profiles(q, halves)
+                    enumerated = flag_histogram(enumerate_lambda_fixed_flags(q), halves)
+                    assert full == enumerated, (str(big), str(small), p)
+                    split = {
+                        profile: count for profile, count in full.items()
+                        if all(a + b == d for (a, b), d in zip(profile, q.shape.dims[1:]))
+                    }
+                    assert split_profiles(q, *halves) == split, (str(big), str(small), p)
+                    compared += bool(split)
+        assert compared > 100
+
+    def test_split_walk_spends_fewer_candidates(self):
+        # (();(1,1,1)) under (();(3)) at p = 3: the full walk expands 40
+        # candidates for 52 flags, of which the split walk keeps 12
+        small, big = bipartition((), (1, 1, 1)), bipartition((), (3,))
+        q = FiberQuery.over_orbit(small, big, 3)
+        halves = splitting(small, 3)
+        full, split = [], []
+        assert sum(lambda_fixed_profiles(q, halves, full.append).values()) == 52
+        assert sum(split_profiles(q, *halves, split.append).values()) == 12
+        assert 0 < sum(split) < sum(full) == 40
 
     def test_no_subspaces_is_the_count(self):
         for n in range(5):

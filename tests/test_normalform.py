@@ -136,6 +136,13 @@ class TestJordanType:
             with pytest.raises(ValueError, match="square"):
                 classify_pair(v, x)
 
+    def test_classify_rejects_wrong_length_vector(self):
+        # v is reduced and packed in one pass, after its length is checked
+        x = regular_nilpotent(3, 2)
+        for v in ((), (0, 1), (0, 1, 0, 0), (0.5, 1)):
+            with pytest.raises(ValueError, match="vector length"):
+                classify_pair(v, x)
+
 
 class TestCentralizer:
     def test_zero_matrix(self):
