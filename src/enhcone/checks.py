@@ -330,7 +330,8 @@ def check_distinguished_lemma(
             ok = False
             witness["search_result_invalid"] = bad
     if not predicted:
-        _, dec, failures, _, _ = split_factors(b, p)
+        entry = split_factors(b, p)  # builds no factor pair
+        dec, failures = entry.splitting, entry.failures
         witness["explicit_construction"] = {
             "V1": [list(r) for r in dec.v1.basis],
             "V2": [list(r) for r in dec.v2.basis],
@@ -365,8 +366,8 @@ def check_split_product(
     The normal pair, the splitting, its violations and the factor pairs
     come from the process table split_factors, which validates each
     splitting once per (b, p); every count is made on each call, and
-    each distinct factor query is counted once per call.  The budget
-    caps the candidates W_1 the split walk expands."""
+    each distinct factor query is built and counted once per call.  The
+    budget caps the candidates W_1 the split walk expands."""
     started = time.perf_counter()
     if is_distinguished(b):
         raise ValueError(f"{b} is distinguished; the splitting step does not apply")
@@ -388,13 +389,18 @@ def check_split_product(
     # a split profile is fixed by its V1 part
     buckets = {tuple([a for a, _ in profile]): count for profile, count in hist.items()}
     split_total = sum(hist.values())
-    factor_counts: dict[FiberQuery, int] = {}
+    factors = (pair1, pair2)
+    factor_counts: dict[tuple[int, tuple[int, ...], int], int] = {}
 
-    def factor_count(fq: FiberQuery) -> int:
-        # buckets repeat factor shapes; each distinct one is counted once
-        if fq not in factor_counts:
-            factor_counts[fq] = count_lambda_fixed(fq)
-        return factor_counts[fq]
+    def factor_count(side: int, dims: tuple[int, ...], marker: int) -> int:
+        # buckets repeat factor shapes; each distinct one is counted once,
+        # and only then is its query built
+        key = (side, dims, marker)
+        if key not in factor_counts:
+            f = factors[side]
+            query = FiberQuery(f.v, f.x, FlagShape(dims, marker), f.weights)
+            factor_counts[key] = count_lambda_fixed(query)
+        return factor_counts[key]
 
     notes = []
     profile_witness = {}
@@ -416,8 +422,8 @@ def check_split_product(
                 )
             else:
                 j1 = rho1.index(val)
-        c1 = factor_count(FiberQuery(pair1.v, pair1.x, FlagShape(rho1, j1), pair1.weights))
-        c2 = factor_count(FiberQuery(pair2.v, pair2.x, FlagShape(rho2, 0), pair2.weights))
+        c1 = factor_count(0, rho1, j1)
+        c2 = factor_count(1, rho2, 0)
         expected = c1 * c2
         product_total += expected
         good = buckets[profile] == expected

@@ -231,7 +231,9 @@ def _children(pair: GradedPair, subspaces: tuple, r1: int) -> tuple:
 
 
 def _flags(pair: GradedPair, dims: tuple[int, ...], j: int) -> Iterator[tuple[SubspaceGF, ...]]:
-    """The flags that _profiles counts, lifted to the ambient space of pair."""
+    """The flags that _profiles counts, lifted to the ambient space of pair.
+    Tails below one W_1 share their first steps, so each distinct
+    subspace of V/W_1 is lifted once per W_1."""
     if j == 0 and any(pair.v):
         return
     if len(dims) == 1:
@@ -242,8 +244,12 @@ def _flags(pair: GradedPair, dims: tuple[int, ...], j: int) -> Iterator[tuple[Su
     for qm, sub in _step(pair, dims[1]):
         # qm's kernel is canonical: its rows and pivots are W_1's own
         w1 = _subspace(qm.p, qm.ambient, qm.basis_rows, qm.pivots)
+        lifts: dict[SubspaceGF, SubspaceGF] = {}
         for tail in _flags(sub, rest, jj):
-            yield (w1,) + tuple(qm.preimage(s) for s in tail)
+            for s in tail:
+                if s not in lifts:
+                    lifts[s] = qm.preimage(s)
+            yield (w1,) + tuple(map(lifts.__getitem__, tail))
 
 
 _LEAF = {(): 1}  # the one empty tail of a flag; read, never written

@@ -17,17 +17,19 @@ their bases canonical.
 
 Classification walks its image chain on packed vectors instead: one
 int per vector, one bit field per entry, reduced mod p in all fields at
-once (PackedLayout, _packed_layout).
+once (PackedLayout, _packed_layout).  Fields are 16, 32 or 64 bits wide
+whenever that suffices, so one struct call packs or unpacks a vector.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import lt, mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +215,13 @@ class PackedLayout(NamedTuple):
     with no carry between fields while each stays below 2^width.
     `reduce` takes a packed int whose fields are all below `bound` to
     the packed int of their residues mod p, by one Barrett step with
-    `multiplier`, `shift` and `mask`; a hot loop may spell the step out."""
+    `multiplier`, `shift` and `mask`; a hot loop may spell the step out.
+
+    `pack(entries)` is the packed int of n field values, each below
+    2^width, and `entries(u)` the n fields of a packed int u below
+    2^(n width), entry 0 first.  At a width of 16, 32 or 64 bits both
+    are one call into struct, on the big-endian bytes of u; at a wider
+    one they loop over the fields with shifts."""
 
     p: int
     width: int
@@ -221,17 +229,15 @@ class PackedLayout(NamedTuple):
     multiplier: int
     shift: int
     mask: int
-
-    def pack(self, entries: Sequence[int]) -> int:
-        """The packed int of entries, each in [0, p)."""
-        packed, width = 0, self.width
-        for a in entries:
-            packed = packed << width | a
-        return packed
+    pack: Callable[[Iterable[int]], int]
+    entries: Callable[[int], Sequence[int]]
 
     def reduce(self, a: int) -> int:
         """a with every field taken mod p, each field of a below bound."""
         return a - self.p * ((a * self.multiplier >> self.shift) & self.mask)
+
+
+_STRUCT_CODES = {16: "H", 32: "I", 64: "Q"}  # unsigned big-endian fields
 
 
 @lru_cache(maxsize=None)
@@ -249,20 +255,47 @@ def _packed_layout(n: int, p: int) -> PackedLayout:
     s = bits(B) + 2 bits(p) makes that less than 1 / p, the least
     distance from a / p up to the next integer, so the floor is
     floor(a / p).  One multiplication of the packed int by m makes every
-    a m, which is below B m < 2^(width - 1) with
-    width = bits(B m) + 1, so the products do not overlap.  The shift by
-    s leaves floor(a m / 2^s) in the low width - s bits of each field and
-    drops the low s bits of a m into the top of the field below, where
-    the mask Q of the low width - s bits of every field clears them.
-    Each field of p times the masked quotients is at most its a, so the
-    subtraction borrows nothing."""
+    a m, which is below B m < 2^(width - 1) for any
+    width >= bits(B m) + 1, so the products do not overlap.  The width
+    is that least one rounded up to 16, 32 or 64 bits when it fits, so
+    that struct packs and unpacks the fields; B m < 2^(width - 1) holds
+    all the more, and only above about p = 2^10 is a field wider than
+    64 bits.  The shift by s leaves floor(a m / 2^s) in the low
+    width - s bits of each field and drops the low s bits of a m into
+    the top of the field below, where the mask Q of the low width - s
+    bits of every field clears them.  Each field of p times the masked
+    quotients is at most its a, so the subtraction borrows nothing."""
     bound = max(n * (p - 1) ** 2, p * p) + p
     s = bound.bit_length() + 2 * p.bit_length()
     m = -(-(1 << s) // p)
     width = (bound * m).bit_length() + 1
+    width = next((w for w in _STRUCT_CODES if width <= w), width)
     low = (1 << (width - s)) - 1
     mask = sum(low << (width * c) for c in range(n))
-    return PackedLayout(p, width, bound, m, s, mask)
+    if width in _STRUCT_CODES:
+        fmt = struct.Struct(f">{n}{_STRUCT_CODES[width]}")
+        size, fields, from_bytes = fmt.size, fmt.unpack, int.from_bytes
+
+        def pack(entries: Iterable[int]) -> int:
+            return from_bytes(fmt.pack(*entries), "big")
+
+        def entries(u: int) -> Sequence[int]:
+            return fields(u.to_bytes(size, "big"))
+
+    else:
+        field = (1 << width) - 1
+        offsets = range(width * (n - 1), -1, -width)  # of entries 0, 1, ..., n - 1
+
+        def pack(entries: Iterable[int]) -> int:
+            packed = 0
+            for a in entries:
+                packed = packed << width | a
+            return packed
+
+        def entries(u: int) -> Sequence[int]:
+            return [u >> offset & field for offset in offsets]
+
+    return PackedLayout(p, width, bound, m, s, mask, pack, entries)
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,7 +25,9 @@ The walk keeps every vector, each Krylov vector x^j v included, as one
 packed int (gflinalg.PackedLayout), so that a row operation or a
 matrix-vector product acts on all n entries with a few integer
 operations and one Barrett step; _chain_ranks says why no field
-overflows.
+overflows.  Packing a column of x or v, and unpacking a vector for a
+product, is one call of the layout (one struct call at the usual
+widths).
 """
 
 from __future__ import annotations
@@ -158,9 +160,10 @@ def _chain_ranks(x: MatrixGF, v: Sequence[int]) -> tuple[list[int], list[int]]:
     Reducing by an echelon row whose pivot is f in the row adds p - f
     times the echelon row, and scaling multiplies by the pivot's
     inverse; x applied to a vector u, an echelon row or a Krylov vector,
-    is the sum over c of u_c times x's packed column c.  One Barrett
-    step (layout.reduce, written out inline) then takes every entry back
-    into [0, p).  Before it an entry is at most (p-1) + (p-1)^2 < p^2,
+    is the sum over c of u_c times x's packed column c, the u_c read
+    by layout.entries and the columns and v packed by layout.pack.  One
+    Barrett step (layout.reduce, written out inline) then takes every
+    entry back into [0, p).  Before it an entry is at most (p-1) + (p-1)^2 < p^2,
     (p-1)^2 or n (p-1)^2, all below the layout's bound
     B = max(n (p-1)^2, p^2) + p, so no field carries into the next and
     the step is exact.  The pivot is the field of the row's top bit, and
@@ -180,19 +183,16 @@ def _chain_ranks(x: MatrixGF, v: Sequence[int]) -> tuple[list[int], list[int]]:
     """
     n, p = x.nrows, x.p
     layout = _packed_layout(n, p)
-    pack, width = layout.pack, layout.width
+    pack, entries, width = layout.pack, layout.entries, layout.width
     mult, shift, mask = layout.multiplier, layout.shift, layout.mask
     field = (1 << width) - 1
-    offsets = range(width * (n - 1), -1, -width)  # of entries 0, 1, ..., n - 1
     columns = [pack(col) for col in zip(*x.rows)]
-    krylov, u = [], 0
-    for a in v:
-        u = u << width | index(a) % p
+    krylov, u = [], pack([index(a) % p for a in v])
     while u:
         if len(krylov) == n:
             raise ValueError("matrix is not nilpotent")
         krylov.append(u)
-        u = sum(map(mul, [u >> offset & field for offset in offsets], columns))
+        u = sum(map(mul, entries(u), columns))
         u -= p * ((u * mult >> shift) & mask)  # layout.reduce, spelled out
     m, j = len(krylov), 0
     dims, quotient_dims = [n], [n - m]
@@ -230,7 +230,7 @@ def _chain_ranks(x: MatrixGF, v: Sequence[int]) -> tuple[list[int], list[int]]:
         quotient_dims.append(d - m + j)
         level = []
         for erow, _ in echelon:
-            u = sum(map(mul, [erow >> offset & field for offset in offsets], columns))
+            u = sum(map(mul, entries(erow), columns))
             level.append(u - p * ((u * mult >> shift) & mask))
     return dims, quotient_dims
 
@@ -556,19 +556,46 @@ def explicit_decomposition(np: NormalPair) -> Decomposition:
     raise AssertionError(f"no construction applies to non-distinguished {b}")
 
 
-class SplitFactors(NamedTuple):
+class SplitFactors:
     """The normal pair of a non-distinguished bipartition, its explicit
     splitting V1 (+) V2, the splitting conditions that the splitting
     violates (decomposition_failures, as a tuple), and the graded factor
     pairs induced on V / V2 (the factor on V1) and on V / V1 (the factor
     on V2).  A factor pair means something only for a valid splitting,
-    so both are None when failures is not empty."""
+    so both are None when failures is not empty.  The factor pairs are
+    built on first read, so that the distinguished check, which reads
+    only the splitting and its failures, builds none; the entry unpacks
+    as (normal, splitting, failures, factor_v1, factor_v2)."""
 
-    normal: NormalPair
-    splitting: Decomposition
-    failures: tuple[str, ...]
-    factor_v1: GradedPair | None
-    factor_v2: GradedPair | None
+    __slots__ = ("normal", "splitting", "failures", "_factors")
+
+    def __init__(self, normal: NormalPair, splitting: Decomposition, failures: tuple[str, ...]):
+        self.normal = normal
+        self.splitting = splitting
+        self.failures = failures
+        self._factors: tuple[GradedPair | None, GradedPair | None] | None = None
+
+    @property
+    def factors(self) -> tuple[GradedPair | None, GradedPair | None]:
+        """(factor_v1, factor_v2), built on the first read."""
+        if self._factors is None:
+            pair, dec = self.normal.pair, self.splitting
+            self._factors = (None, None) if self.failures else (
+                quotient_pair(pair, quotient_map(dec.v2)),
+                quotient_pair(pair, quotient_map(dec.v1)),
+            )
+        return self._factors
+
+    @property
+    def factor_v1(self) -> GradedPair | None:
+        return self.factors[0]
+
+    @property
+    def factor_v2(self) -> GradedPair | None:
+        return self.factors[1]
+
+    def __iter__(self) -> Iterator:
+        return iter((self.normal, self.splitting, self.failures, *self.factors))
 
 
 @lru_cache(maxsize=None)
@@ -583,19 +610,11 @@ def orbit_pair(b: Bipartition, p: int) -> NormalPair:
 def split_factors(b: Bipartition, p: int) -> SplitFactors:
     """The split check's set-up for b over GF(p), built once per (b, p) in
     a process: the check splits each small orbit under every big one.
-    The splitting is validated here, once, by decomposition_failures,
-    and the factor pairs are built only when it passes.  The entry holds
+    The splitting is validated here, once, by decomposition_failures;
+    the factor pairs are built on their first read, by the split check,
+    and only when it passes.  The entry holds
     exact objects that depend on (b, p) alone and no count.  A
     distinguished b raises ValueError, and no entry is kept."""
     np_ = orbit_pair(b, p)
     dec = explicit_decomposition(np_)
-    failures = tuple(decomposition_failures(np_.pair, dec))
-    if failures:
-        return SplitFactors(np_, dec, failures, None, None)
-    return SplitFactors(
-        np_,
-        dec,
-        failures,
-        quotient_pair(np_.pair, quotient_map(dec.v2)),
-        quotient_pair(np_.pair, quotient_map(dec.v1)),
-    )
+    return SplitFactors(np_, dec, tuple(decomposition_failures(np_.pair, dec)))

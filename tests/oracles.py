@@ -59,6 +59,11 @@ identity, and re-spans x^k V together with the Krylov vectors at every
 level.  It takes the rank on V / F[x]v as dim(x^k V + F[x]v) -
 dim F[x]v and so shares nothing with the rule classify_pair reads it
 by now, dim x^k V - (m - j_k) for j_k the least j with x^j v in x^k V.
+least_packed_width recomputes the narrowest field that
+gflinalg._packed_layout's Barrett proof allows, before the layout rounds
+it up to 16, 32 or 64 bits, and width_boundary finds the primes on
+either side of one of those widths: the layouts where the rounding and
+the switch to the shift loop happen.
 dense_add, dense_sub and dense_mul are q-polynomial arithmetic on
 plain coefficient lists, index by index, with no trimming: the oracle
 that QPolynomial's +, - and * are checked against.  rref, the reduced
@@ -483,6 +488,25 @@ def next_prime_after(n: int) -> int:
 
 def held_out_prime(schedule: Sequence[int]) -> int:
     return next_prime_after(max(schedule))
+
+
+def least_packed_width(n: int, p: int) -> int:
+    """The least field width that gflinalg._packed_layout's proof allows
+    for vectors of length n over GF(p), before it rounds up to a struct
+    width: bits(B m) + 1, with B = max(n (p-1)^2, p^2) + p,
+    s = bits(B) + 2 bits(p) and m = ceil(2^s / p)."""
+    bound = max(n * (p - 1) ** 2, p * p) + p
+    s = bound.bit_length() + 2 * p.bit_length()
+    return (bound * -(-(1 << s) // p)).bit_length() + 1
+
+
+def width_boundary(n: int, bits: int) -> tuple[int, int]:
+    """(below, above) for length n: above is the least prime whose least
+    packed width exceeds bits, and below the prime before it."""
+    below = 2
+    while least_packed_width(n, next_prime_after(below)) <= bits:
+        below = next_prime_after(below)
+    return below, next_prime_after(below)
 
 
 def gaussian_binomial(m: int, d: int, q: int) -> int:

@@ -25,10 +25,12 @@ from oracles import (
     contains_subspace,
     enumerate_subspaces_by_patterns,
     gaussian_binomial,
+    least_packed_width,
     primes_first,
     push_matrix_by_columns,
     reduce_apply,
     rref,
+    width_boundary,
 )
 
 
@@ -522,6 +524,36 @@ class TestPackedLayout:
                 packed = layout.pack(entries)
                 assert fields(packed, n, width) == entries
                 assert fields(layout.reduce(packed), n, width) == [e % p for e in entries]
+
+    @pytest.mark.parametrize("n", (0, 1, 2, 3, 8))
+    def test_widths_round_up_to_struct_fields_at_their_boundaries(self, n):
+        # at each of 16, 32 and 64 bits, the prime whose least width is
+        # just at or below it and the next one, just above: pack and
+        # entries round-trip, a full field included, and reduce is exact
+        # at 0, at B - 1 and next to multiples of p
+        for bits in (16, 32, 64):
+            below, above = width_boundary(n, bits)
+            assert least_packed_width(n, below) <= bits < least_packed_width(n, above)
+            wider = 2 * bits if bits < 64 else least_packed_width(n, above)
+            for p, width in ((below, bits), (above, wider)):
+                layout = _packed_layout(n, p)
+                assert layout.width == width
+                bound = layout.bound
+                multiples = {k * p for k in (1, 2, 3, n, bound // p - 1, bound // p)}
+                values = sorted(
+                    {0, bound - 1} | {a + d for a in multiples for d in (-1, 0, 1) if 0 <= a + d < bound}
+                )
+                rows = [[(1 << width) - 1] * n] + [
+                    [values[(start + c) % len(values)] for c in range(n)]
+                    for start in range(len(values))
+                ]
+                for entries in rows:
+                    packed = layout.pack(entries)
+                    assert fields(packed, n, width) == entries
+                    assert list(layout.entries(packed)) == entries
+                    if max(entries, default=0) < bound:
+                        residues = [e % p for e in entries]
+                        assert fields(layout.reduce(packed), n, width) == residues
 
     def test_layout_is_a_table_and_passes_64_bits_at_a_large_prime(self):
         assert _packed_layout(8, 3) is _packed_layout(8, 3)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from enhcone.combinatorics import FlagShape, Partition, bipartition, bipartitions, flag_shape, is_distinguished
 from enhcone.fibers import FiberQuery, closure_pairs, count_fiber, count_fiber_memo, count_lambda_fixed
-from enhcone.gflinalg import MatrixGF, QuotientMap, SubspaceGF, enumerate_subspaces, quotient_map, rank
+from enhcone.gflinalg import MatrixGF, QuotientMap, SubspaceGF, _packed_layout, enumerate_subspaces, quotient_map, rank
 from enhcone.normalform import (
     Decomposition,
     GradedPair,
@@ -34,12 +34,14 @@ from oracles import (
     graded_by_intersections,
     image_chain,
     jordan_type_by_powers,
+    least_packed_width,
     nonneg_part,
     orbit_map_tangent_surjective,
     push_matrix_by_columns,
     reduce_apply,
     rref,
     unmemoized_lambda_fixed_count,
+    width_boundary,
 )
 
 
@@ -377,6 +379,19 @@ class TestClassifyConjugates:
         with pytest.raises(ValueError) as new:
             classify_pair(v, x)
         assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 8))
+    def test_conjugates_on_both_sides_of_the_64_bit_switch(self, n):
+        # the prime whose least packed width is just at or below 64 bits
+        # packs through struct, and the next prime through the shift loop
+        below, above = width_boundary(n, 64)
+        rng = random.Random(36)
+        for p, width in ((below, 64), (above, least_packed_width(n, above))):
+            assert _packed_layout(n, p).width == width
+            for b in bipartitions(n):
+                v, x = elementary_conjugate(normal_pair(b, p), rng)
+                assert classify_pair(v, x) == classify_by_image_chain(v, x) == b
+                assert jordan_type(x) == jordan_type_by_powers(x)
 
     @settings(derandomize=True, deadline=None, database=None)
     @given(conjugated_normal_pairs())
