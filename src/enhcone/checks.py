@@ -389,16 +389,14 @@ def check_split_product(
     # a split profile is fixed by its V1 part
     buckets = {tuple([a for a, _ in profile]): count for profile, count in hist.items()}
     split_total = sum(hist.values())
-    factors = (pair1, pair2)
-    factor_counts: dict[tuple[int, tuple[int, ...], int], int] = {}
+    factor_counts: dict[tuple[GradedPair, tuple[int, ...], int], int] = {}
 
-    def factor_count(side: int, dims: tuple[int, ...], marker: int) -> int:
-        # buckets repeat factor shapes; each distinct one is counted once,
-        # and only then is its query built
-        key = (side, dims, marker)
+    def factor_count(factor: GradedPair, dims: tuple[int, ...], marker: int) -> int:
+        # buckets repeat factor shapes, and the two factors may be equal
+        # pairs; each distinct query is counted once, and built only then
+        key = (factor, dims, marker)
         if key not in factor_counts:
-            f = factors[side]
-            query = FiberQuery(f.v, f.x, FlagShape(dims, marker), f.weights)
+            query = FiberQuery(factor.v, factor.x, FlagShape(dims, marker), factor.weights)
             factor_counts[key] = count_lambda_fixed(query)
         return factor_counts[key]
 
@@ -422,8 +420,8 @@ def check_split_product(
                 )
             else:
                 j1 = rho1.index(val)
-        c1 = factor_count(0, rho1, j1)
-        c2 = factor_count(1, rho2, 0)
+        c1 = factor_count(pair1, rho1, j1)
+        c2 = factor_count(pair2, rho2, 0)
         expected = c1 * c2
         product_total += expected
         good = buckets[profile] == expected
