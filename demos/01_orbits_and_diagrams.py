@@ -11,7 +11,6 @@ shape of a resolution of the orbit closure.
 from enhcone import (
     bipartition,
     bipartitions,
-    box_weight,
     diagram,
     flag_shape,
     is_distinguished,
@@ -53,5 +52,5 @@ print("nilpotent shifts boxes left and the vector sits at the mu-boundary:")
 np_ = normal_pair(b, 2)
 for (i, j), w in zip(np_.basis_labels, np_.weights):
     marker = "  <- v-support" if np_.v[np_.basis_labels.index((i, j))] else ""
-    assert w == box_weight(b, i, j)
+    assert w == b.first.part(i) - j
     print(f"  box ({i},{j}): weight {w:+d}{marker}")

@@ -9,14 +9,12 @@ from .combinatorics import (
     Partition,
     bipartition,
     bipartitions,
-    box_weight,
     diagram,
     flag_shape,
     format_bipartition,
     is_distinguished,
     parse_bipartition,
     partitions,
-    transpose,
 )
 from .gflinalg import (
     MatrixGF,

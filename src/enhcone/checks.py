@@ -363,24 +363,27 @@ def check_split_product(
     against V1 and V2.  The factor on V1 is the pair induced on V / V2,
     and that on V2 the pair on V / V1; a splitting that
     decomposition_failures rejects fails the check with its violations.
-    The normal pair, the splitting, its violations and the factor pairs
-    come from the process table split_factors, which validates each
-    splitting once per (b, p); every count is made on each call, and
-    each distinct factor query is built and counted once per call.  The
-    budget caps the candidates W_1 the split walk expands."""
+    The normal pair, the splitting and its violations are the fields of
+    the process table entry split_factors(b, p), which validates each
+    splitting once per (b, p), and the factor pairs are its factors,
+    read only for a valid splitting; every count is made on each call,
+    and each distinct factor query is built and counted once per call.
+    The budget caps the candidates W_1 the split walk expands."""
     started = time.perf_counter()
     if is_distinguished(b):
         raise ValueError(f"{b} is distinguished; the splitting step does not apply")
     if b.n != big.n:
         raise ValueError("bipartitions must have equal total size")
     inputs = {"b": _bp_json(b), "big": _bp_json(big), "p": p}
-    np_, dec, bad, pair1, pair2 = split_factors(b, p)
-    if bad:
-        witness = {"splitting_violations": list(bad)}
+    entry = split_factors(b, p)
+    if entry.failures:
+        witness = {"splitting_violations": list(entry.failures)}
         return _report("split-product", inputs, FAIL, witness, started)
+    dec = entry.splitting
+    pair1, pair2 = entry.factors
     shape = flag_shape(big)
     j = shape.marker
-    q = FiberQuery.of(np_, shape)
+    q = FiberQuery.of(entry.normal, shape)
     try:
         hist = split_profiles(q, dec.v1, dec.v2, SearchBudget(budget).spend)
     except BudgetExceeded as exc:

@@ -30,7 +30,7 @@ from .combinatorics import (
     parse_bipartition,
 )
 from .gflinalg import is_prime
-from .fibers import closure_contains, fiber_cache, orbit_dimension
+from .fibers import closure_pairs, fiber_cache, orbit_dimension
 from .checks import (
     CHECK_NAMES,
     DEFAULT_BUDGET,
@@ -282,10 +282,10 @@ def cmd_closure_order(args, out) -> int:
     if args.n is None or args.n < 0:
         raise ConfigError("closure-order needs --n >= 0")
     bs = bipartitions(args.n)
-    below: dict = {
-        big: {small for small in bs if small != big and closure_contains(big, small)}
-        for big in bs
-    }
+    below: dict = {big: set() for big in bs}
+    for big, small in closure_pairs(args.n):
+        if small != big:
+            below[big].add(small)
     rows = []
     json_edges = []
     for big in bs:

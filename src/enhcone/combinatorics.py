@@ -144,14 +144,15 @@ class RowSpan(NamedTuple):
 class Diagram:
     """Back-to-back union diagram of a bipartition.
 
-    Row i occupies columns mu_1 - mu_i + 1 .. mu_1 + nu_i.  Box (i, j)
-    (j-th box of row i, 1-based) sits in column mu_1 - mu_i + j.
+    Row i occupies columns mu_1 - mu_i + 1 .. mu_1 + nu_i (rows[i - 1]).
+    Box (i, j) (j-th box of row i, 1-based) sits in column
+    mu_1 - mu_i + j and carries the weight mu_i - j, which
+    normalform.normal_pair gives its basis vector.
     """
 
     bipartition: Bipartition
     rows: tuple[RowSpan, ...]
     column_heights: tuple[int, ...]
-    boxes: frozenset[tuple[int, int]]
 
     @property
     def n(self) -> int:
@@ -169,15 +170,13 @@ def diagram(b: Bipartition) -> Diagram:
     ncols = mu1 + b.second.part(1)
     rows = []
     heights = [0] * ncols
-    boxes = set()
     for i in range(1, b.row_count + 1):
         first_col = mu1 - b.first.part(i) + 1
         last_col = mu1 + b.second.part(i)
         rows.append(RowSpan(i, first_col, last_col))
         for c in range(first_col, last_col + 1):
             heights[c - 1] += 1
-            boxes.add((i, c))
-    return Diagram(b, tuple(rows), tuple(heights), frozenset(boxes))
+    return Diagram(b, tuple(rows), tuple(heights))
 
 
 @dataclass(frozen=True)
@@ -250,13 +249,6 @@ def is_distinguished(b: Bipartition) -> bool:
     if any(alpha.parts[i] <= alpha.parts[i + 1] for i in range(k - 1)):
         return False
     return all(padded[i] > padded[i + 1] for i in range(k - 1))
-
-
-def box_weight(b: Bipartition, i: int, jcol: int) -> int:
-    """Weight alpha_i - j of box (i, j); rejects non-boxes of the diagram."""
-    if not (1 <= i <= b.row_count and 1 <= jcol <= b.row_length(i)):
-        raise ValueError(f"({i},{jcol}) is not a box of the diagram of {b}")
-    return b.first.part(i) - jcol
 
 
 def parse_bipartition(text: str) -> Bipartition:

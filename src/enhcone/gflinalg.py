@@ -93,23 +93,6 @@ class MatrixGF:
     def nrows(self) -> int:
         return len(self.rows)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], p: int, ncols: int | None = None) -> "MatrixGF":
-        tup = tuple(map(tuple, rows))
-        if ncols is None:
-            if not tup:
-                raise ValueError("ncols required for a matrix with no rows")
-            ncols = len(tup[0])
-        return cls(p, tup, ncols)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int, p: int) -> "MatrixGF":
-        return cls(p, tuple((0,) * ncols for _ in range(nrows)), ncols)
-
-    @classmethod
-    def identity(cls, n: int, p: int) -> "MatrixGF":
-        return cls(p, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
-
     def is_zero(self) -> bool:
         return all(not any(row) for row in self.rows)
 
@@ -121,30 +104,6 @@ class MatrixGF:
             raise ValueError("vector length does not match matrix columns")
         p = self.p
         return tuple(sum(map(mul, row, v)) % p for row in self.rows)
-
-    def mul(self, other: "MatrixGF") -> "MatrixGF":
-        if self.p != other.p or self.ncols != other.nrows:
-            raise ValueError("matrix shape/field mismatch")
-        p = self.p
-        cols = list(zip(*other.rows)) if other.rows else []
-        rows = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
-            for row in self.rows
-        )
-        return _matrix(p, rows, other.ncols)
-
-    def __matmul__(self, other: "MatrixGF") -> "MatrixGF":
-        return self.mul(other)
-
-    def sub(self, other: "MatrixGF") -> "MatrixGF":
-        if self.p != other.p or self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("matrix shape/field mismatch")
-        p = self.p
-        rows = tuple(
-            tuple((a - b) % p for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.rows, other.rows)
-        )
-        return _matrix(p, rows, self.ncols)
 
     def transpose(self) -> "MatrixGF":
         if self.rows:
@@ -549,15 +508,16 @@ class QuotientMap:
             rows.append(tuple(out))
         return _matrix(p, tuple(rows), len(nonpivots))
 
-    def lift(self, v: Sequence[int]) -> tuple[int, ...]:
-        out = [0] * self.ambient
-        for val, c in zip(v, self.nonpivots):
-            out[c] = val % self.p
-        return tuple(out)
-
     def preimage(self, sub: SubspaceGF) -> SubspaceGF:
-        vecs = [self.lift(row) for row in sub.basis] + list(self.basis_rows)
-        return SubspaceGF.span(vecs, self.ambient, self.p)
+        """The subspace of GF(p)^ambient that maps onto sub: each basis row
+        of sub placed at the quotient coordinates, with the kernel rows."""
+        lifted = []
+        for row in sub.basis:
+            out = [0] * self.ambient
+            for val, c in zip(row, self.nonpivots):
+                out[c] = val
+            lifted.append(out)
+        return SubspaceGF.span(lifted + list(self.basis_rows), self.ambient, self.p)
 
 
 _set_qp, _set_qamb, _set_qrows, _set_qpiv, _set_qnonpiv, _set_qhash = (

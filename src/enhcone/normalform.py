@@ -33,7 +33,7 @@ widths).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import index, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
@@ -88,17 +88,6 @@ class NormalPair:
     @property
     def pair(self) -> GradedPair:
         return GradedPair(self.x, self.v, self.weights)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mu": list(self.bipartition.first.parts),
-            "nu": list(self.bipartition.second.parts),
-            "p": self.p,
-            "basis": [list(b) for b in self.basis_labels],
-            "x": [list(r) for r in self.x.rows],
-            "v": list(self.v),
-            "weights": list(self.weights),
-        }
 
 
 def normal_pair(b: Bipartition, p: int) -> NormalPair:
@@ -267,9 +256,9 @@ def centralizer_basis(x: MatrixGF) -> tuple[MatrixGF, ...]:
 
 
 def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
-    """The bipartition (mu; nu) of the orbit of the pair (v, x), x nilpotent:
-    orbit_of_types of lambda, the Jordan type of x, and kappa, that of x
-    on V / F[x]v.  Both come from one walk down the image chain x^k V
+    """The bipartition (mu; nu) of the orbit of the pair (v, x), x nilpotent,
+    read off lambda, the Jordan type of x, and kappa, that of x on
+    V / F[x]v.  Both come from one walk down the image chain x^k V
     (_chain_ranks), which reduces and packs v in one pass and builds the
     Krylov vectors x^j v on the packed columns of x that the chain uses:
     x^k has rank dim x^k V, and its map on V / F[x]v has rank
@@ -297,24 +286,19 @@ def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
     return _orbit_of_ranks(*_chain_ranks(x, v))
 
 
-def orbit_of_types(lam: Partition, kappa: Partition) -> Bipartition:
-    """The orbit (mu; nu) whose pairs have Jordan type lam on V and kappa on
-    V / F[x]v.  With kappa padded to the length of lam, nu_i = kappa_i -
-    mu_(i+1) and mu_i = lam_i - nu_i for i from the last row up, with mu
-    beyond the last row 0."""
-    return _orbit(list(lam.parts), list(kappa.parts))
-
-
 def _orbit_of_ranks(ranks: Sequence[int], quotient_ranks: Sequence[int]) -> Bipartition:
-    """orbit_of_types(partition_from_ranks(ranks),
-    partition_from_ranks(quotient_ranks)), with only mu and nu built as
-    Partitions: the two types stay lists of the column counts of the
-    rank drops."""
+    """The orbit whose pairs have the Jordan types partition_from_ranks(ranks)
+    on V and partition_from_ranks(quotient_ranks) on V / F[x]v, with only
+    mu and nu built as Partitions: the two types stay lists of the column
+    counts of the rank drops."""
     return _orbit(_drop_columns(ranks), _drop_columns(quotient_ranks))
 
 
 def _orbit(lam: list[int], kappa: list[int]) -> Bipartition:
-    """orbit_of_types on the parts of lam and kappa; types that no orbit
+    """The orbit (mu; nu) whose pairs have Jordan type lam on V and kappa on
+    V / F[x]v, both as lists of parts.  With kappa padded to the length
+    of lam, nu_i = kappa_i - mu_(i+1) and mu_i = lam_i - nu_i for i from
+    the last row up, with mu beyond the last row 0; types that no orbit
     has raise AssertionError."""
     ell = len(lam)
     padded = kappa + [0] * (ell - len(kappa))
@@ -556,46 +540,27 @@ def explicit_decomposition(np: NormalPair) -> Decomposition:
     raise AssertionError(f"no construction applies to non-distinguished {b}")
 
 
+@dataclass(frozen=True)
 class SplitFactors:
     """The normal pair of a non-distinguished bipartition, its explicit
-    splitting V1 (+) V2, the splitting conditions that the splitting
-    violates (decomposition_failures, as a tuple), and the graded factor
-    pairs induced on V / V2 (the factor on V1) and on V / V1 (the factor
-    on V2).  A factor pair means something only for a valid splitting,
-    so both are None when failures is not empty.  The factor pairs are
-    built on first read, so that the distinguished check, which reads
-    only the splitting and its failures, builds none; the entry unpacks
-    as (normal, splitting, failures, factor_v1, factor_v2)."""
+    splitting V1 (+) V2, and the splitting conditions that the splitting
+    violates (decomposition_failures, as a tuple)."""
 
-    __slots__ = ("normal", "splitting", "failures", "_factors")
+    normal: NormalPair
+    splitting: Decomposition
+    failures: tuple[str, ...]
 
-    def __init__(self, normal: NormalPair, splitting: Decomposition, failures: tuple[str, ...]):
-        self.normal = normal
-        self.splitting = splitting
-        self.failures = failures
-        self._factors: tuple[GradedPair | None, GradedPair | None] | None = None
-
-    @property
-    def factors(self) -> tuple[GradedPair | None, GradedPair | None]:
-        """(factor_v1, factor_v2), built on the first read."""
-        if self._factors is None:
-            pair, dec = self.normal.pair, self.splitting
-            self._factors = (None, None) if self.failures else (
-                quotient_pair(pair, quotient_map(dec.v2)),
-                quotient_pair(pair, quotient_map(dec.v1)),
-            )
-        return self._factors
-
-    @property
-    def factor_v1(self) -> GradedPair | None:
-        return self.factors[0]
-
-    @property
-    def factor_v2(self) -> GradedPair | None:
-        return self.factors[1]
-
-    def __iter__(self) -> Iterator:
-        return iter((self.normal, self.splitting, self.failures, *self.factors))
+    @cached_property
+    def factors(self) -> tuple[GradedPair, GradedPair] | None:
+        """The graded factor pairs induced on V / V2 (the factor on V1) and
+        on V / V1 (the factor on V2), built on the first read, so that the
+        distinguished check, which reads only the splitting and its
+        failures, builds none.  A factor pair means something only for a
+        valid splitting, so this is None when failures is not empty."""
+        if self.failures:
+            return None
+        pair, dec = self.normal.pair, self.splitting
+        return quotient_pair(pair, quotient_map(dec.v2)), quotient_pair(pair, quotient_map(dec.v1))
 
 
 @lru_cache(maxsize=None)
@@ -611,10 +576,10 @@ def split_factors(b: Bipartition, p: int) -> SplitFactors:
     """The split check's set-up for b over GF(p), built once per (b, p) in
     a process: the check splits each small orbit under every big one.
     The splitting is validated here, once, by decomposition_failures;
-    the factor pairs are built on their first read, by the split check,
-    and only when it passes.  The entry holds
-    exact objects that depend on (b, p) alone and no count.  A
-    distinguished b raises ValueError, and no entry is kept."""
+    the entry's factors are built on their first read, by the split
+    check, and only when the splitting passes.  The entry holds exact
+    objects that depend on (b, p) alone and no count.  A distinguished b
+    raises ValueError, and no entry is kept."""
     np_ = orbit_pair(b, p)
     dec = explicit_decomposition(np_)
     return SplitFactors(np_, dec, tuple(decomposition_failures(np_.pair, dec)))

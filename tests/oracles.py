@@ -59,6 +59,9 @@ identity, and re-spans x^k V together with the Krylov vectors at every
 level.  It takes the rank on V / F[x]v as dim(x^k V + F[x]v) -
 dim F[x]v and so shares nothing with the rule classify_pair reads it
 by now, dim x^k V - (m - j_k) for j_k the least j with x^j v in x^k V.
+It reads each Jordan type by type_of_ranks, the transpose of the rank
+drops, and the orbit by orbit_of_types, from the last row up, so it
+shares neither step with classify_pair either.
 least_packed_width recomputes the narrowest field that
 gflinalg._packed_layout's Barrett proof allows, before the layout rounds
 it up to 16, 32 or 64 bits, and width_boundary finds the primes on
@@ -70,11 +73,14 @@ that QPolynomial's +, - and * are checked against.  rref, the reduced
 row echelon form of a matrix, and contains_subspace, whether one
 subspace lies in another, left the library when nothing in it read
 them; the tests invert matrices and check enumerations with them.
+matmul and invert, the product and the inverse of matrices, left it
+for the same reason; the tests conjugate pairs with them.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from typing import Iterator, Sequence
 
@@ -109,8 +115,6 @@ from enhcone.normalform import (
     graded_kernel_blocks,
     graded_quotient,
     normal_pair,
-    orbit_of_types,
-    partition_from_ranks,
     weight_blocks,
 )
 
@@ -170,7 +174,7 @@ def classify_by_image_chain(v: Sequence[int], x: MatrixGF) -> Bipartition:
     if len(v) != n:
         raise ValueError("vector length does not match matrix size")
     if not any(v):
-        return Bipartition(Partition(()), partition_from_ranks([s.dim for s in image_chain(x)]))
+        return Bipartition(Partition(()), type_of_ranks([s.dim for s in image_chain(x)]))
     if x.is_zero():
         return Bipartition(Partition((1,) * n), Partition(()))
     krylov = []
@@ -182,12 +186,44 @@ def classify_by_image_chain(v: Sequence[int], x: MatrixGF) -> Bipartition:
     else:
         raise ValueError("matrix is not nilpotent")
     chain = image_chain(x)
-    lam = partition_from_ranks([s.dim for s in chain])
+    lam = type_of_ranks([s.dim for s in chain])
     # x is nilpotent here, so its nonzero Krylov vectors are independent
-    kappa = partition_from_ranks(
+    kappa = type_of_ranks(
         [SubspaceGF.span(s.basis + tuple(krylov), n, x.p).dim - len(krylov) for s in chain]
     )
     return orbit_of_types(lam, kappa)
+
+
+def type_of_ranks(ranks: Sequence[int]) -> Partition:
+    """Jordan type of a nilpotent map whose k-th power has rank ranks[k],
+    down to a final 0: the transpose of the partition of its nonzero
+    rank drops, which Partition rejects unless they are positive and
+    weakly decreasing."""
+    return transpose(Partition(tuple(a - b for a, b in zip(ranks, ranks[1:]) if a != b)))
+
+
+def orbit_of_types(lam: Partition, kappa: Partition) -> Bipartition:
+    """The orbit (mu; nu) whose pairs have Jordan type lam on V and kappa on
+    V / F[x]v.  At the normal pair lam_i = mu_i + nu_i and kappa_i =
+    nu_i + mu_(i+1), so nu_i = kappa_i - mu_(i+1) and mu_i = lam_i - nu_i,
+    from the last row of lam up, with mu beyond it 0.  Types that no
+    orbit has raise AssertionError."""
+    mu: list[int] = []
+    nu: list[int] = []
+    below = 0  # mu_(i+1)
+    for i in range(lam.length, 0, -1):
+        nu.insert(0, kappa.part(i) - below)
+        mu.insert(0, lam.part(i) - nu[0])
+        below = mu[0]
+    if kappa.length > lam.length or min(mu + nu, default=0) < 0:
+        raise AssertionError(f"no orbit has Jordan types {lam} and {kappa}")
+
+    def trimmed(parts: list[int]) -> Partition:
+        while parts and not parts[-1]:
+            parts.pop()
+        return Partition(tuple(parts))
+
+    return Bipartition(trimmed(mu), trimmed(nu))
 
 
 def stabilizer_orbit_dimension(b: Bipartition) -> int:
@@ -456,9 +492,9 @@ def orbit_map_tangent_surjective(b: Bipartition, p: int = 101) -> bool:
     for r, c in par:
         e = MatrixGF(p, tuple(tuple(1 if (i, j) == (r, c) else 0 for j in range(n)) for i in range(n)), n)
         tv = e.matvec(np_.v)
-        comm = e @ np_.x
-        comm = comm.sub(np_.x @ e)
-        rows.append(tuple(tv) + tuple(x for row in comm.rows for x in row))
+        ex, xe = matmul(e, np_.x), matmul(np_.x, e)
+        comm = [(a - b) % p for r1, r2 in zip(ex.rows, xe.rows) for a, b in zip(r1, r2)]
+        rows.append(tuple(tv) + tuple(comm))
     m = MatrixGF(p, tuple(rows), n + n * n)
     return rank(m) == target_dim
 
@@ -578,6 +614,23 @@ def rref(m: MatrixGF) -> MatrixGF:
     return _matrix(m.p, tuple(tuple(row) for row in rows), m.ncols)
 
 
+def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
+    """The product a b over GF(p), entry by entry."""
+    if a.p != b.p or a.ncols != b.nrows:
+        raise ValueError("matrix shape/field mismatch")
+    cols = [tuple(row[c] for row in b.rows) for c in range(b.ncols)]
+    rows = tuple(tuple(sum(map(operator.mul, row, col)) % a.p for col in cols) for row in a.rows)
+    return MatrixGF(a.p, rows, b.ncols)
+
+
+def invert(g: MatrixGF) -> MatrixGF:
+    """The inverse of an invertible square g, read off the rref of [g | 1]."""
+    n, p = g.nrows, g.p
+    unit = [tuple(int(c == r) for c in range(n)) for r in range(n)]
+    aug = MatrixGF(p, tuple(map(tuple.__add__, g.rows, unit)), 2 * n)
+    return MatrixGF(p, tuple(row[n:] for row in rref(aug).rows), n)
+
+
 def contains_subspace(big: SubspaceGF, small: SubspaceGF) -> bool:
     """Whether small <= big, both in the same GF(p)^n."""
     big._check_compatible(small)
@@ -637,10 +690,10 @@ def jordan_type_by_powers(x: MatrixGF) -> Partition:
         ranks.append(r)
         if r == 0:
             break
-        power = power @ x
+        power = matmul(power, x)
     if ranks[-1] != 0:
         raise ValueError("matrix is not nilpotent")
-    return partition_from_ranks(ranks)
+    return type_of_ranks(ranks)
 
 
 def graded_by_intersections(sub: SubspaceGF, weights: Sequence[int]) -> bool:

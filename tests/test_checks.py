@@ -323,9 +323,12 @@ class TestDistinguishedLemma:
             assert rep.witness == {"nodes": nodes, "limit": nodes - 1}
 
     def test_explicit_splitting_read_from_split_table(self, clean_cache):
-        rep = check_distinguished_lemma(bipartition((2, 2), (1,)), 2)
+        b = bipartition((2, 2), (1,))
+        rep = check_distinguished_lemma(b, 2)
         assert rep.passed
         assert normalform.split_factors.cache_info().currsize == 1
+        # the check reads the splitting alone, so no factor pair is built
+        assert "factors" not in vars(normalform.split_factors(b, 2))
 
 
 class TestSplitProduct:
@@ -377,11 +380,14 @@ class TestSplitProduct:
         assert warm_nodes == cold_nodes > 0
         info = normalform.split_factors.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        np_, dec, failures, pair1, pair2 = normalform.split_factors(small, 2)
+        entry = normalform.split_factors(small, 2)
+        np_, dec = entry.normal, entry.splitting
         assert np_ == normal_pair(small, 2) and dec == explicit_decomposition(np_)
-        assert failures == ()
-        assert pair1 == quotient_pair(np_.pair, quotient_map(dec.v2))
-        assert pair2 == quotient_pair(np_.pair, quotient_map(dec.v1))
+        assert entry.failures == ()
+        assert entry.factors == (
+            quotient_pair(np_.pair, quotient_map(dec.v2)),
+            quotient_pair(np_.pair, quotient_map(dec.v1)),
+        )
         fibers.fiber_cache().clear()
         assert normalform.split_factors.cache_info().currsize == 0
         spent.clear()
@@ -492,7 +498,7 @@ class TestSplitProduct:
         assert validated == [bad]
         entry = normalform.split_factors(b, 2)
         assert entry.failures == ("V2 not weight-graded",)
-        assert entry.factor_v1 is None and entry.factor_v2 is None
+        assert entry.factors is None
         # a report's witness is its own list, not the table's
         reports[0].witness["splitting_violations"].append("edited")
         assert check_split_product(b, bigs[0], 2).witness == reports[1].witness

@@ -6,7 +6,6 @@ from enhcone.combinatorics import (
     Partition,
     bipartition,
     bipartitions,
-    box_weight,
     diagram,
     flag_shape,
     format_bipartition,
@@ -15,6 +14,7 @@ from enhcone.combinatorics import (
     partitions,
     transpose,
 )
+from enhcone.normalform import normal_pair
 
 
 def partition_count(n: int) -> int:
@@ -152,7 +152,7 @@ class TestDiagram:
                 d = diagram(b)
                 assert all(h >= 1 for h in d.column_heights)
                 assert sum(d.column_heights) == n
-                assert len(d.boxes) == n
+                assert sum(row.last_col - row.first_col + 1 for row in d.rows) == n
                 # row i has mu_i + nu_i boxes
                 for row in d.rows:
                     assert row.last_col - row.first_col + 1 == b.row_length(row.index)
@@ -231,17 +231,19 @@ class TestDistinguished:
 
 
 class TestBoxWeight:
-    def test_examples(self):
-        b = bipartition((3, 1, 1), (3, 2))
-        assert box_weight(b, 1, 1) == 2
-        assert box_weight(b, 1, 3) == 0
-        assert box_weight(b, 2, 3) == -2
+    """Box (i, j) carries the weight mu_i - j: the weight the normal pair
+    gives its basis vector.  A non-box has no basis vector."""
 
-    def test_rejects_non_boxes(self):
+    def test_examples(self):
+        np_ = normal_pair(bipartition((3, 1, 1), (3, 2)), 2)
+        weight = dict(zip(np_.basis_labels, np_.weights))
+        assert weight[(1, 1)] == 2
+        assert weight[(1, 3)] == 0
+        assert weight[(2, 3)] == -2
+
+    def test_non_boxes_carry_no_weight(self):
         b = bipartition((3, 1, 1), (3, 2))
-        with pytest.raises(ValueError):
-            box_weight(b, 2, 4)
-        with pytest.raises(ValueError):
-            box_weight(b, 4, 1)
-        with pytest.raises(ValueError):
-            box_weight(b, 1, 0)
+        labels = normal_pair(b, 2).basis_labels
+        assert len(set(labels)) == b.n
+        for box in ((2, 4), (4, 1), (1, 0)):
+            assert box not in labels

@@ -36,7 +36,7 @@ from oracles import (
 
 def jordan_string(n: int, p: int) -> MatrixGF:
     rows = [[1 if c == r + 1 else 0 for c in range(n)] for r in range(n)]
-    return MatrixGF.from_rows(rows, p)
+    return MatrixGF(p, rows, n)
 
 
 class TestPrimes:
@@ -50,10 +50,10 @@ class TestPrimes:
 class TestMatrix:
     def test_rank_identity(self):
         for n in (1, 3, 5):
-            assert rank(MatrixGF.identity(n, 2)) == n
+            assert rank(MatrixGF(2, SubspaceGF.full(n, 2).basis, n)) == n
 
     def test_kernel_zero_matrix(self):
-        k = kernel(MatrixGF.zeros(2, 2, 2))
+        k = kernel(MatrixGF(2, ((0, 0), (0, 0)), 2))
         assert k.dim == 2
         assert k == SubspaceGF.full(2, 2)
 
@@ -64,12 +64,12 @@ class TestMatrix:
 
     def test_matvec_checks_length(self):
         # zip would cut a short or long vector to the matrix's width
-        m = MatrixGF.from_rows([[1, 2], [0, 1]], 3)
+        m = MatrixGF(3, [[1, 2], [0, 1]], 2)
         assert m.matvec((1, 1)) == (0, 1)
         for v in ((1,), (1, 1, 1)):
             with pytest.raises(ValueError, match="length"):
                 m.matvec(v)
-        assert MatrixGF.zeros(3, 0, 2).matvec(()) == (0, 0, 0)
+        assert MatrixGF(2, ((), (), ()), 0).matvec(()) == (0, 0, 0)
 
     def test_constructor_reduces_entries(self):
         # 3 is 0 over GF(3): a row scaled by 3 is no pivot
@@ -78,10 +78,10 @@ class TestMatrix:
         assert rank(m) == 0
         assert kernel(m).dim == 2
         assert m.is_zero()
-        assert m == MatrixGF.from_rows([[3, 0], [0, 3]], 3)
+        assert m == MatrixGF(3, [[3, 0], [0, 3]], 2)
         neg = MatrixGF(3, ((-1, 2), (0, -3)), 2)
         assert neg.rows == ((2, 2), (0, 0))
-        assert neg == MatrixGF.from_rows([[-1, 2], [0, -3]], 3)
+        assert neg == MatrixGF(3, [[-1, 2], [0, -3]], 2)
         assert rank(neg) == 1
         assert kernel(neg) == SubspaceGF.span([(1, 2)], 2, 3)
         # reduced entries are kept as given, with no rebuild
@@ -94,8 +94,6 @@ class TestMatrix:
         for rows in (((1, 0), (1,)), ((1, 0, 1), (1, 0))):
             with pytest.raises(ValueError, match="ragged"):
                 MatrixGF(2, rows, 2)
-            with pytest.raises(ValueError, match="ragged"):
-                MatrixGF.from_rows(rows, 2)
         for entry in (0.5, 1.0, "1"):
             with pytest.raises(TypeError):
                 MatrixGF(2, ((entry, 1),), 2)
@@ -103,15 +101,13 @@ class TestMatrix:
         m = MatrixGF(3, [[True, 4], (False, -1)], 2)
         assert m.rows == ((1, 1), (0, 2))
         assert all(type(a) is int for row in m.rows for a in row)
-        assert m == MatrixGF.from_rows([[1, 1], [0, 2]], 3)
+        assert m == MatrixGF(3, [[1, 1], [0, 2]], 2)
 
     def test_rref_idempotent(self):
         rng = random.Random(7)
         for _ in range(50):
             p = rng.choice((2, 3))
-            m = MatrixGF.from_rows(
-                [[rng.randrange(p) for _ in range(4)] for _ in range(3)], p
-            )
+            m = MatrixGF(p, [[rng.randrange(p) for _ in range(4)] for _ in range(3)], 4)
             assert rref(rref(m)) == rref(m)
 
 
@@ -150,9 +146,8 @@ class TestHashContract:
         m = MatrixGF(p, rows, ncols)
         assert_same_value(m, MatrixGF(p, reduced, ncols))
         assert_same_value(m, _matrix(p, reduced, ncols))
-        assert_same_value(m, MatrixGF.from_rows([list(row) for row in rows], p, ncols))
+        assert_same_value(m, MatrixGF(p, [list(row) for row in rows], ncols))
         assert_same_value(m.transpose().transpose(), m)
-        assert_same_value(m.sub(m), MatrixGF.zeros(len(rows), ncols, p))
         assert_same_value(rref(rref(m)), rref(m))
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -187,7 +182,7 @@ class TestHashContract:
 
     def test_values_have_no_instance_dict(self):
         s = SubspaceGF.span([(1, 1, 0)], 3, 2)
-        for value in (MatrixGF.identity(2, 3), s, quotient_map(s)):
+        for value in (MatrixGF(3, ((1, 0), (0, 1)), 2), s, quotient_map(s)):
             assert not hasattr(value, "__dict__")
             with pytest.raises(dataclasses.FrozenInstanceError):
                 value.p = 5
@@ -330,7 +325,8 @@ class TestQuotient:
         assert qm.codim == 3
         v = (1, 2, 3)
         assert qm.apply(v) == v
-        assert qm.lift(qm.apply(v)) == v
+        line = SubspaceGF.span([v], 3, 5)
+        assert qm.preimage(line) == line
 
     def test_kernel_is_exactly_subspace(self):
         rng = random.Random(5)
@@ -346,10 +342,13 @@ class TestQuotient:
             assert qm.codim == n - w.dim
             for row in w.basis:
                 assert not any(qm.apply(row))
-            # surjectivity: section hits every quotient coordinate
+            # surjectivity: each quotient coordinate line is the image of
+            # its preimage, which is one dimension above the kernel
             for t in range(qm.codim):
-                e = tuple(1 if i == t else 0 for i in range(qm.codim))
-                assert qm.apply(qm.lift(e)) == e
+                line = SubspaceGF.coordinate([t], qm.codim, p)
+                pre = qm.preimage(line)
+                assert pre.dim == w.dim + 1
+                assert SubspaceGF.span([qm.apply(r) for r in pre.basis], qm.codim, p) == line
 
     def test_push_matrix_respects_quotient(self):
         p = 3
@@ -376,7 +375,7 @@ class TestQuotient:
                 p,
             )
             qm = quotient_map(w)
-            x = MatrixGF.from_rows([[rng.randrange(p) for _ in range(n)] for _ in range(n)], p)
+            x = MatrixGF(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)], n)
             assert qm.push_matrix(x) == push_matrix_by_columns(qm, x)
             for _ in range(3):
                 v = tuple(rng.randrange(-p, 2 * p) for _ in range(n))
@@ -567,6 +566,6 @@ class TestModularRankAgreement:
         for _ in range(100):
             n = rng.randrange(1, 6)
             entries = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
-            r101 = rank(MatrixGF.from_rows(entries, 101))
-            r10007 = rank(MatrixGF.from_rows(entries, 10007))
+            r101 = rank(MatrixGF(101, entries, n))
+            r10007 = rank(MatrixGF(10007, entries, n))
             assert r101 == r10007
