@@ -5,22 +5,36 @@ nilpotent cone V x N, dim V = n.  Its diagram has mu_i + nu_i boxes in
 row i, with the mu-part right-justified against column mu_1 and the
 nu-part left-justified from column mu_1 + 1.  Column counts of the
 diagram determine the flag shape of the associated resolution.
+
+Partition and Bipartition are slotted value objects that hash once, on
+construction, and a Bipartition also stores its row lengths
+mu_i + nu_i (rows) and n, which the closure order, the orbit dimension
+and the transition rows read.  bipartition() returns the one object for
+its parts in a process from the _bipartitions table, so that the tables
+keyed on orbits find it by identity; bipartitions, parse_bipartition
+and classification take their objects from it.  A key is looked up
+only when every part has type int, and a miss is validated through
+Partition, so the table holds valid orbits alone.  A directly built Bipartition is
+equal to the interned one and has the same hash.  Like partitions and
+flag_shape, the table holds value objects and no count, so
+FiberCache.clear() leaves it alone: all n <= 11 make 1,967 entries.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """An integer partition: weakly decreasing tuple of positive parts,
     taken by operator.index, so a float or str raises TypeError."""
 
     parts: tuple[int, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parts = self.parts
@@ -31,6 +45,10 @@ class Partition:
             raise ValueError(f"partition parts must be positive: {parts}")
         if any(map(operator.lt, parts, parts[1:])):
             raise ValueError(f"partition parts must be weakly decreasing: {parts}")
+        object.__setattr__(self, "_hash", hash((parts,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -54,51 +72,61 @@ class Partition:
         return "(" + ",".join(map(str, self.parts)) + ")" if self.parts else "()"
 
 
-EMPTY = Partition(())
-
-
-def transpose(p: Partition) -> Partition:
-    """Conjugate partition: column counts of the Young diagram.
-
-    >>> transpose(Partition((3, 2))).parts
-    (2, 2, 1)
-    >>> transpose(Partition((3, 1, 1))).parts
-    (3, 1, 1)
-    """
-    if not p.parts:
-        return EMPTY
-    cols = [0] * p.parts[0]
-    for a in p.parts:
-        for c in range(a):
-            cols[c] += 1
-    return Partition(tuple(cols))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bipartition:
-    """Ordered pair of partitions; |first| + |second| = n."""
+    """Ordered pair of partitions; |first| + |second| = n.  rows holds the
+    row lengths mu_i + nu_i for i = 1..row_count."""
 
     first: Partition
     second: Partition
+    rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def n(self) -> int:
-        return self.first.size + self.second.size
+    def __post_init__(self):
+        mu, nu = self.first.parts, self.second.parts
+        rows = tuple(map(operator.add, mu, nu)) + (mu[len(nu):] or nu[len(mu):])
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "n", sum(rows))
+        object.__setattr__(self, "_hash", hash((self.first, self.second)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def row_count(self) -> int:
-        return max(self.first.length, self.second.length)
+        return len(self.rows)
 
     def row_length(self, i: int) -> int:
-        """Number of boxes mu_i + nu_i in row i (1-based)."""
-        return self.first.part(i) + self.second.part(i)
+        """Number of boxes mu_i + nu_i in row i (1-based), 0 beyond the last."""
+        return self.rows[i - 1] if 1 <= i <= len(self.rows) else 0
 
     def __str__(self) -> str:
         return f"({self.first};{self.second})"
 
 
+_bipartitions: dict[tuple[tuple[int, ...], tuple[int, ...]], Bipartition] = {}
+
+
 def bipartition(first: Sequence[int], second: Sequence[int]) -> Bipartition:
-    return Bipartition(Partition(tuple(first)), Partition(tuple(second)))
+    """The one Bipartition with these parts in the process: looked up when
+    every part has type int, else built and validated through Partition
+    first, so (3.0,) raises TypeError even once (3,) is in the table."""
+    key = (tuple(first), tuple(second))
+    if set(map(type, key[0] + key[1])) <= {int}:
+        b = _bipartitions.get(key)
+        if b is not None:
+            return b
+    return _interned(Partition(key[0]), Partition(key[1]))
+
+
+def _interned(mu: Partition, nu: Partition) -> Bipartition:
+    """The table's object for two valid partitions, stored on a miss."""
+    key = (mu.parts, nu.parts)
+    b = _bipartitions.get(key)
+    if b is None:
+        b = _bipartitions[key] = Bipartition(mu, nu)
+    return b
 
 
 @lru_cache(maxsize=None)
@@ -118,20 +146,23 @@ def partitions(n: int) -> tuple[Partition, ...]:
     return tuple(sorted((Partition(t) for t in gen(n, n)), key=lambda p: p.parts))
 
 
+@lru_cache(maxsize=None)
 def bipartitions(n: int) -> tuple[Bipartition, ...]:
-    """All bipartitions of n, ordered lexicographically by (|mu|, mu, nu).
+    """All bipartitions of n, ordered lexicographically by (|mu|, mu, nu),
+    the interned objects of bipartition(); built once per n in a process,
+    like partitions.
 
     >>> [str(b) for b in bipartitions(1)]
     ['(();(1))', '((1);())']
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = []
-    for k in range(n + 1):
-        for mu in partitions(k):
-            for nu in partitions(n - k):
-                out.append(Bipartition(mu, nu))
-    return tuple(out)
+    return tuple(
+        _interned(mu, nu)
+        for k in range(n + 1)
+        for mu in partitions(k)
+        for nu in partitions(n - k)
+    )
 
 
 class RowSpan(NamedTuple):
@@ -170,9 +201,9 @@ def diagram(b: Bipartition) -> Diagram:
     ncols = mu1 + b.second.part(1)
     rows = []
     heights = [0] * ncols
-    for i in range(1, b.row_count + 1):
+    for i, length in enumerate(b.rows, 1):
         first_col = mu1 - b.first.part(i) + 1
-        last_col = mu1 + b.second.part(i)
+        last_col = first_col + length - 1
         rows.append(RowSpan(i, first_col, last_col))
         for c in range(first_col, last_col + 1):
             heights[c - 1] += 1

@@ -86,7 +86,9 @@ _line_ranks and _row_orbit: they read no prime field and no pair, and
 after the polynomial sweep over n <= 8 the last three hold about
 0.5 MiB.  Nor does it empty gflinalg._packed_layout, the packed-vector
 layout of each (n, p) that classification reads: one small entry per
-size and prime, which holds no pair.
+size and prime, which holds no pair.  Nor does it empty the orbit tables
+of combinatorics (partitions, bipartitions, flag_shape and the interned
+bipartitions), which hold value objects and no count.
 
 Fiber counts decide only fiber polynomials: closure_contains reads the
 closure order off two bipartitions in closed form, and the test suite
@@ -734,10 +736,9 @@ def _transition_row(b: Bipartition, r: int) -> dict:
     rank sequences, so all three are read off process tables over
     tuples (_schubert_cells, _line_ranks and _row_orbit)."""
     mu, nu, top = b.first, b.second, b.row_length(1)  # A_top = 0, B_top = K & F[x]v
-    rows = range(1, b.row_count + 1)
     h, lines = [0] * top, []
-    for i in rows:
-        alpha = beta = b.row_length(i) - 1
+    for i, length in enumerate(b.rows, 1):
+        alpha = beta = length - 1
         if mu.part(i) and mu.part(i + 1) != mu.part(i):
             above = mu.parts.index(mu.part(i))  # 0 when no row is above the run
             beta = mu.part(i) - 1 + nu.part(above) if above else top
@@ -747,8 +748,8 @@ def _transition_row(b: Bipartition, r: int) -> dict:
             lines.append((alpha, beta))
     in_a = [sum(alpha >= k for alpha, _ in lines) for k in range(top + 1)]
     in_b = [sum(beta >= k for _, beta in lines) for k in range(top + 1)]
-    kappa = [nu.part(i) + mu.part(i + 1) for i in rows]
-    rank_v = [sum(max(b.row_length(i) - k, 0) for i in rows) for k in range(top + 1)]
+    kappa = [nu.part(i) + mu.part(i + 1) for i in range(1, b.row_count + 1)]
+    rank_v = [sum(max(length - k, 0) for length in b.rows) for k in range(top + 1)]
     rank_u = [sum(max(a - k, 0) for a in kappa) for k in range(top + 1)]
     row: dict = {}
     for c, cells in _schubert_cells(tuple(h), r):
@@ -770,7 +771,7 @@ def _transition_row(b: Bipartition, r: int) -> dict:
 def _row_orbit(ranks: tuple[int, ...], quotient_ranks: tuple[int, ...]) -> Bipartition:
     """_orbit_of_ranks, built once per pair of rank sequences in a process
     for the transition rows.  classify_pair calls _orbit_of_ranks itself,
-    so that classification keeps no table."""
+    so that classification keeps no table of rank sequences."""
     return _orbit_of_ranks(ranks, quotient_ranks)
 
 
@@ -831,8 +832,7 @@ def orbit_dimension(b: Bipartition) -> int:
     mu_i + nu_i (Achar-Henderson, Orbit closures in the enhanced nilpotent
     cone, Adv. Math. 219 (2008)).  The test suite checks it against the
     rank of the stabilizer system y.v = 0, yx = xy at the normal pair."""
-    rows = (b.row_length(i) for i in range(1, b.row_count + 1))
-    return b.n * b.n - 2 * sum(i * r for i, r in enumerate(rows)) - b.second.size
+    return b.n * b.n - 2 * sum(map(operator.mul, itertools.count(), b.rows)) - b.second.size
 
 
 def closure_contains(big: Bipartition, small: Bipartition) -> bool:
@@ -845,11 +845,13 @@ def closure_contains(big: Bipartition, small: Bipartition) -> bool:
         raise ValueError("bipartitions must have equal total size")
     # past the last row both sums are n and both parts are 0
     a_k = b_k = 0
-    for k in range(max(big.row_count, small.row_count)):
-        if a_k > b_k or a_k + small.first.part(k + 1) > b_k + big.first.part(k + 1):
+    for a, rho, b, mu in itertools.zip_longest(
+        small.rows, small.first.parts, big.rows, big.first.parts, fillvalue=0
+    ):
+        if a_k > b_k or a_k + rho > b_k + mu:
             return False
-        a_k += small.row_length(k + 1)
-        b_k += big.row_length(k + 1)
+        a_k += a
+        b_k += b
     return True
 
 

@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 from operator import index, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .combinatorics import Bipartition, Partition, is_distinguished
+from .combinatorics import Bipartition, Partition, bipartition, is_distinguished
 from .gflinalg import (
     MatrixGF,
     QuotientMap,
@@ -98,10 +98,7 @@ def normal_pair(b: Bipartition, p: int) -> NormalPair:
     """
     check_prime(p)
     alpha, beta = b.first, b.second
-    labels = []
-    for i in range(1, b.row_count + 1):
-        for j in range(1, b.row_length(i) + 1):
-            labels.append((i, j))
+    labels = [(i, j) for i, length in enumerate(b.rows, 1) for j in range(1, length + 1)]
     n = len(labels)
     index = {box: t for t, box in enumerate(labels)}
     rows = [[0] * n for _ in range(n)]
@@ -288,9 +285,9 @@ def classify_pair(v: Sequence[int], x: MatrixGF) -> Bipartition:
 
 def _orbit_of_ranks(ranks: Sequence[int], quotient_ranks: Sequence[int]) -> Bipartition:
     """The orbit whose pairs have the Jordan types partition_from_ranks(ranks)
-    on V and partition_from_ranks(quotient_ranks) on V / F[x]v, with only
-    mu and nu built as Partitions: the two types stay lists of the column
-    counts of the rank drops."""
+    on V and partition_from_ranks(quotient_ranks) on V / F[x]v, with no
+    Partition built: the two types stay lists of the column counts of the
+    rank drops."""
     return _orbit(_drop_columns(ranks), _drop_columns(quotient_ranks))
 
 
@@ -298,8 +295,10 @@ def _orbit(lam: list[int], kappa: list[int]) -> Bipartition:
     """The orbit (mu; nu) whose pairs have Jordan type lam on V and kappa on
     V / F[x]v, both as lists of parts.  With kappa padded to the length
     of lam, nu_i = kappa_i - mu_(i+1) and mu_i = lam_i - nu_i for i from
-    the last row up, with mu beyond the last row 0; types that no orbit
-    has raise AssertionError."""
+    the last row up, with mu beyond the last row 0.  The orbit is the
+    interned one of combinatorics.bipartition, which builds no Partition
+    once it holds it; types that no orbit has raise AssertionError, or
+    ValueError from Partition when mu or nu is not one."""
     ell = len(lam)
     padded = kappa + [0] * (ell - len(kappa))
     mu = [0] * (ell + 1)
@@ -310,7 +309,7 @@ def _orbit(lam: list[int], kappa: list[int]) -> Bipartition:
     if len(kappa) > ell or min(mu + nu) < 0:
         lam, kappa = Partition(tuple(lam)), Partition(tuple(kappa))
         raise AssertionError(f"no orbit has Jordan types {lam} and {kappa}")
-    return Bipartition(_trimmed(mu), _trimmed(nu))
+    return bipartition(_trimmed(mu), _trimmed(nu))
 
 
 def _drop_columns(ranks: Sequence[int]) -> list[int]:
@@ -328,10 +327,10 @@ def _drop_columns(ranks: Sequence[int]) -> list[int]:
     return columns
 
 
-def _trimmed(parts: list[int]) -> Partition:
+def _trimmed(parts: list[int]) -> tuple[int, ...]:
     while parts and parts[-1] == 0:
         parts.pop()
-    return Partition(tuple(parts))
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,10 @@ grading (zero_graded) only so that they compare with the walker's.
 graded_flag_count counts the flags of the kernel_step walk whose
 subspaces all pass graded_by_intersections, for any weights.
 closure_by_count decides the closure order by
-whether a fiber is nonempty over GF(p), by that count.  nonneg_part
+whether a fiber is nonempty over GF(p), by that count, and
+closure_by_parts by the inequalities of fibers.closure_contains, read
+part by part as the library read them before a Bipartition stored its
+row lengths.  nonneg_part
 is the closed form the centralizer module takes at a normal pair, and
 orbit_map_tangent_surjective is the tangent-space shadow of the
 dense-orbit statement.  prime_schedule and held_out_prime are the
@@ -74,7 +77,9 @@ row echelon form of a matrix, and contains_subspace, whether one
 subspace lies in another, left the library when nothing in it read
 them; the tests invert matrices and check enumerations with them.
 matmul and invert, the product and the inverse of matrices, left it
-for the same reason; the tests conjugate pairs with them.
+for the same reason; the tests conjugate pairs with them.  So did
+transpose, the conjugate partition, which type_of_ranks and hall_row
+read.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ import operator
 from collections import Counter
 from typing import Iterator, Sequence
 
-from enhcone.combinatorics import EMPTY, Bipartition, Partition, transpose
+from enhcone.combinatorics import Bipartition, Partition
 from enhcone.fibers import (
     ONE,
     ZERO,
@@ -117,6 +122,26 @@ from enhcone.normalform import (
     normal_pair,
     weight_blocks,
 )
+
+
+EMPTY = Partition(())
+
+
+def transpose(p: Partition) -> Partition:
+    """Conjugate partition: column counts of the Young diagram.
+
+    >>> transpose(Partition((3, 2))).parts
+    (2, 2, 1)
+    >>> transpose(Partition((3, 1, 1))).parts
+    (3, 1, 1)
+    """
+    if not p.parts:
+        return EMPTY
+    cols = [0] * p.parts[0]
+    for a in p.parts:
+        for c in range(a):
+            cols[c] += 1
+    return Partition(tuple(cols))
 
 
 def centralizer_module_span(v: Sequence[int], x: MatrixGF) -> SubspaceGF:
@@ -467,6 +492,18 @@ def closure_by_count(big: Bipartition, small: Bipartition, p: int, memo: dict) -
     """Whether small's orbit lies in the image of big's resolution: the
     fiber over small's normal point has a point over GF(p)."""
     return count_by_transitions(FiberQuery.over_orbit(small, big, p), memo) > 0
+
+
+def closure_by_parts(big: Bipartition, small: Bipartition) -> bool:
+    """The Achar-Henderson inequalities of fibers.closure_contains, read
+    part by part through Partition.part and Bipartition.row_length."""
+    a_k = b_k = 0
+    for k in range(max(big.row_count, small.row_count)):
+        if a_k > b_k or a_k + small.first.part(k + 1) > b_k + big.first.part(k + 1):
+            return False
+        a_k += small.row_length(k + 1)
+        b_k += big.row_length(k + 1)
+    return True
 
 
 def nonneg_part(np: NormalPair) -> SubspaceGF:

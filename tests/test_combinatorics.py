@@ -1,5 +1,10 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
+from enhcone import normalform
 from enhcone.combinatorics import (
     Bipartition,
     FlagShape,
@@ -12,9 +17,10 @@ from enhcone.combinatorics import (
     is_distinguished,
     parse_bipartition,
     partitions,
-    transpose,
 )
+from enhcone.fibers import closure_contains
 from enhcone.normalform import normal_pair
+from oracles import closure_by_parts, transpose
 
 
 def partition_count(n: int) -> int:
@@ -132,6 +138,98 @@ class TestBipartitions:
         assert parse_bipartition("mu=;nu=2") == bipartition((), (2,))
         with pytest.raises(ValueError):
             parse_bipartition("3,1,1;3,2")
+
+
+class TestValueObjects:
+    """Partition and Bipartition hash once and a Bipartition stores its rows;
+    bipartition() hands out one object per orbit, built only from parts
+    that Partition accepts."""
+
+    def test_copies_keep_equality_and_hash(self):
+        for b in (*bipartitions(4), bipartition((3, 1, 1), (3, 2))):
+            for value in (b, b.first, b.second):
+                copies = (
+                    copy.copy(value),
+                    copy.deepcopy(value),
+                    pickle.loads(pickle.dumps(value)),
+                    dataclasses.replace(value),
+                )
+                for copied in copies:
+                    assert copied == value and hash(copied) == hash(value)
+                    # the stored rows, n and hash come along too
+                    assert [getattr(copied, name) for name in value.__slots__] == [
+                        getattr(value, name) for name in value.__slots__
+                    ]
+        other = dataclasses.replace(b, second=Partition((2, 2, 1)))
+        assert other != b and other.rows == (5, 3, 2) and other.n == 10
+
+    def test_values_have_no_instance_dict(self):
+        b = bipartition((1,), (1,))
+        for value, name in ((b, "first"), (b, "rows"), (b.first, "parts")):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, (2,))
+            # a name that is no field: the slotted frozen dataclass of
+            # CPython 3.11 raises TypeError from its generated __setattr__
+            # (MatrixGF does the same), not FrozenInstanceError; either
+            # way nothing is stored
+            with pytest.raises((TypeError, dataclasses.FrozenInstanceError)):
+                value.extra = 1
+            assert not hasattr(value, "extra")
+        assert repr(b) == "Bipartition(first=Partition(parts=(1,)), second=Partition(parts=(1,)))"
+
+    def test_direct_build_equals_the_interned_object(self):
+        for n in range(7):
+            for b in bipartitions(n):
+                built = Bipartition(Partition(b.first.parts), Partition(b.second.parts))
+                assert built == b and hash(built) == hash(b) and built.rows == b.rows
+                assert bipartition(b.first.parts, b.second.parts) is b
+                assert bipartition(list(b.first.parts), list(b.second.parts)) is b
+                assert parse_bipartition(format_bipartition(b)) is b
+
+    def test_rows_are_the_row_sums(self):
+        for n in range(9):
+            for b in bipartitions(n):
+                mu, nu = b.first, b.second
+                ell = max(mu.length, nu.length)
+                assert b.rows == tuple(mu.part(i) + nu.part(i) for i in range(1, ell + 1))
+                assert b.n == mu.size + nu.size == n
+                assert b.row_count == ell
+                for i in range(ell + 3):
+                    assert b.row_length(i) == mu.part(i) + nu.part(i)
+
+    def test_closure_matches_the_part_by_part_loop(self):
+        for n in range(7):
+            bs = bipartitions(n)
+            for big in bs:
+                for small in bs:
+                    assert closure_contains(big, small) is closure_by_parts(big, small)
+
+    def test_validation_survives_interning(self):
+        three, one = bipartition((3,), ()), bipartition((1,), (1,))
+        for parts in ((3.0,), [3.0], ("3",), (3, 0.5)):
+            with pytest.raises(TypeError):
+                bipartition(parts, ())
+        with pytest.raises(TypeError):
+            bipartition((1,), (1.0,))
+        # bools are ints to operator.index, so they find the same object
+        assert bipartition((True,), [True]) is one
+        assert bipartition((3,), ()) is three
+        for mu, nu in (((1, 2), ()), ((2, 0), ()), ((), (-1,))):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    bipartition(mu, nu)
+
+    def test_orbit_raises_on_types_no_orbit_has(self):
+        bipartitions(4)
+        assert normalform._orbit([2, 2], [2]) is bipartition((2, 2), ())
+        # kappa longer than lam, or a negative part: AssertionError
+        for lam, kappa in (([1], [1, 1]), ([1, 1], [2, 1]), ([3, 1], [])):
+            with pytest.raises(AssertionError, match="no orbit has Jordan types"):
+                normalform._orbit(lam, kappa)
+        # nu = (0, 1) is no partition
+        with pytest.raises(ValueError, match="partition parts must be positive"):
+            normalform._orbit([2, 2], [1, 1])
 
 
 class TestDiagram:

@@ -21,6 +21,15 @@ def test_module_doctests_pass(name):
 
 
 def test_examples_are_collected():
-    # combinatorics and fibers carry 8 examples between them
+    # combinatorics and fibers carry 6 examples between them, gflinalg
+    # and normalform 7 more
     assert "enhcone.combinatorics" in MODULES and "enhcone.fibers" in MODULES
     assert sum(run_doctests(name).attempted for name in MODULES) >= 8
+
+
+def test_oracle_doctests_pass():
+    # transpose left combinatorics for the oracles with its examples
+    import oracles
+
+    results = doctest.testmod(oracles, verbose=False)
+    assert results.failed == 0 and results.attempted >= 2

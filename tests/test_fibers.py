@@ -958,13 +958,15 @@ class TestMemo:
             "_row_orbit": fibers._row_orbit,
         }
         cached = {name for name, f in vars(fibers).items() if hasattr(f, "cache_clear")}
-        assert cached - {"flag_shape"} == set(tables) | set(kept)
+        assert cached - {"flag_shape", "bipartitions"} == set(tables) | set(kept)
         assert all(table.cache_info().currsize > 0 for table in tables.values())
         assert fibers._interned
         fiber_cache().clear()
         assert {name: table.cache_info().currsize for name, table in tables.items()} == dict.fromkeys(tables, 0)
         assert not fibers._interned
         assert all(table.cache_info().currsize > 0 for table in kept.values())
+        # orbits stay interned: the table holds value objects and no count
+        assert normalform.classify_pair(q.v, q.x) is small
         assert gflinalg._packed_layout.cache_info().currsize > 0
 
     def test_clear_empties_symbolic_tables(self, monkeypatch, clean_cache):

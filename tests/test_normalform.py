@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from enhcone.combinatorics import FlagShape, Partition, bipartition, bipartitions, flag_shape, is_distinguished
+from enhcone.combinatorics import Bipartition, FlagShape, Partition, bipartition, bipartitions, flag_shape, is_distinguished
 from enhcone.fibers import FiberQuery, closure_pairs, count_fiber, count_fiber_memo, count_lambda_fixed
 from enhcone.gflinalg import MatrixGF, QuotientMap, SubspaceGF, _packed_layout, enumerate_subspaces, quotient_map, rank
 from enhcone import normalform
@@ -189,6 +189,29 @@ class TestClassify:
                     np_ = normal_pair(b, p)
                     assert classify_pair(np_.v, np_.x) == b
                     assert classify_by_centralizer(np_.v, np_.x) == b
+
+    def test_returns_the_interned_orbit_and_builds_it_once(self, monkeypatch):
+        # classification hands out the one object of bipartition(), so the
+        # orbit tables find it by identity; once it is in the table a
+        # second pass builds no Partition and no Bipartition
+        pairs = [
+            (b, normal_pair(b, p)) for n in range(7) for b in bipartitions(n) for p in (2, 3)
+        ]
+        for b, np_ in pairs:
+            assert classify_pair(np_.v, np_.x) is bipartition(b.first.parts, b.second.parts)
+        builds = []
+        for cls in (Partition, Bipartition):
+            def counted(self, built=cls.__post_init__):
+                builds.append(type(self))
+                built(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        Bipartition(Partition((1,)), Partition(()))
+        assert builds == [Partition, Partition, Bipartition]
+        builds.clear()
+        for b, np_ in pairs:
+            assert classify_pair(np_.v, np_.x) == b
+        assert builds == []
 
     def test_reads_ranks_off_the_image_chain(self, monkeypatch):
         # no quotient push, which would raise here; MatrixGF has no
